@@ -127,43 +127,18 @@ diff "$overload_csv" "$ckpt_tmp/ov-b/overload.csv" || {
 gate_end "overload gate"
 echo "overload gate passed"
 
-# Event-kernel gate: the sim-core event driver is now the default loop
-# for every simulation. It must reproduce the lockstep reference
-# byte-for-byte — in-process (golden traces, fleet/overload reports) and
-# from the CLI — and skipping idle barriers on a sparse fleet must not
-# cost wall time. (The fleet and overload gates above already exercise
-# the event driver: it is the default.)
+# Golden-digest gate: the FNV-64 digests of the fleet, overload, chaos
+# and edge CSVs over a small named scenario grid, each at a one- and a
+# four-thread budget, must match the committed fixtures byte for byte.
 gate_begin
-cargo test -q --test event_kernel_equivalence
-"$experiments" overload --threads 1 --storm --driver lockstep \
-    --out "$ckpt_tmp/ek-ov" >/dev/null 2>&1
-diff "$overload_csv" "$ckpt_tmp/ek-ov/overload.csv" || {
-    echo "event-kernel gate: overload CSV diverged between drivers" >&2; exit 1; }
-t0=$(date +%s%N)
-"$experiments" fleet --boards 4 --epochs 160 --threads 1 --driver lockstep \
-    --out "$ckpt_tmp/ek-lock" >/dev/null 2>&1
-t1=$(date +%s%N)
-"$experiments" fleet --boards 4 --epochs 160 --threads 1 --driver event \
-    --out "$ckpt_tmp/ek-event" >/dev/null 2>&1
-t2=$(date +%s%N)
-diff "$ckpt_tmp/ek-lock/fleet.csv" "$ckpt_tmp/ek-event/fleet.csv" || {
-    echo "event-kernel gate: sparse fleet CSV diverged between drivers" >&2; exit 1; }
-lock_ms=$(( (t1 - t0) / 1000000 ))
-event_ms=$(( (t2 - t1) / 1000000 ))
-# Sanity bound, not a benchmark: the event driver may not be
-# pathologically slower than the reference on an idle-heavy fleet
-# (1.5x + noise slack; both runs include identical model training).
-if [ "$event_ms" -gt $(( lock_ms * 3 / 2 + 2000 )) ]; then
-    echo "event-kernel gate: sparse fleet took ${event_ms}ms event-driven vs ${lock_ms}ms lockstep" >&2
-    exit 1
-fi
-gate_end "event-kernel gate"
-echo "event-kernel gate passed (sparse fleet: ${lock_ms}ms lockstep, ${event_ms}ms event)"
+cargo test -q --test golden_digests
+gate_end "golden-digest gate"
+echo "golden-digest gate passed"
 
 # Chaos gate: a seeded storm grid under the always-on invariant checker.
 # Every storm must finish with zero invariant violations, and the CSV
-# must be byte-identical across thread budgets (1 vs 4) and across the
-# event and lockstep drivers. FULL=1 widens the grid into a soak.
+# must be byte-identical across thread budgets (1 vs 4). FULL=1 widens
+# the grid into a soak.
 gate_begin
 chaos_args="--boards 8 --racks 2 --epochs 24 --seed 11 --threads 1"
 storms="crash-wave partition heartbeat slow-tier all"
@@ -184,25 +159,19 @@ for storm in $storms; do
             echo "chaos gate: storm $storm seed $seed reported violations" >&2; exit 1; }
     done
 done
-# Determinism legs on the full preset: threads 1 vs 4, event vs lockstep.
+# Determinism leg on the full preset: threads 1 vs 4.
 # shellcheck disable=SC2086
 "$experiments" chaos $chaos_args --storm all --threads 4 \
     --out "$ckpt_tmp/chaos-t4" >/dev/null 2>&1
 diff "$ckpt_tmp/chaos-all-11/chaos.csv" "$ckpt_tmp/chaos-t4/chaos.csv" || {
     echo "chaos gate: CSV diverged between --threads 1 and --threads 4" >&2; exit 1; }
-# shellcheck disable=SC2086
-"$experiments" chaos $chaos_args --storm all --driver lockstep \
-    --out "$ckpt_tmp/chaos-lock" >/dev/null 2>&1
-diff "$ckpt_tmp/chaos-all-11/chaos.csv" "$ckpt_tmp/chaos-lock/chaos.csv" || {
-    echo "chaos gate: CSV diverged between event and lockstep drivers" >&2; exit 1; }
 gate_end "chaos gate"
 echo "chaos gate passed (storms: $storms; seeds: $seeds)"
 
 # Edge-fleet gate: 1k boards of the datacenter-scale simulator (user
 # frontier + network model + tiered service, region-sharded). The run
 # must finish with zero invariant violations, actually serve traffic,
-# and produce byte-identical CSV across thread budgets (1 vs 4) and
-# across the event and lockstep drivers.
+# and produce byte-identical CSV across thread budgets (1 vs 4).
 gate_begin
 edge_args="--boards 1000 --racks 8 --epochs 24 --seed 11"
 # shellcheck disable=SC2086
@@ -219,11 +188,6 @@ awk -F, '$1 == "summary" && $3 == "replies" && $4 == 0 { exit 1 }' "$edge_csv" |
     --out "$ckpt_tmp/edge-t4" >/dev/null 2>&1
 diff "$edge_csv" "$ckpt_tmp/edge-t4/edge.csv" || {
     echo "edge gate: CSV diverged between --threads 1 and --threads 4" >&2; exit 1; }
-# shellcheck disable=SC2086
-"$experiments" edge $edge_args --threads 1 --driver lockstep \
-    --out "$ckpt_tmp/edge-lock" >/dev/null 2>&1
-diff "$edge_csv" "$ckpt_tmp/edge-lock/edge.csv" || {
-    echo "edge gate: CSV diverged between event and lockstep drivers" >&2; exit 1; }
 gate_end "edge gate"
 echo "edge-fleet gate passed"
 

@@ -14,7 +14,6 @@ use std::time::Instant;
 use bench::chaos::StormPreset;
 use bench::error::BenchError;
 use bench::harness::{train_artifacts, Effort, TrainedArtifacts};
-use hikey_platform::SimDriver;
 use thermal::Cooling;
 
 /// Writes a CSV artifact if an output directory was requested; a failure
@@ -37,8 +36,8 @@ usage: experiments [--full] [--out <dir>] [--state <dir>] [--points <n>]
                    [--threads <n>] [--clients <n>] [--overload <x>] [--seed <n>]
                    [--users <n>] [--load <x>] [--replay <file>]
                    [--churn <period>] [--churn-down <epochs>]
-                   [--storm [preset]] [--driver <event|lockstep>]
-                   [--kernel <scalar|vector>] [--policy-cache <n>] [COMMAND ...]
+                   [--storm [preset]] [--kernel <scalar|vector>]
+                   [--policy-cache <n>] [COMMAND ...]
 
 Regenerates the paper's evaluation artifacts. Without a command (or with
 `all`) the whole suite runs. `--full` uses paper-scale parameters;
@@ -58,13 +57,13 @@ storm (`crash-wave`, `partition`, `heartbeat`, `slow-tier` or `all`).
 epoch) size the `edge` experiment; `--replay <file>` drives its demand
 from a recorded workload CSV instead of the synthetic rate model, and a
 bare `--storm` injects its regional backbone outage.
+Sizing counts (`--boards`, `--racks`, `--epochs`, `--devices`,
+`--clients`, `--users`) must be at least 1, and `--overload` and
+`--load` must be finite and above 0.
 `--threads <n>` sets the host-thread budget of `train`, `sweep`, `fleet`,
 `overload`, `chaos` and `edge` (default: all available cores). Every
 command produces the same bytes at every thread count — the budget
-changes wall time only. `--driver` selects the simulation loop of
-`fleet`, `overload`, `chaos` and `edge`: the `sim-core` event kernel
-(`event`, the default) or the fixed-barrier reference (`lockstep`); both
-produce identical bytes. `--kernel` selects the numeric inference kernel
+changes wall time only. `--kernel` selects the numeric inference kernel
 of the `fleet` experiment (`vector`, the default, or `scalar` — the
 reference loop) and `--policy-cache <n>` sizes its memoization cache
 (0 disables); both kernels and any cache size produce identical bytes —
@@ -159,6 +158,31 @@ fn flag_number<T: std::str::FromStr>(args: &[String], i: &mut usize, flag: &str)
         .unwrap_or_else(|_| usage_error(&format!("flag `{flag}` got a malformed value `{v}`")))
 }
 
+/// Consumes a sizing count, or exits 2 unless it is at least 1.
+fn flag_count<T: std::str::FromStr + Default + PartialEq>(
+    args: &[String],
+    i: &mut usize,
+    flag: &str,
+) -> T {
+    let n: T = flag_number(args, i, flag);
+    if n == T::default() {
+        usage_error(&format!("flag `{flag}` must be at least 1"));
+    }
+    n
+}
+
+/// Consumes a rate multiplier, or exits 2 unless it is finite and above 0.
+fn flag_rate(args: &[String], i: &mut usize, flag: &str) -> f64 {
+    let x: f64 = flag_number(args, i, flag);
+    if !(x.is_finite() && x > 0.0) {
+        usage_error(&format!(
+            "flag `{flag}` must be finite and above 0, got `{}`",
+            args[*i]
+        ));
+    }
+    x
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args
@@ -187,7 +211,6 @@ fn main() {
     let mut churn_down: Option<u64> = None;
     let mut storm = false;
     let mut storm_preset: Option<StormPreset> = None;
-    let mut driver = SimDriver::EventDriven;
     let mut kernel: Option<npu::KernelMode> = None;
     let mut policy_cache: Option<usize> = None;
     let mut commands: Vec<&str> = Vec::new();
@@ -199,16 +222,16 @@ fn main() {
             "--out" => out = Some(PathBuf::from(flag_value(&args, &mut i, arg))),
             "--state" => state = Some(PathBuf::from(flag_value(&args, &mut i, arg))),
             "--points" => points = Some(flag_number(&args, &mut i, arg)),
-            "--boards" => boards = Some(flag_number(&args, &mut i, arg)),
-            "--racks" => racks = Some(flag_number(&args, &mut i, arg)),
-            "--epochs" => epochs = Some(flag_number(&args, &mut i, arg)),
-            "--devices" => devices = Some(flag_number(&args, &mut i, arg)),
+            "--boards" => boards = Some(flag_count(&args, &mut i, arg)),
+            "--racks" => racks = Some(flag_count(&args, &mut i, arg)),
+            "--epochs" => epochs = Some(flag_count(&args, &mut i, arg)),
+            "--devices" => devices = Some(flag_count(&args, &mut i, arg)),
             "--threads" => threads = Some(flag_number(&args, &mut i, arg)),
-            "--clients" => clients = Some(flag_number(&args, &mut i, arg)),
-            "--overload" => overload = Some(flag_number(&args, &mut i, arg)),
+            "--clients" => clients = Some(flag_count(&args, &mut i, arg)),
+            "--overload" => overload = Some(flag_rate(&args, &mut i, arg)),
             "--seed" => seed = Some(flag_number(&args, &mut i, arg)),
-            "--users" => users = Some(flag_number(&args, &mut i, arg)),
-            "--load" => load = Some(flag_number(&args, &mut i, arg)),
+            "--users" => users = Some(flag_count(&args, &mut i, arg)),
+            "--load" => load = Some(flag_rate(&args, &mut i, arg)),
             "--replay" => replay = Some(PathBuf::from(flag_value(&args, &mut i, arg))),
             "--churn" => churn_period = Some(flag_number(&args, &mut i, arg)),
             "--churn-down" => churn_down = Some(flag_number(&args, &mut i, arg)),
@@ -220,13 +243,6 @@ fn main() {
                 )),
             },
             "--policy-cache" => policy_cache = Some(flag_number(&args, &mut i, arg)),
-            "--driver" => match flag_value(&args, &mut i, arg) {
-                "event" => driver = SimDriver::EventDriven,
-                "lockstep" => driver = SimDriver::Lockstep,
-                other => usage_error(&format!(
-                    "unknown --driver `{other}` (expected `event` or `lockstep`)"
-                )),
-            },
             "--storm" => match args.get(i + 1).map(String::as_str) {
                 // Bare `--storm` arms the overload fault storm; a value
                 // names the chaos preset. A preset name always binds
@@ -250,6 +266,12 @@ fn main() {
             other => usage_error(&format!("unknown experiment `{other}`")),
         }
         i += 1;
+    }
+    let regions = edge_sim::EdgeConfig::default().regions;
+    if commands.contains(&"edge") && boards.is_some_and(|n| n < regions) {
+        usage_error(&format!(
+            "flag `--boards` must be at least {regions} for `edge` (one board per region)"
+        ));
     }
     // No --threads means "use every core"; the result is bit-identical
     // either way.
@@ -411,15 +433,14 @@ fn main() {
                 }
                 config.budget = budget;
                 eprintln!(
-                    "fleet: {} boards x {} epochs on {} device(s), {} thread(s), {:?} driver, {} kernel ...",
+                    "fleet: {} boards x {} epochs on {} device(s), {} thread(s), {} kernel ...",
                     config.boards,
                     config.epochs,
                     config.devices,
                     config.budget.effective_threads(),
-                    driver,
                     config.kernel.name()
                 );
-                let report = bench::fleet::run_driver(&config, driver);
+                let report = bench::fleet::run(&config);
                 eprintln!("{report}");
                 let csv = bench::csv::fleet_csv(&report);
                 print!("{csv}");
@@ -450,7 +471,7 @@ fn main() {
                     config.budget.effective_threads(),
                     if config.fault_storm { ", fault storm" } else { "" }
                 );
-                let report = bench::overload::run_with_driver(&config, driver);
+                let report = bench::overload::run(&config);
                 eprintln!("{report}");
                 let csv = bench::csv::overload_csv(&report);
                 print!("{csv}");
@@ -476,16 +497,15 @@ fn main() {
                 config.budget = budget;
                 eprintln!(
                     "chaos: `{}` storm over {} boards in {} racks x {} epochs, \
-                     seed {}, {} thread(s), {:?} driver ...",
+                     seed {}, {} thread(s) ...",
                     config.storm,
                     config.boards,
                     config.racks,
                     config.epochs,
                     config.seed,
-                    config.budget.effective_threads(),
-                    driver
+                    config.budget.effective_threads()
                 );
-                let report = bench::chaos::run_with_driver(&config, driver);
+                let report = bench::chaos::run(&config);
                 eprintln!("{report}");
                 let csv = bench::csv::chaos_csv(&report);
                 print!("{csv}");
@@ -541,7 +561,7 @@ fn main() {
                 }
                 eprintln!(
                     "edge: {} boards in {} regions x {} racks, {} users x {} epochs, \
-                     seed {}, {} thread(s), {:?} driver{}{} ...",
+                     seed {}, {} thread(s){}{} ...",
                     config.boards,
                     config.regions,
                     config.racks_per_region,
@@ -549,7 +569,6 @@ fn main() {
                     config.epochs,
                     config.seed,
                     config.budget.effective_threads(),
-                    driver,
                     if config.outage {
                         ", backbone outage"
                     } else {
@@ -562,7 +581,7 @@ fn main() {
                     }
                 );
                 let started = Instant::now();
-                let report = edge_sim::run_with_driver(&config, driver);
+                let report = edge_sim::run(&config);
                 let wall = started.elapsed().as_secs_f64();
                 eprintln!("{report}");
                 // Wall-clock throughput goes to stderr only; the CSV

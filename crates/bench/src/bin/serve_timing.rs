@@ -13,8 +13,6 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use bench::fleet::{self, FleetConfig};
-use hikey_platform::SimDriver;
 use nn::{ForwardScratch, KernelMode, Matrix, Mlp};
 use npu::{InferScratch, NpuDevice, NpuModel, PolicyCache};
 use rand::rngs::StdRng;
@@ -57,7 +55,7 @@ fn main() {
     let device = NpuDevice::kirin970();
 
     println!("{{");
-    println!("  \"note\": \"wall-clock ns serving 64 feature rows (21 features, 64x8 MLP), medians of {SAMPLES} samples, on the vectorized fused int8 kernel (int8_64rows_scalar_kernel_ns is the bit-identical scalar reference the differential gate diffs against; *_cached_ns is the policy-cache replay path); modeled_* are the virtual Kirin 970 device latencies that set the fleet speedup; sparse_fleet_* compare the lockstep and sim-core event drivers on an idle-heavy fleet — the visit reduction is the per-barrier coordination skipped, while wall time stays near parity because bit-identical thermal aggregates require replaying every platform tick\",");
+    println!("  \"note\": \"wall-clock ns serving 64 feature rows (21 features, 64x8 MLP), medians of {SAMPLES} samples, on the vectorized fused int8 kernel (int8_64rows_scalar_kernel_ns is the bit-identical scalar reference the differential gate diffs against; *_cached_ns is the policy-cache replay path); modeled_* are the virtual Kirin 970 device latencies that set the fleet speedup\",");
 
     // Numeric cost of serving 64 rows at each coalescing level, on the
     // default (vectorized fused) kernel. Outputs are bit-identical to
@@ -160,71 +158,8 @@ fn main() {
     println!("  \"modeled_serial_64rows_ns\": {serial_ns:.0},");
     println!("  \"modeled_batch16_64rows_ns\": {pooled_ns:.0},");
     println!(
-        "  \"modeled_speedup_batch16\": {:.2},",
+        "  \"modeled_speedup_batch16\": {:.2}",
         serial_ns / pooled_ns
-    );
-
-    // Sparse-fleet idle skipping: 4 boards x 160 epochs whose workloads
-    // drain in the first ~30 s, leaving a long idle tail. The lockstep
-    // driver still visits every board at every barrier; the sim-core
-    // event driver only wakes boards with work, so the board-epoch visit
-    // count — and with it the per-barrier coordination cost — collapses.
-    // Both drivers produce bit-identical reports (enforced by the
-    // event_kernel_equivalence suite).
-    let model = fleet::fleet_model(0);
-    let sparse = FleetConfig {
-        boards: 4,
-        epochs: 160,
-        devices: 2,
-        max_batch: 8,
-        workers: 2,
-        seed: 5,
-        budget: par::Budget::serial(),
-        churn: None,
-        ..FleetConfig::default()
-    };
-    let (_, kernel) = fleet::run_event_with_stats(&model, &sparse);
-    // Interleave the drivers within each sample pair so host-load noise
-    // hits both sides equally; medians of the paired samples.
-    let mut lock_samples = Vec::with_capacity(SAMPLES);
-    let mut event_samples = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let start = Instant::now();
-        black_box(fleet::run_with_model_driver(
-            black_box(&model),
-            &sparse,
-            SimDriver::Lockstep,
-        ));
-        lock_samples.push(start.elapsed().as_secs_f64() * 1e9);
-        let start = Instant::now();
-        black_box(fleet::run_with_model_driver(
-            black_box(&model),
-            &sparse,
-            SimDriver::EventDriven,
-        ));
-        event_samples.push(start.elapsed().as_secs_f64() * 1e9);
-    }
-    lock_samples.sort_by(|a, b| a.total_cmp(b));
-    event_samples.sort_by(|a, b| a.total_cmp(b));
-    let lockstep_ns = lock_samples[SAMPLES / 2];
-    let event_ns = event_samples[SAMPLES / 2];
-    println!(
-        "  \"sparse_fleet_lockstep_visits\": {},",
-        kernel.lockstep_visits
-    );
-    println!(
-        "  \"sparse_fleet_event_visits\": {},",
-        kernel.board_epoch_visits
-    );
-    println!(
-        "  \"sparse_fleet_visit_reduction\": {:.2},",
-        kernel.visit_reduction()
-    );
-    println!("  \"sparse_fleet_lockstep_ns\": {lockstep_ns:.0},");
-    println!("  \"sparse_fleet_event_ns\": {event_ns:.0},");
-    println!(
-        "  \"sparse_fleet_wall_speedup\": {:.2}",
-        lockstep_ns / event_ns
     );
     println!("}}");
 }

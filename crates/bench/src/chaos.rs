@@ -20,15 +20,13 @@
 //! * **virtual-time monotonicity** — barrier instants strictly increase,
 //!   transition and completion times never run backwards.
 //!
-//! The run is deterministic: byte-identical CSV at every thread budget
-//! and on both the lockstep and the event-driven (`sim-core`) driver —
+//! The run is deterministic: byte-identical CSV at every thread budget —
 //! the CI chaos gate diffs exactly that.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use faults::{BreakerState, FleetFault, FleetSchedule, StormBuilder};
-use hikey_platform::SimDriver;
 use hmc_types::{SimDuration, SimTime};
 use nn::{Matrix, Mlp};
 use npu_serve::{
@@ -37,7 +35,6 @@ use npu_serve::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sim_core::Kernel;
 
 /// Length of one chaos barrier epoch.
 const CHAOS_EPOCH: SimDuration = SimDuration::from_millis(100);
@@ -233,7 +230,7 @@ impl fmt::Display for ChaosReport {
 
 /// Always-on invariant checker fed during the run; violations are
 /// collected (never panicking) so the report and CSV stay comparable
-/// across drivers even when an invariant breaks.
+/// across thread budgets even when an invariant breaks.
 #[derive(Debug)]
 pub struct InvariantChecker {
     hedge_bound: f64,
@@ -427,7 +424,7 @@ struct Arrival {
     rows: usize,
 }
 
-/// The immutable plan shared by both drivers.
+/// The immutable plan of one run.
 struct Plan {
     schedule: FleetSchedule,
     arrivals: Vec<Arrival>,
@@ -534,7 +531,7 @@ fn apply_storm(service: &mut TieredService, plan: &Plan, racks: usize, epoch: u6
 }
 
 /// Processes one barrier epoch — storm events, submissions, the flush,
-/// outcome resolution, transition checks. Identical for both drivers.
+/// outcome resolution, transition checks.
 fn process_epoch(plan: &Plan, config: &ChaosConfig, state: &mut ChaosState, epoch: u64) {
     let base = SimTime::from_nanos(epoch * CHAOS_EPOCH.as_nanos());
     let barrier = base + CHAOS_EPOCH;
@@ -581,24 +578,12 @@ fn process_epoch(plan: &Plan, config: &ChaosConfig, state: &mut ChaosState, epoc
     state.checker.observe_transitions(&transitions);
 }
 
-/// Runs the chaos experiment on the default (event-driven) driver.
+/// Runs the chaos experiment, one barrier epoch after another.
 ///
 /// # Panics
 ///
 /// Panics on a zero board, rack or epoch count.
 pub fn run(config: &ChaosConfig) -> ChaosReport {
-    run_with_driver(config, SimDriver::default())
-}
-
-/// Runs the chaos experiment on an explicitly chosen driver. Both
-/// produce identical reports (and byte-identical CSV): the lockstep
-/// reference iterates the barrier epochs; the event driver hosts one
-/// kernel event per epoch on the `sim-core` queue.
-///
-/// # Panics
-///
-/// Panics on a zero board, rack or epoch count.
-pub fn run_with_driver(config: &ChaosConfig, driver: SimDriver) -> ChaosReport {
     assert!(config.boards > 0, "need at least one board");
     assert!(config.racks > 0, "need at least one rack");
     assert!(config.epochs > 0, "need at least one epoch");
@@ -618,24 +603,8 @@ pub fn run_with_driver(config: &ChaosConfig, driver: SimDriver) -> ChaosReport {
         transitions: 0,
     };
 
-    match driver {
-        SimDriver::Lockstep => {
-            for epoch in 0..config.epochs {
-                process_epoch(&the_plan, config, &mut state, epoch);
-            }
-        }
-        SimDriver::EventDriven => {
-            let plan_ref = &the_plan;
-            let mut kernel: Kernel<u64, ChaosState> = Kernel::new(config.seed);
-            let driver_id = kernel.register("chaos-barrier", |state: &mut ChaosState, _, event| {
-                process_epoch(plan_ref, config, state, event.payload);
-            });
-            for epoch in 0..config.epochs {
-                let at = SimTime::from_nanos(epoch * CHAOS_EPOCH.as_nanos()) + CHAOS_EPOCH;
-                kernel.scheduler().schedule(at, driver_id, 0, epoch);
-            }
-            kernel.run_to_idle(&mut state);
-        }
+    for epoch in 0..config.epochs {
+        process_epoch(&the_plan, config, &mut state, epoch);
     }
 
     let ChaosState {
@@ -740,18 +709,16 @@ mod tests {
     }
 
     #[test]
-    fn drivers_agree_and_budgets_are_invisible() {
+    fn budgets_are_invisible() {
         let config = small(StormPreset::All);
-        let lockstep = run_with_driver(&config, SimDriver::Lockstep);
-        let event = run_with_driver(&config, SimDriver::EventDriven);
-        assert_eq!(lockstep, event, "chaos drivers must agree");
+        let serial = run(&config);
         let threaded_cfg = ChaosConfig {
             budget: par::Budget::with_threads(4),
             ..config
         };
-        let mut threaded = run_with_driver(&threaded_cfg, SimDriver::Lockstep);
+        let mut threaded = run(&threaded_cfg);
         threaded.config = config;
-        assert_eq!(threaded, lockstep, "chaos must be budget-invariant");
+        assert_eq!(threaded, serial, "chaos must be budget-invariant");
     }
 
     #[test]

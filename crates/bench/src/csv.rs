@@ -276,7 +276,7 @@ pub fn overload_csv(report: &OverloadReport) -> String {
 /// `violation` (index = violation number, one row per invariant breach —
 /// absent when the run is clean). The chaos CI gate greps
 /// `summary,,invariant_violations,0` and diffs the full output across
-/// thread budgets and drivers, so every value must be byte-deterministic
+/// thread budgets, so every value must be byte-deterministic
 /// for a given [`crate::chaos::ChaosConfig`].
 pub fn chaos_csv(report: &ChaosReport) -> String {
     let mut out = String::from("section,index,metric,value\n");
@@ -331,7 +331,7 @@ pub fn chaos_csv(report: &ChaosReport) -> String {
 /// ascending order) and `violation` (index = violation number, absent on
 /// a clean run). The edge CI gate greps
 /// `summary,,invariant_violations,0` and diffs the full output across
-/// thread budgets and drivers, so every value must be byte-deterministic
+/// thread budgets, so every value must be byte-deterministic
 /// for a given [`edge_sim::EdgeConfig`]. Wall-clock quantities
 /// (boards/second) deliberately never appear here — they go to stderr
 /// and the BENCH json.

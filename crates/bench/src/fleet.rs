@@ -16,33 +16,23 @@
 //! The whole experiment runs in virtual time and is fully deterministic:
 //! the same configuration produces byte-identical CSV output.
 //!
-//! Two drivers execute the run. The **lockstep** reference visits every
-//! board at every 500 ms barrier. The **event-driven** driver (the
-//! default) hosts the barriers on the `sim-core` kernel: one `Barrier`
-//! event per *active* barrier instant carries the set of boards due
-//! there, and a board with no running applications is not due again
-//! until the barrier covering its next workload arrival — its platform
-//! ticks are replayed lazily (in the exact per-tick order of the
-//! reference loop) when it is next visited, so QoS and thermal
-//! aggregates are bit-identical while idle boards skip the per-barrier
-//! coordination entirely. [`FleetKernelStats`] counts the skipped
-//! board-epoch visits; the `event_kernel_equivalence` suite asserts
-//! report and CSV equality between the drivers.
+//! One lockstep loop executes the run: every alive board is visited at
+//! every 500 ms barrier, and boards are stepped between barriers in
+//! parallel under the thread budget. A crashed board's platform ticks
+//! are replayed on rejoin, in the loop's exact per-tick order.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use checkpoint::CheckpointStore;
 use faults::{FleetFault, FleetSchedule, StormBuilder};
-use hikey_platform::{default_placement, Platform, PlatformConfig, SimDriver};
+use hikey_platform::{default_placement, Platform, PlatformConfig};
 use hmc_types::{SimDuration, SimTime};
 use npu::{KernelMode, NpuDevice, NpuModel};
 use npu_serve::{NpuService, RequestTicket, ServeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sim_core::{ComponentId, Kernel, Scheduler};
 use topil::dvfs::DvfsControlLoop;
 use topil::governor::{DVFS_PERIOD, MIGRATION_PERIOD};
 use topil::oracle::Scenario;
@@ -283,7 +273,7 @@ struct Board {
     fallback_epochs: u64,
     /// False while the board is crashed out of the fleet. Dead boards
     /// take no barriers; their platform ticks replay on rejoin (or at the
-    /// final catch-up), exactly like dormant idle boards.
+    /// final catch-up).
     alive: bool,
     crashes: u64,
     reassigned: u64,
@@ -306,69 +296,6 @@ pub fn fleet_model(seed: u64) -> IlModel {
 /// Trains a model and runs the fleet.
 pub fn run(config: &FleetConfig) -> FleetReport {
     run_with_model(&fleet_model(config.seed), config)
-}
-
-/// As [`run`], on an explicitly chosen driver (`experiments fleet
-/// --driver ...`).
-pub fn run_driver(config: &FleetConfig, driver: SimDriver) -> FleetReport {
-    run_with_model_driver(&fleet_model(config.seed), config, driver)
-}
-
-/// Kernel-side counters of one event-driven fleet run: how much
-/// per-barrier coordination the virtual-time skipping avoided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetKernelStats {
-    /// Board-barrier visits the event driver actually performed.
-    pub board_epoch_visits: u64,
-    /// Barrier instants that had at least one board due (each is one
-    /// kernel event / handler invocation).
-    pub active_barriers: u64,
-    /// Visits the lockstep reference performs unconditionally
-    /// (`epochs * boards`).
-    pub lockstep_visits: u64,
-    /// Kernel handler invocations over the run.
-    pub handler_invocations: u64,
-    /// Events pushed onto the kernel queue over the run.
-    pub events_scheduled: u64,
-}
-
-impl FleetKernelStats {
-    /// `lockstep_visits / board_epoch_visits` — how many times fewer
-    /// board-barrier visits the event driver performed.
-    pub fn visit_reduction(&self) -> f64 {
-        if self.board_epoch_visits > 0 {
-            self.lockstep_visits as f64 / self.board_epoch_visits as f64
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// Runs the fleet with an already-trained model on the default driver
-/// ([`SimDriver::EventDriven`]).
-///
-/// # Panics
-///
-/// Panics on a zero board or epoch count.
-pub fn run_with_model(model: &IlModel, config: &FleetConfig) -> FleetReport {
-    run_with_model_driver(model, config, SimDriver::default())
-}
-
-/// Runs the fleet on an explicitly chosen driver. Both drivers produce
-/// identical [`FleetReport`]s (and therefore byte-identical CSV).
-///
-/// # Panics
-///
-/// Panics on a zero board or epoch count.
-pub fn run_with_model_driver(
-    model: &IlModel,
-    config: &FleetConfig,
-    driver: SimDriver,
-) -> FleetReport {
-    match driver {
-        SimDriver::Lockstep => run_lockstep_with_model(model, config),
-        SimDriver::EventDriven => run_event_with_stats(model, config).0,
-    }
 }
 
 /// The shared-service configuration derived from a fleet config.
@@ -579,10 +506,12 @@ fn execute_crashes(
     }
 }
 
-/// The fixed-barrier reference loop: every board visited at every
-/// barrier. The event-driven driver is proven equivalent to this
-/// implementation; keep the two in sync.
-fn run_lockstep_with_model(model: &IlModel, config: &FleetConfig) -> FleetReport {
+/// Runs the fleet with an already-trained model.
+///
+/// # Panics
+///
+/// Panics on a zero board or epoch count.
+pub fn run_with_model(model: &IlModel, config: &FleetConfig) -> FleetReport {
     assert!(config.boards > 0, "need at least one board");
     assert!(config.epochs > 0, "need at least one epoch");
     let serve = serve_config(config);
@@ -667,8 +596,8 @@ fn run_lockstep_with_model(model: &IlModel, config: &FleetConfig) -> FleetReport
     )
 }
 
-/// Flushes the service at `end` and assembles the report — shared by
-/// both drivers (boards must already be stepped to `end`).
+/// Flushes the service at `end` and assembles the report (boards must
+/// already be stepped to `end`).
 fn finalize(
     config: &FleetConfig,
     boards: Vec<Board>,
@@ -678,8 +607,8 @@ fn finalize(
     mismatches: u64,
     churn: Option<ChurnState>,
 ) -> FleetReport {
-    // Churn aggregates come from the pure schedule (identical in both
-    // drivers); the checkpoint directory is gone after this.
+    // Churn aggregates come from the pure schedule; the checkpoint
+    // directory is gone after this.
     let (churn_events, checkpoint_restores, down_by_board) = match &churn {
         Some(state) => {
             let down: Vec<u64> = (0..config.boards)
@@ -772,239 +701,13 @@ fn finalize(
     }
 }
 
-/// Shared state of the event-driven driver.
-struct FleetState {
-    boards: Vec<Board>,
-    service: NpuService,
-    dedicated: NpuModel,
-    device: NpuDevice,
-    serial_device_time: SimDuration,
-    mismatches: u64,
-    /// Barrier instant -> boards due there (each key has exactly one
-    /// scheduled `Barrier` event). A board may be marked more than once
-    /// at one instant (e.g. a pre-marked churn barrier plus its regular
-    /// arming); the handler dedups.
-    due: BTreeMap<SimTime, Vec<usize>>,
-    visits: u64,
-    active_barriers: u64,
-    churn: Option<ChurnState>,
-}
-
-/// The single fleet event kind: a barrier instant with boards due.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BarrierDue;
-
-/// Marks board `i` due at `at`, scheduling the barrier's kernel event
-/// if `at` is a new barrier instant.
-fn mark_due(
-    due: &mut BTreeMap<SimTime, Vec<usize>>,
-    sched: &mut Scheduler<BarrierDue>,
-    barrier: ComponentId,
-    at: SimTime,
-    i: usize,
-) {
-    let boards = due.entry(at).or_insert_with(|| {
-        sched.schedule(at, barrier, 0, BarrierDue);
-        Vec::new()
-    });
-    boards.push(i);
-}
-
-/// The barrier at or after a board's next arrival — the earliest one
-/// where it can have a running application again.
-fn next_due_barrier(board: &Board, after: SimTime) -> Option<SimTime> {
-    let at = board.arrivals.get(board.next_arrival)?.at;
-    let period = MIGRATION_PERIOD.as_nanos();
-    let aligned = SimTime::from_nanos(at.as_nanos().div_ceil(period) * period);
-    Some(aligned.max(after))
-}
-
 /// Replays one board's platform ticks from wherever it last stopped up
-/// to `to`, in the reference loop's exact per-tick order. Admissions at
+/// to `to`, in the barrier loop's exact per-tick order. Admissions at
 /// the board's resume instant were already performed when it was last
 /// visited, which is precisely `step_to_barrier`'s contract.
 fn catch_up(board: &mut Board, to: SimTime) {
     let resumed_at = board.platform.now();
     step_to_barrier(board, resumed_at, to);
-}
-
-/// The event-driven driver, returning the report plus kernel counters.
-/// Equivalent to [`run_with_model_driver`] with [`SimDriver::Lockstep`]
-/// — same report, byte-identical CSV — while visiting each board only
-/// at barriers where it can have work.
-///
-/// # Panics
-///
-/// Panics on a zero board or epoch count.
-pub fn run_event_with_stats(
-    model: &IlModel,
-    config: &FleetConfig,
-) -> (FleetReport, FleetKernelStats) {
-    assert!(config.boards > 0, "need at least one board");
-    assert!(config.epochs > 0, "need at least one epoch");
-    let serve = serve_config(config);
-    let end = SimTime::ZERO + MIGRATION_PERIOD * config.epochs;
-    let mut state = FleetState {
-        boards: make_boards(model, config, &serve),
-        service: NpuService::new(model.mlp(), serve),
-        dedicated: NpuModel::compile(model.mlp()),
-        device: NpuDevice::kirin970(),
-        serial_device_time: SimDuration::ZERO,
-        mismatches: 0,
-        due: BTreeMap::new(),
-        visits: 0,
-        active_barriers: 0,
-        churn: churn_state(config),
-    };
-
-    let cfg = *config;
-    let mut kernel: Kernel<BarrierDue, FleetState> = Kernel::new(config.seed);
-    let barrier = kernel.register(
-        "fleet-barrier",
-        move |state: &mut FleetState, sched, event| {
-            let now = event.time;
-            let epoch = now.as_nanos() / MIGRATION_PERIOD.as_nanos();
-            let mut due = state
-                .due
-                .remove(&now)
-                .expect("barrier event without due boards");
-            due.sort_unstable();
-            due.dedup();
-            state.visits += due.len() as u64;
-            state.active_barriers += 1;
-
-            // Mirror the reference barrier order: rejoins first, then
-            // admissions, the epoch, the crash drain, and re-arming.
-            let crashes = match &mut state.churn {
-                Some(churn) => {
-                    apply_rejoins(&mut state.boards, churn, epoch, now);
-                    crashes_at(&churn.schedule, epoch)
-                }
-                None => Vec::new(),
-            };
-
-            // Replay deferred ticks up to the barrier and admit due
-            // arrivals — board-local, so the stretch runs under the thread
-            // budget exactly like the reference loop's parallel phases.
-            // Dead boards stay frozen (a board armed before its crash can
-            // still be in the due set).
-            let due_ref = &due;
-            par::par_for_each_mut(&cfg.budget, &mut state.boards, |i, board| {
-                if board.alive && due_ref.binary_search(&i).is_ok() {
-                    catch_up(board, now);
-                    admit_due(board, now);
-                }
-            });
-
-            // Boards not due here provably have no running applications, so
-            // the epoch over the due set equals the reference epoch over
-            // all boards (whose first step filters on `app_count > 0`).
-            // Dead boards in the due set have no applications either —
-            // their crash killed them — so the same filter drops them.
-            fleet_epoch(
-                &mut state.boards,
-                due_ref,
-                &mut state.service,
-                &state.dedicated,
-                &state.device,
-                now,
-                &mut state.serial_device_time,
-                &mut state.mismatches,
-                &crashes,
-                &cfg.budget,
-            );
-
-            if let Some(churn) = &mut state.churn {
-                execute_crashes(&mut state.boards, churn, &crashes, epoch);
-                // Wake each sibling at the barrier covering its adopted
-                // arrivals. Extra markings are harmless: duplicates at one
-                // instant collapse in the handler's dedup, and a visit
-                // never changes epoch participation (that is decided by
-                // `app_count > 0`, exactly as in the reference loop).
-                for &(_, sibling) in &crashes {
-                    if let Some(at) =
-                        next_due_barrier(&state.boards[sibling], now + MIGRATION_PERIOD)
-                    {
-                        if at < end {
-                            mark_due(&mut state.due, sched, event.dst, at, sibling);
-                        }
-                    }
-                }
-            }
-
-            // Re-arm: busy boards are due at the next barrier; idle boards
-            // sleep until the barrier covering their next arrival. Boards
-            // that crashed this barrier are pre-marked at their rejoin.
-            for i in due {
-                let board = &state.boards[i];
-                if !board.alive {
-                    continue;
-                }
-                let next = if board.platform.app_count() > 0 {
-                    Some(now + MIGRATION_PERIOD)
-                } else {
-                    next_due_barrier(board, now + MIGRATION_PERIOD)
-                };
-                match next {
-                    Some(at) if at < end => mark_due(&mut state.due, sched, event.dst, at, i),
-                    _ => {} // dormant until the final catch-up
-                }
-            }
-        },
-    );
-
-    for i in 0..state.boards.len() {
-        if let Some(at) = next_due_barrier(&state.boards[i], SimTime::ZERO) {
-            if at < end {
-                mark_due(&mut state.due, kernel.scheduler(), barrier, at, i);
-            }
-        }
-    }
-    // Churn barriers are known upfront (the schedule is pure data): every
-    // crash and rejoin instant is a barrier the affected board must take,
-    // even if it would otherwise be dormant there.
-    let churn_marks: Vec<(SimTime, usize)> = match &state.churn {
-        Some(churn) => churn
-            .schedule
-            .events()
-            .iter()
-            .filter_map(|event| match event.fault {
-                FleetFault::BoardCrash { board } | FleetFault::BoardRejoin { board } => {
-                    Some((SimTime::ZERO + MIGRATION_PERIOD * event.epoch, board))
-                }
-                _ => None,
-            })
-            .filter(|&(at, _)| at < end)
-            .collect(),
-        None => Vec::new(),
-    };
-    for (at, i) in churn_marks {
-        mark_due(&mut state.due, kernel.scheduler(), barrier, at, i);
-    }
-    kernel.run_to_idle(&mut state);
-
-    // Every board still owes its deferred ticks up to `end`.
-    par::par_for_each_mut(&cfg.budget, &mut state.boards, |_, board| {
-        catch_up(board, end);
-    });
-
-    let kernel_stats = FleetKernelStats {
-        board_epoch_visits: state.visits,
-        active_barriers: state.active_barriers,
-        lockstep_visits: config.epochs * config.boards as u64,
-        handler_invocations: kernel.stats().handler_invocations,
-        events_scheduled: kernel.scheduler().queue_stats().scheduled,
-    };
-    let report = finalize(
-        config,
-        state.boards,
-        state.service,
-        end,
-        state.serial_device_time,
-        state.mismatches,
-        state.churn,
-    );
-    (report, kernel_stats)
 }
 
 /// Admits every arrival due at or before `now` on one board.
@@ -1046,10 +749,8 @@ fn step_to_barrier(board: &mut Board, barrier: SimTime, next_barrier: SimTime) {
 
 /// One migration epoch over `candidates`: prepare on every candidate
 /// board with running applications, submit jittered, flush, complete
-/// from the batched replies. The lockstep driver passes every board;
-/// the event driver passes only the boards due at this barrier (the
-/// rest have no running applications, so the filter below would drop
-/// them anyway).
+/// from the batched replies. `candidates` are the boards alive at this
+/// barrier.
 ///
 /// `reassigned` lists `(dying, sibling)` pairs for boards crashing at
 /// this barrier: the dying board's reply is still redeemed (conserving
@@ -1221,22 +922,6 @@ mod tests {
     }
 
     #[test]
-    fn drivers_agree_and_event_driver_skips_visits() {
-        let model = fleet_model(0);
-        let config = small_config();
-        let lockstep = run_with_model_driver(&model, &config, SimDriver::Lockstep);
-        let (event, kernel) = run_event_with_stats(&model, &config);
-        assert_eq!(lockstep, event);
-        assert_eq!(kernel.lockstep_visits, config.epochs * config.boards as u64);
-        assert!(
-            kernel.board_epoch_visits <= kernel.lockstep_visits,
-            "event driver visited more board-epochs than lockstep"
-        );
-        assert!(kernel.active_barriers <= config.epochs);
-        assert_eq!(kernel.handler_invocations, kernel.active_barriers);
-    }
-
-    #[test]
     fn churn_crashes_drain_and_rejoin_through_checkpoints() {
         let model = fleet_model(0);
         let report = run_with_model(&model, &churn_config());
@@ -1271,19 +956,17 @@ mod tests {
     }
 
     #[test]
-    fn churn_drivers_agree_at_every_thread_budget() {
+    fn churn_is_budget_invariant() {
         let model = fleet_model(0);
         let config = churn_config();
-        let lockstep = run_with_model_driver(&model, &config, SimDriver::Lockstep);
-        let (event, _) = run_event_with_stats(&model, &config);
-        assert_eq!(lockstep, event, "drivers must agree under churn");
+        let serial = run_with_model(&model, &config);
         let threaded_cfg = FleetConfig {
             budget: par::Budget::with_threads(4),
             ..config
         };
-        let mut threaded = run_with_model_driver(&model, &threaded_cfg, SimDriver::Lockstep);
+        let mut threaded = run_with_model(&model, &threaded_cfg);
         threaded.config = config;
-        assert_eq!(threaded, lockstep, "churn must be budget-invariant");
+        assert_eq!(threaded, serial, "churn must be budget-invariant");
     }
 
     #[test]

@@ -24,7 +24,6 @@
 use std::collections::BinaryHeap;
 use std::fmt;
 
-use hikey_platform::SimDriver;
 use hmc_types::{SimDuration, SimTime};
 use nn::{Matrix, Mlp};
 use npu::{NpuDevice, NpuModel};
@@ -34,7 +33,6 @@ use npu_serve::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sim_core::Kernel;
 
 /// Length of one metrics epoch.
 const METRIC_EPOCH: SimDuration = SimDuration::from_millis(100);
@@ -218,28 +216,16 @@ fn payload(seed: u64, rows: usize) -> Matrix {
     )
 }
 
-/// Runs the overload experiment on the default driver
-/// ([`SimDriver::EventDriven`]).
+/// Runs the overload experiment.
+///
+/// Attempts drain from one heap ordered on `(at, seq)`. Each attempt
+/// carries its heap sequence number, which seeds its retry backoff
+/// jitter, so the whole run is a pure function of the config.
 ///
 /// # Panics
 ///
 /// Panics on a zero client, epoch or device count.
 pub fn run(config: &OverloadConfig) -> OverloadReport {
-    run_with_driver(config, SimDriver::default())
-}
-
-/// Runs the overload experiment on an explicitly chosen driver.
-///
-/// The lockstep reference drains a hand-rolled attempt heap ordered on
-/// `(at, seq)`; the event driver posts each attempt onto the `sim-core`
-/// kernel. Each attempt carries its own heap sequence number in the
-/// payload — the retry backoff jitter is seeded from it — so the two
-/// drivers compute identical backoffs and produce identical reports.
-///
-/// # Panics
-///
-/// Panics on a zero client, epoch or device count.
-pub fn run_with_driver(config: &OverloadConfig, driver: SimDriver) -> OverloadReport {
     assert!(config.clients > 0, "need at least one burst client");
     assert!(config.epochs > 0, "need at least one epoch");
     assert!(config.devices > 0, "need at least one device");
@@ -353,10 +339,13 @@ pub fn run_with_driver(config: &OverloadConfig, driver: SimDriver) -> OverloadRe
         epochs: config.epochs,
         end,
     };
-    let (mut service, tickets, epochs, attempts) = match driver {
-        SimDriver::Lockstep => drive_lockstep(service, &drive),
-        SimDriver::EventDriven => drive_event(service, &drive),
-    };
+    let DriveState {
+        mut service,
+        tickets,
+        epochs,
+        attempts,
+        ..
+    } = drive_attempts(service, &drive);
 
     let mut served = 0u64;
     let mut expired = 0u64;
@@ -402,7 +391,7 @@ pub fn run_with_driver(config: &OverloadConfig, driver: SimDriver) -> OverloadRe
     }
 }
 
-/// The borrowed attempt plan shared by both drivers.
+/// The borrowed attempt plan of one run.
 struct Drive<'a> {
     arrivals: &'a [Arrival],
     schedule: &'a [(SimTime, usize)],
@@ -433,15 +422,11 @@ impl DriveState {
             next_seq: drive.schedule.len() as u64,
         }
     }
-
-    fn into_parts(self) -> (NpuService, Vec<RequestTicket>, Vec<MetricsSnapshot>, u64) {
-        (self.service, self.tickets, self.epochs, self.attempts)
-    }
 }
 
 /// Processes one attempt — cuts the metric epochs the schedule crossed,
 /// submits, and on a retryable rejection returns the follow-up attempt
-/// to enqueue. Identical for both drivers; only the queue differs.
+/// to enqueue.
 fn process_attempt(drive: &Drive, state: &mut DriveState, attempt: Attempt) -> Option<Attempt> {
     while state.next_epoch <= drive.epochs {
         let boundary = SimTime::from_nanos(state.next_epoch * METRIC_EPOCH.as_nanos());
@@ -474,7 +459,7 @@ fn process_attempt(drive: &Drive, state: &mut DriveState, attempt: Attempt) -> O
             {
                 let retry = attempt.retry + 1;
                 // Seeded from the attempt's own heap sequence number, so
-                // the jitter is independent of how the queue is hosted.
+                // simultaneous attempts draw independent jitter.
                 let seed = arrival.client.value() ^ attempt.at.as_nanos() ^ attempt.seq;
                 let backoff = drive.policy.backoff(retry, err.retry_after(), seed);
                 state
@@ -507,11 +492,9 @@ fn finish_epochs(drive: &Drive, state: &mut DriveState) {
     }
 }
 
-/// Reference driver: drains the hand-rolled `(at, seq)`-ordered heap.
-fn drive_lockstep(
-    service: NpuService,
-    drive: &Drive,
-) -> (NpuService, Vec<RequestTicket>, Vec<MetricsSnapshot>, u64) {
+/// Drains the `(at, seq)`-ordered attempt heap, then cuts the trailing
+/// epochs.
+fn drive_attempts(service: NpuService, drive: &Drive) -> DriveState {
     let mut state = DriveState::new(service, drive);
     let mut queue: BinaryHeap<Attempt> = drive
         .schedule
@@ -530,40 +513,7 @@ fn drive_lockstep(
         }
     }
     finish_epochs(drive, &mut state);
-    state.into_parts()
-}
-
-/// Event driver: every attempt is a kernel event. The kernel's
-/// `(time, priority, seq)` order coincides with the reference heap's
-/// `(at, seq)` order because attempts are the only events and are
-/// scheduled in exactly the order the reference pushes them.
-fn drive_event(
-    service: NpuService,
-    drive: &Drive,
-) -> (NpuService, Vec<RequestTicket>, Vec<MetricsSnapshot>, u64) {
-    let mut state = DriveState::new(service, drive);
-    let mut kernel: Kernel<Attempt, DriveState> = Kernel::new(0);
-    let submitter = kernel.register("overload-client", |state: &mut DriveState, sched, event| {
-        if let Some(retry) = process_attempt(drive, state, event.payload) {
-            sched.schedule(retry.at, event.dst, 0, retry);
-        }
-    });
-    for (seq, &(at, arrival)) in drive.schedule.iter().enumerate() {
-        kernel.scheduler().schedule(
-            at,
-            submitter,
-            0,
-            Attempt {
-                at,
-                seq: seq as u64,
-                arrival,
-                retry: 0,
-            },
-        );
-    }
-    kernel.run_to_idle(&mut state);
-    finish_epochs(drive, &mut state);
-    state.into_parts()
+    state
 }
 
 #[cfg(test)]
@@ -606,24 +556,6 @@ mod tests {
         assert_eq!(report.served + report.expired, report.admitted);
         assert!(report.served > 0);
         assert!(report.breaker_opens > 0, "a storm must trip the breaker");
-    }
-
-    #[test]
-    fn drivers_agree_on_the_full_storm() {
-        let lockstep = run_with_driver(&quick(), SimDriver::Lockstep);
-        let event = run_with_driver(&quick(), SimDriver::EventDriven);
-        // Same heap order, same backoff seeds, same epoch cuts: the
-        // kernel-hosted run is indistinguishable from the reference.
-        assert_eq!(lockstep, event);
-
-        let storm = OverloadConfig {
-            fault_storm: true,
-            ..quick()
-        };
-        assert_eq!(
-            run_with_driver(&storm, SimDriver::Lockstep),
-            run_with_driver(&storm, SimDriver::EventDriven)
-        );
     }
 
     #[test]

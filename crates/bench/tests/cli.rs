@@ -74,13 +74,6 @@ fn unknown_flag_is_rejected_for_every_subcommand() {
 }
 
 #[test]
-fn unknown_driver_value_is_rejected() {
-    for command in ["fleet", "overload", "chaos", "edge"] {
-        assert_rejected(&[command, "--driver", "bogus"], "unknown --driver `bogus`");
-    }
-}
-
-#[test]
 fn unknown_storm_preset_is_rejected() {
     assert_rejected(&["chaos", "--storm", "bogus"], "unknown --storm `bogus`");
 }
@@ -101,6 +94,30 @@ fn malformed_numeric_values_are_rejected() {
     assert_rejected(&["edge", "--load", "heavy"], "flag `--load`");
 }
 
+/// Run sizes that would panic (or silently serve nothing) deep inside a
+/// run are rejected at flag parsing instead.
+#[test]
+fn bad_run_sizes_are_rejected() {
+    let at_least_one = |flag: &str| format!("flag `{flag}` must be at least 1");
+    assert_rejected(&["edge", "--racks", "0"], &at_least_one("--racks"));
+    assert_rejected(&["edge", "--epochs", "0"], &at_least_one("--epochs"));
+    assert_rejected(&["edge", "--users", "0"], &at_least_one("--users"));
+    assert_rejected(&["chaos", "--racks", "0"], &at_least_one("--racks"));
+    assert_rejected(&["fleet", "--boards", "0"], &at_least_one("--boards"));
+    assert_rejected(&["fleet", "--devices", "0"], &at_least_one("--devices"));
+    assert_rejected(&["overload", "--clients", "0"], &at_least_one("--clients"));
+    let positive = |flag: &str| format!("flag `{flag}` must be finite and above 0");
+    assert_rejected(&["edge", "--load", "-1"], &positive("--load"));
+    assert_rejected(&["edge", "--load", "0"], &positive("--load"));
+    assert_rejected(&["edge", "--load", "inf"], &positive("--load"));
+    assert_rejected(&["overload", "--overload", "NaN"], &positive("--overload"));
+    assert_rejected(&["overload", "--overload", "0"], &positive("--overload"));
+    assert_rejected(
+        &["edge", "--boards", "3"],
+        "flag `--boards` must be at least 4 for `edge`",
+    );
+}
+
 #[test]
 fn unreadable_replay_file_is_rejected() {
     assert_rejected(
@@ -112,7 +129,7 @@ fn unreadable_replay_file_is_rejected() {
 #[test]
 fn flag_missing_its_value_is_rejected() {
     assert_rejected(&["fleet", "--devices"], "flag `--devices` needs a value");
-    assert_rejected(&["chaos", "--driver"], "flag `--driver` needs a value");
+    assert_rejected(&["edge", "--replay"], "flag `--replay` needs a value");
 }
 
 #[test]

@@ -23,13 +23,13 @@
 //!   topology: user→rack edge links (FIFO, jittered) and the
 //!   rack→regional backbone, whose round trip feeds the tier's
 //!   network-aware hedging ([`npu_serve::TierConfig::regional_rtt`]);
-//!   transit times become `sim-core` events under the event driver;
+//!   each request is delivered at its planned transit instant;
 //! * **scale layer** ([`run`]) — lightweight boards (a thermal proxy
 //!   and QoS accounting, not a full platform) behind per-region
 //!   [`npu_serve::TieredService`] ladders with admission control end to
 //!   end, region-sharded via the [`par::Budget`] with byte-identical
-//!   merges, equal under the lockstep and event-driven drivers, and
-//!   watched by an always-on invariant checker.
+//!   merges, stepped one barrier epoch at a time, and watched by an
+//!   always-on invariant checker.
 //!
 //! # Examples
 //!
@@ -54,5 +54,5 @@ pub mod run;
 pub mod topology;
 
 pub use frontier::{Demand, FlashCrowd};
-pub use run::{run, run_with_driver, EdgeConfig, EdgeReport, RegionOutcome};
+pub use run::{run, EdgeConfig, EdgeReport, RegionOutcome};
 pub use topology::NetworkConfig;

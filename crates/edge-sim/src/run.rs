@@ -1,6 +1,6 @@
 //! Scale layer: drives the frontier's request schedule through the
-//! network model into per-region [`TieredService`] ladders, on either
-//! the lockstep reference loop or the `sim-core` event kernel.
+//! network model into per-region [`TieredService`] ladders, one barrier
+//! epoch at a time.
 //!
 //! One run plans every region's requests up front (arrival → FIFO
 //! uplink → delivery instant, all pure functions of the seed), then
@@ -13,14 +13,13 @@
 //! conservation, late replies, breaker edges and barrier monotonicity.
 //!
 //! Boards are deliberately lightweight — a thermal proxy and QoS
-//! accounting, not a full [`hikey_platform`] model — which is what lets
+//! accounting, not a full `hikey-platform` model — which is what lets
 //! a single run sweep 10k–100k boards.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use faults::{BreakerState, FleetFault, FleetSchedule, StormBuilder};
-use hikey_platform::SimDriver;
 use hmc_types::{SimDuration, SimTime};
 use nn::{Matrix, Mlp};
 use npu_serve::{
@@ -30,7 +29,6 @@ use npu_serve::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_core::net::FifoLink;
-use sim_core::Kernel;
 
 use crate::frontier::{self, Demand, FlashCrowd};
 use crate::topology::{region_board_base, region_boards, NetworkConfig};
@@ -129,7 +127,7 @@ pub struct RegionOutcome {
     /// Requests the frontier generated here.
     pub generated: u64,
     /// Generated requests whose network delivery fell past the horizon
-    /// (never submitted; identical under both drivers).
+    /// (never submitted).
     pub truncated: u64,
     /// Requests submitted to the region's tier.
     pub submitted: u64,
@@ -296,7 +294,7 @@ struct PlannedRequest {
     payload_seed: u64,
 }
 
-/// The immutable per-region plan shared by both drivers.
+/// The immutable per-region plan.
 struct RegionPlan {
     schedule: FleetSchedule,
     requests: Vec<PlannedRequest>,
@@ -327,7 +325,7 @@ fn storm_schedule(config: &EdgeConfig, region: usize) -> FleetSchedule {
 
 /// Plans one region: frontier arrivals pushed through the rack uplinks,
 /// bucketed by delivery epoch. Deliveries past the horizon are counted
-/// as `truncated` and never submitted — identically under both drivers.
+/// as `truncated` and never submitted.
 fn plan_region(config: &EdgeConfig, region: usize) -> RegionPlan {
     let epoch_ns = config.epoch.as_nanos();
     let racks = config.racks_per_region;
@@ -670,24 +668,9 @@ fn end_epoch(plan: &RegionPlan, config: &EdgeConfig, state: &mut RegionState, ep
     }
 }
 
-/// Kernel payload of the event driver: epoch boundaries interleaved
-/// with request deliveries, ordered by `(time, priority, seq)`.
-#[derive(Debug, Clone, Copy)]
-enum EdgeEvent {
-    /// Boundary `e` at the base of epoch `e`: closes epoch `e - 1`,
-    /// opens epoch `e`.
-    Boundary(u64),
-    /// Delivery of request `idx` at its delivery instant.
-    Deliver(usize),
-}
-
 /// Simulates one region end to end; returns its outcome and the raw
 /// QoS delays for the fleet-wide percentile merge.
-fn simulate_region(
-    config: &EdgeConfig,
-    region: usize,
-    driver: SimDriver,
-) -> (RegionOutcome, Vec<SimDuration>) {
+fn simulate_region(config: &EdgeConfig, region: usize) -> (RegionOutcome, Vec<SimDuration>) {
     let plan = plan_region(config, region);
     let boards_r = region_boards(config.boards, config.regions, region);
     let mlp = Mlp::with_topology(
@@ -743,56 +726,13 @@ fn simulate_region(
         outage_epochs: 0,
     };
 
-    match driver {
-        SimDriver::Lockstep => {
-            for epoch in 0..config.epochs {
-                begin_epoch(&plan, config, &mut state, epoch);
-                let (start, end) = plan.epoch_ranges[epoch as usize];
-                for idx in start..end {
-                    deliver(&plan, config, &mut state, idx);
-                }
-                end_epoch(&plan, config, &mut state, epoch);
-            }
+    for epoch in 0..config.epochs {
+        begin_epoch(&plan, config, &mut state, epoch);
+        let (start, end) = plan.epoch_ranges[epoch as usize];
+        for idx in start..end {
+            deliver(&plan, config, &mut state, idx);
         }
-        SimDriver::EventDriven => {
-            let plan_ref = &plan;
-            let mut kernel: Kernel<EdgeEvent, RegionState> =
-                Kernel::new(sim_core::mix_indexed(config.seed, region as u64));
-            let handler =
-                kernel.register(
-                    "edge-region",
-                    |state: &mut RegionState, _, event| match event.payload {
-                        EdgeEvent::Boundary(epoch) => {
-                            if epoch > 0 {
-                                end_epoch(plan_ref, config, state, epoch - 1);
-                            }
-                            if epoch < config.epochs {
-                                begin_epoch(plan_ref, config, state, epoch);
-                            }
-                        }
-                        EdgeEvent::Deliver(idx) => deliver(plan_ref, config, state, idx),
-                    },
-                );
-            // Boundaries at priority 0 run before same-instant
-            // deliveries at priority 1; within an epoch, deliveries are
-            // scheduled in plan order so equal instants keep the plan's
-            // deterministic sequence.
-            for epoch in 0..=config.epochs {
-                let at = SimTime::from_nanos(epoch * config.epoch.as_nanos());
-                kernel
-                    .scheduler()
-                    .schedule(at, handler, 0, EdgeEvent::Boundary(epoch));
-            }
-            for (idx, request) in plan.requests.iter().enumerate() {
-                kernel.scheduler().schedule(
-                    request.delivered_at,
-                    handler,
-                    1,
-                    EdgeEvent::Deliver(idx),
-                );
-            }
-            kernel.run_to_idle(&mut state);
-        }
+        end_epoch(&plan, config, &mut state, epoch);
     }
 
     let RegionState {
@@ -845,26 +785,15 @@ fn simulate_region(
     (outcome, qos_delays)
 }
 
-/// Runs the edge fleet on the default (event-driven) driver.
+/// Runs the edge fleet. Every thread budget produces an identical
+/// report (and therefore byte-identical CSV downstream): regions
+/// simulate independently and merge in region order.
 ///
 /// # Panics
 ///
 /// Panics on a zero board, region, rack or epoch count, a zero-length
 /// epoch, or more regions than boards.
 pub fn run(config: &EdgeConfig) -> EdgeReport {
-    run_with_driver(config, SimDriver::default())
-}
-
-/// Runs the edge fleet on an explicitly chosen driver. Both drivers —
-/// and every thread budget — produce identical reports (and therefore
-/// byte-identical CSV downstream): regions simulate independently and
-/// merge in region order.
-///
-/// # Panics
-///
-/// Panics on a zero board, region, rack or epoch count, a zero-length
-/// epoch, or more regions than boards.
-pub fn run_with_driver(config: &EdgeConfig, driver: SimDriver) -> EdgeReport {
     assert!(config.boards > 0, "need at least one board");
     assert!(config.regions > 0, "need at least one region");
     assert!(
@@ -877,7 +806,7 @@ pub fn run_with_driver(config: &EdgeConfig, driver: SimDriver) -> EdgeReport {
 
     let regions: Vec<usize> = (0..config.regions).collect();
     let sharded = par::par_map(&config.budget, &regions, |_, &region| {
-        simulate_region(config, region, driver)
+        simulate_region(config, region)
     });
 
     let mut outcomes = Vec::with_capacity(config.regions);
@@ -975,20 +904,14 @@ mod tests {
     }
 
     #[test]
-    fn drivers_agree_and_budgets_are_invisible() {
+    fn budgets_are_invisible() {
         let config = small();
-        let lockstep = run_with_driver(&config, SimDriver::Lockstep);
-        let event = run_with_driver(&config, SimDriver::EventDriven);
-        assert_eq!(lockstep, event, "edge drivers must agree");
+        let serial = run(&config);
         let threaded = EdgeConfig {
             budget: par::Budget::with_threads(4),
             ..config
         };
-        assert_eq!(
-            run_with_driver(&threaded, SimDriver::Lockstep),
-            lockstep,
-            "edge runs must be budget-invariant"
-        );
+        assert_eq!(run(&threaded), serial, "edge runs must be budget-invariant");
     }
 
     #[test]

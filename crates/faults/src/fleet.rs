@@ -7,8 +7,8 @@
 //! crashing and rejoining, a rack losing its network partition, the
 //! regional tier running slow. They are **timed events**, not rates: a
 //! [`FleetFaultEvent`] names the barrier epoch at which the fault fires,
-//! so the schedule is plain data and replays identically under any driver
-//! (lockstep or event kernel) and any thread budget.
+//! so the schedule is plain data and replays identically under any
+//! thread budget.
 //!
 //! [`StormBuilder`] unifies both families: it owns a [`FaultPlan`] for
 //! the rate-driven domains and derives every timed event from the same

@@ -48,7 +48,6 @@
 
 mod app;
 mod dtm;
-mod event_sim;
 mod metrics;
 mod opp;
 mod platform;
@@ -64,4 +63,4 @@ pub use platform::{AppSnapshot, Platform, PlatformConfig};
 pub use policy::{default_placement, DegradationReport, Policy};
 pub use power::PowerModel;
 pub use sensor::{SensorFilter, SensorFilterConfig, SensorReading};
-pub use sim::{RunReport, SimConfig, SimDriver, Simulator, TraceSample};
+pub use sim::{RunReport, SimConfig, Simulator, TraceSample};

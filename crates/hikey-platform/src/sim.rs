@@ -93,22 +93,6 @@ pub struct RunReport {
     pub degradation: Option<DegradationReport>,
 }
 
-/// Which loop executes the simulation.
-///
-/// Both drivers produce bit-identical [`RunReport`]s for the same
-/// config, workload and policy — a property enforced by the
-/// `event_kernel_equivalence` suite, not merely intended. `Lockstep`
-/// is kept as the executable specification the event-driven port is
-/// diffed against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimDriver {
-    /// Fixed-timestep reference loop (the original implementation).
-    Lockstep,
-    /// `sim-core` discrete-event kernel (the default).
-    #[default]
-    EventDriven,
-}
-
 /// Drives a [`Platform`] through a [`Workload`] under a [`Policy`].
 ///
 /// # Examples
@@ -143,30 +127,9 @@ impl Simulator {
         Simulator { config }
     }
 
-    /// Runs `workload` to completion (or to the time cap) under `policy`
-    /// on the default driver ([`SimDriver::EventDriven`]).
+    /// Runs `workload` to completion (or to the time cap) under `policy`,
+    /// one fixed timestep at a time.
     pub fn run(&self, workload: &Workload, policy: &mut dyn Policy) -> RunReport {
-        self.run_with_driver(workload, policy, SimDriver::default())
-    }
-
-    /// Runs `workload` under `policy` on an explicitly chosen driver.
-    pub fn run_with_driver(
-        &self,
-        workload: &Workload,
-        policy: &mut dyn Policy,
-        driver: SimDriver,
-    ) -> RunReport {
-        match driver {
-            SimDriver::Lockstep => self.run_lockstep(workload, policy),
-            SimDriver::EventDriven => {
-                crate::event_sim::run_event_driven(self.config, workload, policy)
-            }
-        }
-    }
-
-    /// The fixed-timestep reference loop. The event-driven driver is
-    /// proven equivalent to this implementation; keep the two in sync.
-    fn run_lockstep(&self, workload: &Workload, policy: &mut dyn Policy) -> RunReport {
         let mut platform = Platform::new(PlatformConfig {
             cooling: self.config.cooling,
             tick: self.config.tick,
@@ -315,27 +278,6 @@ mod tests {
             report.trace.len()
         );
         assert_eq!(report.trace[0].at, SimTime::ZERO);
-    }
-
-    #[test]
-    fn drivers_agree_on_a_short_run() {
-        let config = SimConfig {
-            max_duration: SimDuration::from_millis(700),
-            stop_when_idle: false,
-            trace_interval: Some(SimDuration::from_millis(7)),
-            ..SimConfig::default()
-        };
-        let sim = Simulator::new(config);
-        let workload = short_workload();
-        let lockstep = sim.run_with_driver(&workload, &mut Idle, SimDriver::Lockstep);
-        let event = sim.run_with_driver(&workload, &mut Idle, SimDriver::EventDriven);
-        assert_eq!(lockstep.trace, event.trace);
-        assert_eq!(lockstep.metrics.outcomes(), event.metrics.outcomes());
-        assert_eq!(lockstep.metrics.elapsed(), event.metrics.elapsed());
-        assert_eq!(
-            lockstep.metrics.avg_temperature(),
-            event.metrics.avg_temperature()
-        );
     }
 
     #[test]

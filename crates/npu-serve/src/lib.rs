@@ -71,7 +71,6 @@
 mod client;
 mod config;
 mod error;
-mod evented;
 mod limiter;
 pub mod middleware;
 mod queue;
@@ -84,7 +83,6 @@ mod tier;
 pub use client::SharedClient;
 pub use config::{ConfigError, ServeConfig};
 pub use error::ServeError;
-pub use evented::Evented;
 pub use limiter::{ClientId, RateLimit};
 pub use middleware::{Admission, AdmissionContext, AdmissionLayer};
 pub use queue::{Rejected, SubmissionQueue};

@@ -384,14 +384,6 @@ impl NpuService {
         }
     }
 
-    /// The earliest batch-dispatch deadline among queued requests —
-    /// the next instant at which [`NpuService::run_until`] would do
-    /// work. Event-driven hosts ([`crate::Evented`]) schedule their
-    /// wake-up here and reschedule whenever a submission changes it.
-    pub fn next_dispatch_deadline(&self) -> Option<SimTime> {
-        self.queue.next_deadline()
-    }
-
     /// Advances virtual time to `now`, dispatching every batch whose
     /// `max_wait` deadline falls at or before it.
     pub fn run_until(&mut self, now: SimTime) {

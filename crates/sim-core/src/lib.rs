@@ -1,80 +1,33 @@
-//! Discrete-event simulation kernel for the TOP-IL stack.
+//! Shared simulation primitives of the TOP-IL stack: seeded RNG streams
+//! and a network-link model.
 //!
-//! Every layer of the reproduction used to advance in lockstep epochs:
-//! the platform ticked fixed steps, the fleet ran boards between
-//! barriers, the overload harness drained a hand-rolled attempt heap.
-//! This crate factors the common core out into a small, deterministic
-//! discrete-event kernel in the style of `dslab-core`/`simcore`:
+//! Every simulator in the workspace is a fixed-period lockstep loop
+//! (TOP-IL migrates every 500 ms and runs DVFS on its own fixed period),
+//! so no crate needs an event queue. What they do share lives here:
 //!
-//! * a **virtual-time event queue** ([`Scheduler`]) — a binary heap of
-//!   monotonically-stamped events ordered by the deterministic key
-//!   `(time, priority, seq)`, where `seq` is a global, monotonically
-//!   increasing schedule counter, so ties between simultaneous events
-//!   are broken first by an explicit priority and then by scheduling
-//!   order — never by heap internals or hash iteration;
-//! * **component handler registration** ([`Kernel::register`]) — each
-//!   component owns a handler closure invoked for events addressed to
-//!   it, with mutable access to the embedder's shared state and to the
-//!   scheduler (so handlers can post, cancel and reschedule events);
-//! * **cancel/reschedule** ([`Scheduler::cancel`]) — events are
-//!   tombstoned by id and skipped on pop, so adaptive components (a
-//!   dynamic batcher tracking its earliest dispatch deadline, say) can
-//!   move their wake-ups without perturbing the order of everyone
-//!   else's;
-//! * a **seeded RNG context derived per component**
-//!   ([`Scheduler::derive_rng`]) — the same splitmix64 derivation the
-//!   `nn`/`checkpoint` resumable-training path uses, so a component's
-//!   stream depends only on `(master seed, component, stream index)`
-//!   and never on scheduling order.
-//!
-//! Determinism is the design bar, not a best effort: given the same
-//! seed and the same schedule of [`Scheduler::schedule`] calls, the
-//! kernel executes the same events in the same order with the same
-//! clock readings — the property the lockstep↔event-driven equivalence
-//! harness (`tests/event_kernel_equivalence.rs` at the workspace root)
-//! proves for every ported driver.
+//! * [`rng`] — the splitmix64 finalizer family every crate uses for
+//!   cheap, stateless, seedable hashing (retry jitter, synthetic
+//!   payloads, storm schedules, frontier arrivals), plus
+//!   [`derive_rng`], whose streams depend only on
+//!   `(master seed, stream, index)`;
+//! * [`net`] — the propagation-plus-serialization [`Link`] model and the
+//!   [`FifoLink`] shared medium the edge simulator routes requests over.
 //!
 //! # Examples
 //!
 //! ```
-//! use hmc_types::SimTime;
-//! use sim_core::Kernel;
+//! use sim_core::{mix_indexed, splitmix64};
 //!
-//! // Shared state the handlers mutate; the kernel never touches it.
-//! #[derive(Default)]
-//! struct State {
-//!     fired: Vec<(u64, SimTime)>,
-//! }
-//!
-//! let mut kernel: Kernel<u64, State> = Kernel::new(7);
-//! let bell = kernel.register("bell", |state: &mut State, sched, event| {
-//!     state.fired.push((event.payload, event.time));
-//!     if event.payload < 3 {
-//!         // Handlers post follow-up events through the scheduler.
-//!         let next = event.time + hmc_types::SimDuration::from_millis(10);
-//!         sched.schedule(next, event.dst, 0, event.payload + 1);
-//!     }
-//! });
-//! let mut state = State::default();
-//! kernel.scheduler().schedule(SimTime::ZERO, bell, 0, 1);
-//! kernel.run_to_idle(&mut state);
-//! assert_eq!(state.fired.len(), 3);
-//! assert_eq!(kernel.now(), SimTime::from_millis(20));
+//! // Streams are pure functions of their inputs.
+//! assert_eq!(mix_indexed(7, 3), mix_indexed(7, 3));
+//! assert_ne!(splitmix64(1), splitmix64(2));
 //! ```
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-mod event;
-mod kernel;
 pub mod net;
-mod queue;
 pub mod rng;
-mod sched;
 
-pub use event::{ComponentId, Event, EventId};
-pub use kernel::{Kernel, KernelStats};
 pub use net::{FifoLink, Link};
-pub use queue::{EventQueue, QueueStats};
 pub use rng::{derive_rng, mix64, mix_indexed, splitmix64, GOLDEN_GAMMA};
-pub use sched::Scheduler;

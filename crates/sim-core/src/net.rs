@@ -1,4 +1,4 @@
-//! Network-link primitives whose transit times become kernel events.
+//! Network-link primitives: per-request transit times over a link.
 //!
 //! A [`Link`] is the stateless latency/bandwidth model of `dslab-network`
 //! style simulators: transit = propagation latency + serialization delay
@@ -6,10 +6,8 @@
 //! shared medium needs — the instant the link frees up — so back-to-back
 //! sends queue behind each other instead of overlapping.
 //!
-//! The structs carry no event machinery of their own: callers compute a
-//! delivery instant and [`Scheduler::schedule`](crate::Scheduler::schedule)
-//! the payload at it, which keeps link transits ordered by the kernel's
-//! deterministic `(time, priority, seq)` key like every other event.
+//! The structs carry no scheduling of their own: callers compute a
+//! delivery instant and hand the payload over when their loop reaches it.
 //!
 //! # Examples
 //!
@@ -97,7 +95,7 @@ impl FifoLink {
 
     /// Enqueues a `bytes`-sized message at `now` and returns its delivery
     /// instant: serialization starts when the wire frees up, propagation
-    /// follows. Schedule the payload event at the returned instant.
+    /// follows. The payload is delivered at the returned instant.
     pub fn send(&mut self, now: SimTime, bytes: u64) -> SimTime {
         let start = if self.busy_until > now {
             self.busy_until

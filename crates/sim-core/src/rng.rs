@@ -42,7 +42,7 @@ pub fn mix_indexed(seed: u64, index: u64) -> u64 {
 
 /// Derives an independent RNG for `(seed, stream, index)` via a
 /// splitmix64-style finalizer — bit-identical to
-/// `nn::resume::derive_rng`, so kernel components and resumable
+/// `nn::resume::derive_rng`, so simulation components and resumable
 /// training draw from the same stream family.
 pub fn derive_rng(seed: u64, stream: u64, index: u64) -> StdRng {
     StdRng::seed_from_u64(mix64(seed ^ stream ^ index.wrapping_mul(GOLDEN_GAMMA)))

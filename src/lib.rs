@@ -55,8 +55,7 @@ pub mod prelude {
     pub use faults::{FaultInjector, FaultPlan};
     pub use governors::LinuxGovernor;
     pub use hikey_platform::{
-        AppOutcome, Platform, PlatformConfig, Policy, RunMetrics, RunReport, SimConfig, SimDriver,
-        Simulator,
+        AppOutcome, Platform, PlatformConfig, Policy, RunMetrics, RunReport, SimConfig, Simulator,
     };
     pub use hmc_types::{
         AppId, Celsius, Cluster, CoreId, Frequency, Ips, QosTarget, SimDuration, SimTime, Watts,

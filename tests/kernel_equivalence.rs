@@ -1,9 +1,8 @@
 //! Differential harness for the int8 inference kernels: the scalar
 //! reference loop, the vectorized fused kernel, and the policy-output
 //! cache must produce bit-identical results on every shape, weight,
-//! scale, and adversarial rounding-boundary input — the same
-//! executable-specification pattern that keeps the `sim-core` event
-//! driver honest in `event_kernel_equivalence`.
+//! scale, and adversarial rounding-boundary input: the scalar loop is
+//! the executable specification the vectorized body is diffed against.
 //!
 //! Bit equality here is load-bearing, not cosmetic: the golden-trace
 //! fixtures, the fleet/edge CSV diff gates, and the chaos invariant
