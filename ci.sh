@@ -19,7 +19,13 @@ gate_end() {
 gate_begin
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
-gate_end "fmt + clippy"
+# Thread lint: `par` is the single owner of host threads (its `Budget`
+# shards edge regions and fleet boards). No other crate spawns its own,
+# so per-call thread spawning cannot creep back into a hot path.
+if grep -rnE 'std::thread::(scope|spawn)' crates/*/src | grep -v '^crates/par/'; then
+    echo "thread lint: only crates/par may spawn host threads" >&2; exit 1
+fi
+gate_end "fmt + clippy + thread lint"
 
 gate_begin
 cargo test -q -p trace

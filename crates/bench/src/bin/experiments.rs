@@ -267,15 +267,32 @@ fn main() {
         }
         i += 1;
     }
-    let regions = edge_sim::EdgeConfig::default().regions;
-    if commands.contains(&"edge") && boards.is_some_and(|n| n < regions) {
-        usage_error(&format!(
-            "flag `--boards` must be at least {regions} for `edge` (one board per region)"
-        ));
-    }
     // No --threads means "use every core"; the result is bit-identical
     // either way.
     let budget = threads.map_or_else(par::Budget::auto, par::Budget::with_threads);
+    let edge_defaults = edge_sim::EdgeConfig::default();
+    let edge_config = edge_sim::EdgeConfig {
+        boards: boards.unwrap_or(edge_defaults.boards),
+        racks_per_region: racks.unwrap_or(edge_defaults.racks_per_region),
+        epochs: epochs.unwrap_or(edge_defaults.epochs),
+        seed: seed.unwrap_or(edge_defaults.seed),
+        users: users.unwrap_or(edge_defaults.users),
+        load: load.unwrap_or(edge_defaults.load),
+        outage: storm,
+        budget,
+        ..edge_defaults
+    };
+    if commands.contains(&"edge") {
+        if let Err(err) = edge_config.validate() {
+            usage_error(&match err {
+                // The one size rule no single flag can check on its own.
+                edge_sim::EdgeConfigError::TooFewBoards { regions, .. } => {
+                    format!("flag `--boards` must be at least {regions} for `edge`: {err}")
+                }
+                _ => format!("invalid `edge` configuration: {err}"),
+            });
+        }
+    }
     let effort = if full { Effort::Full } else { Effort::Quick };
     let commands: Vec<&str> = if commands.is_empty() || commands.contains(&"all") {
         vec![
@@ -519,27 +536,7 @@ fn main() {
                 }
             }
             "edge" => {
-                let mut config = edge_sim::EdgeConfig::default();
-                if let Some(n) = boards {
-                    config.boards = n;
-                }
-                if let Some(n) = racks {
-                    config.racks_per_region = n;
-                }
-                if let Some(n) = epochs {
-                    config.epochs = n;
-                }
-                if let Some(n) = seed {
-                    config.seed = n;
-                }
-                if let Some(n) = users {
-                    config.users = n;
-                }
-                if let Some(x) = load {
-                    config.load = x;
-                }
-                config.outage = storm;
-                config.budget = budget;
+                let mut config = edge_config.clone();
                 if let Some(path) = &replay {
                     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
                         usage_error(&format!(

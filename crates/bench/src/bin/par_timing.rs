@@ -268,7 +268,6 @@ fn main() {
         epochs: 8,
         devices: 2,
         max_batch: 8,
-        workers: 2,
         seed: 3,
         budget: Budget::serial(),
         ..FleetConfig::default()

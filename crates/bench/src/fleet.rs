@@ -52,8 +52,6 @@ pub struct FleetConfig {
     pub devices: usize,
     /// Maximum requests coalesced into one device call.
     pub max_batch: usize,
-    /// Worker threads computing ready batches.
-    pub workers: usize,
     /// Master seed (model training and per-board workloads derive from
     /// it).
     pub seed: u64,
@@ -101,7 +99,6 @@ impl Default for FleetConfig {
             epochs: 200,
             devices: 2,
             max_batch: 16,
-            workers: 4,
             seed: 7,
             budget: par::Budget::serial(),
             churn: None,
@@ -302,7 +299,6 @@ pub fn run(config: &FleetConfig) -> FleetReport {
 fn serve_config(config: &FleetConfig) -> ServeConfig {
     ServeConfig {
         devices: config.devices,
-        workers: config.workers,
         max_batch: config.max_batch,
         // Admit at least one pending request per board so a full fleet
         // wave is never bounced.
@@ -870,7 +866,6 @@ mod tests {
             epochs: 12,
             devices: 2,
             max_batch: 8,
-            workers: 2,
             seed: 3,
             budget: par::Budget::serial(),
             ..FleetConfig::default()

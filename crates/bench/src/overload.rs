@@ -56,8 +56,6 @@ pub struct OverloadConfig {
     pub overload: f64,
     /// NPU devices in the shared pool.
     pub devices: usize,
-    /// Worker threads computing ready batches.
-    pub workers: usize,
     /// Maximum requests coalesced into one device call.
     pub max_batch: usize,
     /// Master seed for the arrival schedule and payloads.
@@ -77,7 +75,6 @@ impl Default for OverloadConfig {
             epochs: 15,
             overload: 10.0,
             devices: 2,
-            workers: 2,
             max_batch: 8,
             seed: 7,
             fault_storm: false,
@@ -241,7 +238,6 @@ pub fn run(config: &OverloadConfig) -> OverloadReport {
 
     let serve = ServeConfig {
         devices: config.devices,
-        workers: config.workers,
         max_batch: config.max_batch,
         queue_capacity: 64,
         shed_depth_watermark: Some(48),

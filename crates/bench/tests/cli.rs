@@ -118,6 +118,17 @@ fn bad_run_sizes_are_rejected() {
     );
 }
 
+/// The edge sizes go through `EdgeConfig::validate`, so the usage
+/// message carries the simulator's own typed error.
+#[test]
+fn edge_sizes_are_checked_by_the_typed_config_error() {
+    let err = edge_sim::EdgeConfigError::TooFewBoards {
+        boards: 2,
+        regions: 4,
+    };
+    assert_rejected(&["edge", "--boards", "2"], &err.to_string());
+}
+
 #[test]
 fn unreadable_replay_file_is_rejected() {
     assert_rejected(

@@ -54,5 +54,5 @@ pub mod run;
 pub mod topology;
 
 pub use frontier::{Demand, FlashCrowd};
-pub use run::{run, EdgeConfig, EdgeReport, RegionOutcome};
+pub use run::{run, EdgeConfig, EdgeConfigError, EdgeReport, RegionOutcome};
 pub use topology::NetworkConfig;

@@ -113,6 +113,84 @@ impl Default for EdgeConfig {
     }
 }
 
+impl EdgeConfig {
+    /// Checks the run sizes: at least one board, region, rack and epoch,
+    /// a positive epoch length, no region without a board, and a finite,
+    /// positive `load`.
+    pub fn validate(&self) -> Result<(), EdgeConfigError> {
+        if self.boards == 0 {
+            return Err(EdgeConfigError::ZeroBoards);
+        }
+        if self.regions == 0 {
+            return Err(EdgeConfigError::ZeroRegions);
+        }
+        if self.regions > self.boards {
+            return Err(EdgeConfigError::TooFewBoards {
+                boards: self.boards,
+                regions: self.regions,
+            });
+        }
+        if self.racks_per_region == 0 {
+            return Err(EdgeConfigError::ZeroRacks);
+        }
+        if self.epochs == 0 {
+            return Err(EdgeConfigError::ZeroEpochs);
+        }
+        if self.epoch.is_zero() {
+            return Err(EdgeConfigError::ZeroEpochLength);
+        }
+        if !(self.load.is_finite() && self.load > 0.0) {
+            return Err(EdgeConfigError::InvalidLoad(self.load));
+        }
+        Ok(())
+    }
+}
+
+/// Why an [`EdgeConfig`] was rejected by [`EdgeConfig::validate`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum EdgeConfigError {
+    /// `boards` was zero.
+    ZeroBoards,
+    /// `regions` was zero.
+    ZeroRegions,
+    /// Fewer boards than regions, so some region would host none.
+    TooFewBoards {
+        /// Boards in the fleet.
+        boards: usize,
+        /// Regions they are split across.
+        regions: usize,
+    },
+    /// `racks_per_region` was zero.
+    ZeroRacks,
+    /// `epochs` was zero.
+    ZeroEpochs,
+    /// `epoch` had zero length.
+    ZeroEpochLength,
+    /// `load` was not finite and above zero.
+    InvalidLoad(f64),
+}
+
+impl fmt::Display for EdgeConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EdgeConfigError::ZeroBoards => f.write_str("need at least one board"),
+            EdgeConfigError::ZeroRegions => f.write_str("need at least one region"),
+            EdgeConfigError::TooFewBoards { boards, regions } => write!(
+                f,
+                "need at least one board per region, got {boards} for {regions} regions"
+            ),
+            EdgeConfigError::ZeroRacks => f.write_str("need at least one rack per region"),
+            EdgeConfigError::ZeroEpochs => f.write_str("need at least one epoch"),
+            EdgeConfigError::ZeroEpochLength => f.write_str("epoch length must be positive"),
+            EdgeConfigError::InvalidLoad(load) => {
+                write!(f, "load must be finite and above 0, got {load}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for EdgeConfigError {}
+
 /// Per-region result of a run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionOutcome {
@@ -687,7 +765,6 @@ fn simulate_region(config: &EdgeConfig, region: usize) -> (RegionOutcome, Vec<Si
         // almost everything at 10k boards.
         rack_serve: ServeConfig {
             devices: 4,
-            workers: 4,
             max_batch: 32,
             queue_capacity: 512,
             // Replays repeated quantized feature vectors; outputs are
@@ -698,7 +775,6 @@ fn simulate_region(config: &EdgeConfig, region: usize) -> (RegionOutcome, Vec<Si
         },
         regional_serve: ServeConfig {
             devices: 8,
-            workers: 8,
             max_batch: 64,
             queue_capacity: 2_048,
             policy_cache: 2_048,
@@ -791,18 +867,12 @@ fn simulate_region(config: &EdgeConfig, region: usize) -> (RegionOutcome, Vec<Si
 ///
 /// # Panics
 ///
-/// Panics on a zero board, region, rack or epoch count, a zero-length
-/// epoch, or more regions than boards.
+/// Panics with the [`EdgeConfigError`] when [`EdgeConfig::validate`]
+/// rejects `config`.
 pub fn run(config: &EdgeConfig) -> EdgeReport {
-    assert!(config.boards > 0, "need at least one board");
-    assert!(config.regions > 0, "need at least one region");
-    assert!(
-        config.regions <= config.boards,
-        "need at least one board per region"
-    );
-    assert!(config.racks_per_region > 0, "need at least one rack");
-    assert!(config.epochs > 0, "need at least one epoch");
-    assert!(!config.epoch.is_zero(), "epoch must be positive");
+    if let Err(err) = config.validate() {
+        panic!("invalid edge configuration: {err}");
+    }
 
     let regions: Vec<usize> = (0..config.regions).collect();
     let sharded = par::par_map(&config.budget, &regions, |_, &region| {
@@ -887,6 +957,54 @@ mod tests {
             epochs: 16,
             ..EdgeConfig::default()
         }
+    }
+
+    #[test]
+    fn validate_names_each_bad_size() {
+        let check = |tweak: fn(&mut EdgeConfig)| {
+            let mut config = small();
+            tweak(&mut config);
+            config.validate()
+        };
+        assert_eq!(check(|_| {}), Ok(()));
+        assert_eq!(check(|c| c.boards = 0), Err(EdgeConfigError::ZeroBoards));
+        assert_eq!(check(|c| c.regions = 0), Err(EdgeConfigError::ZeroRegions));
+        assert_eq!(
+            check(|c| c.boards = 1),
+            Err(EdgeConfigError::TooFewBoards {
+                boards: 1,
+                regions: 2
+            })
+        );
+        assert_eq!(
+            check(|c| c.racks_per_region = 0),
+            Err(EdgeConfigError::ZeroRacks)
+        );
+        assert_eq!(check(|c| c.epochs = 0), Err(EdgeConfigError::ZeroEpochs));
+        assert_eq!(
+            check(|c| c.epoch = SimDuration::ZERO),
+            Err(EdgeConfigError::ZeroEpochLength)
+        );
+        assert_eq!(
+            check(|c| c.load = -1.0),
+            Err(EdgeConfigError::InvalidLoad(-1.0))
+        );
+        for load in [0.0, f64::INFINITY, f64::NAN] {
+            let config = EdgeConfig { load, ..small() };
+            assert!(matches!(
+                config.validate(),
+                Err(EdgeConfigError::InvalidLoad(_))
+            ));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one board per region, got 1 for 2 regions")]
+    fn run_panics_with_the_typed_error() {
+        run(&EdgeConfig {
+            boards: 1,
+            ..small()
+        });
     }
 
     #[test]

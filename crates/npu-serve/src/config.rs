@@ -18,8 +18,6 @@ use crate::retry::RetryPolicy;
 pub struct ServeConfig {
     /// NPU devices in the pool.
     pub devices: usize,
-    /// Worker threads computing ready batches (std threads, no runtime).
-    pub workers: usize,
     /// Maximum requests coalesced into one batch call; reaching it
     /// dispatches immediately.
     pub max_batch: usize,
@@ -74,7 +72,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             devices: 2,
-            workers: 4,
             max_batch: 16,
             // Half the driver round-trip: waiting this long to fill a
             // batch costs less than a second round-trip would.
@@ -103,8 +100,6 @@ impl Default for ServeConfig {
 pub enum ConfigError {
     /// `devices` was zero.
     ZeroDevices,
-    /// `workers` was zero.
-    ZeroWorkers,
     /// `max_batch` was zero.
     ZeroMaxBatch,
     /// `queue_capacity` was zero.
@@ -128,7 +123,6 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let text = match self {
             ConfigError::ZeroDevices => "need at least one device",
-            ConfigError::ZeroWorkers => "need at least one worker",
             ConfigError::ZeroMaxBatch => "batch size must be positive",
             ConfigError::ZeroQueueCapacity => "queue capacity must be positive",
             ConfigError::ZeroDepthWatermark => "a zero depth watermark sheds every request",
@@ -154,14 +148,11 @@ impl std::error::Error for ConfigError {}
 
 impl ServeConfig {
     /// Validates the configuration, returning the first violated
-    /// invariant: non-zero pool, batch, capacity and workers, a usable
+    /// invariant: non-zero pool, batch and capacity, a usable
     /// depth watermark, a sane rate limit and a sane retry policy.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.devices == 0 {
             return Err(ConfigError::ZeroDevices);
-        }
-        if self.workers == 0 {
-            return Err(ConfigError::ZeroWorkers);
         }
         if self.max_batch == 0 {
             return Err(ConfigError::ZeroMaxBatch);
@@ -203,15 +194,6 @@ mod tests {
             ..ServeConfig::default()
         };
         assert_eq!(config.validate(), Err(ConfigError::ZeroDevices));
-    }
-
-    #[test]
-    fn zero_workers_rejected() {
-        let config = ServeConfig {
-            workers: 0,
-            ..ServeConfig::default()
-        };
-        assert_eq!(config.validate(), Err(ConfigError::ZeroWorkers));
     }
 
     #[test]

@@ -34,9 +34,10 @@
 //!   retries: retryable failures ([`RetryClass::Retryable`]) back off with
 //!   deterministic jitter under the service's [`RetryPolicy`], terminal
 //!   failures degrade the epoch immediately,
-//! * a **worker pool** of std threads (no async runtime) that computes
-//!   ready batches in parallel; results are joined in dispatch order so
-//!   the service stays deterministic.
+//! * **inline batch compute** — a flush computes its ready batches on
+//!   the calling thread, in dispatch order, and spawns no threads. Host
+//!   parallelism lives one level up, in `par::Budget`, which shards edge
+//!   regions and fleet boards (DESIGN.md §11).
 //!
 //! # Examples
 //!

@@ -55,8 +55,8 @@ struct DeviceLane {
 
 /// A dispatched batch whose output has not been computed yet. Scheduling
 /// (device choice, timing, faults, breakers) happens at dispatch;
-/// the numeric inference is deferred so the worker pool can compute many
-/// batches in parallel.
+/// the numeric inference is deferred to the flush, which computes every
+/// batch dispatched since the last one.
 #[derive(Debug, Clone)]
 struct BatchPlan {
     requests: Vec<QueuedRequest>,
@@ -85,14 +85,13 @@ struct EpochMark {
 }
 
 /// Outcome of probing the policy cache for one request group. Probes run
-/// sequentially in dispatch order *before* the worker pool computes, so
-/// hit/miss counters never depend on thread scheduling.
+/// in dispatch order *before* any batch of the flush is computed.
 #[derive(Debug, Clone)]
 enum GroupProbe {
     /// The quantized codes were resident: the output is replayed and the
     /// kernel is skipped for this group.
     Hit(Vec<f32>),
-    /// The codes were absent: the worker computes from the prequantized
+    /// The codes were absent: the kernel computes from the prequantized
     /// input and the result is inserted afterwards.
     Miss { q: Vec<i8>, scale: f32 },
 }
@@ -832,11 +831,10 @@ impl NpuService {
         self.inflight.push(plan);
     }
 
-    /// Computes every in-flight batch on the worker pool and files the
-    /// per-request replies. Join order is dispatch order, so results are
-    /// deterministic regardless of worker interleaving; cache probes and
-    /// inserts are sequential passes around the parallel compute, so the
-    /// hit/miss counters are also schedule-independent.
+    /// Computes every in-flight batch on the calling thread, in dispatch
+    /// order, and files the per-request replies. Every plan is probed
+    /// before any miss is inserted, so a batch never hits on an output
+    /// computed in the same flush.
     fn drain_compute(&mut self) {
         if self.inflight.is_empty() {
             return;
@@ -849,15 +847,16 @@ impl NpuService {
                 None => plans.iter().map(|_| PlanProbe::default()).collect(),
             }
         };
-        let outputs = compute_outputs(
-            &self.model,
-            &self.mlp,
-            &plans,
-            &probes,
-            self.config.kernel,
-            self.config.workers,
-        );
-        for ((plan, probe), output) in plans.into_iter().zip(probes).zip(outputs) {
+        let mut scratch = InferScratch::new();
+        for (plan, probe) in plans.into_iter().zip(probes) {
+            let output = run_plan(
+                &self.model,
+                &self.mlp,
+                &plan,
+                &probe,
+                self.config.kernel,
+                &mut scratch,
+            );
             self.absorb_probe(&plan, probe, &output);
             self.file_replies(plan, output);
         }
@@ -969,58 +968,6 @@ fn probe_plan(model: &NpuModel, cache: &mut PolicyCache, plan: &BatchPlan) -> Pl
         })
         .collect();
     PlanProbe { groups }
-}
-
-/// Runs the numeric inference for `plans` on a pool of std worker
-/// threads. Plan `i` is handled by worker `i % workers`; results are
-/// re-assembled by index, so the output order never depends on thread
-/// scheduling. Each worker reuses one [`InferScratch`] across its plans.
-fn compute_outputs(
-    model: &NpuModel,
-    mlp: &Mlp,
-    plans: &[BatchPlan],
-    probes: &[PlanProbe],
-    kernel: KernelMode,
-    workers: usize,
-) -> Vec<Matrix> {
-    let n = plans.len();
-    let workers = workers.min(n).max(1);
-    let mut outputs: Vec<Option<Matrix>> = vec![None; n];
-    if workers == 1 {
-        let mut scratch = InferScratch::new();
-        for ((slot, plan), probe) in outputs.iter_mut().zip(plans).zip(probes) {
-            *slot = Some(run_plan(model, mlp, plan, probe, kernel, &mut scratch));
-        }
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut scratch = InferScratch::new();
-                        plans
-                            .iter()
-                            .zip(probes)
-                            .enumerate()
-                            .skip(w)
-                            .step_by(workers)
-                            .map(|(i, (plan, probe))| {
-                                (i, run_plan(model, mlp, plan, probe, kernel, &mut scratch))
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, output) in handle.join().expect("serve worker panicked") {
-                    outputs[i] = Some(output);
-                }
-            }
-        });
-    }
-    outputs
-        .into_iter()
-        .map(|o| o.expect("every plan computed"))
-        .collect()
 }
 
 /// Executes one batch: int8 grouped inference on the NPU path (one

@@ -18,12 +18,13 @@
 //! 3. **Hedged requests.** Every rack-routed request arms a hedge at
 //!    `submit + hedge_timeout()`, where the timeout is derived from the
 //!    p-quantile ([`TierConfig::hedge_quantile`], default p99) of recent
-//!    rack latencies (never below [`TierConfig::hedge_min`]). If the rack
-//!    reply has not completed by then, a duplicate fires to the regional
-//!    tier and the earlier completion wins. Hedge decisions are made
-//!    retrospectively at the barrier but use only information available
-//!    at the hedge instant, so the schedule is identical under any
-//!    driver.
+//!    rack latencies (never below [`TierConfig::hedge_min`]). The window
+//!    only changes at a flush, so the timeout is computed once per flush
+//!    and every submit reads the stored value. If the rack reply has not
+//!    completed by then, a duplicate fires to the regional tier and the
+//!    earlier completion wins. Hedge decisions are made retrospectively
+//!    at the barrier but use only information available at the hedge
+//!    instant, so deciding late never changes a decision.
 //! 4. **Per-tier circuit breakers.** One breaker per rack plus one for
 //!    the regional tier, above the per-device breakers inside each
 //!    service. A suspected rack trips its breaker ([`CircuitBreaker::
@@ -302,6 +303,8 @@ pub struct TieredService {
     regional_down: bool,
     /// Recent successful rack latencies, for the hedge quantile.
     latency_window: Vec<SimDuration>,
+    /// Hedge timeout derived from `latency_window` at the last flush.
+    hedge_timeout: SimDuration,
     pending: Vec<PendingRequest>,
     outcomes: HashMap<u64, TierOutcome>,
     transitions: Vec<TierTransition>,
@@ -354,6 +357,7 @@ impl TieredService {
             slow_milli: 1000,
             regional_down: false,
             latency_window: Vec::new(),
+            hedge_timeout: config.hedge_min,
             pending: Vec::new(),
             outcomes: HashMap::new(),
             transitions: Vec::new(),
@@ -375,16 +379,28 @@ impl TieredService {
     }
 
     /// Current hedge timeout: `max(hedge_min, q-quantile of the recent
-    /// rack latencies)`.
+    /// rack latencies)`, as of the last flush (`hedge_min` before the
+    /// first).
     pub fn hedge_timeout(&self) -> SimDuration {
+        self.hedge_timeout
+    }
+
+    /// Trims the latency window to its last `hedge_window` entries and
+    /// re-derives the hedge timeout with the ceil nearest-rank rule.
+    fn refresh_hedge_timeout(&mut self) {
+        let excess = self
+            .latency_window
+            .len()
+            .saturating_sub(self.config.hedge_window);
+        self.latency_window.drain(..excess);
         if self.latency_window.is_empty() {
-            return self.config.hedge_min;
+            return;
         }
         let mut sorted = self.latency_window.clone();
-        sorted.sort();
+        sorted.sort_unstable();
         let rank = ((sorted.len() as f64) * self.config.hedge_quantile).ceil() as usize;
         let quantile = sorted[rank.clamp(1, sorted.len()) - 1];
-        quantile.max(self.config.hedge_min)
+        self.hedge_timeout = quantile.max(self.config.hedge_min);
     }
 
     /// State of a tier breaker.
@@ -504,7 +520,7 @@ impl TieredService {
             let slot = &self.racks[opts.rack];
             !slot.partitioned && !slot.suspected && slot.breaker.state() != BreakerState::Open
         };
-        let hedge_timeout = self.hedge_timeout();
+        let hedge_timeout = self.hedge_timeout;
         let mut failed_over = false;
         let primary = if rack_usable {
             let submit = self.racks[opts.rack].service.submit_with(
@@ -754,10 +770,6 @@ impl TieredService {
                         Some(Ok(reply)) if reply.output.is_some() => {
                             let completed = ladder.pending.submit_at + reply.latency;
                             self.latency_window.push(reply.latency);
-                            if self.latency_window.len() > self.config.hedge_window {
-                                let excess = self.latency_window.len() - self.config.hedge_window;
-                                self.latency_window.drain(..excess);
-                            }
                             // A suspected rack's breaker belongs to the
                             // failure detector: an in-flight success from
                             // before the silence is stale evidence and
@@ -841,6 +853,7 @@ impl TieredService {
             }
             ladders.push(ladder);
         }
+        self.refresh_hedge_timeout();
 
         // Phase 2: regional rung.
         regional_submits.sort_by_key(|&(at, idx)| (at, idx));
@@ -1178,6 +1191,56 @@ mod tests {
             }
             TierOutcome::Failed(err) => panic!("unexpected failure: {err}"),
         }
+    }
+
+    #[test]
+    fn hedge_timeout_moves_only_at_flushes() {
+        let mlp = mlp();
+        let hedge_min = SimDuration::from_micros(1);
+        let config = TierConfig {
+            hedge_min,
+            hedge_quantile: 0.75,
+            hedge_window: 4,
+            ..TierConfig::default()
+        };
+        let quantile = config.hedge_quantile;
+        let mut tier = TieredService::new(&mlp, config);
+        // With the regional tier down every hedge is infeasible, so each
+        // rack reply is rack-served and its latency is the one the
+        // window recorded.
+        tier.set_regional_down(true);
+        assert_eq!(tier.hedge_timeout(), hedge_min, "before the first flush");
+        let mut rack_latencies = Vec::new();
+        for flush in 0..6u64 {
+            let start = SimTime::from_millis(flush * 100);
+            let before = tier.hedge_timeout();
+            let mut tickets = Vec::new();
+            for i in 0..2 + flush {
+                // Spacing and row counts vary per flush, so batching
+                // waits (and latencies) differ.
+                let at = start + SimDuration::from_micros(i * 700 * (flush + 1));
+                let input = rows(&mlp, 1 + (i % 3) as usize);
+                tickets.push(tier.submit(input, at, submit_opts(0)).unwrap());
+                assert_eq!(tier.hedge_timeout(), before, "a submit moved the timeout");
+            }
+            tier.flush(start + SimDuration::from_millis(80));
+            for ticket in tickets {
+                match tier.take_outcome(ticket).unwrap() {
+                    TierOutcome::Reply(reply) if reply.served_by == ServedBy::Rack(0) => {
+                        rack_latencies.push(reply.latency);
+                    }
+                    other => panic!("expected a rack-served reply, got {other:?}"),
+                }
+            }
+            let mut window = rack_latencies[rack_latencies.len().saturating_sub(4)..].to_vec();
+            window.sort();
+            let rank = ((window.len() as f64) * quantile).ceil() as usize;
+            let expected = window[rank.clamp(1, window.len()) - 1].max(hedge_min);
+            assert_eq!(tier.hedge_timeout(), expected, "after flush {flush}");
+        }
+        rack_latencies.sort();
+        rack_latencies.dedup();
+        assert!(rack_latencies.len() > 1, "latencies never varied");
     }
 
     #[test]

@@ -61,7 +61,6 @@ fn small_fleet() -> FleetConfig {
         epochs: 16,
         devices: 2,
         max_batch: 8,
-        workers: 2,
         seed: 11,
         ..FleetConfig::default()
     }

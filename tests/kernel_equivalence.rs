@@ -191,7 +191,6 @@ fn fleet_csv_is_kernel_and_cache_invariant() {
         epochs: 6,
         devices: 2,
         max_batch: 8,
-        workers: 2,
         seed: 5,
         ..FleetConfig::default()
     };

@@ -177,7 +177,6 @@ fn fleet_csv_is_bit_identical_across_budgets() {
         epochs: 6,
         devices: 2,
         max_batch: 8,
-        workers: 2,
         seed: 3,
         budget: Budget::serial(),
         ..bench::fleet::FleetConfig::default()
