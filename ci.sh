@@ -27,6 +27,15 @@ if grep -rnE 'std::thread::(scope|spawn)' crates/*/src | grep -v '^crates/par/';
 fi
 gate_end "fmt + clippy + thread lint"
 
+# Platform hot-path gate: a steady-state `Platform::tick` performs no heap
+# allocation (fleet runs tick every board 500 times per epoch). The test
+# binary counts allocations over 1,000 warmed-up ticks.
+gate_begin
+cargo test -q -p hikey-platform --test tick_alloc || {
+    echo "platform hot-path gate: Platform::tick allocated in steady state" >&2; exit 1; }
+gate_end "platform hot-path gate"
+echo "platform hot-path gate passed"
+
 gate_begin
 cargo test -q -p trace
 if [ "${FULL:-0}" = "1" ]; then

@@ -36,7 +36,9 @@ fn thermal_benches(c: &mut Criterion) {
 
 fn platform_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("platform");
-    for apps in [1usize, 8, 16] {
+    // One sample is a single ~200 ns tick: take enough for a stable min.
+    group.sample_size(10_000);
+    for apps in [0usize, 1, 8, 16] {
         group.bench_function(format!("tick_{apps}_apps"), |b| {
             let mut platform = Platform::new(PlatformConfig::default());
             let w = Workload::single(Benchmark::Syr2k, QosSpec::FractionOfMaxBig(0.2));

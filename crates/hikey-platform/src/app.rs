@@ -134,7 +134,8 @@ impl AppInstance {
     }
 
     /// Advances the application by `dt` on its core, running on `cluster`
-    /// at frequency `f` with core-time share `share`. Returns the executed
+    /// at frequency `f` with core-time share `share`, in `phase` (the
+    /// caller's [`phase`](Self::phase) of this tick). Returns the executed
     /// instructions.
     pub(crate) fn advance(
         &mut self,
@@ -143,6 +144,7 @@ impl AppInstance {
         share: f64,
         dt: SimDuration,
         now: SimTime,
+        phase: Phase,
     ) -> f64 {
         let mut effective_dt = dt;
         if !self.migration_stall.is_zero() {
@@ -154,7 +156,6 @@ impl AppInstance {
                 self.migration_stall = SimDuration::ZERO;
             }
         }
-        let phase = self.phase();
         let ips = self.model.ips_in_phase(cluster, f, share, phase).value();
         let insts = ips * effective_dt.as_secs_f64();
         self.executed = (self.executed + insts).min(self.total);
@@ -262,7 +263,7 @@ mod tests {
         let dt = SimDuration::from_millis(1);
         let mut iterations = 0u64;
         while !app.is_complete() {
-            app.advance(Cluster::Big, f, 1.0, dt, now);
+            app.advance(Cluster::Big, f, 1.0, dt, now, app.phase());
             now += dt;
             iterations += 1;
             assert!(iterations < 10_000_000, "should finish");
@@ -279,7 +280,7 @@ mod tests {
         let dt = SimDuration::from_millis(1);
         let mut now = SimTime::ZERO;
         for _ in 0..300 {
-            app.advance(Cluster::Big, f, 1.0, dt, now);
+            app.advance(Cluster::Big, f, 1.0, dt, now, app.phase());
             now += dt;
         }
         let expected = app.model.ips(Cluster::Big, f, 1.0).value();
@@ -300,13 +301,13 @@ mod tests {
         let dt = SimDuration::from_millis(1);
         let mut now = SimTime::ZERO;
         for _ in 0..100 {
-            app.advance(Cluster::Big, f, 1.0, dt, now);
+            app.advance(Cluster::Big, f, 1.0, dt, now, app.phase());
             now += dt;
         }
         let before = app.executed_instructions();
         app.migrate_to(CoreId::new(0), now);
         assert!(app.in_migration_stall());
-        let done = app.advance(Cluster::Little, f, 1.0, dt, now);
+        let done = app.advance(Cluster::Little, f, 1.0, dt, now, app.phase());
         assert_eq!(done, 0.0, "stalled tick executes nothing");
         assert_eq!(app.executed_instructions(), before);
         assert_eq!(app.migrations(), 1);
@@ -335,7 +336,7 @@ mod tests {
         let dt = SimDuration::from_millis(1);
         let mut now = SimTime::ZERO;
         for _ in 0..1000 {
-            app.advance(Cluster::Big, f, 1.0, dt, now);
+            app.advance(Cluster::Big, f, 1.0, dt, now, app.phase());
             now += dt;
         }
         // 1000 ms total, 500 ms grace -> ~500 ms violation time.
@@ -355,7 +356,7 @@ mod tests {
         );
         let f = Frequency::from_mhz(2362);
         let dt = SimDuration::from_millis(1);
-        app.advance(Cluster::Big, f, 1.0, dt, SimTime::ZERO);
+        app.advance(Cluster::Big, f, 1.0, dt, SimTime::ZERO, app.phase());
         assert!(
             app.is_complete(),
             "1M instructions fit in one 1ms tick at ~2 GIPS"

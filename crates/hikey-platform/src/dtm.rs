@@ -58,9 +58,6 @@ impl Dtm {
     /// itself to its evaluation period.
     pub fn update(&mut self, now: SimTime, sensor: Celsius) {
         if now.since(self.last_update) < PERIOD && now != SimTime::ZERO {
-            if self.throttled_levels > 0 {
-                // account fine-grained throttled time between evaluations
-            }
             return;
         }
         let elapsed = now.since(self.last_update);

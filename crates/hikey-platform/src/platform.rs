@@ -483,51 +483,41 @@ impl Platform {
         self.governor_debt -= governor_drain;
         let core0_capacity = 1.0 - governor_drain.as_secs_f64() / dt.as_secs_f64();
 
-        // Group applications per core (ids, deterministic order).
-        let mut per_core: [Vec<AppId>; NUM_CORES] = Default::default();
-        for (&id, app) in &self.apps {
-            per_core[app.core.index()].push(id);
+        // Applications per core: the count sets each one's core-time share.
+        let mut per_core = [0usize; NUM_CORES];
+        for app in self.apps.values() {
+            per_core[app.core.index()] += 1;
         }
+        let mut core_busy: [bool; NUM_CORES] = std::array::from_fn(|i| per_core[i] > 0);
+        let opps = [
+            self.opp_tables[0].opp(self.level[0]),
+            self.opp_tables[1].opp(self.level[1]),
+        ];
 
-        // Execute applications and accumulate per-core effective activity.
+        // Execute applications (ascending id, so every core's activity sums
+        // in a fixed order) and accumulate per-core effective activity.
         let mut core_activity = [0.0f64; NUM_CORES];
-        let mut core_busy = [false; NUM_CORES];
-        for core in CoreId::all() {
-            let ids = &per_core[core.index()];
-            if ids.is_empty() {
-                continue;
-            }
-            core_busy[core.index()] = true;
-            let capacity = if core.index() == 0 {
-                core0_capacity
-            } else {
-                1.0
-            };
-            let share = capacity / ids.len() as f64;
-            let cluster = core.cluster();
-            let f = self.cluster_frequency(cluster);
-            let opp = self.opp_tables[cluster.index()].opp(self.level[cluster.index()]);
-            for &id in ids {
-                let app = self.apps.get_mut(&id).expect("id collected above");
-                let phase = app.phase();
-                app.advance(cluster, f, share, dt, now);
-                // Dynamic-power contribution: activity × compute fraction ×
-                // share (memory-stalled cycles burn much less power).
-                let cpu_s = app.model.cpi(cluster) * phase.cpi_factor / f.as_hz();
-                let mem_s = app.model.mem_stall_ns(cluster) * phase.mem_factor * 1e-9;
-                let cf = PowerModel::compute_fraction(cpu_s, mem_s);
-                let activity = app.model.activity() * phase.activity_factor * cf * share;
-                core_activity[core.index()] += activity;
-                // Attribute the application's dynamic energy directly to
-                // it (leakage/uncore stay platform-level).
-                let v = opp.voltage.as_volts();
-                let dyn_w = self.power.dynamic_coefficient(cluster)
-                    * activity
-                    * v
-                    * v
-                    * opp.frequency.as_ghz();
-                app.add_energy(Watts::new(dyn_w).for_duration(dt));
-            }
+        for app in self.apps.values_mut() {
+            let core = app.core.index();
+            let capacity = if core == 0 { core0_capacity } else { 1.0 };
+            let share = capacity / per_core[core] as f64;
+            let cluster = app.core.cluster();
+            let opp = opps[cluster.index()];
+            let f = opp.frequency;
+            let phase = app.phase();
+            app.advance(cluster, f, share, dt, now, phase);
+            // Dynamic-power contribution: activity × compute fraction ×
+            // share (memory-stalled cycles burn much less power).
+            let cpu_s = app.model.cpi(cluster) * phase.cpi_factor / f.as_hz();
+            let mem_s = app.model.mem_stall_ns(cluster) * phase.mem_factor * 1e-9;
+            let cf = PowerModel::compute_fraction(cpu_s, mem_s);
+            let activity = app.model.activity() * phase.activity_factor * cf * share;
+            core_activity[core] += activity;
+            // Attribute the application's dynamic energy directly to it
+            // (leakage/uncore stay platform-level).
+            let v = opp.voltage.as_volts();
+            let dyn_w = self.power.dynamic_coefficient(cluster) * activity * v * v * f.as_ghz();
+            app.add_energy(Watts::new(dyn_w).for_duration(dt));
         }
         // The governor itself keeps core 0 busy while it runs.
         if governor_drain > SimDuration::ZERO {
@@ -540,7 +530,7 @@ impl Platform {
         let mut total_power = 0.0;
         for core in CoreId::all() {
             let cluster = core.cluster();
-            let opp = self.opp_tables[cluster.index()].opp(self.level[cluster.index()]);
+            let opp = opps[cluster.index()];
             let p = self.power.core_power(
                 cluster,
                 opp.frequency,
@@ -553,7 +543,7 @@ impl Platform {
         }
         let mut cluster_powers = [Watts::ZERO; 2];
         for cluster in Cluster::ALL {
-            let opp = self.opp_tables[cluster.index()].opp(self.level[cluster.index()]);
+            let opp = opps[cluster.index()];
             let busy = cluster.cores().any(|c| core_busy[c.index()]);
             let p = self
                 .power
@@ -695,7 +685,7 @@ impl Platform {
         ];
         self.metrics.record_tick(
             dt,
-            self.thermal.sensor(),
+            truth,
             &busy_per_level,
             busy_count as f64 / NUM_CORES as f64,
             total_power,

@@ -93,6 +93,9 @@ pub struct SensorFilter {
     /// Ring of the most recent raw (non-missing) samples.
     ring: Vec<f64>,
     ring_pos: usize,
+    /// Scratch copy of `ring` sorted for the median check, reused so a
+    /// sample costs no allocation.
+    sorted: Vec<f64>,
     last_good: Option<(SimTime, f64)>,
     lost: bool,
     held: u64,
@@ -107,6 +110,7 @@ impl SensorFilter {
             config,
             ring: Vec::with_capacity(config.window.max(1)),
             ring_pos: 0,
+            sorted: Vec::with_capacity(config.window.max(1)),
             last_good: None,
             lost: false,
             held: 0,
@@ -164,7 +168,7 @@ impl SensorFilter {
         }
     }
 
-    fn is_plausible(&self, now: SimTime, value: f64) -> bool {
+    fn is_plausible(&mut self, now: SimTime, value: f64) -> bool {
         if value < self.config.min_plausible || value > self.config.max_plausible {
             return false;
         }
@@ -188,10 +192,10 @@ impl SensorFilter {
         true
     }
 
-    fn median(&self) -> f64 {
-        let mut sorted = self.ring.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        sorted[sorted.len() / 2]
+    fn median(&mut self) -> f64 {
+        self.sorted.clone_from(&self.ring);
+        self.sorted.sort_by(|a, b| a.total_cmp(b));
+        self.sorted[self.sorted.len() / 2]
     }
 
     fn push_ring(&mut self, value: f64) {
@@ -301,6 +305,65 @@ mod tests {
             SensorReading::Valid(Celsius::new(50.2))
         );
         assert!(!f.is_lost());
+    }
+
+    /// The median check against a clone-and-sort reference, past the ring
+    /// wrap-around, for an even and an odd window.
+    #[test]
+    fn median_check_matches_clone_and_sort_reference() {
+        for window in [4, 5] {
+            let config = SensorFilterConfig {
+                window,
+                min_plausible: -1000.0,
+                max_plausible: 1000.0,
+                max_rate_c_per_s: f64::MAX,
+                max_median_deviation: 4.0,
+                hold_deadline: SimDuration::from_secs(10),
+            };
+            let mut f = SensorFilter::new(config);
+            f.seed(SimTime::ZERO, Celsius::new(40.0));
+            let mut recent: Vec<f64> = Vec::new();
+            let mut last_good = 40.0;
+            let (mut valid, mut held) = (0, 0);
+            let mut state = 12345u64;
+            for i in 1..=300u64 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let r = state >> 33;
+                let sample =
+                    (!r.is_multiple_of(11)).then(|| Celsius::new(40.0 + (r % 24) as f64 * 0.5));
+                let expected = match sample {
+                    None => SensorReading::Held(Celsius::new(last_good)),
+                    Some(sample) => {
+                        let value = sample.value();
+                        let plausible = recent.len() < window || {
+                            let mut sorted = recent.clone();
+                            sorted.sort_by(|a, b| a.total_cmp(b));
+                            (value - sorted[sorted.len() / 2]).abs() <= 4.0
+                        };
+                        recent.push(value);
+                        if recent.len() > window {
+                            recent.remove(0);
+                        }
+                        if plausible {
+                            last_good = value;
+                            SensorReading::Valid(sample)
+                        } else {
+                            SensorReading::Held(Celsius::new(last_good))
+                        }
+                    }
+                };
+                let got = f.ingest(ms(i), sample);
+                assert_eq!(got, expected, "window {window}, sample {i}");
+                match got {
+                    SensorReading::Valid(_) => valid += 1,
+                    _ => held += 1,
+                }
+            }
+            assert!(f.rejected_samples() > 0, "window {window}: no rejection");
+            assert!(valid > 0 && held > 0, "window {window}: one-sided run");
+        }
     }
 
     #[test]

@@ -97,14 +97,17 @@ impl RcNetworkBuilder {
         let total_g: Vec<f64> = (0..n)
             .map(|i| self.nodes[i].g_ambient + adjacency[i].iter().map(|&(_, g)| g).sum::<f64>())
             .collect();
-        RcNetwork {
+        let mut net = RcNetwork {
             nodes: self.nodes,
             adjacency,
             total_g,
             temperatures,
             scratch: vec![0.0; n],
             ambient: self.ambient,
-        }
+            dt_max: 0.0,
+        };
+        net.dt_max = 0.5 * net.max_stable_dt();
+        net
     }
 }
 
@@ -121,6 +124,11 @@ pub struct RcNetwork {
     temperatures: Vec<f64>,
     scratch: Vec<f64>,
     ambient: f64,
+    /// Sub-step length in seconds: half the stability limit, for accuracy
+    /// headroom. Depends only on the conductances, so it is refreshed by
+    /// [`set_ambient_conductance`](Self::set_ambient_conductance), their
+    /// only mutator, rather than recomputed every step.
+    dt_max: f64,
 }
 
 impl RcNetwork {
@@ -171,6 +179,7 @@ impl RcNetwork {
         let old = self.nodes[node.0].g_ambient;
         self.nodes[node.0].g_ambient = g;
         self.total_g[node.0] += g - old;
+        self.dt_max = 0.5 * self.max_stable_dt();
     }
 
     /// Largest stable forward-Euler step for the current conductances.
@@ -204,9 +213,7 @@ impl RcNetwork {
         if total <= 0.0 {
             return;
         }
-        // Sub-step at half the stability limit for accuracy headroom.
-        let dt_max = 0.5 * self.max_stable_dt();
-        let substeps = (total / dt_max).ceil().max(1.0) as usize;
+        let substeps = (total / self.dt_max).ceil().max(1.0) as usize;
         let h = total / substeps as f64;
         for _ in 0..substeps {
             self.substep(powers, h);
@@ -364,6 +371,46 @@ mod tests {
         net2.set_ambient_conductance(sink, 1.0);
         let cool = net2.steady_state(&[Watts::new(2.0)]).unwrap()[die.index()];
         assert!(cool < hot);
+    }
+
+    #[test]
+    fn cached_step_follows_ambient_conductance() {
+        // Node `a` is the stiffest (C/G = 0.25 s); raising its ambient
+        // conductance shrinks the stability limit so a 100 ms step needs
+        // more sub-steps than before.
+        let build = |g_a: f64| {
+            let mut b = RcNetworkBuilder::new(25.0);
+            let a = b.add_node("a", 0.25, g_a);
+            let s = b.add_node("s", 4.0, 0.25);
+            b.connect(a, s, 0.5);
+            b.build()
+        };
+        let dt = SimDuration::from_millis(100);
+        let substeps = |net: &RcNetwork| (dt.as_secs_f64() / net.dt_max).ceil();
+        let mut changed = build(0.5);
+        // Unpowered steps at ambient use the old cache and leave every
+        // temperature exactly at ambient.
+        for _ in 0..10 {
+            changed.step(&[], dt);
+        }
+        let before = substeps(&changed);
+        changed.set_ambient_conductance(NodeId(0), 4.0);
+        assert!(
+            substeps(&changed) > before,
+            "the sub-step count must change"
+        );
+        let mut fresh = build(4.0);
+        for _ in 0..1_000 {
+            changed.step(&[Watts::new(1.0)], dt);
+            fresh.step(&[Watts::new(1.0)], dt);
+        }
+        let bits = |net: &RcNetwork| -> Vec<u64> {
+            net.temperatures()
+                .iter()
+                .map(|t| t.value().to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&changed), bits(&fresh));
     }
 
     #[test]

@@ -412,6 +412,27 @@ mod tests {
     }
 
     #[test]
+    fn set_cooling_matches_a_fresh_model() {
+        let mut switched = SocThermal::new(Cooling::fan());
+        switched.set_cooling(Cooling::passive());
+        let mut fresh = SocThermal::new(Cooling::passive());
+        let mut powers = [Watts::new(0.4); NUM_CORES];
+        powers[5] = Watts::new(1.8);
+        for _ in 0..1_000 {
+            switched.step(&powers, [Watts::new(0.2); 2], SimDuration::from_millis(1));
+            fresh.step(&powers, [Watts::new(0.2); 2], SimDuration::from_millis(1));
+        }
+        let bits = |soc: &SocThermal| -> Vec<u64> {
+            soc.net
+                .temperatures()
+                .iter()
+                .map(|t| t.value().to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&switched), bits(&fresh));
+    }
+
+    #[test]
     fn reset_to_ambient_clears_state() {
         let mut soc = SocThermal::new(Cooling::fan());
         settle(&mut soc, &[Watts::new(1.5); NUM_CORES], 100);
