@@ -25,7 +25,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 if grep -rnE 'std::thread::(scope|spawn)' crates/*/src | grep -v '^crates/par/'; then
     echo "thread lint: only crates/par may spawn host threads" >&2; exit 1
 fi
-gate_end "fmt + clippy + thread lint"
+# Quantile lint: `npu_serve::quantile::nearest_rank` is the one quantile
+# rule (ceil nearest-rank). No other module defines its own percentile,
+# so reports cannot drift back to incompatible definitions.
+if grep -rnE '(fn|let) percentile\b' crates/*/src | grep -v '^crates/npu-serve/src/quantile.rs:'; then
+    echo "quantile lint: use npu_serve::quantile::nearest_rank" >&2; exit 1
+fi
+gate_end "fmt + clippy + lints"
 
 # Platform hot-path gate: a steady-state `Platform::tick` performs no heap
 # allocation (fleet runs tick every board 500 times per epoch). The test

@@ -5,32 +5,22 @@
 //! [`npu_serve::TieredService`] (per-rack services, a regional tier, a
 //! local-CPU last rung) while a [`faults::FleetSchedule`] storm derived
 //! from the seed injects crash waves, rack partitions, heartbeat
-//! silence and regional slowdowns at barrier epochs. The
-//! [`InvariantChecker`] watches every request and breaker transition:
-//!
-//! * **request conservation** — every admitted request resolves exactly
-//!   once: a reply, or a typed failure (shed / deadline / failed-over),
-//! * **zero late replies** — a reply past its deadline is a violation;
-//!   the tier must fail typed instead,
-//! * **bounded hedge amplification** — at most `hedge_bound` hedges per
-//!   admitted request,
-//! * **legal breaker transitions** — only `Closed→Open`, `Open→HalfOpen`,
-//!   `HalfOpen→{Closed,Open}`, plus probation entries into `HalfOpen`,
-//!   each continuing from the scope's previous state,
-//! * **virtual-time monotonicity** — barrier instants strictly increase,
-//!   transition and completion times never run backwards.
+//! silence and regional slowdowns at barrier epochs. The tier's own
+//! [`npu_serve::TierChecker`] watches every request and breaker
+//! transition (conservation, zero late replies, at most one hedge per
+//! request, legal breaker edges, virtual-time monotonicity).
 //!
 //! The run is deterministic: byte-identical CSV at every thread budget —
 //! the CI chaos gate diffs exactly that.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use faults::{BreakerState, FleetFault, FleetSchedule, StormBuilder};
+use faults::{FleetSchedule, StormBuilder};
 use hmc_types::{SimDuration, SimTime};
 use nn::{Matrix, Mlp};
+use npu_serve::quantile::nearest_rank;
 use npu_serve::{
-    ClientId, TierConfig, TierOutcome, TierScope, TierSubmit, TierTicket, TierTransition,
+    seeded_payload, ClientId, TierChecker, TierConfig, TierOutcome, TierSubmit, TierTicket,
     TieredService,
 };
 use rand::rngs::StdRng;
@@ -108,9 +98,6 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// The fault storm to inject.
     pub storm: StormPreset,
-    /// Most hedges allowed per admitted request before the checker
-    /// flags amplification.
-    pub hedge_bound: f64,
     /// Host-thread budget for payload generation; the report and CSV
     /// are byte-identical at every budget.
     pub budget: par::Budget,
@@ -124,7 +111,6 @@ impl Default for ChaosConfig {
             epochs: 40,
             seed: 11,
             storm: StormPreset::All,
-            hedge_bound: 1.0,
             budget: par::Budget::serial(),
         }
     }
@@ -228,170 +214,6 @@ impl fmt::Display for ChaosReport {
     }
 }
 
-/// Always-on invariant checker fed during the run; violations are
-/// collected (never panicking) so the report and CSV stay comparable
-/// across thread budgets even when an invariant breaks.
-#[derive(Debug)]
-pub struct InvariantChecker {
-    hedge_bound: f64,
-    submitted: u64,
-    resolved: u64,
-    violations: Vec<String>,
-    /// Last observed breaker state and transition instant per scope;
-    /// `(0, rack)` for racks, `(1, 0)` for the regional tier. Scopes
-    /// start `Closed` at time zero. Monotonicity is per scope: two
-    /// components may legitimately move at interleaved instants, but one
-    /// component's history never runs backwards.
-    breaker_last: BTreeMap<(u8, usize), (BreakerState, SimTime)>,
-    last_barrier: Option<SimTime>,
-}
-
-/// A scope's map key — racks and the regional tier share one table.
-fn scope_key(scope: TierScope) -> (u8, usize) {
-    match scope {
-        TierScope::Rack(rack) => (0, rack),
-        TierScope::Regional => (1, 0),
-    }
-}
-
-/// Whether a breaker edge is legal. Probation entries (a rejoining
-/// board's rack) may come from any state but must land in `HalfOpen`.
-fn legal_edge(from: BreakerState, to: BreakerState, probation: bool) -> bool {
-    if probation {
-        return to == BreakerState::HalfOpen;
-    }
-    matches!(
-        (from, to),
-        (BreakerState::Closed, BreakerState::Open)
-            | (BreakerState::Open, BreakerState::HalfOpen)
-            | (BreakerState::HalfOpen, BreakerState::Closed)
-            | (BreakerState::HalfOpen, BreakerState::Open)
-    )
-}
-
-impl InvariantChecker {
-    /// A checker allowing at most `hedge_bound` hedges per request.
-    pub fn new(hedge_bound: f64) -> Self {
-        InvariantChecker {
-            hedge_bound,
-            submitted: 0,
-            resolved: 0,
-            violations: Vec::new(),
-            breaker_last: BTreeMap::new(),
-            last_barrier: None,
-        }
-    }
-
-    /// Records an admitted submission.
-    pub fn observe_submit(&mut self) {
-        self.submitted += 1;
-    }
-
-    /// Checks one barrier instant: virtual time must move strictly
-    /// forward.
-    pub fn observe_barrier(&mut self, at: SimTime) {
-        if let Some(last) = self.last_barrier {
-            if at <= last {
-                self.violations
-                    .push(format!("barrier time went backwards: {last} -> {at}"));
-            }
-        }
-        self.last_barrier = Some(at);
-    }
-
-    /// Checks one resolved request: exactly-once (the caller redeems
-    /// each ticket once; a missing outcome is reported by the caller),
-    /// no late replies, completion not before submission.
-    pub fn observe_outcome(
-        &mut self,
-        submit_at: SimTime,
-        deadline: Option<SimTime>,
-        outcome: &TierOutcome,
-    ) {
-        self.resolved += 1;
-        if let TierOutcome::Reply(reply) = outcome {
-            if reply.completed_at < submit_at {
-                self.violations.push(format!(
-                    "reply completed at {} before its submission at {}",
-                    reply.completed_at, submit_at
-                ));
-            }
-            if let Some(deadline) = deadline {
-                if reply.completed_at > deadline {
-                    self.violations.push(format!(
-                        "late reply delivered: completed {} past deadline {}",
-                        reply.completed_at, deadline
-                    ));
-                }
-            }
-        }
-    }
-
-    /// Records a ticket that never produced an outcome — a conservation
-    /// violation in itself.
-    pub fn observe_lost_ticket(&mut self, submit_at: SimTime) {
-        self.violations.push(format!(
-            "request submitted at {submit_at} has no outcome after the flush"
-        ));
-    }
-
-    /// Checks a drained batch of tier breaker transitions: legal edges,
-    /// continuity with the scope's previous state, monotone timestamps.
-    pub fn observe_transitions(&mut self, transitions: &[TierTransition]) {
-        for t in transitions {
-            let key = scope_key(t.scope);
-            let (last_state, last_at) = *self
-                .breaker_last
-                .get(&key)
-                .unwrap_or(&(BreakerState::Closed, SimTime::ZERO));
-            if t.at < last_at {
-                self.violations.push(format!(
-                    "breaker {:?} transition time went backwards: {} -> {}",
-                    t.scope, last_at, t.at
-                ));
-            }
-            if t.from != last_state {
-                self.violations.push(format!(
-                    "breaker {:?} transition from {:?} does not continue from {:?}",
-                    t.scope, t.from, last_state
-                ));
-            }
-            if !legal_edge(t.from, t.to, t.probation) {
-                self.violations.push(format!(
-                    "illegal breaker edge {:?}: {:?} -> {:?} (probation {})",
-                    t.scope, t.from, t.to, t.probation
-                ));
-            }
-            self.breaker_last.insert(key, (t.to, t.at.max(last_at)));
-        }
-    }
-
-    /// Final conservation and amplification checks against the tier's
-    /// own counters; returns the collected violations.
-    pub fn finish(mut self, stats: &npu_serve::TierStats) -> Vec<String> {
-        if self.resolved != self.submitted {
-            self.violations.push(format!(
-                "conservation: {} submitted but {} resolved",
-                self.submitted, self.resolved
-            ));
-        }
-        if stats.replies + stats.failed != stats.submitted {
-            self.violations.push(format!(
-                "conservation (tier stats): {} replies + {} failed != {} submitted",
-                stats.replies, stats.failed, stats.submitted
-            ));
-        }
-        let allowed = (self.hedge_bound * stats.submitted as f64).floor() as u64;
-        if stats.hedges > allowed {
-            self.violations.push(format!(
-                "hedge amplification: {} hedges exceed {} allowed ({} submitted, bound {})",
-                stats.hedges, allowed, stats.submitted, self.hedge_bound
-            ));
-        }
-        self.violations
-    }
-}
-
 /// Derives the storm schedule from the preset. Epoch anchors scale with
 /// the run length so every preset stays meaningful at any `--epochs`.
 fn storm_schedule(config: &ChaosConfig) -> FleetSchedule {
@@ -434,16 +256,6 @@ struct Plan {
     epoch_ranges: Vec<(usize, usize)>,
 }
 
-/// A payload as a pure function of its seed.
-fn payload(seed: u64, rows: usize, width: usize) -> Matrix {
-    let mut flat = Vec::with_capacity(rows * width);
-    for i in 0..rows * width {
-        let draw = sim_core::splitmix64(seed ^ (i as u64) << 1);
-        flat.push((draw % 2_000) as f32 / 1_000.0 - 1.0);
-    }
-    Matrix::from_flat(rows, width, flat)
-}
-
 /// Plans the whole run: one request per alive board per epoch (alive is
 /// pure schedule data), jittered inside the epoch, time-sorted.
 fn plan(config: &ChaosConfig, width: usize) -> Plan {
@@ -476,7 +288,7 @@ fn plan(config: &ChaosConfig, width: usize) -> Plan {
         epoch_ranges.push((start, arrivals.len()));
     }
     let payloads = par::par_map(&config.budget, &arrivals, |_, a| {
-        payload(a.payload_seed, a.rows, width)
+        seeded_payload(a.payload_seed, a.rows, width)
     });
     Plan {
         schedule,
@@ -489,45 +301,10 @@ fn plan(config: &ChaosConfig, width: usize) -> Plan {
 /// Mutable run state threaded through epoch processing.
 struct ChaosState {
     service: TieredService,
-    checker: InvariantChecker,
+    checker: TierChecker,
     /// Reply latencies in resolution order (per-epoch, time-sorted).
     latencies: Vec<SimDuration>,
     transitions: u64,
-}
-
-/// Maps a board to its rack, round-robin.
-fn rack_of(board: usize, racks: usize) -> usize {
-    board % racks
-}
-
-/// Applies the storm's fault events due at this epoch to the tier.
-fn apply_storm(service: &mut TieredService, plan: &Plan, racks: usize, epoch: u64, now: SimTime) {
-    for event in plan.schedule.events_at(epoch) {
-        match event.fault {
-            // A crashed board simply stops submitting (the plan already
-            // excludes it); its rejoin puts the rack breaker on
-            // probation — the half-open re-entry the breaker-ladder
-            // tests pin down.
-            FleetFault::BoardCrash { .. } => {}
-            FleetFault::BoardRejoin { board } => {
-                service.begin_rack_probation(rack_of(board, racks), now);
-            }
-            FleetFault::RackPartition { rack } => service.set_partitioned(rack % racks, true),
-            FleetFault::RackHeal { rack } => service.set_partitioned(rack % racks, false),
-            FleetFault::HeartbeatLoss { rack } => {
-                service.set_heartbeat_silent(rack % racks, true, now);
-            }
-            FleetFault::HeartbeatRestore { rack } => {
-                service.set_heartbeat_silent(rack % racks, false, now);
-            }
-            FleetFault::TierSlow { factor_milli } => service.set_tier_slowdown(factor_milli),
-            FleetFault::TierRecover => service.set_tier_slowdown(1_000),
-            // The chaos harness drives a single-region tier: a regional
-            // outage maps onto its one backbone.
-            FleetFault::RegionOutage { .. } => service.set_regional_down(true),
-            FleetFault::RegionRestore { .. } => service.set_regional_down(false),
-        }
-    }
 }
 
 /// Processes one barrier epoch — storm events, submissions, the flush,
@@ -536,7 +313,9 @@ fn process_epoch(plan: &Plan, config: &ChaosConfig, state: &mut ChaosState, epoc
     let base = SimTime::from_nanos(epoch * CHAOS_EPOCH.as_nanos());
     let barrier = base + CHAOS_EPOCH;
     state.checker.observe_barrier(barrier);
-    apply_storm(&mut state.service, plan, config.racks, epoch, base);
+    for event in plan.schedule.events_at(epoch) {
+        state.service.apply_fault(event.fault, base);
+    }
 
     let (start, end) = plan.epoch_ranges[epoch as usize];
     let mut tickets: Vec<(TierTicket, usize)> = Vec::with_capacity(end - start);
@@ -548,7 +327,7 @@ fn process_epoch(plan: &Plan, config: &ChaosConfig, state: &mut ChaosState, epoc
                 plan.payloads[idx].clone(),
                 arrival.at,
                 TierSubmit {
-                    rack: rack_of(arrival.board, config.racks),
+                    rack: arrival.board % config.racks,
                     client: ClientId::new(arrival.board as u64),
                     deadline: Some(arrival.deadline),
                 },
@@ -568,7 +347,7 @@ fn process_epoch(plan: &Plan, config: &ChaosConfig, state: &mut ChaosState, epoc
                 }
                 state
                     .checker
-                    .observe_outcome(arrival.at, Some(arrival.deadline), &outcome);
+                    .observe_outcome(arrival.at, arrival.deadline, &outcome);
             }
             None => state.checker.observe_lost_ticket(arrival.at),
         }
@@ -598,7 +377,7 @@ pub fn run(config: &ChaosConfig) -> ChaosReport {
     let the_plan = plan(config, mlp.input_size());
     let mut state = ChaosState {
         service: TieredService::new(&mlp, tier_config),
-        checker: InvariantChecker::new(config.hedge_bound),
+        checker: TierChecker::default(),
         latencies: Vec::new(),
         transitions: 0,
     };
@@ -620,13 +399,7 @@ pub fn run(config: &ChaosConfig) -> ChaosReport {
     let violations = checker.finish(&stats);
 
     latencies.sort_unstable();
-    let percentile = |q: f64| -> SimDuration {
-        if latencies.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let rank = ((latencies.len() - 1) as f64 * q).round() as usize;
-        latencies[rank]
-    };
+    let quantile = |q: f64| nearest_rank(&latencies, q).unwrap_or(SimDuration::ZERO);
 
     let down: u64 = (0..config.boards)
         .map(|board| {
@@ -668,8 +441,8 @@ pub fn run(config: &ChaosConfig) -> ChaosReport {
             .unwrap_or(SimDuration::ZERO),
         detection_latency_max: stats.detection_latency_max,
         breaker_transitions: transitions,
-        p50: percentile(0.50),
-        p99: percentile(0.99),
+        p50: quantile(0.50),
+        p99: quantile(0.99),
         availability: 1.0 - down as f64 / total as f64,
         violations,
     }
@@ -739,24 +512,5 @@ mod tests {
         assert!(report.availability < 1.0);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.replies + report.failed, report.submitted);
-    }
-
-    #[test]
-    fn checker_flags_illegal_edges_and_late_replies() {
-        let mut checker = InvariantChecker::new(1.0);
-        checker.observe_transitions(&[TierTransition {
-            at: SimTime::ZERO,
-            scope: TierScope::Regional,
-            from: BreakerState::Closed,
-            to: BreakerState::HalfOpen,
-            probation: false,
-        }]);
-        let violations = checker.finish(&npu_serve::TierStats::default());
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.contains("illegal breaker edge")),
-            "{violations:?}"
-        );
     }
 }

@@ -9,22 +9,23 @@
 //! byte-identical at every thread budget. Each region's service ladder
 //! carries the backbone round trip as
 //! [`npu_serve::TierConfig::regional_rtt`], making hedges and failovers
-//! network-aware end to end, and an always-on invariant checker watches
-//! conservation, late replies, breaker edges and barrier monotonicity.
+//! network-aware end to end, and the tier's own [`npu_serve::TierChecker`]
+//! watches conservation, late replies, hedge amplification, breaker
+//! edges and barrier monotonicity.
 //!
 //! Boards are deliberately lightweight — a thermal proxy and QoS
 //! accounting, not a full `hikey-platform` model — which is what lets
 //! a single run sweep 10k–100k boards.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use faults::{BreakerState, FleetFault, FleetSchedule, StormBuilder};
+use faults::{FleetSchedule, StormBuilder};
 use hmc_types::{SimDuration, SimTime};
-use nn::{Matrix, Mlp};
+use nn::Mlp;
+use npu_serve::quantile::nearest_rank;
 use npu_serve::{
-    ClientId, ServeConfig, TierConfig, TierOutcome, TierScope, TierStats, TierSubmit, TierTicket,
-    TierTransition, TieredService,
+    seeded_payload, ClientId, ServeConfig, TierChecker, TierConfig, TierOutcome, TierSubmit,
+    TierTicket, TieredService,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -472,151 +473,10 @@ fn plan_region(config: &EdgeConfig, region: usize) -> RegionPlan {
     }
 }
 
-/// A payload as a pure function of its seed (one row).
-fn payload(seed: u64, width: usize) -> Matrix {
-    let mut flat = Vec::with_capacity(width);
-    for i in 0..width {
-        let draw = sim_core::splitmix64(seed ^ ((i as u64) << 1));
-        flat.push((draw % 2_000) as f32 / 1_000.0 - 1.0);
-    }
-    Matrix::from_flat(1, width, flat)
-}
-
-/// Compact invariant checker (the chaos harness carries the richer
-/// variant; regions here check the same core properties).
-struct EdgeChecker {
-    submitted: u64,
-    resolved: u64,
-    violations: Vec<String>,
-    breaker_last: BTreeMap<(u8, usize), (BreakerState, SimTime)>,
-    last_barrier: Option<SimTime>,
-}
-
-fn scope_key(scope: TierScope) -> (u8, usize) {
-    match scope {
-        TierScope::Rack(rack) => (0, rack),
-        TierScope::Regional => (1, 0),
-    }
-}
-
-fn legal_edge(from: BreakerState, to: BreakerState, probation: bool) -> bool {
-    if probation {
-        return to == BreakerState::HalfOpen;
-    }
-    matches!(
-        (from, to),
-        (BreakerState::Closed, BreakerState::Open)
-            | (BreakerState::Open, BreakerState::HalfOpen)
-            | (BreakerState::HalfOpen, BreakerState::Closed)
-            | (BreakerState::HalfOpen, BreakerState::Open)
-    )
-}
-
-impl EdgeChecker {
-    fn new() -> Self {
-        EdgeChecker {
-            submitted: 0,
-            resolved: 0,
-            violations: Vec::new(),
-            breaker_last: BTreeMap::new(),
-            last_barrier: None,
-        }
-    }
-
-    fn observe_submit(&mut self) {
-        self.submitted += 1;
-    }
-
-    fn observe_barrier(&mut self, at: SimTime) {
-        if let Some(last) = self.last_barrier {
-            if at <= last {
-                self.violations
-                    .push(format!("barrier time went backwards: {last} -> {at}"));
-            }
-        }
-        self.last_barrier = Some(at);
-    }
-
-    fn observe_outcome(&mut self, submit_at: SimTime, deadline: SimTime, outcome: &TierOutcome) {
-        self.resolved += 1;
-        if let TierOutcome::Reply(reply) = outcome {
-            if reply.completed_at < submit_at {
-                self.violations.push(format!(
-                    "reply completed at {} before its delivery at {}",
-                    reply.completed_at, submit_at
-                ));
-            }
-            if reply.completed_at > deadline {
-                self.violations.push(format!(
-                    "late reply delivered: completed {} past tier deadline {}",
-                    reply.completed_at, deadline
-                ));
-            }
-        }
-    }
-
-    fn observe_lost_ticket(&mut self, submit_at: SimTime) {
-        self.violations.push(format!(
-            "request delivered at {submit_at} has no outcome after the flush"
-        ));
-    }
-
-    fn observe_transitions(&mut self, transitions: &[TierTransition]) {
-        for t in transitions {
-            let key = scope_key(t.scope);
-            let (last_state, last_at) = *self
-                .breaker_last
-                .get(&key)
-                .unwrap_or(&(BreakerState::Closed, SimTime::ZERO));
-            if t.at < last_at {
-                self.violations.push(format!(
-                    "breaker {:?} transition time went backwards: {} -> {}",
-                    t.scope, last_at, t.at
-                ));
-            }
-            if t.from != last_state {
-                self.violations.push(format!(
-                    "breaker {:?} transition from {:?} does not continue from {:?}",
-                    t.scope, t.from, last_state
-                ));
-            }
-            if !legal_edge(t.from, t.to, t.probation) {
-                self.violations.push(format!(
-                    "illegal breaker edge {:?}: {:?} -> {:?} (probation {})",
-                    t.scope, t.from, t.to, t.probation
-                ));
-            }
-            self.breaker_last.insert(key, (t.to, t.at.max(last_at)));
-        }
-    }
-
-    fn finish(mut self, stats: &TierStats) -> Vec<String> {
-        if self.resolved != self.submitted {
-            self.violations.push(format!(
-                "conservation: {} submitted but {} resolved",
-                self.submitted, self.resolved
-            ));
-        }
-        if stats.replies + stats.failed != stats.submitted {
-            self.violations.push(format!(
-                "conservation (tier stats): {} replies + {} failed != {} submitted",
-                stats.replies, stats.failed, stats.submitted
-            ));
-        }
-        if stats.hedges > stats.submitted {
-            self.violations.push(format!(
-                "hedge amplification: {} hedges exceed {} submitted",
-                stats.hedges, stats.submitted
-            ));
-        }
-        self.violations
-    }
-}
-
 /// Mutable per-region state threaded through epoch processing.
 struct RegionState {
     service: TieredService,
-    checker: EdgeChecker,
+    checker: TierChecker,
     width: usize,
     board_base: usize,
     /// Tickets of the epoch currently accepting deliveries.
@@ -630,7 +490,6 @@ struct RegionState {
     thermal_violations: u64,
     peak_temp: f64,
     transitions: u64,
-    regional_down: bool,
     outage_epochs: u64,
 }
 
@@ -639,46 +498,9 @@ struct RegionState {
 fn begin_epoch(plan: &RegionPlan, config: &EdgeConfig, state: &mut RegionState, epoch: u64) {
     let base = SimTime::from_nanos(epoch * config.epoch.as_nanos());
     for event in plan.schedule.events_at(epoch) {
-        match event.fault {
-            FleetFault::RegionOutage { .. } => {
-                state.service.set_regional_down(true);
-                state.regional_down = true;
-            }
-            FleetFault::RegionRestore { .. } => {
-                state.service.set_regional_down(false);
-                state.regional_down = false;
-            }
-            // The edge storm only injects backbone outages today; the
-            // remaining fleet faults map exactly as in the chaos
-            // harness should a future storm add them.
-            FleetFault::BoardCrash { .. } => {}
-            FleetFault::BoardRejoin { board } => {
-                let racks = config.racks_per_region;
-                state.service.begin_rack_probation(board % racks, base);
-            }
-            FleetFault::RackPartition { rack } => {
-                let racks = config.racks_per_region;
-                state.service.set_partitioned(rack % racks, true);
-            }
-            FleetFault::RackHeal { rack } => {
-                let racks = config.racks_per_region;
-                state.service.set_partitioned(rack % racks, false);
-            }
-            FleetFault::HeartbeatLoss { rack } => {
-                let racks = config.racks_per_region;
-                state.service.set_heartbeat_silent(rack % racks, true, base);
-            }
-            FleetFault::HeartbeatRestore { rack } => {
-                let racks = config.racks_per_region;
-                state
-                    .service
-                    .set_heartbeat_silent(rack % racks, false, base);
-            }
-            FleetFault::TierSlow { factor_milli } => state.service.set_tier_slowdown(factor_milli),
-            FleetFault::TierRecover => state.service.set_tier_slowdown(1_000),
-        }
+        state.service.apply_fault(event.fault, base);
     }
-    if state.regional_down {
+    if state.service.regional_down() {
         state.outage_epochs += 1;
     }
 }
@@ -689,7 +511,7 @@ fn deliver(plan: &RegionPlan, config: &EdgeConfig, state: &mut RegionState, idx:
     let ticket = state
         .service
         .submit(
-            payload(request.payload_seed, state.width),
+            seeded_payload(request.payload_seed, 1, state.width),
             request.delivered_at,
             TierSubmit {
                 rack: request.board % config.racks_per_region,
@@ -788,7 +610,7 @@ fn simulate_region(config: &EdgeConfig, region: usize) -> (RegionOutcome, Vec<Si
     };
     let mut state = RegionState {
         service: TieredService::new(&mlp, tier_config),
-        checker: EdgeChecker::new(),
+        checker: TierChecker::default(),
         width: mlp.input_size(),
         board_base: region_board_base(config.boards, config.regions, region),
         tickets: Vec::new(),
@@ -798,7 +620,6 @@ fn simulate_region(config: &EdgeConfig, region: usize) -> (RegionOutcome, Vec<Si
         thermal_violations: 0,
         peak_temp: AMBIENT,
         transitions: 0,
-        regional_down: false,
         outage_epochs: 0,
     };
 
@@ -826,13 +647,7 @@ fn simulate_region(config: &EdgeConfig, region: usize) -> (RegionOutcome, Vec<Si
     let violations = checker.finish(&stats);
 
     qos_delays.sort_unstable();
-    let percentile = |q: f64| -> SimDuration {
-        if qos_delays.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let rank = ((qos_delays.len() - 1) as f64 * q).round() as usize;
-        qos_delays[rank]
-    };
+    let quantile = |q: f64| nearest_rank(&qos_delays, q).unwrap_or(SimDuration::ZERO);
     let outcome = RegionOutcome {
         region,
         boards: boards_r,
@@ -852,8 +667,8 @@ fn simulate_region(config: &EdgeConfig, region: usize) -> (RegionOutcome, Vec<Si
         breaker_transitions: transitions,
         storm_events: plan.schedule.events().len() as u64,
         outage_epochs,
-        qos_p50: percentile(0.50),
-        qos_p99: percentile(0.99),
+        qos_p50: quantile(0.50),
+        qos_p99: quantile(0.99),
         thermal_violations,
         peak_temp,
         violations,
@@ -890,13 +705,7 @@ pub fn run(config: &EdgeConfig) -> EdgeReport {
         outcomes.push(outcome);
     }
     all_delays.sort_unstable();
-    let percentile = |q: f64| -> SimDuration {
-        if all_delays.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let rank = ((all_delays.len() - 1) as f64 * q).round() as usize;
-        all_delays[rank]
-    };
+    let quantile = |q: f64| nearest_rank(&all_delays, q).unwrap_or(SimDuration::ZERO);
 
     let sum = |f: fn(&RegionOutcome) -> u64| -> u64 { outcomes.iter().map(f).sum() };
     let submitted = sum(|r| r.submitted);
@@ -932,8 +741,8 @@ pub fn run(config: &EdgeConfig) -> EdgeReport {
         outage_epochs: sum(|r| r.outage_epochs),
         shed_rate: rate(failed),
         hedge_rate: rate(hedges),
-        qos_p50: percentile(0.50),
-        qos_p99: percentile(0.99),
+        qos_p50: quantile(0.50),
+        qos_p99: quantile(0.99),
         thermal_violations,
         thermal_violation_rate: thermal_violations as f64
             / (config.boards as f64 * config.epochs as f64),
@@ -1015,8 +824,19 @@ mod tests {
         assert_eq!(report.generated, report.submitted + report.truncated);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert!(report.qos_p99 >= report.qos_p50);
-        // Every QoS delay includes at least one edge round trip.
-        assert!(report.qos_p50 >= report.regions[0].qos_p50.min(report.qos_p50));
+        // Nearest-rank quantiles bracket under a merge: the fleet CDF is
+        // a weighted mean of the region CDFs, so the fleet quantile lies
+        // between the smallest and largest region quantile.
+        let p50s: Vec<SimDuration> = report.regions.iter().map(|r| r.qos_p50).collect();
+        let p99s: Vec<SimDuration> = report.regions.iter().map(|r| r.qos_p99).collect();
+        for (q, fleet, regional) in [(0.5, report.qos_p50, p50s), (0.99, report.qos_p99, p99s)] {
+            let lo = *regional.iter().min().unwrap();
+            let hi = *regional.iter().max().unwrap();
+            assert!(
+                lo <= fleet && fleet <= hi,
+                "q={q}: {fleet} outside [{lo}, {hi}]"
+            );
+        }
         let per_region: u64 = report.regions.iter().map(|r| r.submitted).sum();
         assert_eq!(per_region, report.submitted);
     }

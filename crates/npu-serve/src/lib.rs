@@ -37,7 +37,10 @@
 //! * **inline batch compute** — a flush computes its ready batches on
 //!   the calling thread, in dispatch order, and spawns no threads. Host
 //!   parallelism lives one level up, in `par::Budget`, which shards edge
-//!   regions and fleet boards (DESIGN.md §11).
+//!   regions and fleet boards (DESIGN.md §11),
+//! * [`TieredService`] — the rack → regional → CPU failover ladder, with
+//!   its invariants checked by one [`TierChecker`] and every reported
+//!   quantile computed by [`quantile::nearest_rank`].
 //!
 //! # Examples
 //!
@@ -69,11 +72,13 @@
 
 #![warn(missing_docs)]
 
+mod checker;
 mod client;
 mod config;
 mod error;
 mod limiter;
 pub mod middleware;
+pub mod quantile;
 mod queue;
 mod retry;
 mod service;
@@ -81,6 +86,7 @@ mod shed;
 mod stats;
 mod tier;
 
+pub use checker::{seeded_payload, TierChecker};
 pub use client::SharedClient;
 pub use config::{ConfigError, ServeConfig};
 pub use error::ServeError;

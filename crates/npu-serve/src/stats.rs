@@ -2,6 +2,8 @@
 
 use hmc_types::{SimDuration, SimTime};
 
+use crate::quantile::nearest_rank;
+
 /// Counters and distributions the service accumulates while serving.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
@@ -99,27 +101,24 @@ impl ServeStats {
         total as f64 / self.batches as f64
     }
 
-    /// The `q`-quantile (0.0–1.0, nearest-rank) of the per-request
+    /// The `q`-quantile (0.0–1.0, [`nearest_rank`]) of the per-request
     /// end-to-end latency. `None` before anything was served.
     pub fn latency_percentile(&self, q: f64) -> Option<SimDuration> {
-        percentile(&self.latencies_ns, q)
+        quantile_ns(&self.latencies_ns, q)
     }
 
-    /// The `q`-quantile (0.0–1.0, nearest-rank) of the per-request queue
+    /// The `q`-quantile (0.0–1.0, [`nearest_rank`]) of the per-request queue
     /// wait (submit → dispatch). `None` before anything was dispatched.
     pub fn queue_wait_percentile(&self, q: f64) -> Option<SimDuration> {
-        percentile(&self.queue_wait_ns, q)
+        quantile_ns(&self.queue_wait_ns, q)
     }
 }
 
-fn percentile(samples_ns: &[u64], q: f64) -> Option<SimDuration> {
-    if samples_ns.is_empty() {
-        return None;
-    }
+/// [`nearest_rank`] over an unsorted nanosecond sample.
+fn quantile_ns(samples_ns: &[u64], q: f64) -> Option<SimDuration> {
     let mut sorted = samples_ns.to_vec();
     sorted.sort_unstable();
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    Some(SimDuration::from_nanos(sorted[rank - 1]))
+    nearest_rank(&sorted, q).map(SimDuration::from_nanos)
 }
 
 /// One epoch of service health, cut by [`crate::NpuService::epoch_metrics`].

@@ -38,12 +38,12 @@
 //! The tier runs in virtual time like the services it owns: `submit`
 //! carries explicit timestamps (nondecreasing per tier), and `flush`
 //! advances everything to a barrier, after which every submitted request
-//! has exactly one outcome (request conservation — checked by the chaos
-//! harness in `bench`).
+//! has exactly one outcome (request conservation — checked, with every
+//! other tier invariant, by [`crate::TierChecker`]).
 
 use std::collections::HashMap;
 
-use faults::{BreakerState, CircuitBreaker};
+use faults::{BreakerState, CircuitBreaker, FleetFault};
 use hmc_types::{SimDuration, SimTime};
 use nn::{Matrix, Mlp};
 use npu::CpuInference;
@@ -51,6 +51,7 @@ use topil::ClientReply;
 use trace::TraceEvent;
 
 use crate::limiter::ClientId;
+use crate::quantile::nearest_rank;
 use crate::service::SubmitOptions;
 use crate::{ConfigError, NpuService, RequestTicket, ServeConfig, ServeError};
 
@@ -181,7 +182,7 @@ pub struct TierSubmit {
 }
 
 /// A breaker scope in the tier topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TierScope {
     /// The breaker guarding rack `0..racks`.
     Rack(usize),
@@ -189,7 +190,7 @@ pub enum TierScope {
     Regional,
 }
 
-/// One observed tier-breaker transition, for the chaos invariant checker
+/// One observed tier-breaker transition, for the [`crate::TierChecker`]
 /// (which asserts every transition is an edge of the breaker FSM).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierTransition {
@@ -386,21 +387,18 @@ impl TieredService {
     }
 
     /// Trims the latency window to its last `hedge_window` entries and
-    /// re-derives the hedge timeout with the ceil nearest-rank rule.
+    /// re-derives the hedge timeout with [`nearest_rank`].
     fn refresh_hedge_timeout(&mut self) {
         let excess = self
             .latency_window
             .len()
             .saturating_sub(self.config.hedge_window);
         self.latency_window.drain(..excess);
-        if self.latency_window.is_empty() {
-            return;
-        }
         let mut sorted = self.latency_window.clone();
         sorted.sort_unstable();
-        let rank = ((sorted.len() as f64) * self.config.hedge_quantile).ceil() as usize;
-        let quantile = sorted[rank.clamp(1, sorted.len()) - 1];
-        self.hedge_timeout = quantile.max(self.config.hedge_min);
+        if let Some(quantile) = nearest_rank(&sorted, self.config.hedge_quantile) {
+            self.hedge_timeout = quantile.max(self.config.hedge_min);
+        }
     }
 
     /// State of a tier breaker.
@@ -446,7 +444,7 @@ impl TieredService {
         device + tier
     }
 
-    // ---- fault hooks (driven by the chaos schedule) ----
+    // ---- fault hooks (driven by a fleet fault schedule) ----
 
     /// Partitions (or heals) `rack` from the regional tier. Partitioned
     /// racks are bypassed at submit time.
@@ -481,12 +479,42 @@ impl TieredService {
         self.regional_down = down;
     }
 
+    /// Whether the backbone to the regional tier is currently cut.
+    pub fn regional_down(&self) -> bool {
+        self.regional_down
+    }
+
     /// Puts `rack`'s tier breaker into half-open probation, as when its
     /// board rejoins after a crash.
     pub fn begin_rack_probation(&mut self, rack: usize, at: SimTime) {
         let from = self.racks[rack].breaker.state();
         self.racks[rack].breaker.begin_probation();
         self.record_transition(at, TierScope::Rack(rack), from, true);
+    }
+
+    /// Applies one scheduled fleet fault at `at`. Boards and racks map
+    /// onto this tier's racks modulo its rack count (boards round-robin,
+    /// as the harnesses route them); the tier models a single region,
+    /// so a regional outage or restore cuts or restores its one
+    /// backbone whatever region it names.
+    pub fn apply_fault(&mut self, fault: FleetFault, at: SimTime) {
+        let racks = self.racks.len();
+        match fault {
+            // A crashed board simply stops submitting; its rejoin puts
+            // the rack breaker on probation.
+            FleetFault::BoardCrash { .. } => {}
+            FleetFault::BoardRejoin { board } => self.begin_rack_probation(board % racks, at),
+            FleetFault::RackPartition { rack } => self.set_partitioned(rack % racks, true),
+            FleetFault::RackHeal { rack } => self.set_partitioned(rack % racks, false),
+            FleetFault::HeartbeatLoss { rack } => self.set_heartbeat_silent(rack % racks, true, at),
+            FleetFault::HeartbeatRestore { rack } => {
+                self.set_heartbeat_silent(rack % racks, false, at);
+            }
+            FleetFault::TierSlow { factor_milli } => self.set_tier_slowdown(factor_milli),
+            FleetFault::TierRecover => self.set_tier_slowdown(1_000),
+            FleetFault::RegionOutage { .. } => self.set_regional_down(true),
+            FleetFault::RegionRestore { .. } => self.set_regional_down(false),
+        }
     }
 
     // ---- request path ----
@@ -1477,5 +1505,101 @@ mod tests {
             ..TierConfig::default()
         };
         assert_eq!(config.validate(), Err(ConfigError::InvalidHedge));
+    }
+
+    /// Every piece of tier state a fleet fault can touch.
+    type FaultState = (
+        Vec<(bool, bool, SimTime, SimTime, BreakerState)>,
+        u32,
+        bool,
+        Vec<TierTransition>,
+    );
+
+    fn fault_state(tier: &mut TieredService) -> FaultState {
+        let racks = tier
+            .racks
+            .iter()
+            .map(|r| {
+                let state = r.breaker.state();
+                (r.partitioned, r.silent, r.silent_since, r.resume_at, state)
+            })
+            .collect();
+        let transitions = tier.drain_transitions();
+        (racks, tier.slow_milli, tier.regional_down(), transitions)
+    }
+
+    #[test]
+    fn apply_fault_matches_the_direct_setter_for_every_variant() {
+        let mlp = mlp();
+        let racks = TierConfig::default().racks;
+        let at = SimTime::from_millis(300);
+        type Setter = fn(&mut TieredService, SimTime);
+        let cases: [(FleetFault, Setter); 10] = [
+            (FleetFault::BoardCrash { board: 5 }, |_, _| {}),
+            (FleetFault::BoardRejoin { board: racks + 2 }, |t, at| {
+                t.begin_rack_probation(2, at)
+            }),
+            (FleetFault::RackPartition { rack: racks + 1 }, |t, _| {
+                t.set_partitioned(1, true)
+            }),
+            (FleetFault::RackHeal { rack: racks + 1 }, |t, _| {
+                t.set_partitioned(1, false)
+            }),
+            (FleetFault::HeartbeatLoss { rack: 3 }, |t, at| {
+                t.set_heartbeat_silent(3, true, at)
+            }),
+            (FleetFault::HeartbeatRestore { rack: 2 * racks }, |t, at| {
+                t.set_heartbeat_silent(0, false, at)
+            }),
+            (
+                FleetFault::TierSlow {
+                    factor_milli: 2_500,
+                },
+                |t, _| t.set_tier_slowdown(2_500),
+            ),
+            (FleetFault::TierRecover, |t, _| t.set_tier_slowdown(1_000)),
+            (FleetFault::RegionOutage { region: 3 }, |t, _| {
+                t.set_regional_down(true)
+            }),
+            (FleetFault::RegionRestore { region: 3 }, |t, _| {
+                t.set_regional_down(false)
+            }),
+        ];
+        for (fault, setter) in cases {
+            // Each fault applies to a tier that is already degraded, so
+            // restore/heal/recover variants have something to undo.
+            let degraded = || {
+                let mut tier = TieredService::new(&mlp, TierConfig::default());
+                tier.set_partitioned(1, true);
+                tier.set_heartbeat_silent(0, true, SimTime::from_millis(100));
+                tier.set_tier_slowdown(3_000);
+                tier.set_regional_down(true);
+                tier
+            };
+            let mut applied = degraded();
+            applied.apply_fault(fault, at);
+            let mut direct = degraded();
+            setter(&mut direct, at);
+            assert_eq!(
+                fault_state(&mut applied),
+                fault_state(&mut direct),
+                "{fault:?}"
+            );
+        }
+
+        let mut tier = TieredService::new(&mlp, TierConfig::default());
+        tier.apply_fault(FleetFault::RackPartition { rack: racks + 1 }, at);
+        assert!(tier.racks[1].partitioned);
+        tier.apply_fault(FleetFault::BoardRejoin { board: racks + 2 }, at);
+        assert_eq!(
+            tier.breaker_state(TierScope::Rack(2)),
+            BreakerState::HalfOpen
+        );
+        assert!(tier.drain_transitions()[0].probation);
+        assert!(!tier.regional_down());
+        tier.apply_fault(FleetFault::RegionOutage { region: 0 }, at);
+        assert!(tier.regional_down());
+        tier.apply_fault(FleetFault::RegionRestore { region: 0 }, at);
+        assert!(!tier.regional_down());
     }
 }

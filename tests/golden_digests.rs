@@ -132,7 +132,6 @@ fn chaos_presets() {
                 seed: 11,
                 storm,
                 budget,
-                ..ChaosConfig::default()
             }))
         });
     }
