@@ -31,6 +31,13 @@ fi
 if grep -rnE '(fn|let) percentile\b' crates/*/src | grep -v '^crates/npu-serve/src/quantile.rs:'; then
     echo "quantile lint: use npu_serve::quantile::nearest_rank" >&2; exit 1
 fi
+# One-harness lint: `edge_sim::run` is the one harness that drives a
+# `TieredService` (chaos is one of its storm presets). No other crate
+# builds its own tier loop, so a second request plan, epoch loop and
+# report cannot grow back beside it.
+if grep -rn 'TieredService::new' crates/*/src | grep -vE '^crates/(npu-serve|edge-sim)/'; then
+    echo "one-harness lint: drive the tier through edge_sim::run" >&2; exit 1
+fi
 gate_end "fmt + clippy + lints"
 
 # Platform hot-path gate: a steady-state `Platform::tick` performs no heap
@@ -148,15 +155,17 @@ diff "$overload_csv" "$ckpt_tmp/ov-b/overload.csv" || {
 gate_end "overload gate"
 echo "overload gate passed"
 
-# Golden-digest gate: the FNV-64 digests of the fleet, overload, chaos
-# and edge CSVs over a small named scenario grid, each at a one- and a
-# four-thread budget, must match the committed fixtures byte for byte.
+# Golden-digest gate: the FNV-64 digests of the fleet, overload and edge
+# CSVs (the edge grid includes the five chaos storm presets) over a small
+# named scenario grid, each at a one- and a four-thread budget, must
+# match the committed fixtures byte for byte.
 gate_begin
 cargo test -q --test golden_digests
 gate_end "golden-digest gate"
 echo "golden-digest gate passed"
 
-# Chaos gate: a seeded storm grid under the always-on invariant checker.
+# Chaos gate: a seeded storm grid — every edge-sim storm preset on the
+# small flat-demand chaos fleet — under the always-on invariant checker.
 # Every storm must finish with zero invariant violations, and the CSV
 # must be byte-identical across thread budgets (1 vs 4). FULL=1 widens
 # the grid into a soak.

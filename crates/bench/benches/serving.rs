@@ -15,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use nn::{ForwardScratch, KernelMode, Matrix, Mlp};
+use nn::{KernelMode, Matrix, Mlp};
 use npu::{InferScratch, NpuModel, PolicyCache};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -90,19 +90,12 @@ fn serving_benches(c: &mut Criterion) {
         });
     });
 
-    // Scalar float forward: fresh allocations vs. the reusable scratch
-    // buffer used on the per-epoch hot path. One row per iteration, so
-    // the reported per-element figure IS the per-row cost.
+    // Scalar float forward of one row per iteration, so the reported
+    // per-element figure IS the per-row cost.
     group.throughput(Throughput::Elements(1));
     let row: Vec<f32> = (0..21).map(|c| c as f32 / 21.0 - 0.5).collect();
     group.bench_function("forward_alloc", |b| {
         b.iter(|| black_box(mlp.forward(black_box(&row))));
-    });
-    group.bench_function("forward_scratch", |b| {
-        let mut scratch = ForwardScratch::new();
-        b.iter(|| {
-            black_box(mlp.forward_into(black_box(&row), &mut scratch));
-        });
     });
     group.finish();
 }

@@ -11,9 +11,9 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use bench::chaos::StormPreset;
 use bench::error::BenchError;
 use bench::harness::{train_artifacts, Effort, TrainedArtifacts};
+use edge_sim::{EdgeConfig, StormPreset};
 use thermal::Cooling;
 
 /// Writes a CSV artifact if an output directory was requested; a failure
@@ -27,6 +27,57 @@ fn write_csv(out: &Option<PathBuf>, name: &str, contents: String) -> Result<(), 
 fn report_csv(result: Result<(), BenchError>) {
     if let Err(e) = result {
         eprintln!("warning: {e}");
+    }
+}
+
+/// Runs one edge-sim scenario — `edge`, or `chaos` — and writes its
+/// CSV to stdout and to `<name>.csv`. The report and the wall-clock
+/// throughput go to stderr, so the CSV stays byte-deterministic. Exits 1
+/// on an invariant violation.
+fn run_edge(name: &str, config: &EdgeConfig, out: &Option<PathBuf>) {
+    eprintln!(
+        "{name}: {} boards in {} regions x {} racks, {} users x {} epochs, \
+         seed {}, {} thread(s){}{}{} ...",
+        config.boards,
+        config.regions,
+        config.racks_per_region,
+        config.users,
+        config.epochs,
+        config.seed,
+        config.budget.effective_threads(),
+        if config.outage {
+            ", backbone outage"
+        } else {
+            ""
+        },
+        config
+            .storm
+            .map_or(String::new(), |storm| format!(", `{storm}` storm")),
+        if matches!(config.demand, edge_sim::Demand::Replay(_)) {
+            ", replayed demand"
+        } else {
+            ""
+        }
+    );
+    let started = Instant::now();
+    let report = edge_sim::run(config);
+    let wall = started.elapsed().as_secs_f64();
+    eprintln!("{report}");
+    eprintln!(
+        "{name}: {:.1} simulated boards/s, {:.0} requests/s ({:.2} s wall)",
+        config.boards as f64 / wall,
+        report.submitted as f64 / wall,
+        wall
+    );
+    let csv = bench::csv::edge_csv(&report, config.storm);
+    print!("{csv}");
+    report_csv(write_csv(out, &format!("{name}.csv"), csv));
+    if !report.violations.is_empty() {
+        eprintln!(
+            "{name}: {} invariant violation(s) — see the `violation` CSV rows",
+            report.violations.len()
+        );
+        std::process::exit(1);
     }
 }
 
@@ -49,14 +100,17 @@ checkpoint snapshots for the resumable commands (`sweep`, `train`);
 `period` epochs, each lasting `--churn-down` epochs, default 2);
 `--clients`, `--epochs`, `--devices`, `--overload <x>` (arrival rate as a
 multiple of pool capacity) and a bare `--storm` (add a device fault storm)
-size the `overload` experiment. `--boards`, `--racks`, `--epochs` and
-`--seed` size the `chaos` experiment; `--storm <preset>` picks its fault
-storm (`crash-wave`, `partition`, `heartbeat`, `slow-tier` or `all`).
+size the `overload` experiment, which rejects a storm preset.
 `--boards`, `--racks` (racks per region), `--epochs`, `--seed`,
 `--users` (logical users) and `--load <x>` (mean requests per board per
 epoch) size the `edge` experiment; `--replay <file>` drives its demand
-from a recorded workload CSV instead of the synthetic rate model, and a
-bare `--storm` injects its regional backbone outage.
+from a recorded workload CSV instead of the synthetic rate model, a
+bare `--storm` injects its regional backbone outage, and
+`--storm <preset>` a fault storm in every region (`crash-wave`,
+`partition`, `heartbeat`, `slow-tier` or `all`). `chaos` runs the edge
+simulator at chaos size (one region, flat demand; default 12 boards in
+3 racks x 40 epochs, seed 11) under `--storm <preset>` (default `all`),
+sized by `--boards`, `--racks`, `--epochs` and `--seed`.
 Sizing counts (`--boards`, `--racks`, `--epochs`, `--devices`,
 `--clients`, `--users`) must be at least 1, and `--overload` and
 `--load` must be finite and above 0.
@@ -99,7 +153,7 @@ commands:
   traces       structured event traces per governor (JSONL/CSV via --out)
   fleet        multi-board fleet sharing one batched NPU inference service
   overload     adversarial 10x-overload harness against the shared service
-  chaos        seeded fault storms under an always-on invariant checker
+  chaos        edge storm preset on a small flat-demand fleet (writes chaos.csv)
   edge         datacenter-scale edge fleet: user/request frontier + network model
   sweep        crash-safe resumable robustness sweep (uses --state)
   train        crash-safe resumable IL training (uses --state)
@@ -244,8 +298,9 @@ fn main() {
             },
             "--policy-cache" => policy_cache = Some(flag_number(&args, &mut i, arg)),
             "--storm" => match args.get(i + 1).map(String::as_str) {
-                // Bare `--storm` arms the overload fault storm; a value
-                // names the chaos preset. A preset name always binds
+                // Bare `--storm` arms the overload fault storm and the
+                // edge backbone outage; a value names the storm preset of
+                // `chaos` and `edge`. A preset name always binds
                 // (`all` is both a preset and a command — the preset
                 // reading wins); any other following command or flag
                 // leaves the flag bare.
@@ -270,8 +325,11 @@ fn main() {
     // No --threads means "use every core"; the result is bit-identical
     // either way.
     let budget = threads.map_or_else(par::Budget::auto, par::Budget::with_threads);
-    let edge_defaults = edge_sim::EdgeConfig::default();
-    let edge_config = edge_sim::EdgeConfig {
+    if storm_preset.is_some() && commands.contains(&"overload") {
+        usage_error("flag `--storm <preset>` applies to `chaos` and `edge`; `overload` takes a bare `--storm`");
+    }
+    let edge_defaults = EdgeConfig::default();
+    let edge_config = EdgeConfig {
         boards: boards.unwrap_or(edge_defaults.boards),
         racks_per_region: racks.unwrap_or(edge_defaults.racks_per_region),
         epochs: epochs.unwrap_or(edge_defaults.epochs),
@@ -279,6 +337,7 @@ fn main() {
         users: users.unwrap_or(edge_defaults.users),
         load: load.unwrap_or(edge_defaults.load),
         outage: storm,
+        storm: storm_preset,
         budget,
         ..edge_defaults
     };
@@ -495,45 +554,16 @@ fn main() {
                 report_csv(write_csv(&out, "overload.csv", csv));
             }
             "chaos" => {
-                let mut config = bench::chaos::ChaosConfig::default();
-                if let Some(n) = boards {
-                    config.boards = n;
-                }
-                if let Some(n) = racks {
-                    config.racks = n;
-                }
-                if let Some(n) = epochs {
-                    config.epochs = n;
-                }
-                if let Some(n) = seed {
-                    config.seed = n;
-                }
-                if let Some(preset) = storm_preset {
-                    config.storm = preset;
-                }
-                config.budget = budget;
-                eprintln!(
-                    "chaos: `{}` storm over {} boards in {} racks x {} epochs, \
-                     seed {}, {} thread(s) ...",
-                    config.storm,
-                    config.boards,
-                    config.racks,
-                    config.epochs,
-                    config.seed,
-                    config.budget.effective_threads()
-                );
-                let report = bench::chaos::run(&config);
-                eprintln!("{report}");
-                let csv = bench::csv::chaos_csv(&report);
-                print!("{csv}");
-                report_csv(write_csv(&out, "chaos.csv", csv));
-                if !report.violations.is_empty() {
-                    eprintln!(
-                        "chaos: {} invariant violation(s) — see the `violation` CSV rows",
-                        report.violations.len()
-                    );
-                    std::process::exit(1);
-                }
+                let chaos = EdgeConfig::chaos(storm_preset.unwrap_or(StormPreset::All));
+                let config = EdgeConfig {
+                    boards: boards.unwrap_or(chaos.boards),
+                    racks_per_region: racks.unwrap_or(chaos.racks_per_region),
+                    epochs: epochs.unwrap_or(chaos.epochs),
+                    seed: seed.unwrap_or(chaos.seed),
+                    budget,
+                    ..chaos
+                };
+                run_edge("chaos", &config, &out);
             }
             "edge" => {
                 let mut config = edge_config.clone();
@@ -556,49 +586,7 @@ fn main() {
                         config.epochs,
                     ));
                 }
-                eprintln!(
-                    "edge: {} boards in {} regions x {} racks, {} users x {} epochs, \
-                     seed {}, {} thread(s){}{} ...",
-                    config.boards,
-                    config.regions,
-                    config.racks_per_region,
-                    config.users,
-                    config.epochs,
-                    config.seed,
-                    config.budget.effective_threads(),
-                    if config.outage {
-                        ", backbone outage"
-                    } else {
-                        ""
-                    },
-                    if replay.is_some() {
-                        ", replayed demand"
-                    } else {
-                        ""
-                    }
-                );
-                let started = Instant::now();
-                let report = edge_sim::run(&config);
-                let wall = started.elapsed().as_secs_f64();
-                eprintln!("{report}");
-                // Wall-clock throughput goes to stderr only; the CSV
-                // stays byte-deterministic.
-                eprintln!(
-                    "edge: {:.1} simulated boards/s, {:.0} requests/s ({:.2} s wall)",
-                    config.boards as f64 / wall,
-                    report.submitted as f64 / wall,
-                    wall
-                );
-                let csv = bench::csv::edge_csv(&report);
-                print!("{csv}");
-                report_csv(write_csv(&out, "edge.csv", csv));
-                if !report.violations.is_empty() {
-                    eprintln!(
-                        "edge: {} invariant violation(s) — see the `violation` CSV rows",
-                        report.violations.len()
-                    );
-                    std::process::exit(1);
-                }
+                run_edge("edge", &config, &out);
             }
             "sweep" => {
                 let model = bench::robustness::sweep_model(effort);

@@ -3,7 +3,7 @@
 //! Measures (with `std::time::Instant`, medians over repeated runs) the
 //! numeric inference costs the `serving` criterion bench exercises —
 //! scalar vs. batched int8 inference, the grouped service path, the
-//! scratch-buffer forward pass — plus the *modeled* device latencies that
+//! float forward pass — plus the *modeled* device latencies that
 //! drive the fleet's batching speedup. Prints a JSON document to stdout:
 //!
 //! ```text
@@ -13,7 +13,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use nn::{ForwardScratch, KernelMode, Matrix, Mlp};
+use nn::{KernelMode, Matrix, Mlp};
 use npu::{InferScratch, NpuDevice, NpuModel, PolicyCache};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -138,16 +138,7 @@ fn main() {
     let alloc_ns = median_ns(20_000, || {
         black_box(mlp.forward(black_box(&row)));
     });
-    let mut scratch = ForwardScratch::new();
-    let scratch_ns = median_ns(20_000, || {
-        black_box(mlp.forward_into(black_box(&row), &mut scratch));
-    });
     println!("  \"forward_alloc_ns\": {alloc_ns:.0},");
-    println!("  \"forward_scratch_ns\": {scratch_ns:.0},");
-    println!(
-        "  \"forward_scratch_speedup\": {:.2},",
-        alloc_ns / scratch_ns
-    );
 
     // Modeled device time for 64 one-row requests: dedicated (one driver
     // round-trip each) vs. coalesced into batch-16 calls.

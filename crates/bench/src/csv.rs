@@ -4,7 +4,6 @@ use std::fmt::Write as _;
 
 use hmc_types::Cluster;
 
-use crate::chaos::ChaosReport;
 use crate::fig10::Fig10Report;
 use crate::fig11::Fig11Report;
 use crate::fig8::Fig8Report;
@@ -13,7 +12,7 @@ use crate::fleet::FleetReport;
 use crate::overload::OverloadReport;
 use crate::robustness::RobustnessReport;
 use crate::sensitivity::SensitivityReport;
-use edge_sim::EdgeReport;
+use edge_sim::{EdgeReport, StormPreset};
 
 /// Escapes one CSV field (quotes fields containing separators).
 fn field(s: &str) -> String {
@@ -270,72 +269,19 @@ pub fn overload_csv(report: &OverloadReport) -> String {
     out
 }
 
-/// Chaos rows, long format: `section,index,metric,value`.
-///
-/// Two sections: `summary` (whole-storm metrics, index empty) and
-/// `violation` (index = violation number, one row per invariant breach —
-/// absent when the run is clean). The chaos CI gate greps
-/// `summary,,invariant_violations,0` and diffs the full output across
-/// thread budgets, so every value must be byte-deterministic
-/// for a given [`crate::chaos::ChaosConfig`].
-pub fn chaos_csv(report: &ChaosReport) -> String {
-    let mut out = String::from("section,index,metric,value\n");
-    let mut summary = |metric: &str, value: String| {
-        let _ = writeln!(out, "summary,,{metric},{value}");
-    };
-    summary("storm", report.config.storm.name().to_string());
-    summary("boards", report.config.boards.to_string());
-    summary("racks", report.config.racks.to_string());
-    summary("epochs", report.config.epochs.to_string());
-    summary("seed", report.config.seed.to_string());
-    summary("storm_events", report.storm_events.to_string());
-    summary("submitted", report.submitted.to_string());
-    summary("replies", report.replies.to_string());
-    summary("failed", report.failed.to_string());
-    summary("rack_served", report.rack_served.to_string());
-    summary("regional_served", report.regional_served.to_string());
-    summary("cpu_served", report.cpu_served.to_string());
-    summary("failovers", report.failovers.to_string());
-    summary("hedges", report.hedges.to_string());
-    summary("hedge_wins", report.hedge_wins.to_string());
-    summary("hedge_overhead", format!("{:.6}", report.hedge_overhead));
-    summary("heartbeats", report.heartbeats.to_string());
-    summary("suspects", report.suspects.to_string());
-    summary("recoveries", report.recoveries.to_string());
-    summary(
-        "detection_avg_ms",
-        format!("{:.6}", report.detection_latency_avg.as_secs_f64() * 1e3),
-    );
-    summary(
-        "detection_max_ms",
-        format!("{:.6}", report.detection_latency_max.as_secs_f64() * 1e3),
-    );
-    summary(
-        "breaker_transitions",
-        report.breaker_transitions.to_string(),
-    );
-    summary("p50_ms", format!("{:.6}", report.p50.as_secs_f64() * 1e3));
-    summary("p99_ms", format!("{:.6}", report.p99.as_secs_f64() * 1e3));
-    summary("availability", format!("{:.6}", report.availability));
-    summary("invariant_violations", report.violations.len().to_string());
-    for (i, violation) in report.violations.iter().enumerate() {
-        let _ = writeln!(out, "violation,{i},text,{}", field(violation));
-    }
-    out
-}
-
 /// Edge-fleet rows, long format: `section,index,metric,value`.
 ///
 /// Three sections: `summary` (fleet-wide metrics, index empty), `region`
 /// (index = region number, one row per per-region metric, regions in
 /// ascending order) and `violation` (index = violation number, absent on
-/// a clean run). The edge CI gate greps
-/// `summary,,invariant_violations,0` and diffs the full output across
-/// thread budgets, so every value must be byte-deterministic
+/// a clean run). `storm` is the run's [`edge_sim::EdgeConfig::storm`];
+/// its `summary,,storm` row reads `none` without one. The edge and chaos
+/// CI gates grep `summary,,invariant_violations,0` and diff the full
+/// output across thread budgets, so every value must be byte-deterministic
 /// for a given [`edge_sim::EdgeConfig`]. Wall-clock quantities
 /// (boards/second) deliberately never appear here — they go to stderr
 /// and the BENCH json.
-pub fn edge_csv(report: &EdgeReport) -> String {
+pub fn edge_csv(report: &EdgeReport, storm: Option<StormPreset>) -> String {
     let mut out = String::from("section,index,metric,value\n");
     let mut summary = |metric: &str, value: String| {
         let _ = writeln!(out, "summary,,{metric},{value}");
@@ -380,6 +326,14 @@ pub fn edge_csv(report: &EdgeReport) -> String {
     );
     summary("peak_temp_c", format!("{:.3}", report.peak_temp));
     summary("invariant_violations", report.violations.len().to_string());
+    summary("suspects", report.suspects.to_string());
+    summary("recoveries", report.recoveries.to_string());
+    summary(
+        "detection_max_ms",
+        format!("{:.6}", report.detection_latency_max.as_secs_f64() * 1e3),
+    );
+    summary("availability", format!("{:.6}", report.availability));
+    summary("storm", storm.map_or("none", |s| s.name()).to_string());
     for r in &report.regions {
         let i = r.region;
         let _ = writeln!(out, "region,{i},boards,{}", r.boards);
@@ -419,6 +373,14 @@ pub fn edge_csv(report: &EdgeReport) -> String {
             r.thermal_violations
         );
         let _ = writeln!(out, "region,{i},peak_temp_c,{:.3}", r.peak_temp);
+        let _ = writeln!(out, "region,{i},suspects,{}", r.suspects);
+        let _ = writeln!(out, "region,{i},recoveries,{}", r.recoveries);
+        let _ = writeln!(
+            out,
+            "region,{i},detection_max_ms,{:.6}",
+            r.detection_latency_max.as_secs_f64() * 1e3
+        );
+        let _ = writeln!(out, "region,{i},availability,{:.6}", r.availability);
     }
     for (i, violation) in report.violations.iter().enumerate() {
         let _ = writeln!(out, "violation,{i},text,{}", field(violation));
@@ -444,13 +406,8 @@ mod tests {
     /// side effect of a refactor.
     #[test]
     fn long_format_headers_are_stable() {
-        let edge = edge_csv(&edge_sim::run(&small_edge()));
-        let chaos = chaos_csv(&crate::chaos::run(&crate::chaos::ChaosConfig {
-            boards: 4,
-            racks: 2,
-            epochs: 6,
-            ..crate::chaos::ChaosConfig::default()
-        }));
+        let edge = edge_csv(&edge_sim::run(&small_edge()), None);
+        let chaos = edge_csv(&edge_sim::run(&small_chaos()), Some(StormPreset::All));
         for csv in [&edge, &chaos] {
             assert_eq!(csv.lines().next().unwrap(), "section,index,metric,value");
         }
@@ -467,12 +424,24 @@ mod tests {
         }
     }
 
+    fn small_chaos() -> edge_sim::EdgeConfig {
+        edge_sim::EdgeConfig {
+            boards: 6,
+            racks_per_region: 2,
+            epochs: 10,
+            seed: 3,
+            ..edge_sim::EdgeConfig::chaos(StormPreset::All)
+        }
+    }
+
     #[test]
     fn edge_csv_carries_the_gate_row() {
-        let csv = edge_csv(&edge_sim::run(&small_edge()));
+        let csv = edge_csv(&edge_sim::run(&small_edge()), None);
         assert!(csv.starts_with("section,index,metric,value\n"));
         assert!(csv.contains("\nsummary,,invariant_violations,0\n"));
         assert!(csv.contains("\nsummary,,boards,16\n"));
+        assert!(csv.contains("\nsummary,,storm,none\n"));
+        assert!(csv.contains("\nsummary,,availability,1.000000\n"));
         assert!(!csv.contains("\nviolation,"));
         // Wall-clock metrics must never leak into the deterministic CSV.
         assert!(!csv.contains("boards_per_sec"));
@@ -481,11 +450,14 @@ mod tests {
     #[test]
     fn edge_csv_rows_are_deterministically_ordered_across_budgets() {
         let config = small_edge();
-        let serial = edge_csv(&edge_sim::run(&config));
-        let threaded = edge_csv(&edge_sim::run(&edge_sim::EdgeConfig {
-            budget: par::Budget::with_threads(4),
-            ..config
-        }));
+        let serial = edge_csv(&edge_sim::run(&config), None);
+        let threaded = edge_csv(
+            &edge_sim::run(&edge_sim::EdgeConfig {
+                budget: par::Budget::with_threads(4),
+                ..config
+            }),
+            None,
+        );
         assert_eq!(
             serial, threaded,
             "edge CSV must be byte-identical at every thread budget"
@@ -565,18 +537,14 @@ mod tests {
     }
 
     #[test]
-    fn chaos_csv_carries_the_gate_row() {
-        let config = crate::chaos::ChaosConfig {
-            boards: 6,
-            racks: 2,
-            epochs: 10,
-            seed: 3,
-            ..crate::chaos::ChaosConfig::default()
-        };
-        let csv = chaos_csv(&crate::chaos::run(&config));
+    fn storm_preset_csv_carries_the_gate_rows() {
+        let config = small_chaos();
+        let csv = edge_csv(&edge_sim::run(&config), config.storm);
         assert!(csv.starts_with("section,index,metric,value\n"));
         assert!(csv.contains("\nsummary,,invariant_violations,0\n"));
         assert!(csv.contains("\nsummary,,storm,all\n"));
+        assert!(csv.contains("\nregion,0,availability,"));
+        assert!(!csv.contains("\nsummary,,availability,1.000000\n"));
         assert!(!csv.contains("\nviolation,"));
     }
 

@@ -9,7 +9,6 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod chaos;
 pub mod csv;
 pub mod error;
 pub mod fig1;

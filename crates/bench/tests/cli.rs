@@ -154,6 +154,20 @@ fn bare_storm_flag_stays_an_overload_toggle() {
 }
 
 #[test]
+fn overload_rejects_a_storm_preset() {
+    // `overload` only has the bare fault-storm toggle; a preset there
+    // is a usage error, not a silently ignored value.
+    assert_rejected(
+        &["overload", "--storm", "all"],
+        "flag `--storm <preset>` applies to `chaos` and `edge`",
+    );
+    assert_rejected(
+        &["overload", "--storm", "crash-wave"],
+        "flag `--storm <preset>` applies to `chaos` and `edge`",
+    );
+}
+
+#[test]
 fn help_exits_cleanly() {
     // Every help spelling prints the usage to *stdout* and exits 0 —
     // asking for help is not an error.
@@ -214,6 +228,43 @@ fn edge_subcommand_emits_the_gate_row() {
     // Wall-clock throughput is diagnostics: stderr, never the CSV.
     assert!(!stdout.contains("boards/s"));
     assert!(String::from_utf8_lossy(&out.stderr).contains("simulated boards/s"));
+}
+
+#[test]
+fn edge_applies_a_storm_preset() {
+    let run = |storm: &[&str]| {
+        let mut args = vec![
+            "edge",
+            "--boards",
+            "16",
+            "--racks",
+            "2",
+            "--epochs",
+            "8",
+            "--users",
+            "500",
+            "--seed",
+            "3",
+            "--threads",
+            "1",
+        ];
+        args.extend_from_slice(storm);
+        let out = experiments(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "stderr:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let calm = run(&[]);
+    let storm = run(&["--storm", "crash-wave"]);
+    assert!(calm.contains("\nsummary,,storm,none\n"));
+    assert!(calm.contains("\nsummary,,availability,1.000000\n"));
+    assert!(storm.contains("\nsummary,,storm,crash-wave\n"));
+    assert!(storm.contains("\nsummary,,invariant_violations,0\n"));
+    assert!(!storm.contains("\nsummary,,availability,1.000000\n"));
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Datacenter-scale edge-fleet simulator: the demand side of the
 //! reproduction.
 //!
-//! The fleet harnesses so far (`bench::fleet`, `bench::chaos`) drive
-//! boards from a closed loop — one request per board per epoch. Real
+//! The TOP-IL fleet harness (`bench::fleet`) drives boards from a closed
+//! loop — one request per board per epoch. Real
 //! edge fleets face an **open system**: millions of users issue requests
 //! on their own schedule, the load follows the sun, regions are skewed,
 //! and flash crowds arrive uninvited. This crate supplies that demand
@@ -29,7 +29,11 @@
 //!   [`npu_serve::TieredService`] ladders with admission control end to
 //!   end, region-sharded via the [`par::Budget`] with byte-identical
 //!   merges, stepped one barrier epoch at a time, and watched by an
-//!   always-on invariant checker.
+//!   always-on invariant checker;
+//! * **storm presets** ([`storm`]) — the seeded chaos storms (crash
+//!   waves, rack partitions, heartbeat silence, a slow regional tier),
+//!   applied in every region; [`EdgeConfig::chaos`] is the small
+//!   flat-demand scenario `experiments chaos` runs them in.
 //!
 //! # Examples
 //!
@@ -51,8 +55,10 @@
 
 pub mod frontier;
 pub mod run;
+pub mod storm;
 pub mod topology;
 
 pub use frontier::{Demand, FlashCrowd};
 pub use run::{run, EdgeConfig, EdgeConfigError, EdgeReport, RegionOutcome};
+pub use storm::StormPreset;
 pub use topology::NetworkConfig;

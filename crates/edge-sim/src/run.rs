@@ -19,7 +19,7 @@
 
 use std::fmt;
 
-use faults::{FleetSchedule, StormBuilder};
+use faults::{FleetFault, FleetSchedule, StormBuilder};
 use hmc_types::{SimDuration, SimTime};
 use nn::Mlp;
 use npu_serve::quantile::nearest_rank;
@@ -32,9 +32,12 @@ use rand::SeedableRng;
 use sim_core::net::FifoLink;
 
 use crate::frontier::{self, Demand, FlashCrowd};
+use crate::storm::StormPreset;
 use crate::topology::{region_board_base, region_boards, NetworkConfig};
 
-/// Hedge floor of the per-region tier (mirrors the chaos harness).
+/// Hedge floor of the per-region tier. Sits just under the typical rack
+/// latency, so tail-latency rack requests race the regional tier while
+/// the p99-derived timeout takes over once the latency window fills.
 const EDGE_HEDGE_MIN: SimDuration = SimDuration::from_millis(5);
 /// Ambient temperature of the thermal proxy, °C.
 const AMBIENT: f64 = 45.0;
@@ -79,6 +82,10 @@ pub struct EdgeConfig {
     /// Inject a regional backbone outage storm (region 0 goes dark for
     /// a sixth of the run starting at its third).
     pub outage: bool,
+    /// Seeded fault storm applied in every region, on top of `outage`.
+    /// Users homed on a board the storm has crashed send nothing while
+    /// it is down.
+    pub storm: Option<StormPreset>,
     /// Where the request schedule comes from.
     pub demand: Demand,
     /// The two-level network model.
@@ -107,6 +114,7 @@ impl Default for EdgeConfig {
             }),
             qos_deadline: SimDuration::from_millis(100),
             outage: false,
+            storm: None,
             demand: Demand::Synthetic,
             network: NetworkConfig::default(),
             budget: par::Budget::serial(),
@@ -115,6 +123,26 @@ impl Default for EdgeConfig {
 }
 
 impl EdgeConfig {
+    /// The chaos scenario: one region of 12 boards in 3 racks over 40
+    /// epochs (seed 11) under `storm`, with flat demand — load 1, no
+    /// diurnal curve, no regional skew, no flash crowd. Every other field
+    /// keeps its default.
+    pub fn chaos(storm: StormPreset) -> EdgeConfig {
+        EdgeConfig {
+            boards: 12,
+            regions: 1,
+            racks_per_region: 3,
+            epochs: 40,
+            seed: 11,
+            load: 1.0,
+            diurnal_amplitude: 0.0,
+            regional_skew: 0.0,
+            flash: None,
+            storm: Some(storm),
+            ..EdgeConfig::default()
+        }
+    }
+
     /// Checks the run sizes: at least one board, region, rack and epoch,
     /// a positive epoch length, no region without a board, and a finite,
     /// positive `load`.
@@ -241,6 +269,14 @@ pub struct RegionOutcome {
     pub thermal_violations: u64,
     /// Hottest board temperature reached, °C.
     pub peak_temp: f64,
+    /// Racks the failure detector declared suspect.
+    pub suspects: u64,
+    /// Suspected racks that recovered.
+    pub recoveries: u64,
+    /// Worst failure-detection latency (silence start → suspicion).
+    pub detection_latency_max: SimDuration,
+    /// Fraction of board-epochs no storm crash had the board down.
+    pub availability: f64,
     /// Invariant violations observed in this region.
     pub violations: Vec<String>,
 }
@@ -301,6 +337,14 @@ pub struct EdgeReport {
     pub thermal_violation_rate: f64,
     /// Hottest board temperature reached anywhere, °C.
     pub peak_temp: f64,
+    /// Racks suspected fleet-wide.
+    pub suspects: u64,
+    /// Suspected racks that recovered, fleet-wide.
+    pub recoveries: u64,
+    /// Worst failure-detection latency anywhere.
+    pub detection_latency_max: SimDuration,
+    /// Fraction of fleet board-epochs no storm crash had the board down.
+    pub availability: f64,
     /// Per-region outcomes, in region order.
     pub regions: Vec<RegionOutcome>,
     /// Invariant violations (the CI gate requires none).
@@ -349,6 +393,11 @@ impl fmt::Display for EdgeReport {
             "  faults:   {} storm events, {} dark region-epochs, {} breaker transitions",
             self.storm_events, self.outage_epochs, self.breaker_transitions
         )?;
+        writeln!(
+            f,
+            "  detector: {} suspects, {} recoveries, detection max {}; availability {:.4}",
+            self.suspects, self.recoveries, self.detection_latency_max, self.availability
+        )?;
         writeln!(f, "  invariants: {} violations", self.violations.len())?;
         for violation in &self.violations {
             writeln!(f, "    VIOLATION: {violation}")?;
@@ -384,28 +433,46 @@ struct RegionPlan {
     truncated: u64,
     /// Distinct logical users that issued at least one request.
     active_users: u64,
+    /// Board-epochs the storm had a board crashed.
+    down_board_epochs: u64,
 }
 
-/// Derives the region's fault schedule. Only the backbone-outage storm
-/// exists today, and it targets region 0: dark from `epochs/3` for
-/// `epochs/6` epochs.
+/// Derives the region's fault schedule: the backbone outage, which
+/// darkens region 0 from `epochs/3` for `epochs/6` epochs, then the
+/// storm preset over this region's boards and racks.
 fn storm_schedule(config: &EdgeConfig, region: usize) -> FleetSchedule {
     let boards_r = region_boards(config.boards, config.regions, region).max(1);
     let seed = sim_core::mix_indexed(config.seed, region as u64);
-    let builder = StormBuilder::new(seed, boards_r, config.epochs);
+    let mut builder = StormBuilder::new(seed, boards_r, config.epochs);
     if config.outage && region == 0 {
-        builder
-            .region_outage(region, config.epochs / 3, (config.epochs / 6).max(1))
-            .build()
-    } else {
-        builder.build()
+        builder = builder.region_outage(region, config.epochs / 3, (config.epochs / 6).max(1));
     }
+    if let Some(storm) = config.storm {
+        builder = storm.apply(builder, boards_r, config.racks_per_region, config.epochs);
+    }
+    builder.build()
+}
+
+/// Each board's crash spans `[from, until)`, built once per region;
+/// `None` when the schedule crashes no board.
+fn board_down_spans(schedule: &FleetSchedule, boards: usize) -> Option<Vec<Vec<(u64, u64)>>> {
+    let crashes = schedule
+        .events()
+        .iter()
+        .any(|e| matches!(e.fault, FleetFault::BoardCrash { .. }));
+    crashes.then(|| (0..boards).map(|b| schedule.down_spans(b)).collect())
 }
 
 /// Plans one region: frontier arrivals pushed through the rack uplinks,
-/// bucketed by delivery epoch. Deliveries past the horizon are counted
-/// as `truncated` and never submitted.
+/// bucketed by delivery epoch. Users homed on a crashed board send
+/// nothing that epoch (they are not `generated` either). Deliveries past
+/// the horizon are counted as `truncated` and never submitted.
 fn plan_region(config: &EdgeConfig, region: usize) -> RegionPlan {
+    let schedule = storm_schedule(config, region);
+    let down = board_down_spans(
+        &schedule,
+        region_boards(config.boards, config.regions, region),
+    );
     let epoch_ns = config.epoch.as_nanos();
     let racks = config.racks_per_region;
     let mut uplinks = vec![FifoLink::new(config.network.edge); racks];
@@ -424,6 +491,13 @@ fn plan_region(config: &EdgeConfig, region: usize) -> RegionPlan {
     for epoch in 0..config.epochs {
         let base = SimTime::from_nanos(epoch * epoch_ns);
         for arrival in frontier::epoch_arrivals(config, region, epoch) {
+            if down.as_ref().is_some_and(|spans| {
+                spans[arrival.board]
+                    .iter()
+                    .any(|&(from, until)| (from..until).contains(&epoch))
+            }) {
+                continue;
+            }
             generated += 1;
             active_users.insert(arrival.user);
             let at = base + arrival.offset;
@@ -463,13 +537,20 @@ fn plan_region(config: &EdgeConfig, region: usize) -> RegionPlan {
         requests.extend(bucket.into_iter().map(|(_, _, request)| request));
         epoch_ranges.push((start, requests.len()));
     }
+    let down_board_epochs = down
+        .iter()
+        .flatten()
+        .flatten()
+        .map(|&(from, until)| until - from)
+        .sum();
     RegionPlan {
-        schedule: storm_schedule(config, region),
+        schedule,
         requests,
         epoch_ranges,
         generated,
         truncated,
         active_users: active_users.len() as u64,
+        down_board_epochs,
     }
 }
 
@@ -568,9 +649,10 @@ fn end_epoch(plan: &RegionPlan, config: &EdgeConfig, state: &mut RegionState, ep
     }
 }
 
-/// Simulates one region end to end; returns its outcome and the raw
-/// QoS delays for the fleet-wide percentile merge.
-fn simulate_region(config: &EdgeConfig, region: usize) -> (RegionOutcome, Vec<SimDuration>) {
+/// Simulates one region end to end; returns its outcome, the raw QoS
+/// delays for the fleet-wide percentile merge, and its crashed
+/// board-epochs for the fleet-wide availability.
+fn simulate_region(config: &EdgeConfig, region: usize) -> (RegionOutcome, Vec<SimDuration>, u64) {
     let plan = plan_region(config, region);
     let boards_r = region_boards(config.boards, config.regions, region);
     let mlp = Mlp::with_topology(
@@ -671,9 +753,14 @@ fn simulate_region(config: &EdgeConfig, region: usize) -> (RegionOutcome, Vec<Si
         qos_p99: quantile(0.99),
         thermal_violations,
         peak_temp,
+        suspects: stats.suspects,
+        recoveries: stats.recoveries,
+        detection_latency_max: stats.detection_latency_max,
+        availability: 1.0
+            - plan.down_board_epochs as f64 / (boards_r as u64 * config.epochs) as f64,
         violations,
     };
-    (outcome, qos_delays)
+    (outcome, qos_delays, plan.down_board_epochs)
 }
 
 /// Runs the edge fleet. Every thread budget produces an identical
@@ -697,7 +784,9 @@ pub fn run(config: &EdgeConfig) -> EdgeReport {
     let mut outcomes = Vec::with_capacity(config.regions);
     let mut all_delays = Vec::new();
     let mut violations = Vec::new();
-    for (outcome, delays) in sharded {
+    let mut down_board_epochs = 0;
+    for (outcome, delays, down) in sharded {
+        down_board_epochs += down;
         for violation in &outcome.violations {
             violations.push(format!("region {}: {violation}", outcome.region));
         }
@@ -712,6 +801,7 @@ pub fn run(config: &EdgeConfig) -> EdgeReport {
     let failed = sum(|r| r.failed);
     let hedges = sum(|r| r.hedges);
     let thermal_violations = sum(|r| r.thermal_violations);
+    let board_epochs = config.boards as f64 * config.epochs as f64;
     let rate = |n: u64| {
         if submitted > 0 {
             n as f64 / submitted as f64
@@ -744,9 +834,16 @@ pub fn run(config: &EdgeConfig) -> EdgeReport {
         qos_p50: quantile(0.50),
         qos_p99: quantile(0.99),
         thermal_violations,
-        thermal_violation_rate: thermal_violations as f64
-            / (config.boards as f64 * config.epochs as f64),
+        thermal_violation_rate: thermal_violations as f64 / board_epochs,
         peak_temp: outcomes.iter().map(|r| r.peak_temp).fold(AMBIENT, f64::max),
+        suspects: sum(|r| r.suspects),
+        recoveries: sum(|r| r.recoveries),
+        detection_latency_max: outcomes
+            .iter()
+            .map(|r| r.detection_latency_max)
+            .max()
+            .unwrap_or(SimDuration::ZERO),
+        availability: 1.0 - down_board_epochs as f64 / board_epochs,
         regions: outcomes,
         violations,
     }
@@ -896,6 +993,94 @@ mod tests {
         assert!(report.storm_events >= 2, "outage + restore events");
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_ne!(report, run(&small()), "the storm must change the run");
+    }
+
+    fn small_storm(storm: StormPreset) -> EdgeConfig {
+        EdgeConfig {
+            boards: 8,
+            racks_per_region: 2,
+            epochs: 20,
+            seed: 5,
+            ..EdgeConfig::chaos(storm)
+        }
+    }
+
+    /// One row per preset: `(preset, detects and recovers, costs
+    /// availability)`. Every storm must hold the invariants, conserve
+    /// requests and be independent of the thread budget.
+    #[test]
+    fn storm_presets_hold_the_invariants() {
+        use StormPreset::*;
+        let table = [
+            (CrashWave, false, true),
+            (Partition, false, false),
+            (Heartbeat, true, false),
+            (SlowTier, false, false),
+            (All, true, true),
+        ];
+        for (storm, detects, costs_availability) in table {
+            let config = small_storm(storm);
+            let report = run(&config);
+            assert!(
+                report.violations.is_empty(),
+                "storm `{storm}` violated invariants: {:?}",
+                report.violations
+            );
+            assert!(report.submitted > 0, "storm `{storm}` submitted nothing");
+            assert_eq!(
+                report.replies + report.failed,
+                report.submitted,
+                "storm `{storm}` lost requests"
+            );
+            assert_eq!(report.generated, report.submitted + report.truncated);
+            assert!(report.storm_events > 0, "storm `{storm}` injected nothing");
+            if detects {
+                assert!(report.suspects > 0, "`{storm}`: silent rack not suspected");
+                assert!(report.recoveries > 0, "`{storm}`: rack never recovered");
+                assert!(report.detection_latency_max > SimDuration::ZERO);
+            }
+            assert_eq!(
+                report.availability < 1.0,
+                costs_availability,
+                "storm `{storm}` availability {}",
+                report.availability
+            );
+            let threaded = EdgeConfig {
+                budget: par::Budget::with_threads(4),
+                ..config
+            };
+            assert_eq!(run(&threaded), report, "storm `{storm}` is budget-variant");
+        }
+    }
+
+    #[test]
+    fn crashed_boards_send_nothing_while_down() {
+        let config = small_storm(StormPreset::CrashWave);
+        let plan = plan_region(&config, 0);
+        let spans =
+            board_down_spans(&plan.schedule, config.boards).expect("a crash wave crashes boards");
+        assert!(plan.down_board_epochs > 0);
+        let epoch_ns = config.epoch.as_nanos();
+        for request in &plan.requests {
+            let epoch = request.at.as_nanos() / epoch_ns;
+            assert!(
+                !spans[request.board]
+                    .iter()
+                    .any(|&(from, until)| (from..until).contains(&epoch)),
+                "board {} was down in epoch {epoch} but sent a request",
+                request.board
+            );
+        }
+        // The same demand without the storm homes requests on those
+        // board-epochs, so the filter really removed some.
+        let calm = plan_region(
+            &EdgeConfig {
+                storm: None,
+                ..config
+            },
+            0,
+        );
+        assert!(calm.generated > plan.generated);
     }
 
     #[test]

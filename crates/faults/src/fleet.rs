@@ -36,14 +36,12 @@
 //! )));
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::plan::FaultPlan;
 
 /// A fleet-topology fault. Paired variants (`BoardCrash`/`BoardRejoin`,
 /// `RackPartition`/`RackHeal`, …) bracket an episode; the schedule
 /// builder always emits both ends so every episode is bounded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetFault {
     /// Board `board` crashes at the epoch boundary: it drains in-flight
     /// work, hands queued arrivals to a sibling, and leaves the fleet.
@@ -103,7 +101,7 @@ pub enum FleetFault {
 }
 
 /// A timed fleet fault: `fault` fires at the start of barrier `epoch`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetFaultEvent {
     /// Barrier epoch at which the fault takes effect.
     pub epoch: u64,
@@ -129,9 +127,9 @@ fn draw(seed: u64, index: u64, bound: u64) -> u64 {
 /// A frozen fleet fault schedule: the rate-driven [`FaultPlan`] plus the
 /// timed [`FleetFaultEvent`]s, sorted by `(epoch, deterministic order)`.
 ///
-/// Built by [`StormBuilder`]; consumed by the fleet/chaos drivers, which
+/// Built by [`StormBuilder`]; consumed by the fleet and edge drivers, which
 /// apply `events_at(epoch)` at each barrier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetSchedule {
     seed: u64,
     boards: usize,

@@ -1,12 +1,11 @@
 //! Declarative fault plans: seed + per-domain fault rates.
 
 use hmc_types::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::storage::StorageFaultConfig;
 
 /// NPU fault model. All rates are per submitted job, in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NpuFaultConfig {
     /// Probability that a job fails with a device fault (the device then
     /// needs a reset before it accepts work again).
@@ -34,7 +33,7 @@ impl Default for NpuFaultConfig {
 /// rates are per *dispatched batch*, in `[0, 1]` — the serve path batches
 /// many board requests into one device job, so one fault here degrades a
 /// whole batch (which then drains to the CPU fallback).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeFaultConfig {
     /// Probability that a dispatched batch fails on the device (counts
     /// toward the device's circuit breaker).
@@ -56,7 +55,7 @@ impl Default for ServeFaultConfig {
 }
 
 /// Thermal-sensor fault model. All rates are per sample, in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorFaultConfig {
     /// Probability that a sample is dropped (no reading available).
     pub dropout_rate: f64,
@@ -86,7 +85,7 @@ impl Default for SensorFaultConfig {
 }
 
 /// DVFS actuation fault model. All rates are per requested transition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DvfsFaultConfig {
     /// Probability that a V/f transition is rejected outright.
     pub reject_rate: f64,
@@ -111,7 +110,7 @@ impl Default for DvfsFaultConfig {
 /// The plan is plain serializable data; pass it to
 /// [`FaultInjector::new`](crate::FaultInjector::new) to execute it. The
 /// same plan (seed included) always reproduces the same fault schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the fault schedule. Each domain derives its own stream.
     pub seed: u64,
@@ -185,7 +184,7 @@ impl Default for FaultPlan {
 /// assert_eq!(plan.should_panic(3), plan.should_panic(3));
 /// assert!(!TaskFaultPlan::none(7).should_panic(3));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskFaultPlan {
     /// Seed of the fault schedule.
     pub seed: u64,

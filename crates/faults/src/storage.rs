@@ -10,10 +10,8 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
-
 /// Storage fault model. All rates are per written file, in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StorageFaultConfig {
     /// Probability that a write is torn: only a prefix of the bytes lands.
     pub torn_write_rate: f64,

@@ -7,7 +7,6 @@
 //! precisely to keep DTM from "throttling the V/f levels unpredictably".
 
 use hmc_types::{Celsius, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// DTM trip point (°C) above which throttling engages.
 pub const TRIP_CELSIUS: f64 = 85.0;
@@ -30,7 +29,7 @@ const PERIOD: SimDuration = SimDuration::from_millis(100);
 /// dtm.update(SimTime::from_millis(100), Celsius::new(90.0));
 /// assert!(dtm.throttled_levels() > 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Dtm {
     /// Number of top OPP levels currently clamped off.
     throttled_levels: usize,
@@ -42,7 +41,6 @@ pub struct Dtm {
     above_trip: bool,
     /// Fail-safe engaged: the thermal sensor is lost, so both clusters are
     /// clamped to their lowest OPP regardless of `throttled_levels`.
-    #[serde(default)]
     failsafe: bool,
 }
 

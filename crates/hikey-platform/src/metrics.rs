@@ -1,10 +1,9 @@
 //! Run metrics: everything the paper's evaluation figures are built from.
 
 use hmc_types::{AppId, Celsius, Cluster, Ips, Joules, QosTarget, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The final record of one application's execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppOutcome {
     /// The application's identifier.
     pub id: AppId,
@@ -60,7 +59,7 @@ impl AppOutcome {
 /// let m = RunMetrics::new(7, 9);
 /// assert_eq!(m.migrations(), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunMetrics {
     temp_time_sum: f64,
     peak_temp: f64,
@@ -75,19 +74,12 @@ pub struct RunMetrics {
     throttled_time: SimDuration,
     trip_events: u64,
     outcomes: Vec<AppOutcome>,
-    #[serde(default)]
     sensor_held: u64,
-    #[serde(default)]
     sensor_rejected: u64,
-    #[serde(default)]
     sensor_dropouts: u64,
-    #[serde(default)]
     failsafe_time: SimDuration,
-    #[serde(default)]
     failsafe_events: u64,
-    #[serde(default)]
     dvfs_rejects: u64,
-    #[serde(default)]
     dvfs_delays: u64,
 }
 

@@ -1,10 +1,9 @@
 //! Operating performance points (V/f levels) of the HiKey 970.
 
 use hmc_types::{Cluster, Frequency, Voltage};
-use serde::{Deserialize, Serialize};
 
 /// One operating performance point: a frequency and its supply voltage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Opp {
     /// Clock frequency of this level.
     pub frequency: Frequency,
@@ -29,7 +28,7 @@ pub struct Opp {
 /// let level = big.index_of(Frequency::from_mhz(1018)).unwrap();
 /// assert_eq!(big.opp(level).frequency, Frequency::from_mhz(1018));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OppTable {
     cluster: Cluster,
     opps: Vec<Opp>,

@@ -2,13 +2,12 @@
 
 use hmc_types::AppModel;
 use hmc_types::{CoreId, QosTarget, SimDuration};
-use serde::{Deserialize, Serialize};
 
 use crate::Platform;
 
 /// Counters describing how far a policy degraded from its nominal
 /// operating mode during a run (retries, fallbacks, skipped epochs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DegradationReport {
     /// Migration epochs where inference missed its deadline and the
     /// migration step was skipped (DVFS kept running).

@@ -13,10 +13,9 @@
 //! measurements.
 
 use hmc_types::{Celsius, Cluster, Frequency, Voltage, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Per-cluster power model coefficients.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct ClusterCoefficients {
     /// Dynamic power coefficient in W / (V² · GHz) at activity 1.0.
     k_dyn: f64,
@@ -67,7 +66,7 @@ const LEAKAGE_T0: f64 = 40.0;
 /// );
 /// assert!(busy.value() > 1.5 && busy.value() < 3.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     coeffs: [ClusterCoefficients; 2],
 }

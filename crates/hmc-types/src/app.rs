@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Cluster, Ips};
 
 /// A quality-of-service target, expressed in instructions per second like in
@@ -18,7 +16,7 @@ use crate::{Cluster, Ips};
 /// assert!(!target.is_violated_by(Ips::from_mips(450.0)));
 /// assert!(target.is_violated_by(Ips::from_mips(350.0)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct QosTarget(Ips);
 
 impl QosTarget {
@@ -53,7 +51,7 @@ impl fmt::Display for QosTarget {
 /// different compute/memory balance. A phase scales the base model
 /// parameters by multiplicative factors and covers a fraction of the
 /// application's instruction stream. Phases repeat cyclically.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
     /// Fraction of the phase period covered by this phase, in `(0, 1]`.
     pub weight: f64,
@@ -104,7 +102,7 @@ impl Default for Phase {
 /// let little = m.ips(Cluster::Little, Frequency::from_mhz(2362), 1.0);
 /// assert!(big.value() > little.value());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppModel {
     name: String,
     cpi: [f64; 2],

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Number of clusters on the modelled platform (LITTLE and big).
 pub const NUM_CLUSTERS: usize = 2;
 
@@ -25,7 +23,7 @@ pub const NUM_CORES: usize = NUM_CLUSTERS * CORES_PER_CLUSTER;
 /// assert_eq!(CoreId::new(3).cluster(), Cluster::Little);
 /// assert_eq!(CoreId::new(6).cluster(), Cluster::Big);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Cluster {
     /// The energy-efficient Cortex-A53 cluster.
     Little,
@@ -92,7 +90,7 @@ impl fmt::Display for Cluster {
 /// assert_eq!(c.index(), 5);
 /// assert_eq!(c.cluster(), Cluster::Big);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(u8);
 
 impl CoreId {
@@ -141,9 +139,7 @@ impl fmt::Display for CoreId {
 /// let a = AppId::new(7);
 /// assert_eq!(a.value(), 7);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AppId(u64);
 
 impl AppId {

@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// An absolute instant on the simulated clock, in nanoseconds since start.
 ///
 /// # Examples
@@ -16,9 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_millis(), 50);
 /// assert!(t > SimTime::ZERO);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -108,9 +104,7 @@ impl Sub<SimDuration> for SimTime {
 /// let d = SimDuration::from_millis(500) * 2;
 /// assert_eq!(d, SimDuration::from_secs(1));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {

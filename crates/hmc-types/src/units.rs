@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A clock frequency, stored with kilohertz resolution (like Linux cpufreq).
 ///
 /// # Examples
@@ -16,9 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(f.as_khz(), 2_362_000);
 /// assert!((f.as_ghz() - 2.362).abs() < 1e-12);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Frequency(u64);
 
 impl Frequency {
@@ -93,9 +89,7 @@ impl fmt::Display for Frequency {
 /// let v = Voltage::from_millivolts(1_050);
 /// assert!((v.as_volts() - 1.05).abs() < 1e-12);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Voltage(u32);
 
 impl Voltage {
@@ -139,7 +133,7 @@ impl fmt::Display for Voltage {
 /// let b = Celsius::new(40.0);
 /// assert!((a.degrees_above(b) - 2.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Celsius(f64);
 
 impl Celsius {
@@ -206,7 +200,7 @@ impl Sub<f64> for Celsius {
 /// let p = Watts::new(1.5) + Watts::new(0.5);
 /// assert_eq!(p, Watts::new(2.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Watts(f64);
 
 impl Watts {
@@ -293,7 +287,7 @@ impl Sum for Watts {
 /// let e = Watts::new(2.0).for_duration(SimDuration::from_secs(3));
 /// assert_eq!(e, Joules::new(6.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Joules(f64);
 
 impl Joules {
@@ -352,7 +346,7 @@ impl Watts {
 /// let q = Ips::from_mips(471.0);
 /// assert!((q.as_mips() - 471.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Ips(f64);
 
 impl Ips {

@@ -1,7 +1,5 @@
 //! The Adam optimizer ("Adam with momentum", as the paper trains with).
 
-use serde::{Deserialize, Serialize};
-
 use crate::mlp::Gradients;
 use crate::{Matrix, Mlp};
 
@@ -27,7 +25,7 @@ use crate::{Matrix, Mlp};
 /// }
 /// assert!((mlp.forward(&[1.0, 0.0])[0] - 3.0).abs() < 0.1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
     beta1: f32,
     beta2: f32,

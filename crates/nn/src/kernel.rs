@@ -9,7 +9,7 @@
 //! # Bit-exactness contract
 //!
 //! Every downstream gate — golden traces, fleet/edge CSV diffs, the chaos
-//! harness — depends on the fast path producing *byte-identical* outputs
+//! storm presets — depends on the fast path producing *byte-identical* outputs
 //! to the scalar reference. The kernel earns that by construction:
 //!
 //! * `i32` addition is associative and commutative, so splitting a dot
@@ -24,8 +24,6 @@
 //! executable specification; `tests/kernel_equivalence.rs` and the
 //! proptests below hold the two paths equal on randomized shapes, scales,
 //! and adversarial rounding-boundary inputs.
-
-use serde::{Deserialize, Serialize};
 
 /// Lane width of the wide `i32` accumulator bundles.
 ///
@@ -46,7 +44,7 @@ pub const OUT_TILE: usize = 4;
 /// harness); `Scalar` exists as the executable reference specification and
 /// as a CLI-selectable mode (`experiments fleet --kernel scalar`) for the
 /// ci.sh byte-for-byte cross-kernel diff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
     /// Naive triple-loop reference: one scalar `i32` accumulator per
     /// output, in input order.

@@ -44,7 +44,7 @@ mod train;
 pub use adam::Adam;
 pub use kernel::KernelMode;
 pub use matrix::Matrix;
-pub use mlp::{ForwardScratch, Gradients, Mlp};
+pub use mlp::{Gradients, Mlp};
 pub use resume::{
     derive_rng, rng_stream_fingerprint, train_resumable, StateDecodeError, TrainControl,
     TrainOutcome, TrainState,

@@ -1,7 +1,5 @@
 //! A minimal row-major f32 matrix.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense row-major matrix of `f32`.
 ///
 /// # Examples
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// let b = Matrix::identity(2);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -1,12 +1,11 @@
 //! Fully-connected multi-layer perceptron with ReLU hidden activations.
 
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 use crate::Matrix;
 
 /// One dense layer: `y = W·x + b` with `W` stored `out × in`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Dense {
     pub(crate) w: Matrix,
     pub(crate) b: Vec<f32>,
@@ -29,7 +28,7 @@ pub(crate) struct Dense {
 /// let out = mlp.forward(&[0.0; 21]);
 /// assert_eq!(out.len(), 8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     layers: Vec<Dense>,
 }
@@ -118,41 +117,6 @@ impl ForwardCache {
     /// The network output for this cached forward pass.
     pub fn output(&self) -> &Matrix {
         self.activations.last().expect("cache is never empty")
-    }
-}
-
-/// Reusable activation buffers for allocation-free single-sample
-/// inference.
-///
-/// [`Mlp::forward`] allocates a fresh matrix per layer, which is fine for
-/// one-off calls but wasteful on per-epoch hot paths that run thousands of
-/// single-sample inferences (policy evaluation, CPU-fallback serving).
-/// Create one `ForwardScratch` and reuse it across calls to
-/// [`Mlp::forward_into`]; the buffers grow to the widest layer once and
-/// are then recycled.
-///
-/// # Examples
-///
-/// ```
-/// use nn::{ForwardScratch, Mlp};
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
-///
-/// let mlp = Mlp::new(&[4, 16, 2], &mut StdRng::seed_from_u64(0));
-/// let mut scratch = ForwardScratch::new();
-/// let x = [0.3, -0.2, 0.5, 0.0];
-/// assert_eq!(mlp.forward_into(&x, &mut scratch), mlp.forward(&x).as_slice());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ForwardScratch {
-    cur: Vec<f32>,
-    next: Vec<f32>,
-}
-
-impl ForwardScratch {
-    /// Empty scratch buffers; they size themselves on first use.
-    pub fn new() -> Self {
-        ForwardScratch::default()
     }
 }
 
@@ -307,39 +271,6 @@ impl Mlp {
         let input = Matrix::from_rows(vec![x.to_vec()]);
         let out = self.forward_batch(&input);
         out.row(0).to_vec()
-    }
-
-    /// Single-sample inference into reusable scratch buffers — the
-    /// allocation-free twin of [`Mlp::forward`], bit-identical to it
-    /// (same accumulation order), for per-epoch hot paths.
-    ///
-    /// Returns a slice borrowing the scratch buffer; copy it out before
-    /// the next call if you need to keep it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from the input size.
-    pub fn forward_into<'a>(&self, x: &[f32], scratch: &'a mut ForwardScratch) -> &'a [f32] {
-        assert_eq!(x.len(), self.input_size(), "input width mismatch");
-        scratch.cur.clear();
-        scratch.cur.extend_from_slice(x);
-        for (i, layer) in self.layers.iter().enumerate() {
-            let n_out = layer.w.rows();
-            scratch.next.clear();
-            scratch.next.resize(n_out, 0.0);
-            let relu = i + 1 < self.layers.len();
-            for (o, out) in scratch.next.iter_mut().enumerate() {
-                let w_row = layer.w.row(o);
-                let mut sum = 0.0;
-                for (a, w) in scratch.cur.iter().zip(w_row) {
-                    sum += a * w;
-                }
-                let v = sum + layer.b[o];
-                *out = if relu { v.max(0.0) } else { v };
-            }
-            std::mem::swap(&mut scratch.cur, &mut scratch.next);
-        }
-        &scratch.cur
     }
 
     /// Batched inference: each row of `x` is one sample.
@@ -497,27 +428,6 @@ mod tests {
             assert!((out.get(0, c) - single_a[c]).abs() < 1e-6);
             assert!((out.get(1, c) - single_b[c]).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn forward_into_is_bit_identical_and_reusable() {
-        let mlp = Mlp::with_topology(21, 4, 64, 8, &mut rng());
-        let mut scratch = ForwardScratch::new();
-        for i in 0..8 {
-            let x: Vec<f32> = (0..21)
-                .map(|j| ((i * 5 + j * 3) % 13) as f32 / 13.0 - 0.5)
-                .collect();
-            let alloc = mlp.forward(&x);
-            let fast = mlp.forward_into(&x, &mut scratch).to_vec();
-            assert_eq!(alloc, fast, "sample {i}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "input width mismatch")]
-    fn forward_into_validates_input_width() {
-        let mlp = Mlp::new(&[3, 2], &mut rng());
-        let _ = mlp.forward_into(&[1.0, 2.0], &mut ForwardScratch::new());
     }
 
     #[test]

@@ -6,12 +6,11 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::{train, Dataset, Mlp, TrainConfig};
 
 /// The outcome of training one grid point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridPoint {
     /// Number of hidden layers.
     pub hidden_layers: usize,
@@ -24,7 +23,7 @@ pub struct GridPoint {
 }
 
 /// The full result of a grid search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridSearchResult {
     /// Every evaluated grid point.
     pub points: Vec<GridPoint>,

@@ -1,7 +1,5 @@
 //! Feature standardization (zero mean, unit variance).
 
-use serde::{Deserialize, Serialize};
-
 use crate::Matrix;
 
 /// A per-feature standardizer fitted on training data and applied at
@@ -17,7 +15,7 @@ use crate::Matrix;
 /// let t = s.transform_row(&[2.0, 20.0]);
 /// assert!(t.iter().all(|v| v.abs() < 1e-6)); // the mean maps to zero
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Standardizer {
     mean: Vec<f32>,
     std: Vec<f32>,

@@ -2,7 +2,6 @@
 //! stopping — the exact recipe of the paper (§4.3).
 
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 use crate::{Adam, Matrix, Mlp};
 
@@ -17,7 +16,7 @@ use crate::{Adam, Matrix, Mlp};
 /// let data = Dataset::new(x, y);
 /// assert_eq!(data.len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     x: Matrix,
     y: Matrix,
@@ -84,7 +83,7 @@ pub(crate) fn shuffle<R: RngExt + ?Sized>(indices: &mut [usize], rng: &mut R) {
 /// Hyper-parameters of [`train`], defaulting to the paper's values:
 /// learning rate `0.01 · 0.95^epoch`, MSE loss, early stopping with a
 /// patience of 20 epochs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Initial learning rate.
     pub initial_lr: f32,
@@ -120,7 +119,7 @@ impl Default for TrainConfig {
 }
 
 /// The result of a training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Epochs actually run (≤ `max_epochs`, early stopping permitting).
     pub epochs: usize,

@@ -1,7 +1,6 @@
-//! The tier's invariant checker, shared by every harness that drives a
-//! [`TieredService`](crate::TieredService) (the chaos storms and the edge
-//! fleet's regions), plus the seeded request payload both harnesses
-//! submit.
+//! The tier's invariant checker, run by the harness that drives a
+//! [`TieredService`](crate::TieredService) (the edge fleet's regions,
+//! storm presets included), plus the seeded request payload it submits.
 //!
 //! [`TierChecker`] watches every submit, outcome, barrier and breaker
 //! transition of one tier:

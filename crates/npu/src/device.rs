@@ -1,7 +1,6 @@
 //! Latency/cycle model of the NPU.
 
 use hmc_types::{Joules, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::NpuModel;
 
@@ -25,7 +24,7 @@ use crate::NpuModel;
 /// let dev = NpuDevice::kirin970();
 /// assert!(dev.clock_hz() > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NpuDevice {
     clock_hz: f64,
     macs_per_cycle: f64,

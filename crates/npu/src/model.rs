@@ -2,7 +2,6 @@
 
 use nn::kernel::{self, KernelMode};
 use nn::{Matrix, Mlp};
-use serde::{Deserialize, Serialize};
 
 use crate::QuantizedTensor;
 
@@ -29,7 +28,7 @@ impl InferScratch {
 }
 
 /// One compiled layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct NpuLayer {
     /// Quantized weights, row-major `out × in`.
     weights: QuantizedTensor,
@@ -64,7 +63,7 @@ struct NpuLayer {
 /// let approx = model.infer(&Matrix::from_rows(vec![x.to_vec()]));
 /// assert!((exact[0] - approx.get(0, 0)).abs() < 0.1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NpuModel {
     layers: Vec<NpuLayer>,
     input_size: usize,

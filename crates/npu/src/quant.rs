@@ -1,7 +1,5 @@
 //! Symmetric int8 quantization.
 
-use serde::{Deserialize, Serialize};
-
 /// An int8-quantized tensor with a single symmetric scale:
 /// `real ≈ scale · q`.
 ///
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// let back = q.dequantize();
 /// assert!((back[1] + 1.0).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedTensor {
     scale: f32,
     values: Vec<i8>,

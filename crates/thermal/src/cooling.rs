@@ -1,7 +1,5 @@
 //! Cooling configurations (active fan vs. passive).
 
-use serde::{Deserialize, Serialize};
-
 /// A cooling configuration for the board.
 ///
 /// The paper collects all oracle traces with **active cooling (a fan)** to
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let passive = Cooling::passive();
 /// assert!(fan.board_to_ambient_g() > passive.board_to_ambient_g());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cooling {
     name: &'static str,
     board_to_ambient_g: f64,

@@ -1,10 +1,9 @@
 //! Generic lumped RC thermal network.
 
 use hmc_types::{Celsius, SimDuration, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Index of a node inside an [`RcNetwork`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(usize);
 
 impl NodeId {
@@ -14,7 +13,7 @@ impl NodeId {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Node {
     name: String,
     /// Heat capacity in J/K.

@@ -6,14 +6,12 @@
 //! excess of 0.5 ± 0.2 °C.
 
 use hmc_types::CoreId;
-use nn::ForwardScratch;
-use serde::{Deserialize, Serialize};
 
 use crate::oracle::OracleCase;
 use crate::training::IlModel;
 
 /// Aggregate model-evaluation metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalResult {
     /// Decisions evaluated (one per source per case).
     pub decisions: usize,
@@ -35,9 +33,6 @@ pub fn evaluate_model(model: &IlModel, cases: &[OracleCase]) -> EvalResult {
     let mut excess_sum = 0.0f64;
     let mut excess_n = 0usize;
     let mut infeasible = 0usize;
-    // One prediction per source per case — reuse scratch buffers across
-    // the whole sweep instead of allocating per layer per prediction.
-    let mut scratch = ForwardScratch::new();
 
     for case in cases {
         let Some(t_min) = case
@@ -56,7 +51,7 @@ pub fn evaluate_model(model: &IlModel, cases: &[OracleCase]) -> EvalResult {
             .map(CoreId::new)
             .collect();
         for source in &case.sources {
-            let ratings = model.predict_with(source, &mut scratch);
+            let ratings = model.predict(source);
             let Some(chosen) = candidates
                 .iter()
                 .copied()

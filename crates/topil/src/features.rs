@@ -11,7 +11,6 @@
 
 use hikey_platform::Platform;
 use hmc_types::{AppId, Cluster, CoreId, Ips, QosTarget, NUM_CORES};
-use serde::{Deserialize, Serialize};
 
 use crate::util::estimate_min_level;
 
@@ -43,7 +42,7 @@ const L2D_SCALE: f32 = 1e-9;
 /// assert_eq!(arr.len(), topil::FEATURE_COUNT);
 /// assert_eq!(arr[2 + 3], 1.0); // one-hot of core 3
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Features {
     /// Current measured performance of the AoI (`q_AoI`).
     pub qos_current: Ips,

@@ -14,7 +14,6 @@ use hmc_types::{
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use thermal::{Cooling, SocThermal};
 use workloads::Benchmark;
 
@@ -22,7 +21,7 @@ use crate::features::Features;
 
 /// A training scenario: one AoI and a set of background applications
 /// pinned to distinct cores.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// The application of interest.
     pub aoi: Benchmark,
@@ -89,7 +88,7 @@ impl Scenario {
 }
 
 /// One trace measurement: the AoI mapped to one core at one V/f point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracePoint {
     /// Mean AoI performance.
     pub ips: Ips,
@@ -100,7 +99,7 @@ pub struct TracePoint {
 }
 
 /// All traces of one scenario over the V/f grid and free cores.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioTraces {
     /// The traced scenario.
     pub scenario: Scenario,
@@ -409,7 +408,7 @@ pub fn steady_state_temperature(
 }
 
 /// Which source mappings get a training example per labeled case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SourcePolicy {
     /// One example per free core — the paper's exhaustive scheme ("the
     /// policy is trained to recover from each potential mapping", which is
@@ -421,7 +420,7 @@ pub enum SourcePolicy {
 }
 
 /// Settings for training-data extraction from traces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtractionConfig {
     /// QoS targets swept as fractions of the AoI's maximum observed IPS.
     pub qos_fractions: Vec<f64>,

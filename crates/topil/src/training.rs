@@ -7,10 +7,9 @@
 //! learning rate and early stopping — all implemented in the [`nn`] crate.
 
 use hmc_types::NUM_CORES;
-use nn::{nas, Dataset, ForwardScratch, Matrix, Mlp, Standardizer, TrainConfig};
+use nn::{nas, Dataset, Matrix, Mlp, Standardizer, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::features::{Features, FEATURE_COUNT};
 use crate::oracle::{extract_cases, ExtractionConfig, OracleCase, Scenario, TraceCollector};
@@ -21,7 +20,7 @@ use crate::oracle::{extract_cases, ExtractionConfig, OracleCase, Scenario, Trace
 /// # Examples
 ///
 /// See [`IlTrainer::train`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IlModel {
     mlp: Mlp,
     standardizer: Standardizer,
@@ -91,23 +90,10 @@ impl IlModel {
 
     /// Predicts the 8 per-core ratings for one AoI on the CPU.
     pub fn predict(&self, features: &Features) -> [f32; NUM_CORES] {
-        let mut scratch = ForwardScratch::new();
-        self.predict_with(features, &mut scratch)
-    }
-
-    /// Like [`IlModel::predict`], but reuses caller-owned scratch buffers —
-    /// allocation-free after the first call, bit-identical results. Use on
-    /// per-epoch hot paths (policy evaluation, CPU-fallback serving) that
-    /// predict thousands of times per run.
-    pub fn predict_with(
-        &self,
-        features: &Features,
-        scratch: &mut ForwardScratch,
-    ) -> [f32; NUM_CORES] {
         let x = self.standardizer.transform_row(&features.to_array());
-        let out = self.mlp.forward_into(&x, scratch);
+        let out = self.mlp.forward(&x);
         let mut ratings = [0.0f32; NUM_CORES];
-        ratings.copy_from_slice(out);
+        ratings.copy_from_slice(&out);
         ratings
     }
 }

@@ -1,7 +1,6 @@
 //! The shared tabular Q-function.
 
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 use crate::state::{NUM_ACTIONS, NUM_STATES};
 
@@ -16,7 +15,7 @@ use crate::state::{NUM_ACTIONS, NUM_STATES};
 /// q.update(3, 1, 0.5);
 /// assert!(q.value(3, 1) > q.value(3, 0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QTable {
     values: Vec<f32>,
 }

@@ -2,7 +2,6 @@
 
 use hikey_platform::{AppSnapshot, Platform};
 use hmc_types::{Cluster, NUM_CORES};
-use serde::{Deserialize, Serialize};
 
 /// Actions: one migration target per core.
 pub const NUM_ACTIONS: usize = NUM_CORES;
@@ -16,7 +15,7 @@ const L2D_THRESHOLDS: [f64; 2] = [10.0e6, 40.0e6];
 
 /// Q-learning hyper-parameters (taken from the paper / its reference
 /// [Lu et al. 2015]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RlConfig {
     /// Exploration probability of the ε-greedy policy.
     pub epsilon: f64,

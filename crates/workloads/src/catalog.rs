@@ -4,7 +4,6 @@ use std::fmt;
 use std::str::FromStr;
 
 use hmc_types::{AppModel, Cluster, Phase, TypeError};
-use serde::{Deserialize, Serialize};
 
 /// One of the sixteen benchmarks used in the paper's evaluation.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!("canneal".parse::<Benchmark>().unwrap(), Benchmark::Canneal);
 /// assert_eq!(Benchmark::all().len(), 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum Benchmark {
     // Polybench

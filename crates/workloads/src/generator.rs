@@ -2,7 +2,6 @@
 
 use hmc_types::{AppModel, Cluster, Frequency, Ips, QosTarget, SimDuration, SimTime};
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 use crate::Benchmark;
 
@@ -26,7 +25,7 @@ use crate::Benchmark;
 /// );
 /// assert!(target.ips().value() > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QosSpec {
     /// Fraction of the IPS reached at the highest big-cluster V/f level.
     FractionOfMaxBig(f64),
@@ -59,7 +58,7 @@ impl QosSpec {
 }
 
 /// One scheduled application arrival.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrivalSpec {
     /// When the application enters the system.
     pub at: SimTime,
@@ -82,7 +81,7 @@ pub struct ArrivalSpec {
 /// let w = Workload::single(Benchmark::Adi, QosSpec::FractionOfMaxBig(0.3));
 /// assert_eq!(w.len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Workload {
     arrivals: Vec<ArrivalSpec>,
 }
@@ -138,7 +137,7 @@ impl<'a> IntoIterator for &'a Workload {
 /// Configuration for the paper's main mixed-workload experiment: 20
 /// randomly selected applications with Poisson arrivals and random QoS
 /// targets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixedWorkloadConfig {
     /// Number of applications (the paper uses 20).
     pub num_apps: usize,

@@ -19,12 +19,11 @@ mod common;
 
 use std::sync::OnceLock;
 
-use bench::chaos::{self, ChaosConfig, StormPreset};
-use bench::csv::{chaos_csv, edge_csv, fleet_csv, overload_csv};
+use bench::csv::{edge_csv, fleet_csv, overload_csv};
 use bench::fleet::{self, ChurnSpec, FleetConfig};
 use bench::overload::{self, OverloadConfig};
 use common::{check_golden, CsvDigest};
-use edge_sim::{Demand, EdgeConfig};
+use edge_sim::{Demand, EdgeConfig, StormPreset};
 use top_il::par::Budget;
 use top_il::prelude::*;
 use top_il::workloads::replay::EpochReplay;
@@ -120,29 +119,31 @@ fn overload_storm() {
     overload_digest("overload_storm", true);
 }
 
-/// The five chaos presets at the CI chaos gate's size.
+/// The five storm presets in the chaos scenario at the CI chaos gate's
+/// size.
 #[test]
 fn chaos_presets() {
     for storm in StormPreset::ALL {
-        check_csv(&format!("chaos_{storm}"), "chaos", |budget| {
-            chaos_csv(&chaos::run(&ChaosConfig {
+        edge_digest(
+            &format!("chaos_{storm}"),
+            EdgeConfig {
                 boards: 8,
-                racks: 2,
+                racks_per_region: 2,
                 epochs: 24,
                 seed: 11,
-                storm,
-                budget,
-            }))
-        });
+                ..EdgeConfig::chaos(storm)
+            },
+        );
     }
 }
 
 fn edge_digest(name: &str, config: EdgeConfig) {
     check_csv(name, "edge", |budget| {
-        edge_csv(&edge_sim::run(&EdgeConfig {
+        let config = EdgeConfig {
             budget,
             ..config.clone()
-        }))
+        };
+        edge_csv(&edge_sim::run(&config), config.storm)
     });
 }
 

@@ -5,12 +5,11 @@
 //! the executable specification the vectorized body is diffed against.
 //!
 //! Bit equality here is load-bearing, not cosmetic: the golden-trace
-//! fixtures, the fleet/edge CSV diff gates, and the chaos invariant
-//! checker all hash policy outputs, so a kernel that is "close enough"
-//! in floating point breaks every downstream gate. The kernels are
-//! designed to make equality structural (i32 accumulation is associative
-//! under any lane split; both paths share one IEEE-754 epilogue), and
-//! this suite is the proof.
+//! fixtures and the fleet/edge CSV diff gates hash policy outputs, so a
+//! kernel that is "close enough" in floating point breaks every
+//! downstream gate. The kernels are designed to make equality structural
+//! (i32 accumulation is associative under any lane split; both paths
+//! share one IEEE-754 epilogue), and this suite is the proof.
 
 mod common;
 
