@@ -2,10 +2,10 @@
 //! reproduction.
 //!
 //! The TOP-IL fleet harness (`bench::fleet`) drives boards from a closed
-//! loop — one request per board per epoch. Real
-//! edge fleets face an **open system**: millions of users issue requests
-//! on their own schedule, the load follows the sun, regions are skewed,
-//! and flash crowds arrive uninvited. This crate supplies that demand
+//! loop — one request per board per epoch. Real edge fleets face an
+//! **open system**: millions of users issue requests on their own
+//! schedule, the load follows the sun, regions are skewed, and flash
+//! crowds arrive uninvited. This crate supplies that demand
 //! side, in the spirit of the dslab-iaas/dslab-faas trace-replay cloud
 //! simulators, and drives it through the existing serving stack at
 //! 10k–100k boards:

@@ -4,7 +4,7 @@
 //! A preset is a recipe for a [`StormBuilder`]: crash waves, rack
 //! partitions, heartbeat silence and regional slowdowns at epoch
 //! anchors that scale with the run length, so every preset stays
-//! meaningful at any `epochs`. [`crate::run`] applies the recipe in
+//! meaningful at any `epochs`. [`crate::run()`] applies the recipe in
 //! every region with that region's board count and rack count, and the
 //! tier's own invariant checker watches the result.
 
