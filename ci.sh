@@ -38,6 +38,13 @@ fi
 if grep -rn 'TieredService::new' crates/*/src | grep -vE '^crates/(npu-serve|edge-sim)/'; then
     echo "one-harness lint: drive the tier through edge_sim::run" >&2; exit 1
 fi
+# Event-buffer lint: the serving layer reports through counters
+# (`ServeStats`, `TierStats`) and `MetricsSnapshot`. It keeps no
+# trace-event log, so an unread per-request buffer cannot grow back
+# into large runs.
+if grep -rn 'TraceEvent' crates/npu-serve/src; then
+    echo "event-buffer lint: npu-serve reports through counters, not TraceEvent" >&2; exit 1
+fi
 gate_end "fmt + clippy + lints"
 
 # Platform hot-path gate: a steady-state `Platform::tick` performs no heap

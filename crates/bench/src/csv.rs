@@ -182,7 +182,9 @@ pub fn fleet_csv(report: &FleetReport) -> String {
     );
     summary("throughput_rps", format!("{:.4}", report.throughput_rps));
     summary("mismatches", report.mismatches.to_string());
-    summary("saturation_events", report.saturation_events.to_string());
+    // Every queue-full rejection is a saturation; the row name predates
+    // the counter and stays for CSV compatibility.
+    summary("saturation_events", report.rejected_submissions.to_string());
     summary("cache_hits", report.cache_hits.to_string());
     summary("cache_misses", report.cache_misses.to_string());
     summary("churn_events", report.churn_events.to_string());

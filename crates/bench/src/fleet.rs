@@ -30,7 +30,7 @@ use faults::{FleetFault, FleetSchedule, StormBuilder};
 use hikey_platform::{default_placement, Platform, PlatformConfig};
 use hmc_types::{SimDuration, SimTime};
 use npu::{KernelMode, NpuDevice, NpuModel};
-use npu_serve::{NpuService, RequestTicket, ServeConfig};
+use npu_serve::{NpuService, RequestTicket, RetryPolicy, ServeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use topil::dvfs::DvfsControlLoop;
@@ -38,7 +38,6 @@ use topil::governor::{DVFS_PERIOD, MIGRATION_PERIOD};
 use topil::oracle::Scenario;
 use topil::training::{IlTrainer, TrainSettings};
 use topil::{ClientReply, IlModel, InferenceBackend, MigrationPolicy, PreparedEpoch};
-use trace::TraceEvent;
 use workloads::{ArrivalSpec, MixedWorkloadConfig, WorkloadGenerator};
 
 /// Configuration of one fleet run.
@@ -174,8 +173,6 @@ pub struct FleetReport {
     /// Replies that differed from dedicated-device inference (must be
     /// zero: batching is bit-exact).
     pub mismatches: u64,
-    /// `QueueSaturated` events the service emitted.
-    pub saturation_events: u64,
     /// Policy-cache hits across the run (0 when the cache is disabled).
     pub cache_hits: u64,
     /// Policy-cache misses across the run (0 when the cache is disabled).
@@ -627,13 +624,7 @@ fn finalize(
     let down_total: u64 = down_by_board.iter().sum();
     let availability = 1.0 - down_total as f64 / (config.boards as u64 * config.epochs) as f64;
 
-    let mut saturation_events = 0u64;
     service.flush(end);
-    for event in service.drain_events() {
-        if matches!(event, TraceEvent::QueueSaturated { .. }) {
-            saturation_events += 1;
-        }
-    }
 
     let stats = service.stats().clone();
     let pool_device_time: SimDuration = service.device_busy_times().into_iter().sum();
@@ -686,7 +677,6 @@ fn finalize(
             0.0
         },
         mismatches,
-        saturation_events,
         cache_hits: stats.cache_hits,
         cache_misses: stats.cache_misses,
         churn_events,
@@ -783,7 +773,7 @@ fn fleet_epoch(
         *serial_device_time += device.inference_latency(dedicated, prepared.batch().rows());
         let mut at = now + board.jitter;
         let mut ticket = None;
-        for _ in 0..=service.config().retry.max_attempts {
+        for _ in 0..=RetryPolicy::default().max_attempts {
             match service.submit(prepared.batch(), at) {
                 Ok(t) => {
                     ticket = Some(t);

@@ -325,7 +325,7 @@ pub fn run(config: &OverloadConfig) -> OverloadReport {
         payload(a.payload_seed, a.rows)
     });
 
-    let policy = service.config().retry;
+    let policy = RetryPolicy::default();
     let end = SimTime::from_nanos(config.epochs * epoch_ns);
     let drive = Drive {
         arrivals: &arrivals,
@@ -458,9 +458,7 @@ fn process_attempt(drive: &Drive, state: &mut DriveState, attempt: Attempt) -> O
                 // simultaneous attempts draw independent jitter.
                 let seed = arrival.client.value() ^ attempt.at.as_nanos() ^ attempt.seq;
                 let backoff = drive.policy.backoff(retry, err.retry_after(), seed);
-                state
-                    .service
-                    .record_retry(arrival.client, retry, backoff, attempt.at);
+                state.service.record_retry();
                 let next = Attempt {
                     at: attempt.at + backoff,
                     seq: state.next_seq,

@@ -715,7 +715,7 @@ fn simulate_region(config: &EdgeConfig, region: usize) -> (RegionOutcome, Vec<Si
     }
 
     let RegionState {
-        mut service,
+        service,
         checker,
         mut qos_delays,
         thermal_violations,
@@ -725,7 +725,6 @@ fn simulate_region(config: &EdgeConfig, region: usize) -> (RegionOutcome, Vec<Si
         ..
     } = state;
     let stats = *service.stats();
-    let _ = service.drain_service_events();
     let violations = checker.finish(&stats);
 
     qos_delays.sort_unstable();

@@ -6,14 +6,12 @@ use hmc_types::SimDuration;
 use npu::KernelMode;
 
 use crate::limiter::RateLimit;
-use crate::retry::RetryPolicy;
 
 /// Tunables of the shared inference service.
 ///
-/// The middleware fields (`shed_*`, `cpu_degrade_watermark`,
-/// `rate_limit`) all default to *disabled*, so a default configuration
-/// behaves exactly like the pre-middleware service: admission control is
-/// queue capacity alone.
+/// The admission fields (`shed_*`, `cpu_degrade_watermark`,
+/// `rate_limit`) all default to *disabled*, so under a default
+/// configuration admission control is queue capacity alone.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
     /// NPU devices in the pool.
@@ -35,9 +33,6 @@ pub struct ServeConfig {
     pub breaker_threshold: u32,
     /// Dispatches a breaker stays open before a half-open probe.
     pub breaker_cooldown: u32,
-    /// Client-side retry schedule of a [`crate::SharedClient`]
-    /// (resubmissions after retryable errors, with jittered backoff).
-    pub retry: RetryPolicy,
     /// Shed every submission arriving at this queue depth or deeper.
     /// `None` disables the depth watermark.
     pub shed_depth_watermark: Option<usize>,
@@ -80,7 +75,6 @@ impl Default for ServeConfig {
             retry_after: SimDuration::from_millis(1),
             breaker_threshold: 3,
             breaker_cooldown: 8,
-            retry: RetryPolicy::default(),
             shed_depth_watermark: None,
             shed_latency_watermark: None,
             cpu_degrade_watermark: None,
@@ -108,8 +102,6 @@ pub enum ConfigError {
     ZeroDepthWatermark,
     /// `rate_limit` had a burst below one token or a non-positive refill.
     InvalidRateLimit,
-    /// `retry` had a zero base, a multiplier below one, or `max < base`.
-    InvalidRetryPolicy,
     /// A tier topology had zero racks.
     ZeroRacks,
     /// Heartbeat interval was zero, or the timeout was shorter than the
@@ -129,9 +121,6 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidRateLimit => {
                 "rate limit needs burst >= 1 and a positive refill rate"
             }
-            ConfigError::InvalidRetryPolicy => {
-                "retry policy needs a positive base, multiplier >= 1 and max >= base"
-            }
             ConfigError::ZeroRacks => "need at least one rack",
             ConfigError::InvalidHeartbeat => {
                 "heartbeat needs a positive interval and timeout >= interval"
@@ -149,7 +138,7 @@ impl std::error::Error for ConfigError {}
 impl ServeConfig {
     /// Validates the configuration, returning the first violated
     /// invariant: non-zero pool, batch and capacity, a usable
-    /// depth watermark, a sane rate limit and a sane retry policy.
+    /// depth watermark and a sane rate limit.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.devices == 0 {
             return Err(ConfigError::ZeroDevices);
@@ -167,12 +156,6 @@ impl ServeConfig {
             if !limit.is_valid() {
                 return Err(ConfigError::InvalidRateLimit);
             }
-        }
-        if self.retry.base.is_zero()
-            || self.retry.multiplier < 1.0
-            || self.retry.max < self.retry.base
-        {
-            return Err(ConfigError::InvalidRetryPolicy);
         }
         Ok(())
     }
@@ -241,19 +224,6 @@ mod tests {
             };
             assert_eq!(config.validate(), Err(ConfigError::InvalidRateLimit));
         }
-    }
-
-    #[test]
-    fn degenerate_retry_policy_rejected() {
-        let retry = crate::RetryPolicy {
-            multiplier: 0.5,
-            ..crate::RetryPolicy::default()
-        };
-        let config = ServeConfig {
-            retry,
-            ..ServeConfig::default()
-        };
-        assert_eq!(config.validate(), Err(ConfigError::InvalidRetryPolicy));
     }
 
     #[test]

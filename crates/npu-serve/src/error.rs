@@ -3,10 +3,30 @@
 use std::fmt;
 
 use hmc_types::{SimDuration, SimTime};
-use trace::ShedReason;
 
 use crate::limiter::ClientId;
 use crate::retry::RetryClass;
+
+/// Why the service shed a submission before queueing it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShedReason {
+    /// The bounded submission queue was at hard capacity.
+    QueueFull,
+    /// Queue depth crossed the load-shedding depth watermark.
+    DepthWatermark,
+    /// The estimated service latency crossed the latency watermark.
+    LatencyWatermark,
+}
+
+impl fmt::Display for ShedReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ShedReason::QueueFull => "queue_full",
+            ShedReason::DepthWatermark => "depth_watermark",
+            ShedReason::LatencyWatermark => "latency_watermark",
+        })
+    }
+}
 
 /// Why the service turned a submission down (or failed an admitted
 /// request fast).
@@ -109,6 +129,15 @@ impl fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+/// Maps a queue-capacity rejection into the error taxonomy.
+pub(crate) fn queue_full_error(depth: usize, retry_after: SimDuration) -> ServeError {
+    ServeError::Shed {
+        reason: ShedReason::QueueFull,
+        depth,
+        retry_after,
+    }
+}
 
 #[cfg(test)]
 mod tests {

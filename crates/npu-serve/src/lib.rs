@@ -1,5 +1,5 @@
 //! Shared NPU inference service with dynamic batching and a
-//! production-grade admission layer.
+//! production-grade admission check.
 //!
 //! The paper gives every HiKey 970 board its own NPU. At fleet scale that
 //! inverts: the NPU's driver round-trip (~3.9 ms) dominates and is nearly
@@ -9,12 +9,12 @@
 //!
 //! * [`SubmissionQueue`] — a bounded queue with admission control: when
 //!   the backlog hits capacity, new requests are rejected with a
-//!   retry-after hint and the depth at rejection (and a `QueueSaturated`
-//!   trace event) instead of growing the queue without bound,
-//! * an **admission middleware stack** ([`middleware`]) every submission
-//!   runs through before it may occupy a queue slot: input validation,
-//!   deadline feasibility ([`SubmitOptions::deadline`] — infeasible
-//!   deadlines fail fast with [`ServeError::DeadlineExceeded`] instead of
+//!   retry-after hint and the depth at rejection instead of growing the
+//!   queue without bound,
+//! * **admission** — one fixed-order check every submission passes
+//!   before it may occupy a queue slot: input validation, deadline
+//!   feasibility ([`SubmitOptions::deadline`] — infeasible deadlines
+//!   fail fast with [`ServeError::DeadlineExceeded`] instead of
 //!   computing-then-discarding), per-client token-bucket rate limiting
 //!   ([`RateLimit`], keyed by [`ClientId`], refilled in virtual time),
 //!   and watermark-driven **load shedding** with a backlog-derived
@@ -28,12 +28,11 @@
 //!   results are **bit-identical** to dedicated-device issuance,
 //! * per-device **circuit breakers** (reusing [`faults::CircuitBreaker`])
 //!   — a device that keeps failing is taken out of rotation and its
-//!   traffic drains to a CPU fallback until the cooldown probe passes;
-//!   every transition (open, half-open, closed) is a drained trace event,
-//! * [`SharedClient`] — a [`topil::PolicyClient`] adapter with classified
-//!   retries: retryable failures ([`RetryClass::Retryable`]) back off with
-//!   deterministic jitter under the service's [`RetryPolicy`], terminal
-//!   failures degrade the epoch immediately,
+//!   traffic drains to a CPU fallback until the cooldown probe passes,
+//! * **counters, not event buffers** — every outcome lands in
+//!   [`ServeStats`] and the per-epoch [`MetricsSnapshot`]; the service
+//!   keeps no trace-event log. Callers that retry classify errors with
+//!   [`ServeError::retry_class`] and back off under a [`RetryPolicy`],
 //! * **inline batch compute** — a flush computes its ready batches on
 //!   the calling thread, in dispatch order, and spawns no threads. Host
 //!   parallelism lives one level up, in `par::Budget`, which shards edge
@@ -73,11 +72,9 @@
 #![warn(missing_docs)]
 
 mod checker;
-mod client;
 mod config;
 mod error;
 mod limiter;
-pub mod middleware;
 pub mod quantile;
 mod queue;
 mod retry;
@@ -87,11 +84,9 @@ mod stats;
 mod tier;
 
 pub use checker::{seeded_payload, TierChecker};
-pub use client::SharedClient;
 pub use config::{ConfigError, ServeConfig};
-pub use error::ServeError;
+pub use error::{ServeError, ShedReason};
 pub use limiter::{ClientId, RateLimit};
-pub use middleware::{Admission, AdmissionContext, AdmissionLayer};
 pub use queue::{Rejected, SubmissionQueue};
 pub use retry::{RetryClass, RetryPolicy};
 pub use service::{NpuService, RequestTicket, SubmitOptions};

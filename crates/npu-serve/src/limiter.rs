@@ -7,10 +7,8 @@ use hmc_types::{SimDuration, SimTime};
 
 /// Stable identity of a submitting client (a board in the fleet).
 ///
-/// Keys the rate limiter's token buckets and flows into the
-/// `RequestAdmitted`/`RequestShed` trace events so overload behavior is
-/// attributable per client. The default id `0` is used by callers that
-/// predate client identities.
+/// Keys the rate limiter's token buckets. The default id `0` is used by
+/// callers that predate client identities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ClientId(u64);
 

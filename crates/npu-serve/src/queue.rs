@@ -3,8 +3,6 @@
 use hmc_types::{SimDuration, SimTime};
 use nn::Matrix;
 
-use crate::limiter::ClientId;
-
 /// Admission-control rejection: the queue is at capacity. The caller
 /// should retry no earlier than `retry_after` from the rejected submit;
 /// `depth` reports how many requests were already waiting, so callers can
@@ -22,8 +20,6 @@ pub struct Rejected {
 pub(crate) struct QueuedRequest {
     /// Ticket id.
     pub id: u64,
-    /// Submitting client.
-    pub client: ClientId,
     /// The request's stacked feature rows.
     pub rows: Matrix,
     /// Virtual submission time.
@@ -170,7 +166,6 @@ mod tests {
     fn req(id: u64, deadline_ms: u64) -> QueuedRequest {
         QueuedRequest {
             id,
-            client: ClientId::default(),
             rows: Matrix::zeros(1, 2),
             submitted_at: SimTime::ZERO,
             ready_at: SimTime::ZERO,

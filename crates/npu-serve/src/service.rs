@@ -1,5 +1,5 @@
-//! The shared inference service: admission middleware, dynamic batcher
-//! and virtual-time device pool.
+//! The shared inference service: admission, dynamic batcher and
+//! virtual-time device pool.
 
 use std::collections::HashMap;
 
@@ -10,14 +10,13 @@ use npu::{
     CacheStats, CpuInference, InferScratch, KernelMode, NpuDevice, NpuModel, Occupancy, PolicyCache,
 };
 use topil::{ClientJob, ClientReply, InferenceBackend};
-use trace::{FaultKind, TraceBackend, TraceEvent};
+use trace::TraceBackend;
 
 use crate::config::ConfigError;
-use crate::error::ServeError;
-use crate::limiter::ClientId;
-use crate::middleware::{self, Admission, AdmissionContext, AdmissionStack};
+use crate::error::{queue_full_error, ServeError};
+use crate::limiter::{ClientId, RateLimiter};
 use crate::queue::QueuedRequest;
-use crate::shed::Backlog;
+use crate::shed::{self, Backlog, ShedDecision};
 use crate::stats::MetricsSnapshot;
 use crate::{Rejected, ServeConfig, ServeStats, SubmissionQueue};
 
@@ -30,7 +29,7 @@ pub struct RequestTicket(u64);
 /// Per-submission options of [`NpuService::submit_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SubmitOptions {
-    /// Submitting client (rate-limit key and trace identity).
+    /// Submitting client (the rate-limit key).
     pub client: ClientId,
     /// Absolute completion deadline. A reply after this instant is
     /// worthless: the service refuses infeasible deadlines at admission
@@ -60,8 +59,6 @@ struct DeviceLane {
 #[derive(Debug, Clone)]
 struct BatchPlan {
     requests: Vec<QueuedRequest>,
-    /// Pool index of the serving device; `None` when the CPU served.
-    device: Option<u8>,
     /// Device attempt `(latency, ok)`, when one was made.
     npu: Option<(SimDuration, bool)>,
     /// CPU-fallback latency, when the CPU (also) served the batch.
@@ -113,11 +110,11 @@ struct PlanProbe {
 /// executed with per-request quantization groups, every reply is
 /// bit-identical to serving that request alone on a dedicated device.
 ///
-/// Every submission runs through the admission middleware stack
+/// Every submission passes one fixed-order admission check
 /// (validation → deadline feasibility → per-client rate limit → load
-/// shedding; see [`crate::middleware`]) before it may occupy a queue
-/// slot. With a default [`ServeConfig`] every middleware feature is
-/// disabled and admission control is queue capacity alone.
+/// shedding or CPU degrade) before it may occupy a queue slot. With a
+/// default [`ServeConfig`] every admission feature is disabled and
+/// admission control is queue capacity alone.
 #[derive(Debug)]
 pub struct NpuService {
     config: ServeConfig,
@@ -132,7 +129,8 @@ pub struct NpuService {
     macs: usize,
     lanes: Vec<DeviceLane>,
     injector: Option<FaultInjector>,
-    admission: AdmissionStack,
+    /// Per-client token buckets (`None` without [`ServeConfig::rate_limit`]).
+    limiter: Option<RateLimiter>,
     queue: SubmissionQueue,
     /// Dispatched batches awaiting numeric computation.
     inflight: Vec<BatchPlan>,
@@ -141,7 +139,6 @@ pub struct NpuService {
     /// (deadline passed before compute), by ticket id.
     failures: HashMap<u64, ServeError>,
     stats: ServeStats,
-    events: Vec<TraceEvent>,
     mark: EpochMark,
     clock: SimTime,
     next_id: u64,
@@ -185,13 +182,12 @@ impl NpuService {
             macs: mlp.macs(),
             lanes,
             injector: None,
-            admission: AdmissionStack::standard(&config),
+            limiter: config.rate_limit.map(RateLimiter::new),
             queue: SubmissionQueue::new(config.queue_capacity, config.retry_after),
             inflight: Vec::new(),
             replies: HashMap::new(),
             failures: HashMap::new(),
             stats: ServeStats::default(),
-            events: Vec::new(),
             mark: EpochMark::default(),
             clock: SimTime::ZERO,
             next_id: 0,
@@ -227,11 +223,6 @@ impl NpuService {
         self.queue.len()
     }
 
-    /// Names of the admission middleware layers, in execution order.
-    pub fn admission_layers(&self) -> Vec<&'static str> {
-        self.admission.layer_names()
-    }
-
     /// Circuit-breaker states of the pool, by device index.
     pub fn breaker_states(&self) -> Vec<BreakerState> {
         self.lanes.iter().map(|l| l.breaker.state()).collect()
@@ -257,14 +248,6 @@ impl NpuService {
     /// Counters of the policy-output cache, `None` when it is disabled.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(|c| c.stats())
-    }
-
-    /// Drains the trace events accumulated since the last drain, in
-    /// emission order (`BatchDispatched`, `QueueSaturated`,
-    /// `RequestAdmitted`, `RequestShed`, `DeadlineMiss`,
-    /// `RetryScheduled`, and `Fault` for breaker transitions).
-    pub fn drain_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
     }
 
     /// Submits one request (`rows` feature rows, one board's epoch batch)
@@ -294,10 +277,11 @@ impl NpuService {
     /// Submits one request with explicit [`SubmitOptions`] at virtual
     /// time `now`.
     ///
-    /// The submission runs through the admission middleware stack; on
-    /// failure the typed [`ServeError`] reports whether a retry can
-    /// succeed ([`ServeError::retry_class`]) and how long to back off
-    /// ([`ServeError::retry_after`]).
+    /// The submission passes the admission check first; on failure the
+    /// typed [`ServeError`] reports whether a retry can succeed
+    /// ([`ServeError::retry_class`]) and how long to back off
+    /// ([`ServeError::retry_after`]). Every refusal is counted in
+    /// [`ServeStats`].
     ///
     /// # Errors
     ///
@@ -319,62 +303,29 @@ impl NpuService {
         // Fire deadlines that elapsed before this arrival.
         self.run_until(now);
         let ready_at = now + opts.hold.min(self.config.max_hold);
-        let backlog = self.backlog(now);
-        let ctx = AdmissionContext {
-            config: &self.config,
-            now,
-            client: opts.client,
-            deadline: opts.deadline,
-            ready_at,
-            rows: rows.rows(),
-            cols: rows.cols(),
-            expected_cols: self.model.input_size(),
-            backlog,
-        };
-        let admission = match self.admission.admit(&ctx) {
-            Ok(admission) => admission,
-            Err(err) => {
-                self.note_admission_failure(&err, now, opts.client);
-                return Err(err);
-            }
-        };
+        let route_cpu = self.admit(rows, now, ready_at, &opts)?;
 
         let id = self.next_id;
         let request = QueuedRequest {
             id,
-            client: opts.client,
             rows: rows.clone(),
             submitted_at: now,
             ready_at,
             dispatch_deadline: ready_at + self.config.max_wait,
             deadline: opts.deadline,
-            route_cpu: admission == Admission::DegradeCpu,
+            route_cpu,
         };
         match self.queue.try_push(request) {
             Err(rejected) => {
                 self.stats.rejected += 1;
-                self.events.push(TraceEvent::QueueSaturated {
-                    at: now,
-                    depth: rejected.depth as u32,
-                    retry_after: rejected.retry_after,
-                });
-                Err(middleware::queue_full_error(
-                    rejected.depth,
-                    rejected.retry_after,
-                ))
+                Err(queue_full_error(rejected.depth, rejected.retry_after))
             }
             Ok(()) => {
                 self.next_id += 1;
                 self.stats.submitted += 1;
-                if admission == Admission::DegradeCpu {
+                if route_cpu {
                     self.stats.degraded += 1;
                 }
-                self.events.push(TraceEvent::RequestAdmitted {
-                    at: now,
-                    request: id,
-                    client: opts.client.value(),
-                    depth: self.queue.len() as u32,
-                });
                 while self.queue.ready_len(now) >= self.config.max_batch {
                     self.dispatch_one(now);
                 }
@@ -441,23 +392,9 @@ impl NpuService {
         self.failures.remove(&ticket.0).map(Err)
     }
 
-    /// Records a client-side retry decision (for trace and statistics):
-    /// `attempt` is 1-based, `backoff` the jittered wait before the
-    /// resubmission.
-    pub fn record_retry(
-        &mut self,
-        client: ClientId,
-        attempt: u32,
-        backoff: SimDuration,
-        at: SimTime,
-    ) {
+    /// Counts a client-side retry decision in [`ServeStats::retries`].
+    pub fn record_retry(&mut self) {
         self.stats.retries += 1;
-        self.events.push(TraceEvent::RetryScheduled {
-            at: self.clock.max(at),
-            client: client.value(),
-            attempt,
-            backoff,
-        });
     }
 
     /// Cuts a per-epoch metrics snapshot at `now`: pool utilization,
@@ -495,14 +432,6 @@ impl NpuService {
             cache_hits: self.stats.cache_hits - self.mark.cache_hits,
             cache_misses: self.stats.cache_misses - self.mark.cache_misses,
         };
-        if let Some(cache) = &self.cache {
-            self.events.push(TraceEvent::CacheReport {
-                at: now,
-                hits: snapshot.cache_hits,
-                misses: snapshot.cache_misses,
-                entries: cache.len() as u64,
-            });
-        }
         self.mark = EpochMark {
             at: now,
             admitted: self.stats.submitted,
@@ -545,45 +474,65 @@ impl NpuService {
         }
     }
 
-    /// Translates an admission failure into statistics and trace events.
-    fn note_admission_failure(&mut self, err: &ServeError, now: SimTime, client: ClientId) {
-        match *err {
-            ServeError::DeadlineExceeded {
-                deadline, late_by, ..
-            } => {
-                self.events.push(TraceEvent::DeadlineMiss {
-                    at: now,
-                    request: u64::MAX,
-                    client: client.value(),
+    /// The admission check, in fixed order: validation, deadline
+    /// feasibility (before rate limiting, so a doomed request never burns
+    /// a token), the per-client rate limit when one is configured, then
+    /// load shedding or CPU degrade. The first failure wins and is
+    /// counted; on success, returns whether the request routes to the
+    /// CPU fallback.
+    fn admit(
+        &mut self,
+        rows: &Matrix,
+        now: SimTime,
+        ready_at: SimTime,
+        opts: &SubmitOptions,
+    ) -> Result<bool, ServeError> {
+        if rows.rows() == 0 {
+            return Err(ServeError::InvalidInput {
+                reason: "empty request",
+            });
+        }
+        if rows.cols() != self.model.input_size() {
+            return Err(ServeError::InvalidInput {
+                reason: "input width mismatch",
+            });
+        }
+        if let Some(deadline) = opts.deadline {
+            // The earliest possible completion: ready + one batch margin.
+            let earliest = ready_at + self.config.deadline_margin;
+            if deadline < earliest {
+                self.stats.infeasible += 1;
+                return Err(ServeError::DeadlineExceeded {
                     deadline,
-                    late_by,
+                    at: now,
+                    late_by: earliest.since(deadline),
                 });
             }
-            ServeError::RateLimited { retry_after, .. } => {
+        }
+        if let Some(limiter) = &mut self.limiter {
+            if let Err(retry_after) = limiter.try_acquire(opts.client, now) {
                 self.stats.rate_limited += 1;
-                self.events.push(TraceEvent::RequestShed {
-                    at: now,
-                    client: client.value(),
-                    reason: trace::ShedReason::RateLimited,
-                    depth: self.queue.len() as u32,
+                return Err(ServeError::RateLimited {
+                    client: opts.client,
                     retry_after,
                 });
             }
-            ServeError::Shed {
+        }
+        let backlog = self.backlog(now);
+        match shed::evaluate(&self.config, &backlog) {
+            ShedDecision::Admit => Ok(false),
+            ShedDecision::DegradeCpu => Ok(true),
+            ShedDecision::Shed {
                 reason,
-                depth,
                 retry_after,
             } => {
                 self.stats.shed += 1;
-                self.events.push(TraceEvent::RequestShed {
-                    at: now,
-                    client: client.value(),
+                Err(ServeError::Shed {
                     reason,
-                    depth: depth as u32,
+                    depth: backlog.depth,
                     retry_after,
-                });
+                })
             }
-            ServeError::InvalidInput { .. } => {}
         }
     }
 
@@ -601,7 +550,7 @@ impl NpuService {
         for request in &taken {
             self.stats.record_queue_wait(at.since(request.submitted_at));
         }
-        self.advance_breakers(at);
+        self.advance_breakers();
 
         // Graceful-degrade members bypass the pool entirely.
         let (degraded, pooled): (Vec<_>, Vec<_>) = taken.into_iter().partition(|r| r.route_cpu);
@@ -637,15 +586,12 @@ impl NpuService {
         progress
     }
 
-    /// Advances open breakers' cooldowns one step per dispatch, tracing
-    /// half-open transitions.
-    fn advance_breakers(&mut self, at: SimTime) {
+    /// Advances open breakers' cooldowns one step per dispatch; a breaker
+    /// whose cooldown ran out turns half-open.
+    fn advance_breakers(&mut self) {
         for lane in &mut self.lanes {
-            if lane.breaker.state() == BreakerState::Open && lane.breaker.epoch_elapsed() {
-                self.events.push(TraceEvent::Fault {
-                    at,
-                    kind: FaultKind::BreakerHalfOpen,
-                });
+            if lane.breaker.state() == BreakerState::Open {
+                lane.breaker.epoch_elapsed();
             }
         }
     }
@@ -682,41 +628,26 @@ impl NpuService {
             let opens_before = lane_ref.breaker.opens();
             lane_ref.breaker.record_failure();
             let breaker_opened = lane_ref.breaker.opens() > opens_before;
-            if breaker_opened {
-                self.events.push(TraceEvent::Fault {
-                    at,
-                    kind: FaultKind::BreakerOpen,
-                });
-            }
             self.stats.failed_batches += 1;
             self.stats.cpu_fallback_batches += 1;
             BatchPlan {
                 requests,
-                device: Some(lane as u8),
                 npu: Some((latency, false)),
                 fallback: Some(cpu_latency),
                 completes_at: end + cpu_latency,
                 breaker_opened,
             }
         } else {
-            let was_half_open = lane_ref.breaker.state() == BreakerState::HalfOpen;
             lane_ref.breaker.record_success();
-            if was_half_open {
-                self.events.push(TraceEvent::Fault {
-                    at,
-                    kind: FaultKind::BreakerClosed,
-                });
-            }
             BatchPlan {
                 requests,
-                device: Some(lane as u8),
                 npu: Some((latency, true)),
                 fallback: None,
                 completes_at: end,
                 breaker_opened: false,
             }
         };
-        self.finish_plan(plan, at, rows);
+        self.finish_plan(plan, rows);
     }
 
     /// Schedules a batch directly on the host CPU (graceful degrade, or
@@ -733,13 +664,12 @@ impl NpuService {
         self.stats.cpu_fallback_batches += 1;
         let plan = BatchPlan {
             requests,
-            device: None,
             npu: None,
             fallback: Some(cpu_latency),
             completes_at: at + cpu_latency,
             breaker_opened: false,
         };
-        self.finish_plan(plan, at, rows);
+        self.finish_plan(plan, rows);
     }
 
     /// Device latency for `rows` on `lane`, with the fault's slowdown
@@ -801,13 +731,6 @@ impl NpuService {
             .expect("deadline-failed request carries a deadline");
         let late_by = completes_at.since(deadline);
         self.stats.expired += 1;
-        self.events.push(TraceEvent::DeadlineMiss {
-            at,
-            request: request.id,
-            client: request.client.value(),
-            deadline,
-            late_by,
-        });
         self.failures.insert(
             request.id,
             ServeError::DeadlineExceeded {
@@ -818,16 +741,9 @@ impl NpuService {
         );
     }
 
-    /// Accounts and traces a planned batch.
-    fn finish_plan(&mut self, plan: BatchPlan, at: SimTime, rows: usize) {
+    /// Accounts a planned batch and queues it for compute.
+    fn finish_plan(&mut self, plan: BatchPlan, rows: usize) {
         self.stats.record_batch(plan.requests.len(), rows);
-        self.events.push(TraceEvent::BatchDispatched {
-            at,
-            device: plan.device,
-            requests: plan.requests.len() as u32,
-            rows: rows as u32,
-            latency: plan.completes_at.since(at),
-        });
         self.inflight.push(plan);
     }
 
@@ -1020,6 +936,7 @@ fn run_plan(
 mod tests {
     use super::*;
     use crate::limiter::RateLimit;
+    use crate::ShedReason;
     use faults::FaultPlan;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1076,18 +993,14 @@ mod tests {
             service.submit(&request(i, 1), ms(5)).unwrap();
         }
         // The third submission filled the batch: dispatched at 5 ms, not
-        // at the 7 ms deadline.
+        // at the 7 ms deadline, so nobody waited in the queue.
         assert_eq!(service.stats().batches, 1);
-        let events = service.drain_events();
-        assert!(events.iter().any(|e| matches!(
-            e,
-            TraceEvent::BatchDispatched {
-                at,
-                requests: 3,
-                rows: 3,
-                ..
-            } if *at == ms(5)
-        )));
+        assert_eq!(service.stats().batch_histogram()[3], 1);
+        assert_eq!(service.stats().rows, 3);
+        assert_eq!(
+            service.stats().queue_wait_percentile(1.0),
+            Some(SimDuration::ZERO)
+        );
     }
 
     #[test]
@@ -1105,10 +1018,18 @@ mod tests {
         assert_eq!(rejected.retry_after, config.retry_after);
         assert_eq!(rejected.depth, 2);
         assert_eq!(service.stats().rejected, 1);
-        let events = service.drain_events();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::QueueSaturated { depth: 2, .. })));
+        let err = service
+            .submit_with(&request(2, 1), ms(1), SubmitOptions::default())
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ServeError::Shed {
+                reason: ShedReason::QueueFull,
+                depth: 2,
+                ..
+            }
+        ));
+        assert_eq!(service.stats().rejected, 2);
         // After the deadline drains the queue, the retry is admitted.
         let t = service.submit(&request(2, 1), ms(4)).unwrap();
         service.flush(ms(10));
@@ -1183,21 +1104,7 @@ mod tests {
         // Two failures per device open both breakers...
         assert!(service.all_breakers_open());
         assert_eq!(service.breaker_opens(), 2);
-        // ...and each opening is a drained trace event.
-        let events = service.drain_events();
-        let opens = events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    TraceEvent::Fault {
-                        kind: FaultKind::BreakerOpen,
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(opens, 2);
+        assert_eq!(service.stats().failed_batches, 4);
         // ...yet every request was answered (failed batches re-served on
         // the CPU, later ones drained directly to the fallback).
         assert_eq!(service.stats().dropped(), 0);
@@ -1273,14 +1180,9 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ServeError::DeadlineExceeded { .. }));
         assert_eq!(service.stats().submitted, 0);
-        let events = service.drain_events();
-        assert!(events.iter().any(|e| matches!(
-            e,
-            TraceEvent::DeadlineMiss {
-                request: u64::MAX,
-                ..
-            }
-        )));
+        // Counted as refused at admission, not as an admitted expiry.
+        assert_eq!(service.stats().infeasible, 1);
+        assert_eq!(service.stats().expired, 0);
     }
 
     #[test]
@@ -1348,18 +1250,10 @@ mod tests {
         else {
             panic!("expected a shed, got {err:?}");
         };
-        assert_eq!(reason, trace::ShedReason::DepthWatermark);
+        assert_eq!(reason, ShedReason::DepthWatermark);
         assert_eq!(depth, 2);
         assert!(retry_after >= config.retry_after);
         assert_eq!(service.stats().shed, 1);
-        let events = service.drain_events();
-        assert!(events.iter().any(|e| matches!(
-            e,
-            TraceEvent::RequestShed {
-                reason: trace::ShedReason::DepthWatermark,
-                ..
-            }
-        )));
     }
 
     #[test]
@@ -1462,20 +1356,125 @@ mod tests {
     }
 
     #[test]
-    fn retry_records_are_traced() {
+    fn retry_records_are_counted() {
         let net = mlp();
         let mut service = NpuService::new(&net, ServeConfig::default());
-        service.record_retry(ClientId::new(7), 1, SimDuration::from_millis(3), ms(2));
-        assert_eq!(service.stats().retries, 1);
-        let events = service.drain_events();
-        assert!(events.iter().any(|e| matches!(
-            e,
-            TraceEvent::RetryScheduled {
-                client: 7,
-                attempt: 1,
+        service.record_retry();
+        service.record_retry();
+        assert_eq!(service.stats().retries, 2);
+        assert_eq!(service.stats().submitted, 0);
+    }
+
+    /// Admission runs validate → deadline → rate limit → shed/degrade.
+    /// Each row arms two checks at once, so only the earlier one may
+    /// answer.
+    #[test]
+    fn admission_checks_run_in_fixed_order() {
+        let net = mlp();
+        let client = ClientId::new(1);
+        let one_token = Some(RateLimit {
+            burst: 1.0,
+            refill_per_sec: 1.0,
+        });
+        let outcome = |r: &Result<RequestTicket, ServeError>| match r {
+            Ok(_) => "admitted",
+            Err(ServeError::InvalidInput { .. }) => "invalid_input",
+            Err(ServeError::DeadlineExceeded { .. }) => "deadline_exceeded",
+            Err(ServeError::RateLimited { .. }) => "rate_limited",
+            Err(ServeError::Shed {
+                reason: ShedReason::DepthWatermark,
                 ..
+            }) => "shed_depth",
+            Err(ServeError::Shed { .. }) => "shed_other",
+        };
+        // Margin is 4 ms: an 11 ms deadline submitted at 10 ms is doomed.
+        let doomed = Some(ms(11));
+        // (row, config, admitted submissions first, probe, deadline, outcome)
+        let rows = [
+            (
+                "malformed input beats a doomed deadline and an empty bucket",
+                ServeConfig {
+                    rate_limit: one_token,
+                    ..ServeConfig::default()
+                },
+                1,
+                Matrix::from_rows(vec![vec![0.5; 7]]),
+                doomed,
+                "invalid_input",
+            ),
+            (
+                "a doomed deadline beats the rate limit",
+                ServeConfig {
+                    rate_limit: one_token,
+                    ..ServeConfig::default()
+                },
+                0,
+                request(9, 1),
+                doomed,
+                "deadline_exceeded",
+            ),
+            (
+                "an empty bucket beats the depth watermark",
+                ServeConfig {
+                    rate_limit: one_token,
+                    shed_depth_watermark: Some(1),
+                    ..ServeConfig::default()
+                },
+                1,
+                request(9, 1),
+                None,
+                "rate_limited",
+            ),
+            (
+                "the depth watermark beats the degrade watermark",
+                ServeConfig {
+                    shed_depth_watermark: Some(1),
+                    cpu_degrade_watermark: Some(SimDuration::ZERO),
+                    ..ServeConfig::default()
+                },
+                1,
+                request(9, 1),
+                None,
+                "shed_depth",
+            ),
+            (
+                "the degrade watermark admits onto the CPU",
+                ServeConfig {
+                    cpu_degrade_watermark: Some(SimDuration::ZERO),
+                    ..ServeConfig::default()
+                },
+                0,
+                request(9, 1),
+                None,
+                "admitted",
+            ),
+        ];
+        let mut services = Vec::new();
+        for (row, config, before, probe, deadline, expected) in rows {
+            let mut service = NpuService::new(&net, config);
+            let opts = SubmitOptions {
+                client,
+                ..SubmitOptions::default()
+            };
+            for i in 0..before {
+                service.submit_with(&request(i, 1), ms(10), opts).unwrap();
             }
-        )));
+            let got = service.submit_with(&probe, ms(10), SubmitOptions { deadline, ..opts });
+            assert_eq!(outcome(&got), expected, "{row}");
+            services.push(service);
+        }
+        // The doomed deadline left the client's only token in the bucket.
+        let doomed_row = &mut services[1];
+        assert_eq!(doomed_row.stats().infeasible, 1);
+        assert_eq!(doomed_row.stats().rate_limited, 0);
+        let opts = SubmitOptions {
+            client,
+            ..SubmitOptions::default()
+        };
+        assert!(doomed_row.submit_with(&request(0, 1), ms(10), opts).is_ok());
+        assert_eq!(services[2].stats().rate_limited, 1);
+        assert_eq!(services[3].stats().shed, 1);
+        assert_eq!(services[4].stats().degraded, 1);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! retry-after and a CPU-degrade rung before dropping.
 
 use hmc_types::SimDuration;
-use trace::ShedReason;
 
-use crate::ServeConfig;
+use crate::{ServeConfig, ShedReason};
 
 /// A snapshot of the service's backlog, taken at one admission decision.
 #[derive(Debug, Clone, Copy)]

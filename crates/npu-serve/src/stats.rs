@@ -15,9 +15,12 @@ pub struct ServeStats {
     pub shed: u64,
     /// Requests refused by the per-client rate limiter.
     pub rate_limited: u64,
-    /// Requests whose deadline was infeasible at admission or passed
+    /// Admitted requests whose deadline passed (or became unmeetable)
     /// while queued — failed fast, never computed.
     pub expired: u64,
+    /// Submissions refused at admission because their deadline was
+    /// infeasible (never admitted, so not part of `expired`).
+    pub infeasible: u64,
     /// Requests admitted under the CPU-degrade watermark and routed to
     /// the fallback instead of the pool.
     pub degraded: u64,

@@ -48,7 +48,6 @@ use hmc_types::{SimDuration, SimTime};
 use nn::{Matrix, Mlp};
 use npu::CpuInference;
 use topil::ClientReply;
-use trace::TraceEvent;
 
 use crate::limiter::ClientId;
 use crate::quantile::nearest_rank;
@@ -417,17 +416,6 @@ impl TieredService {
     /// Drains the observed tier-breaker transitions.
     pub fn drain_transitions(&mut self) -> Vec<TierTransition> {
         std::mem::take(&mut self.transitions)
-    }
-
-    /// Drains the trace events of every owned service, tagged by scope
-    /// (the regional tier reports as [`TierScope::Regional`]).
-    pub fn drain_service_events(&mut self) -> Vec<(TierScope, Vec<TraceEvent>)> {
-        let mut out = Vec::with_capacity(self.racks.len() + 1);
-        for (i, rack) in self.racks.iter_mut().enumerate() {
-            out.push((TierScope::Rack(i), rack.service.drain_events()));
-        }
-        out.push((TierScope::Regional, self.regional.drain_events()));
-        out
     }
 
     /// Sum of breaker opens across every rung (device breakers inside

@@ -1,6 +1,6 @@
-//! Breaker-ladder behavior under fault storms: every transition in the
-//! open → half-open → {closed, open} ladder is legal and traced, and no
-//! admitted request is ever lost — a fenced-off pool drains to the CPU.
+//! Breaker-ladder behavior under fault storms: breakers open and recover
+//! through half-open probes (whose legality `faults::breaker` pins), and
+//! no admitted request is ever lost — a fenced-off pool drains to the CPU.
 
 use faults::{BreakerState, FaultInjector, FaultPlan};
 use hmc_types::{SimDuration, SimTime};
@@ -11,7 +11,6 @@ use npu_serve::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use trace::{FaultKind, TraceEvent};
 
 fn mlp() -> Mlp {
     Mlp::with_topology(21, 4, 64, 8, &mut StdRng::seed_from_u64(3))
@@ -25,24 +24,6 @@ fn request(seed: usize) -> Matrix {
 
 fn ms(t: u64) -> SimTime {
     SimTime::from_millis(t)
-}
-
-/// Extracts the breaker-transition ladder from a drained event stream.
-fn transitions(events: &[TraceEvent]) -> Vec<FaultKind> {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::Fault { kind, .. }
-                if matches!(
-                    kind,
-                    FaultKind::BreakerOpen | FaultKind::BreakerHalfOpen | FaultKind::BreakerClosed
-                ) =>
-            {
-                Some(*kind)
-            }
-            _ => None,
-        })
-        .collect()
 }
 
 #[test]
@@ -61,10 +42,13 @@ fn intermittent_storm_recovers_half_open_to_closed() {
     };
     let mut service = NpuService::new(&net, config).with_fault_injector(FaultInjector::new(plan));
     let mut replies = Vec::new();
+    // The device's breaker state after every flush.
+    let mut states = Vec::new();
     for i in 0..40 {
         let t = service.submit(&request(i), ms(i as u64)).unwrap();
         service.flush(ms(i as u64));
         replies.push(service.take_reply(t).expect("flushed"));
+        states.extend(service.breaker_states());
     }
     // Zero lost replies through the whole storm.
     assert_eq!(service.stats().dropped(), 0);
@@ -74,27 +58,16 @@ fn intermittent_storm_recovers_half_open_to_closed() {
         "the storm must trip the breaker"
     );
 
-    // The drained trace must show the full ladder, every step legal:
-    // Closed -open-> Open -half-open-> HalfOpen -{closed,open}-> ...
-    let ladder = transitions(&service.drain_events());
-    assert!(ladder.contains(&FaultKind::BreakerOpen));
-    assert!(ladder.contains(&FaultKind::BreakerHalfOpen));
+    // The breaker is seen open, and closed again later: leaving Open
+    // takes a half-open probe that succeeded.
+    let opened = states
+        .iter()
+        .position(|s| *s == BreakerState::Open)
+        .expect("the storm must open the breaker");
     assert!(
-        ladder.contains(&FaultKind::BreakerClosed),
-        "a half-open probe must succeed and close the breaker: {ladder:?}"
+        states[opened..].contains(&BreakerState::Closed),
+        "a half-open probe must succeed and close the breaker: {states:?}"
     );
-    let mut state = BreakerState::Closed;
-    for kind in ladder {
-        state = match (state, kind) {
-            (BreakerState::Closed, FaultKind::BreakerOpen) => BreakerState::Open,
-            (BreakerState::Open, FaultKind::BreakerHalfOpen) => BreakerState::HalfOpen,
-            (BreakerState::HalfOpen, FaultKind::BreakerClosed) => BreakerState::Closed,
-            (BreakerState::HalfOpen, FaultKind::BreakerOpen) => BreakerState::Open,
-            (from, kind) => panic!("illegal breaker transition {kind:?} from {from:?}"),
-        };
-    }
-    // The traced ladder ends wherever the live breaker actually is.
-    assert_eq!(service.breaker_states(), vec![state]);
 }
 
 #[test]
@@ -111,10 +84,12 @@ fn total_storm_fences_the_pool_and_drains_to_cpu_without_loss() {
     };
     let mut service = NpuService::new(&net, config).with_fault_injector(FaultInjector::new(plan));
     let mut replies = Vec::new();
+    let mut samples = Vec::new();
     for i in 0..12 {
         let t = service.submit(&request(i), ms(i as u64)).unwrap();
         service.flush(ms(i as u64));
         replies.push(service.take_reply(t).expect("flushed"));
+        samples.push(service.breaker_states());
     }
     // Each device fails once and is fenced off; everything after drains
     // straight to the CPU fallback — with zero lost replies.
@@ -127,17 +102,17 @@ fn total_storm_fences_the_pool_and_drains_to_cpu_without_loss() {
     // The last replies never even attempt a device.
     assert_eq!(replies.last().unwrap().npu_failures, 0);
 
-    // Exactly three open transitions in the trace, no recovery (the
-    // cooldown outlives the run).
-    let ladder = transitions(&service.drain_events());
-    assert_eq!(
-        ladder
+    // No recovery (the cooldown outlives the run): once a device's
+    // breaker reads open, it stays open in every later sample.
+    for device in 0..3 {
+        let opened = samples
             .iter()
-            .filter(|k| **k == FaultKind::BreakerOpen)
-            .count(),
-        3
-    );
-    assert!(!ladder.contains(&FaultKind::BreakerClosed));
+            .position(|s| s[device] == BreakerState::Open)
+            .expect("every device fails once");
+        assert!(samples[opened..]
+            .iter()
+            .all(|s| s[device] == BreakerState::Open));
+    }
 }
 
 #[test]

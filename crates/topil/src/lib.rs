@@ -59,7 +59,7 @@ pub use features::{Features, FEATURE_COUNT};
 pub use governor::{GovernorStats, TopIlGovernor};
 pub use migration::{
     BreakerState, ClientJob, ClientReply, DedicatedNpuClient, InferenceBackend, MigrationPolicy,
-    PolicyClient, PreparedEpoch, RobustnessConfig,
+    PreparedEpoch, RobustnessConfig,
 };
 pub use training::IlModel;
 pub use util::estimate_min_level;

@@ -136,8 +136,9 @@ pub struct ClientJob {
     pub ok: bool,
 }
 
-/// The reply a [`PolicyClient`] produces for one epoch's inference
-/// request.
+/// The reply to one epoch's inference request, from the board's
+/// [`DedicatedNpuClient`] or from a shared service (the `npu-serve`
+/// crate) via [`MigrationPolicy::complete`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientReply {
     /// Rating matrix, or `None` when the epoch's deadline was missed.
@@ -157,37 +158,6 @@ pub struct ClientReply {
     pub jobs: Vec<ClientJob>,
     /// Whether the client's circuit breaker opened while serving.
     pub breaker_opened: bool,
-}
-
-/// A transport for the governor's batched inference requests.
-///
-/// The migration policy is agnostic about *where* its rating matrix is
-/// computed. The default transport is [`DedicatedNpuClient`] — the paper's
-/// configuration, one NPU per board behind the retry/breaker/fallback
-/// ladder. A fleet deployment substitutes a shared-service client
-/// (the `npu-serve` crate) so many boards multiplex a pool of devices.
-pub trait PolicyClient: std::fmt::Debug + Send {
-    /// Serves one epoch's batched inference request submitted at `now`.
-    fn infer(&mut self, batch: &Matrix, now: SimTime) -> ClientReply;
-
-    /// State of the circuit breaker guarding this client's device path.
-    fn breaker_state(&self) -> BreakerState {
-        BreakerState::Closed
-    }
-
-    /// Times this client's breaker opened so far.
-    fn breaker_opens(&self) -> u64 {
-        0
-    }
-
-    /// Clones this client into a boxed trait object.
-    fn boxed_clone(&self) -> Box<dyn PolicyClient>;
-}
-
-impl Clone for Box<dyn PolicyClient> {
-    fn clone(&self) -> Self {
-        self.boxed_clone()
-    }
 }
 
 /// The paper's deployment: a dedicated (simulated) NPU per board, guarded
@@ -342,10 +312,9 @@ impl DedicatedNpuClient {
             breaker_opened: false,
         }
     }
-}
 
-impl PolicyClient for DedicatedNpuClient {
-    fn infer(&mut self, batch: &Matrix, now: SimTime) -> ClientReply {
+    /// Serves one epoch's batched inference request submitted at `now`.
+    pub fn infer(&mut self, batch: &Matrix, now: SimTime) -> ClientReply {
         let opens_before = self.breaker.opens();
         let mut reply = match self.backend {
             InferenceBackend::Npu => self.npu_with_recovery(batch, now),
@@ -377,16 +346,14 @@ impl PolicyClient for DedicatedNpuClient {
         reply
     }
 
-    fn breaker_state(&self) -> BreakerState {
+    /// State of the circuit breaker guarding the dedicated NPU.
+    pub fn breaker_state(&self) -> BreakerState {
         self.breaker.state()
     }
 
-    fn breaker_opens(&self) -> u64 {
+    /// Times the breaker opened so far.
+    pub fn breaker_opens(&self) -> u64 {
         self.breaker.opens()
-    }
-
-    fn boxed_clone(&self) -> Box<dyn PolicyClient> {
-        Box::new(self.clone())
     }
 }
 
@@ -427,12 +394,10 @@ impl PreparedEpoch {
 #[derive(Debug, Clone)]
 pub struct MigrationPolicy {
     model: IlModel,
-    /// The built-in per-board transport; stays configured even while an
-    /// external client is active so the ablation builders keep working.
+    /// The board's own NPU transport, used by [`MigrationPolicy::run`].
+    /// A fleet driver serves [`MigrationPolicy::prepare`]d batches
+    /// through a shared service instead and bypasses it.
     dedicated: DedicatedNpuClient,
-    /// When set, inference is issued through this client instead of the
-    /// dedicated NPU (e.g. the shared `npu-serve` service).
-    external: Option<Box<dyn PolicyClient>>,
     threshold: f32,
 }
 
@@ -442,7 +407,6 @@ impl MigrationPolicy {
         MigrationPolicy {
             dedicated: DedicatedNpuClient::new(model.clone()),
             model,
-            external: None,
             threshold: DEFAULT_IMPROVEMENT_THRESHOLD,
         }
     }
@@ -477,39 +441,17 @@ impl MigrationPolicy {
         self
     }
 
-    /// Routes inference through an external [`PolicyClient`] (e.g. a
-    /// shared NPU service) instead of the board's dedicated NPU.
-    pub fn with_client(mut self, client: Box<dyn PolicyClient>) -> Self {
-        self.external = Some(client);
-        self
-    }
-
-    /// The backend the next epoch would report.
-    fn active_backend(&self) -> InferenceBackend {
-        match &self.external {
-            Some(_) => InferenceBackend::Npu,
-            None => self.dedicated.backend,
-        }
-    }
-
-    /// Current circuit-breaker state of the active client.
+    /// Current circuit-breaker state of the dedicated NPU.
     pub fn breaker_state(&self) -> BreakerState {
-        match &self.external {
-            Some(c) => c.breaker_state(),
-            None => self.dedicated.breaker.state(),
-        }
+        self.dedicated.breaker_state()
     }
 
-    /// Times the active client's circuit breaker opened so far.
+    /// Times the dedicated NPU's circuit breaker opened so far.
     pub fn breaker_opens(&self) -> u64 {
-        match &self.external {
-            Some(c) => c.breaker_opens(),
-            None => self.dedicated.breaker.opens(),
-        }
+        self.dedicated.breaker_opens()
     }
 
-    /// The active degradation-ladder configuration (of the dedicated
-    /// transport; external clients bring their own).
+    /// The active degradation-ladder configuration.
     pub fn robustness(&self) -> &RobustnessConfig {
         &self.dedicated.robustness
     }
@@ -534,8 +476,8 @@ impl MigrationPolicy {
     }
 
     /// Runs one migration epoch on the platform: prepares the feature
-    /// batch, serves it through the active client, and completes the
-    /// epoch. Equivalent to [`MigrationPolicy::prepare`] +
+    /// batch, serves it on the dedicated NPU, and completes the epoch.
+    /// Equivalent to [`MigrationPolicy::prepare`] +
     /// [`MigrationPolicy::complete`] with the client in between.
     pub fn run(&mut self, platform: &mut Platform) -> MigrationOutcome {
         let Some(prepared) = self.prepare(platform) else {
@@ -543,17 +485,13 @@ impl MigrationPolicy {
                 migrated: None,
                 latency: SimDuration::ZERO,
                 cpu_time: SimDuration::ZERO,
-                backend: self.active_backend(),
+                backend: self.dedicated.backend,
                 npu_failures: 0,
                 fallback_active: false,
                 deadline_missed: false,
             };
         };
-        let now = platform.now();
-        let reply = match &mut self.external {
-            Some(client) => client.infer(&prepared.batch, now),
-            None => self.dedicated.infer(&prepared.batch, now),
-        };
+        let reply = self.dedicated.infer(&prepared.batch, platform.now());
         self.complete(platform, &prepared, reply)
     }
 

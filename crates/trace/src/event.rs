@@ -104,46 +104,6 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// Why the shared NPU service turned a submission away.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedReason {
-    /// The bounded submission queue was at hard capacity.
-    QueueFull,
-    /// Queue depth crossed the load-shedding depth watermark.
-    DepthWatermark,
-    /// The estimated service latency crossed the latency watermark.
-    LatencyWatermark,
-    /// The client's token bucket was empty (per-client rate limit).
-    RateLimited,
-}
-
-impl ShedReason {
-    /// Stable lower-snake name used in exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ShedReason::QueueFull => "queue_full",
-            ShedReason::DepthWatermark => "depth_watermark",
-            ShedReason::LatencyWatermark => "latency_watermark",
-            ShedReason::RateLimited => "rate_limited",
-        }
-    }
-
-    fn code(self) -> u8 {
-        match self {
-            ShedReason::QueueFull => 0,
-            ShedReason::DepthWatermark => 1,
-            ShedReason::LatencyWatermark => 2,
-            ShedReason::RateLimited => 3,
-        }
-    }
-}
-
-impl fmt::Display for ShedReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
-    }
-}
-
 /// Which layer of the stack a checkpoint snapshot belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointScope {
@@ -210,22 +170,6 @@ pub enum EventKind {
     CheckpointSaved,
     /// State was restored from a checkpoint snapshot.
     CheckpointRestored,
-    /// The shared NPU service dispatched one coalesced batch to a device.
-    BatchDispatched,
-    /// The shared NPU service rejected a submission (queue full).
-    QueueSaturated,
-    /// The shared NPU service admitted a request through its middleware
-    /// stack.
-    RequestAdmitted,
-    /// The shared NPU service shed a request (watermark or rate limit).
-    RequestShed,
-    /// A request could not meet its completion deadline (failed fast or
-    /// rejected as infeasible at admission).
-    DeadlineMiss,
-    /// A client scheduled a classified retry with jittered backoff.
-    RetryScheduled,
-    /// A periodic policy-output cache report from the shared NPU service.
-    CacheReport,
 }
 
 impl EventKind {
@@ -245,13 +189,6 @@ impl EventKind {
             EventKind::RunEnd => "run_end",
             EventKind::CheckpointSaved => "checkpoint_saved",
             EventKind::CheckpointRestored => "checkpoint_restored",
-            EventKind::BatchDispatched => "batch_dispatched",
-            EventKind::QueueSaturated => "queue_saturated",
-            EventKind::RequestAdmitted => "request_admitted",
-            EventKind::RequestShed => "request_shed",
-            EventKind::DeadlineMiss => "deadline_miss",
-            EventKind::RetryScheduled => "retry_scheduled",
-            EventKind::CacheReport => "cache_report",
         }
     }
 }
@@ -429,101 +366,6 @@ pub enum TraceEvent {
         /// Corrupt newer snapshots skipped to reach it.
         skipped: u32,
     },
-    /// The shared NPU service coalesced pending requests into one device
-    /// job (the dynamic batcher's unit of work).
-    BatchDispatched {
-        /// Dispatch instant.
-        at: SimTime,
-        /// Index of the pooled device that executed the batch (`None` for
-        /// the CPU fallback path).
-        device: Option<u8>,
-        /// Requests coalesced into the batch.
-        requests: u32,
-        /// Total feature rows across those requests.
-        rows: u32,
-        /// Device latency of the batched job (queueing excluded).
-        latency: SimDuration,
-    },
-    /// The shared NPU service rejected a submission with backpressure
-    /// (bounded queue at capacity).
-    QueueSaturated {
-        /// Rejection instant.
-        at: SimTime,
-        /// Queue depth at rejection (== capacity).
-        depth: u32,
-        /// Suggested resubmission delay returned to the client.
-        retry_after: SimDuration,
-    },
-    /// The shared NPU service admitted a request past its middleware
-    /// stack (validation, rate limit, shed, queue capacity).
-    RequestAdmitted {
-        /// Admission instant.
-        at: SimTime,
-        /// Service-global request id (the ticket value).
-        request: u64,
-        /// Submitting client id.
-        client: u64,
-        /// Queue depth after admission.
-        depth: u32,
-    },
-    /// The shared NPU service shed a submission before queueing it
-    /// (watermark crossing or per-client rate limit).
-    RequestShed {
-        /// Shed instant.
-        at: SimTime,
-        /// Submitting client id.
-        client: u64,
-        /// Why the request was turned away.
-        reason: ShedReason,
-        /// Queue depth at the shed decision.
-        depth: u32,
-        /// Backlog-derived resubmission hint returned to the client.
-        retry_after: SimDuration,
-    },
-    /// A request could not meet its completion deadline: rejected as
-    /// infeasible at admission, or failed fast at dispatch instead of
-    /// being computed-then-discarded.
-    DeadlineMiss {
-        /// Detection instant.
-        at: SimTime,
-        /// Service-global request id (`u64::MAX` when the request was
-        /// never admitted).
-        request: u64,
-        /// Submitting client id.
-        client: u64,
-        /// The absolute deadline that could not be met.
-        deadline: SimTime,
-        /// How far past the deadline the earliest possible completion
-        /// would have landed.
-        late_by: SimDuration,
-    },
-    /// A client classified an error as retryable and scheduled a
-    /// deterministic jittered backoff before resubmitting.
-    RetryScheduled {
-        /// Scheduling instant.
-        at: SimTime,
-        /// Retrying client id.
-        client: u64,
-        /// 1-based retry attempt number.
-        attempt: u32,
-        /// The backoff before the resubmission.
-        backoff: SimDuration,
-    },
-    /// Periodic policy-output cache counters from the shared NPU service
-    /// (deltas since the previous report). The cache replays memoized
-    /// numeric results for repeated quantized feature vectors; it never
-    /// changes simulated device time, so these counters are identical
-    /// across kernel modes and worker counts.
-    CacheReport {
-        /// Report instant (metrics epoch boundary).
-        at: SimTime,
-        /// Cache hits since the previous report.
-        hits: u64,
-        /// Cache misses since the previous report.
-        misses: u64,
-        /// Resident entries at the report instant.
-        entries: u64,
-    },
 }
 
 impl TraceEvent {
@@ -542,14 +384,7 @@ impl TraceEvent {
             | TraceEvent::AppCompleted { at, .. }
             | TraceEvent::RunEnd { at, .. }
             | TraceEvent::CheckpointSaved { at, .. }
-            | TraceEvent::CheckpointRestored { at, .. }
-            | TraceEvent::BatchDispatched { at, .. }
-            | TraceEvent::QueueSaturated { at, .. }
-            | TraceEvent::RequestAdmitted { at, .. }
-            | TraceEvent::RequestShed { at, .. }
-            | TraceEvent::DeadlineMiss { at, .. }
-            | TraceEvent::RetryScheduled { at, .. }
-            | TraceEvent::CacheReport { at, .. } => at,
+            | TraceEvent::CheckpointRestored { at, .. } => at,
         }
     }
 
@@ -569,13 +404,6 @@ impl TraceEvent {
             TraceEvent::RunEnd { .. } => EventKind::RunEnd,
             TraceEvent::CheckpointSaved { .. } => EventKind::CheckpointSaved,
             TraceEvent::CheckpointRestored { .. } => EventKind::CheckpointRestored,
-            TraceEvent::BatchDispatched { .. } => EventKind::BatchDispatched,
-            TraceEvent::QueueSaturated { .. } => EventKind::QueueSaturated,
-            TraceEvent::RequestAdmitted { .. } => EventKind::RequestAdmitted,
-            TraceEvent::RequestShed { .. } => EventKind::RequestShed,
-            TraceEvent::DeadlineMiss { .. } => EventKind::DeadlineMiss,
-            TraceEvent::RetryScheduled { .. } => EventKind::RetryScheduled,
-            TraceEvent::CacheReport { .. } => EventKind::CacheReport,
         }
     }
 
@@ -723,94 +551,6 @@ impl TraceEvent {
                 h.write_u8(scope.code());
                 h.write_u64(seq);
                 h.write_u64(skipped as u64);
-            }
-            TraceEvent::BatchDispatched {
-                at,
-                device,
-                requests,
-                rows,
-                latency,
-            } => {
-                h.write_u8(13);
-                h.write_u64(at.as_nanos());
-                h.write_opt_u64(device.map(u64::from));
-                h.write_u64(requests as u64);
-                h.write_u64(rows as u64);
-                h.write_u64(latency.as_nanos());
-            }
-            TraceEvent::QueueSaturated {
-                at,
-                depth,
-                retry_after,
-            } => {
-                h.write_u8(14);
-                h.write_u64(at.as_nanos());
-                h.write_u64(depth as u64);
-                h.write_u64(retry_after.as_nanos());
-            }
-            TraceEvent::RequestAdmitted {
-                at,
-                request,
-                client,
-                depth,
-            } => {
-                h.write_u8(15);
-                h.write_u64(at.as_nanos());
-                h.write_u64(request);
-                h.write_u64(client);
-                h.write_u64(depth as u64);
-            }
-            TraceEvent::RequestShed {
-                at,
-                client,
-                reason,
-                depth,
-                retry_after,
-            } => {
-                h.write_u8(16);
-                h.write_u64(at.as_nanos());
-                h.write_u64(client);
-                h.write_u8(reason.code());
-                h.write_u64(depth as u64);
-                h.write_u64(retry_after.as_nanos());
-            }
-            TraceEvent::DeadlineMiss {
-                at,
-                request,
-                client,
-                deadline,
-                late_by,
-            } => {
-                h.write_u8(17);
-                h.write_u64(at.as_nanos());
-                h.write_u64(request);
-                h.write_u64(client);
-                h.write_u64(deadline.as_nanos());
-                h.write_u64(late_by.as_nanos());
-            }
-            TraceEvent::RetryScheduled {
-                at,
-                client,
-                attempt,
-                backoff,
-            } => {
-                h.write_u8(18);
-                h.write_u64(at.as_nanos());
-                h.write_u64(client);
-                h.write_u64(attempt as u64);
-                h.write_u64(backoff.as_nanos());
-            }
-            TraceEvent::CacheReport {
-                at,
-                hits,
-                misses,
-                entries,
-            } => {
-                h.write_u8(19);
-                h.write_u64(at.as_nanos());
-                h.write_u64(hits);
-                h.write_u64(misses);
-                h.write_u64(entries);
             }
         }
     }

@@ -171,95 +171,6 @@ fn json_event(e: &TraceEvent, out: &mut String) {
                 ",\"scope\":\"{scope}\",\"seq\":{seq},\"skipped\":{skipped}"
             );
         }
-        TraceEvent::BatchDispatched {
-            device,
-            requests,
-            rows,
-            latency,
-            ..
-        } => {
-            match device {
-                Some(d) => {
-                    let _ = write!(out, ",\"device\":{d}");
-                }
-                None => out.push_str(",\"device\":null"),
-            }
-            let _ = write!(
-                out,
-                ",\"requests\":{requests},\"rows\":{rows},\"latency_ns\":{}",
-                latency.as_nanos()
-            );
-        }
-        TraceEvent::QueueSaturated {
-            depth, retry_after, ..
-        } => {
-            let _ = write!(
-                out,
-                ",\"depth\":{depth},\"retry_after_ns\":{}",
-                retry_after.as_nanos()
-            );
-        }
-        TraceEvent::RequestAdmitted {
-            request,
-            client,
-            depth,
-            ..
-        } => {
-            let _ = write!(
-                out,
-                ",\"request\":{request},\"client\":{client},\"depth\":{depth}"
-            );
-        }
-        TraceEvent::RequestShed {
-            client,
-            reason,
-            depth,
-            retry_after,
-            ..
-        } => {
-            let _ = write!(
-                out,
-                ",\"client\":{client},\"reason\":\"{reason}\",\"depth\":{depth},\"retry_after_ns\":{}",
-                retry_after.as_nanos()
-            );
-        }
-        TraceEvent::DeadlineMiss {
-            request,
-            client,
-            deadline,
-            late_by,
-            ..
-        } => {
-            let _ = write!(
-                out,
-                ",\"request\":{request},\"client\":{client},\"deadline_ns\":{},\"late_by_ns\":{}",
-                deadline.as_nanos(),
-                late_by.as_nanos()
-            );
-        }
-        TraceEvent::RetryScheduled {
-            client,
-            attempt,
-            backoff,
-            ..
-        } => {
-            let _ = write!(
-                out,
-                ",\"client\":{client},\"attempt\":{attempt},\"backoff_ns\":{}",
-                backoff.as_nanos()
-            );
-        }
-        TraceEvent::CacheReport {
-            hits,
-            misses,
-            entries,
-            ..
-        } => {
-            let _ = write!(
-                out,
-                ",\"hits\":{hits},\"misses\":{misses},\"entries\":{entries}"
-            );
-        }
     }
     out.push('}');
 }
@@ -428,83 +339,6 @@ fn csv_row(e: &TraceEvent, out: &mut String) {
             row.a = seq.to_string();
             row.b = skipped.to_string();
             row.detail = scope.name();
-        }
-        TraceEvent::BatchDispatched {
-            device,
-            requests,
-            rows,
-            latency,
-            ..
-        } => {
-            row.to = device.map(|d| d.to_string()).unwrap_or_default();
-            row.a = requests.to_string();
-            row.b = latency.as_nanos().to_string();
-            row.lf = rows.to_string();
-            row.detail = if device.is_some() { "npu" } else { "cpu" };
-        }
-        TraceEvent::QueueSaturated {
-            depth, retry_after, ..
-        } => {
-            row.a = depth.to_string();
-            row.b = retry_after.as_nanos().to_string();
-        }
-        TraceEvent::RequestAdmitted {
-            request,
-            client,
-            depth,
-            ..
-        } => {
-            row.app = client.to_string();
-            row.a = request.to_string();
-            row.b = depth.to_string();
-        }
-        TraceEvent::RequestShed {
-            client,
-            reason,
-            depth,
-            retry_after,
-            ..
-        } => {
-            row.app = client.to_string();
-            row.a = depth.to_string();
-            row.b = retry_after.as_nanos().to_string();
-            row.detail = reason.name();
-        }
-        TraceEvent::DeadlineMiss {
-            request,
-            client,
-            deadline,
-            late_by,
-            ..
-        } => {
-            row.app = client.to_string();
-            row.a = if request == u64::MAX {
-                String::new()
-            } else {
-                request.to_string()
-            };
-            row.b = deadline.as_nanos().to_string();
-            row.lf = late_by.as_nanos().to_string();
-        }
-        TraceEvent::RetryScheduled {
-            client,
-            attempt,
-            backoff,
-            ..
-        } => {
-            row.app = client.to_string();
-            row.a = attempt.to_string();
-            row.b = backoff.as_nanos().to_string();
-        }
-        TraceEvent::CacheReport {
-            hits,
-            misses,
-            entries,
-            ..
-        } => {
-            row.a = hits.to_string();
-            row.b = misses.to_string();
-            row.lf = entries.to_string();
         }
     }
     let _ = write!(

@@ -31,7 +31,7 @@ mod recorder;
 mod ring;
 
 pub use diff::{first_diverging_epoch, Divergence, TraceDiff};
-pub use event::{CheckpointScope, EventKind, FaultKind, ShedReason, TraceBackend, TraceEvent};
+pub use event::{CheckpointScope, EventKind, FaultKind, TraceBackend, TraceEvent};
 pub use export::{to_csv, to_jsonl, CSV_HEADER};
 pub use hash::{Fnv64, TraceHash};
 pub use recorder::{TraceConfig, TraceGranularity, TraceLog, TraceRecorder};
