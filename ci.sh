@@ -45,6 +45,13 @@ fi
 if grep -rn 'TraceEvent' crates/npu-serve/src; then
     echo "event-buffer lint: npu-serve reports through counters, not TraceEvent" >&2; exit 1
 fi
+# FMA lint: the f32 training kernels keep every output's IEEE operation
+# sequence (same k-order, same zero skips, no contraction), which is what
+# keeps trained weights bit-identical. A fused multiply-add rounds once
+# instead of twice and would silently change every trained weight.
+if grep -nE 'mul_add|fmadd' crates/nn/src/{matrix,mlp,adam,train,resume}.rs; then
+    echo "FMA lint: no fused multiply-add in the f32 training kernels" >&2; exit 1
+fi
 gate_end "fmt + clippy + lints"
 
 # Platform hot-path gate: a steady-state `Platform::tick` performs no heap
@@ -111,9 +118,14 @@ echo "fleet smoke + parallel-determinism gate passed"
 # differential suite (scalar vs vectorized vs cached over randomized
 # shapes, scales, and rounding-boundary inputs), then forces a 1k-board
 # fleet smoke onto the scalar kernel and onto a cache-disabled service
-# and diffs the CSVs against the vectorized cached default.
+# and diffs the CSVs against the vectorized cached default. The f32
+# training kernels get the same treatment: their differential suite
+# (blocked products vs the naive loops, baseline and AVX2 bodies) and
+# the trained-weight digest of the fleet and quick models.
 gate_begin
 cargo test -q -p nn kernel
+cargo test -q -p nn matrix
+cargo test -q --test golden_digests model_fleet0
 cargo test -q -p npu cache
 cargo test -q --test kernel_equivalence
 kern_args="--boards 1000 --epochs 20 --threads 4"

@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use hikey_platform::{Platform, PlatformConfig};
 use hmc_types::{CoreId, SimDuration, Watts, NUM_CORES};
-use nn::{Matrix, Mlp};
+use nn::{Adam, Matrix, Mlp};
 use npu::NpuModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,6 +66,9 @@ fn platform_benches(c: &mut Criterion) {
 
 fn nn_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("nn");
+    // One sample is a single pass of microseconds: take enough for a
+    // stable min.
+    group.sample_size(2_000);
     let mlp = Mlp::with_topology(21, 4, 64, 8, &mut StdRng::seed_from_u64(0));
     let single = vec![0.1f32; 21];
     let batch = Matrix::from_rows(vec![vec![0.1; 21]; 16]);
@@ -86,6 +89,14 @@ fn nn_benches(c: &mut Criterion) {
             let (_, grad) = Mlp::mse_loss(cache.output(), &targets);
             black_box(mlp.backward(&cache, &grad))
         });
+    });
+    group.bench_function("adam_step", |b| {
+        let mut trained = mlp.clone();
+        let mut adam = Adam::new(&trained);
+        let cache = trained.forward_cached(&batch);
+        let (_, grad) = Mlp::mse_loss(cache.output(), &Matrix::zeros(16, 8));
+        let grads = trained.backward(&cache, &grad);
+        b.iter(|| adam.step(&mut trained, black_box(&grads), 1e-3));
     });
     group.finish();
 }

@@ -5,10 +5,33 @@ use rand::RngExt;
 use crate::Matrix;
 
 /// One dense layer: `y = W·x + b` with `W` stored `out × in`.
+///
+/// The forward pass reads the transpose `wt` (`in × out`), which turns
+/// `x · Wᵀ` into an axpy over contiguous rows. `wt` is rebuilt wherever
+/// the weights are written, so it always equals `wᵀ`.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Dense {
-    pub(crate) w: Matrix,
-    pub(crate) b: Vec<f32>,
+    w: Matrix,
+    wt: Matrix,
+    b: Vec<f32>,
+}
+
+impl Dense {
+    fn new(w: Matrix, b: Vec<f32>) -> Dense {
+        let wt = w.transpose();
+        Dense { w, wt, b }
+    }
+
+    /// The weights, `out × in`.
+    pub(crate) fn w(&self) -> &Matrix {
+        &self.w
+    }
+
+    /// Writes the weights and biases through `f`, then rebuilds `wt`.
+    pub(crate) fn update(&mut self, f: impl FnOnce(&mut Matrix, &mut [f32])) {
+        f(&mut self.w, &mut self.b);
+        self.w.transpose_into(&mut self.wt);
+    }
 }
 
 /// A fully-connected network: ReLU on hidden layers, linear output — the
@@ -66,11 +89,11 @@ impl Gradients {
     /// are conventionally exempt).
     pub fn apply_weight_decay(&mut self, mlp: &Mlp, decay: f32) {
         for (dw, layer) in self.dw.iter_mut().zip(mlp.layers()) {
-            for r in 0..dw.rows() {
-                for c in 0..dw.cols() {
-                    let g = dw.get(r, c) + decay * layer.w.get(r, c);
-                    dw.set(r, c, g);
-                }
+            let w = layer.w().as_slice();
+            let dw = dw.as_mut_slice();
+            assert_eq!(dw.len(), w.len(), "gradient shape mismatch");
+            for (g, &w) in dw.iter_mut().zip(w) {
+                *g += decay * w;
             }
         }
     }
@@ -143,10 +166,7 @@ impl Mlp {
                         w.set(r, c, u * scale * 0.8);
                     }
                 }
-                Dense {
-                    w,
-                    b: vec![0.0; n_out],
-                }
+                Dense::new(w, vec![0.0; n_out])
             })
             .collect();
         Mlp { layers }
@@ -196,7 +216,7 @@ impl Mlp {
             }
         }
         Ok(Mlp {
-            layers: layers.into_iter().map(|(w, b)| Dense { w, b }).collect(),
+            layers: layers.into_iter().map(|(w, b)| Dense::new(w, b)).collect(),
         })
     }
 
@@ -262,6 +282,13 @@ impl Mlp {
         &mut self.layers
     }
 
+    /// Whether every layer's cached transpose equals its weights'
+    /// transpose (the invariant [`Dense::update`] keeps).
+    #[cfg(test)]
+    pub(crate) fn transposes_in_step(&self) -> bool {
+        self.layers.iter().all(|l| l.wt == l.w.transpose())
+    }
+
     /// Single-sample inference.
     ///
     /// # Panics
@@ -287,7 +314,7 @@ impl Mlp {
         let mut activations = Vec::with_capacity(self.layers.len() + 1);
         activations.push(x.clone());
         for (i, layer) in self.layers.iter().enumerate() {
-            let mut z = activations[i].matmul_transpose_b(&layer.w);
+            let mut z = activations[i].matmul_noskip(&layer.wt);
             z.add_row_broadcast(&layer.b);
             if i + 1 < self.layers.len() {
                 z.map_inplace(|v| v.max(0.0)); // ReLU on hidden layers
@@ -318,9 +345,11 @@ impl Mlp {
             if i > 0 {
                 // Propagate: delta_prev = (delta · W) ⊙ relu'(a_prev).
                 let mut prev = delta.matmul(&self.layers[i].w); // batch × in
-                let mut mask = cache.activations[i].clone();
-                mask.map_inplace(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                prev.hadamard_inplace(&mask);
+                                                                // A multiply, not a select: `∞ · 0.0` stays NaN.
+                let act = cache.activations[i].as_slice();
+                for (p, &a) in prev.as_mut_slice().iter_mut().zip(act) {
+                    *p *= if a > 0.0 { 1.0 } else { 0.0 };
+                }
                 delta = prev;
             }
         }
@@ -361,15 +390,11 @@ impl Mlp {
         );
         let n = total_elems as f32;
         let mut grad = Matrix::zeros(predictions.rows(), predictions.cols());
-        let mut sq_sum = 0.0;
-        for r in 0..predictions.rows() {
-            for c in 0..predictions.cols() {
-                let diff = predictions.get(r, c) - targets.get(r, c);
-                sq_sum += diff * diff;
-                grad.set(r, c, 2.0 * diff / n);
-            }
+        let pairs = predictions.as_slice().iter().zip(targets.as_slice());
+        for (g, (&p, &t)) in grad.as_mut_slice().iter_mut().zip(pairs) {
+            *g = 2.0 * (p - t) / n;
         }
-        (sq_sum, grad)
+        (Mlp::sq_error_sum(predictions, targets), grad)
     }
 
     /// Sum of squared errors over a batch, unaveraged — the shard-local
@@ -386,11 +411,9 @@ impl Mlp {
             "shape mismatch"
         );
         let mut sq_sum = 0.0;
-        for r in 0..predictions.rows() {
-            for c in 0..predictions.cols() {
-                let diff = predictions.get(r, c) - targets.get(r, c);
-                sq_sum += diff * diff;
-            }
+        for (&p, &t) in predictions.as_slice().iter().zip(targets.as_slice()) {
+            let diff = p - t;
+            sq_sum += diff * diff;
         }
         sq_sum
     }
@@ -456,11 +479,14 @@ mod tests {
             for r in 0..mlp.layers()[layer_idx].w.rows() {
                 for c in 0..mlp.layers()[layer_idx].w.cols() {
                     let orig = mlp.layers()[layer_idx].w.get(r, c);
-                    mlp.layers_mut()[layer_idx].w.set(r, c, orig + eps);
+                    let set = |mlp: &mut Mlp, v| {
+                        mlp.layers_mut()[layer_idx].update(|w, _| w.set(r, c, v));
+                    };
+                    set(&mut mlp, orig + eps);
                     let (lp, _) = Mlp::mse_loss(&mlp.forward_batch(&x), &y);
-                    mlp.layers_mut()[layer_idx].w.set(r, c, orig - eps);
+                    set(&mut mlp, orig - eps);
                     let (lm, _) = Mlp::mse_loss(&mlp.forward_batch(&x), &y);
-                    mlp.layers_mut()[layer_idx].w.set(r, c, orig);
+                    set(&mut mlp, orig);
                     let numeric = (lp - lm) / (2.0 * eps);
                     let analytic = grads.dw[layer_idx].get(r, c);
                     assert!(
@@ -478,9 +504,9 @@ mod tests {
         // negative (no ReLU on the last layer).
         let mut mlp = Mlp::new(&[2, 3, 1], &mut rng());
         for layer in mlp.layers_mut() {
-            layer.w.map_inplace(|_| 0.0);
+            layer.update(|w, _| w.map_inplace(|_| 0.0));
         }
-        mlp.layers_mut()[1].b[0] = -5.0;
+        mlp.layers_mut()[1].update(|_, b| b[0] = -5.0);
         let out = mlp.forward(&[1.0, 1.0]);
         assert_eq!(out[0], -5.0);
     }
@@ -500,5 +526,117 @@ mod tests {
     fn forward_validates_input_width() {
         let mlp = Mlp::new(&[3, 2], &mut rng());
         let _ = mlp.forward(&[1.0, 2.0]);
+    }
+
+    /// Bit patterns, with NaNs compared as a class (Rust does not pin
+    /// the payload of a NaN result).
+    fn bits(m: &Matrix) -> Vec<u32> {
+        let canon = |v: f32| if v.is_nan() { u32::MAX } else { v.to_bits() };
+        m.as_slice().iter().map(|&v| canon(v)).collect()
+    }
+
+    #[test]
+    fn transposes_stay_in_step_wherever_weights_are_written() {
+        let mut mlp = Mlp::new(&[5, 7, 3], &mut rng());
+        assert!(mlp.transposes_in_step(), "Mlp::new");
+        let layers = (0..mlp.layer_count())
+            .map(|i| (mlp.weights(i).clone(), mlp.biases(i).to_vec()))
+            .collect();
+        assert!(
+            Mlp::from_layers(layers).unwrap().transposes_in_step(),
+            "from_layers"
+        );
+
+        let mut adam = crate::Adam::new(&mlp);
+        let x = Matrix::from_rows(vec![vec![0.5, -1.0, 2.0, 0.0, 1.5]]);
+        let cache = mlp.forward_cached(&x);
+        let (_, grad) = Mlp::mse_loss(cache.output(), &Matrix::zeros(1, 3));
+        let grads = mlp.backward(&cache, &grad);
+        adam.step(&mut mlp, &grads, 0.01);
+        assert!(mlp.transposes_in_step(), "Adam::step");
+
+        mlp.layers_mut()[0].update(|w, _| w.set(1, 2, 9.0));
+        assert!(mlp.transposes_in_step(), "Dense::update");
+
+        let mut text = Vec::new();
+        crate::persist::write_mlp(&mlp, &mut text).unwrap();
+        let loaded = crate::persist::read_mlp(&text[..]).unwrap();
+        assert!(loaded.transposes_in_step(), "persist load");
+        assert_eq!(loaded, mlp);
+
+        let state = crate::TrainState {
+            next_epoch: 1,
+            mlp: mlp.clone(),
+            adam,
+            best: mlp.clone(),
+            best_val_loss: 1.0,
+            epochs_since_best: 0,
+            train_losses: vec![1.0],
+            val_losses: vec![1.0],
+        };
+        let decoded = crate::TrainState::decode(&state.encode()).unwrap();
+        assert!(decoded.mlp.transposes_in_step(), "TrainState decode");
+        assert!(decoded.best.transposes_in_step(), "TrainState decode");
+    }
+
+    /// The forward and backward passes equal the naive product loops they
+    /// replaced (with the cloned `0/1` mask), bit for bit.
+    fn check_passes_against_reference(mlp: &Mlp) {
+        use crate::matrix::reference;
+        let x = Matrix::from_rows(
+            (0..9)
+                .map(|r| {
+                    (0..21)
+                        .map(|c| match (r * 21 + c) % 7 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            k => (k as f32 - 3.5) * 0.37,
+                        })
+                        .collect()
+                })
+                .collect(),
+        );
+        let y = Matrix::zeros(9, 8);
+        let cache = mlp.forward_cached(&x);
+        let (_, grad) = Mlp::mse_loss(cache.output(), &y);
+        let grads = mlp.backward(&cache, &grad);
+
+        let mut acts = vec![x.clone()];
+        for (i, layer) in mlp.layers().iter().enumerate() {
+            let mut z = reference::matmul_transpose_b(&acts[i], layer.w());
+            z.add_row_broadcast(mlp.biases(i));
+            if i + 1 < mlp.layer_count() {
+                z.map_inplace(|v| v.max(0.0));
+            }
+            acts.push(z);
+        }
+        for (got, want) in cache.activations.iter().zip(&acts) {
+            assert_eq!(bits(got), bits(want));
+        }
+        let mut delta = grad;
+        for i in (0..mlp.layer_count()).rev() {
+            let dw = reference::transpose_a_matmul(&delta, &acts[i]);
+            assert_eq!(bits(&grads.dw[i]), bits(&dw), "dW of layer {i}");
+            let db = Matrix::from_rows(vec![delta.column_sums()]);
+            let got_db = Matrix::from_rows(vec![grads.db[i].clone()]);
+            assert_eq!(bits(&got_db), bits(&db), "db of layer {i}");
+            if i > 0 {
+                let mut prev = reference::matmul(&delta, mlp.weights(i));
+                let mut mask = acts[i].clone();
+                mask.map_inplace(|v| if v > 0.0 { 1.0 } else { 0.0 });
+                prev.hadamard_inplace(&mask);
+                delta = prev;
+            }
+        }
+    }
+
+    #[test]
+    fn passes_match_reference_bitwise() {
+        let mut mlp = Mlp::new(&[21, 16, 16, 8], &mut rng());
+        check_passes_against_reference(&mlp);
+        // An infinite output weight sends ±∞ back into the hidden deltas,
+        // where the ReLU mask's `∞ · 0` must stay NaN as in the reference.
+        mlp.layers_mut()[2].update(|w, _| w.set(3, 5, f32::INFINITY));
+        check_passes_against_reference(&mlp);
     }
 }

@@ -155,6 +155,70 @@ impl Golden for CsvDigest {
     }
 }
 
+/// The parameters of trained models, pinned bit for bit: every weight,
+/// bias and standardizer value, in layer order, by its IEEE-754 bits.
+/// A training drift then shows up here, at the training layer, before it
+/// reaches any simulator CSV.
+#[derive(Debug)]
+pub struct ModelDigest {
+    /// Each model's name and its parameters' bit patterns.
+    pub models: Vec<(&'static str, Vec<u32>)>,
+}
+
+impl ModelDigest {
+    /// Flattens `models` into their parameter bits.
+    pub fn of(models: &[(&'static str, &IlModel)]) -> Self {
+        let models = models
+            .iter()
+            .map(|&(name, model)| {
+                let mlp = model.mlp();
+                let standardizer = model.standardizer();
+                let mut bits = Vec::new();
+                for i in 0..mlp.layer_count() {
+                    bits.extend(mlp.weights(i).as_slice().iter().map(|v| v.to_bits()));
+                    bits.extend(mlp.biases(i).iter().map(|v| v.to_bits()));
+                }
+                bits.extend(standardizer.mean().iter().map(|v| v.to_bits()));
+                bits.extend(standardizer.std().iter().map(|v| v.to_bits()));
+                (name, bits)
+            })
+            .collect();
+        ModelDigest { models }
+    }
+}
+
+impl Golden for ModelDigest {
+    const DIR: &'static str = "digests";
+    const TITLE: &'static str = "Golden model digest";
+    const SUITE: &'static str = "golden_digests";
+
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        let mut fields = Vec::new();
+        for (name, bits) in &self.models {
+            let mut hasher = Fnv64::new();
+            for &b in bits {
+                hasher.write_bytes(&b.to_le_bytes());
+            }
+            fields.push((*name, format!("{:016x}", hasher.finish())));
+        }
+        fields
+    }
+
+    fn divergence(&self, rerun: &Self) -> Option<String> {
+        self.models
+            .iter()
+            .zip(&rerun.models)
+            .find_map(|((name, a), (_, b))| {
+                let at = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i))?;
+                Some(format!(
+                    "{name}: first differing parameter {at}: {:?} vs {:?}",
+                    a.get(at).map(|&v| f32::from_bits(v)),
+                    b.get(at).map(|&v| f32::from_bits(v))
+                ))
+            })
+    }
+}
+
 fn fixture_dir<G: Golden>() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")

@@ -4,7 +4,8 @@
 //!
 //! Each scenario is checked at a one-thread and a four-thread budget
 //! against the same fixture, so the digests pin both the behaviour and
-//! its budget invariance. Regenerate fixtures after an intentional
+//! its budget invariance. One more fixture, `model_fleet0`, pins the
+//! trained weight bits the fleet scenarios deploy. Regenerate fixtures after an intentional
 //! behaviour change with:
 //!
 //! ```text
@@ -22,7 +23,7 @@ use std::sync::OnceLock;
 use bench::csv::{edge_csv, fleet_csv, overload_csv};
 use bench::fleet::{self, ChurnSpec, FleetConfig};
 use bench::overload::{self, OverloadConfig};
-use common::{check_golden, CsvDigest};
+use common::{check_golden, quick_model, CsvDigest, ModelDigest};
 use edge_sim::{Demand, EdgeConfig, StormPreset};
 use top_il::par::Budget;
 use top_il::prelude::*;
@@ -43,6 +44,19 @@ fn check_csv(name: &str, csv: &'static str, run: impl Fn(Budget) -> String) {
 fn model() -> &'static IlModel {
     static MODEL: OnceLock<IlModel> = OnceLock::new();
     MODEL.get_or_init(|| fleet::fleet_model(0))
+}
+
+/// The trained parameters of the fleet model and of the quick test
+/// model, bit for bit: a training drift fails here, at the training
+/// layer, instead of first surfacing as a simulator CSV diff.
+#[test]
+fn model_fleet0() {
+    check_golden("model_fleet0", true, || {
+        ModelDigest::of(&[
+            ("fleet_model_0", model()),
+            ("quick_model_0", &quick_model(0)),
+        ])
+    });
 }
 
 fn fleet_digest(name: &str, config: FleetConfig) {
