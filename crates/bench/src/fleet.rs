@@ -802,7 +802,7 @@ fn fleet_epoch(
                     backend: InferenceBackend::Npu,
                     npu_failures: 0,
                     fallback_active: false,
-                    jobs: Vec::new(),
+                    jobs: Default::default(),
                     breaker_opened: false,
                 },
             };

@@ -9,13 +9,15 @@
 //! *bit-identical* to recomputing it, not an approximation.
 //!
 //! The key is FNV-64 over the int8 row bytes, the scale bits, and the row
-//! count. Hash collisions are guarded by comparing the stored key
-//! material; eviction is FIFO (deterministic, no recency bookkeeping on
-//! the hot path). The cache only ever replaces wall-clock numeric
+//! count; the map uses it as its hash as it is, without hashing it again.
+//! Hash collisions are guarded by comparing the stored key material;
+//! eviction is FIFO (deterministic, no recency bookkeeping on the hot
+//! path), and an evicted slot's buffers hold its successor. The cache only ever replaces wall-clock numeric
 //! compute: simulated device time, batching, and occupancy are charged
 //! identically on hits and misses (regression-tested in `npu-serve`).
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -48,12 +50,42 @@ impl CacheStats {
     }
 }
 
+/// Hashes a `u64` key to itself: cache keys are FNV-64 digests already.
+#[derive(Debug, Clone, Copy, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("cache keys are hashed as u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Slot {
     q: Vec<i8>,
     scale_bits: u32,
     rows: usize,
     out: Vec<f32>,
+}
+
+impl Slot {
+    /// Overwrites the slot in place, reusing its buffers.
+    fn fill(&mut self, q: &[i8], scale: f32, rows: usize, out: &[f32]) {
+        self.q.clear();
+        self.q.extend_from_slice(q);
+        self.scale_bits = scale.to_bits();
+        self.rows = rows;
+        self.out.clear();
+        self.out.extend_from_slice(out);
+    }
 }
 
 /// A bounded FIFO map from quantized feature groups to policy outputs.
@@ -72,7 +104,7 @@ struct Slot {
 #[derive(Debug, Clone, Default)]
 pub struct PolicyCache {
     capacity: usize,
-    map: HashMap<u64, usize>,
+    map: HashMap<u64, usize, BuildHasherDefault<KeyHasher>>,
     slots: Vec<Slot>,
     fifo: VecDeque<u64>,
     stats: CacheStats,
@@ -84,7 +116,7 @@ impl PolicyCache {
     pub fn new(capacity: usize) -> Self {
         PolicyCache {
             capacity,
-            map: HashMap::with_capacity(capacity.min(1 << 16)),
+            map: HashMap::with_capacity_and_hasher(capacity.min(1 << 16), Default::default()),
             slots: Vec::new(),
             fifo: VecDeque::new(),
             stats: CacheStats::default(),
@@ -146,24 +178,23 @@ impl PolicyCache {
             return;
         }
         let key = Self::key(q, scale, rows);
-        let slot = Slot {
-            q: q.to_vec(),
-            scale_bits: scale.to_bits(),
-            rows,
-            out: out.to_vec(),
-        };
         if let Some(&idx) = self.map.get(&key) {
-            self.slots[idx] = slot;
+            self.slots[idx].fill(q, scale, rows, out);
             return;
         }
         let idx = if self.slots.len() < self.capacity {
-            self.slots.push(slot);
+            self.slots.push(Slot {
+                q: q.to_vec(),
+                scale_bits: scale.to_bits(),
+                rows,
+                out: out.to_vec(),
+            });
             self.slots.len() - 1
         } else {
             let victim = self.fifo.pop_front().expect("full cache has a queue");
             let idx = self.map.remove(&victim).expect("queued key is mapped");
             self.stats.evictions += 1;
-            self.slots[idx] = slot;
+            self.slots[idx].fill(q, scale, rows, out);
             idx
         };
         self.map.insert(key, idx);

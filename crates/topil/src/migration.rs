@@ -14,6 +14,8 @@
 //! Only one application migrates per epoch, which keeps the action space
 //! tractable and the thermal effect attributable.
 
+use std::sync::Arc;
+
 use faults::FaultInjector;
 pub use faults::{BreakerState, CircuitBreaker};
 use hikey_platform::Platform;
@@ -154,8 +156,9 @@ pub struct ClientReply {
     pub npu_failures: u32,
     /// Whether a CPU fallback served the request.
     pub fallback_active: bool,
-    /// Device jobs executed for this request, in submission order.
-    pub jobs: Vec<ClientJob>,
+    /// Device jobs executed for this request, in submission order. A
+    /// shared service hands every request of one batch the same list.
+    pub jobs: Arc<[ClientJob]>,
     /// Whether the client's circuit breaker opened while serving.
     pub breaker_opened: bool,
 }
@@ -211,7 +214,7 @@ impl DedicatedNpuClient {
             backend: InferenceBackend::Cpu,
             npu_failures: 0,
             fallback_active: fallback,
-            jobs: Vec::new(),
+            jobs: Arc::default(),
             breaker_opened: false,
         }
     }
@@ -242,7 +245,7 @@ impl DedicatedNpuClient {
                     backend: InferenceBackend::Npu,
                     npu_failures: 0,
                     fallback_active: false,
-                    jobs: Vec::new(),
+                    jobs: Arc::default(),
                     breaker_opened: false,
                 };
             }
@@ -270,7 +273,7 @@ impl DedicatedNpuClient {
                         backend: InferenceBackend::Npu,
                         npu_failures: failures,
                         fallback_active: false,
-                        jobs: Vec::new(),
+                        jobs: Arc::default(),
                         breaker_opened: false,
                     };
                 }
@@ -297,7 +300,7 @@ impl DedicatedNpuClient {
                 backend: InferenceBackend::Cpu,
                 npu_failures: failures,
                 fallback_active: true,
-                jobs: Vec::new(),
+                jobs: Arc::default(),
                 breaker_opened: false,
             };
         }
@@ -308,7 +311,7 @@ impl DedicatedNpuClient {
             backend: InferenceBackend::Npu,
             npu_failures: failures,
             fallback_active: false,
-            jobs: Vec::new(),
+            jobs: Arc::default(),
             breaker_opened: false,
         }
     }
@@ -341,7 +344,7 @@ impl DedicatedNpuClient {
                 ok: true,
             });
         }
-        reply.jobs = jobs;
+        reply.jobs = jobs.into();
         reply.breaker_opened = self.breaker.opens() > opens_before;
         reply
     }
@@ -600,7 +603,7 @@ impl MigrationPolicy {
             return;
         }
         let at = platform.now();
-        for job in &reply.jobs {
+        for job in reply.jobs.iter() {
             platform.trace_emit(TraceEvent::NpuJob {
                 at,
                 batch: job.batch,
