@@ -63,6 +63,16 @@ cargo test -q -p hikey-platform --test tick_alloc || {
 gate_end "platform hot-path gate"
 echo "platform hot-path gate passed"
 
+# Serve-path allocation gate: once warmed up, a 6x-load epoch on the
+# edge fleet's one-rack tier allocates at most 1.1 times per submitted
+# request (the reply's output; every other buffer is reused). The test
+# binary counts allocations over ten epochs of submit, flush and redeem.
+gate_begin
+cargo test -q -p npu-serve --test serve_alloc || {
+    echo "serve-path allocation gate: the tier allocated past its per-request budget" >&2; exit 1; }
+gate_end "serve-path allocation gate"
+echo "serve-path allocation gate passed"
+
 gate_begin
 cargo test -q -p trace
 if [ "${FULL:-0}" = "1" ]; then

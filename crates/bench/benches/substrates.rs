@@ -1,13 +1,16 @@
 //! Micro-benchmarks of the simulation substrates: thermal integration,
-//! platform ticks, NN inference (float and int8), and oracle collection.
+//! platform ticks, NN inference (float and int8), the edge serving path,
+//! and oracle collection.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
+use edge_sim::EdgeConfig;
 use hikey_platform::{Platform, PlatformConfig};
-use hmc_types::{CoreId, SimDuration, Watts, NUM_CORES};
-use nn::{Adam, Matrix, Mlp};
-use npu::NpuModel;
+use hmc_types::{CoreId, SimDuration, SimTime, Watts, NUM_CORES};
+use nn::{Adam, KernelMode, Matrix, Mlp};
+use npu::{InferScratch, NpuModel};
+use npu_serve::{seeded_payload, ClientId, TierSubmit, TieredService};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use thermal::{Cooling, SocThermal};
@@ -101,6 +104,75 @@ fn nn_benches(c: &mut Criterion) {
     group.finish();
 }
 
+/// The edge fleet at 6× load on one rack, as the `edge-overload6`
+/// benchmark workload runs it.
+fn edge_overload6() -> EdgeConfig {
+    EdgeConfig {
+        boards: 256,
+        users: 25_000,
+        epochs: 24,
+        load: 6.0,
+        regions: 1,
+        racks_per_region: 1,
+        ..EdgeConfig::default()
+    }
+}
+
+fn npu_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("npu");
+    group.sample_size(2_000);
+    let config = edge_overload6();
+    let model = NpuModel::compile(&edge_sim::region_policy(&config, 0));
+    let row = seeded_payload(1, 1, model.input_size());
+    // One edge request as the service computes a cache miss: quantize the
+    // 12-wide row, then the 12-16-16-4 int8 forward, on reused buffers.
+    group.bench_function("infer_edge_row", |b| {
+        let mut q = Vec::new();
+        let mut scratch = InferScratch::new();
+        b.iter(|| {
+            let scale = model.quantize_input(black_box(row.as_slice()), &mut q);
+            let out = model.infer_prequant(&q, scale, 1, KernelMode::Vectorized, &mut scratch);
+            black_box(out[0])
+        });
+    });
+    group.finish();
+}
+
+fn serve_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("serve");
+    group.sample_size(30);
+    let config = edge_overload6();
+    // One 6×-load epoch on a one-rack tier: the rack saturates, so the
+    // epoch exercises admission, batching, hedging and regional serving.
+    group.bench_function("tier_epoch_overload6", |b| {
+        let mlp = edge_sim::region_policy(&config, 0);
+        let mut tier = TieredService::new(&mlp, edge_sim::tier_config(&config));
+        let epoch = config.epoch.as_nanos();
+        let deadline = config.qos_deadline - config.network.downlink();
+        let per_epoch = 1_870u64;
+        let mut base = 0u64;
+        let mut tickets = Vec::with_capacity(per_epoch as usize);
+        b.iter(|| {
+            for i in 0..per_epoch {
+                let at = SimTime::from_nanos(base + i * epoch / per_epoch);
+                let opts = TierSubmit {
+                    rack: 0,
+                    client: ClientId::new(i % config.boards as u64),
+                    deadline: Some(at + deadline),
+                };
+                let payload = seeded_payload(base + i, 1, mlp.input_size());
+                tickets.push(tier.submit(payload, at, opts).expect("valid payload"));
+            }
+            base += epoch;
+            tier.flush(SimTime::from_nanos(base));
+            for ticket in tickets.drain(..) {
+                black_box(tier.take_outcome(ticket));
+            }
+        });
+    });
+    group.finish();
+}
+
 fn oracle_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("oracle");
     group.sample_size(10);
@@ -132,6 +204,8 @@ criterion_group!(
     thermal_benches,
     platform_benches,
     nn_benches,
+    npu_benches,
+    serve_benches,
     oracle_benches
 );
 criterion_main!(benches);

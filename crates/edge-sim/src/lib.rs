@@ -59,6 +59,8 @@ pub mod storm;
 pub mod topology;
 
 pub use frontier::{Demand, FlashCrowd};
-pub use run::{run, EdgeConfig, EdgeConfigError, EdgeReport, RegionOutcome};
+pub use run::{
+    region_policy, run, tier_config, EdgeConfig, EdgeConfigError, EdgeReport, RegionOutcome,
+};
 pub use storm::StormPreset;
 pub use topology::NetworkConfig;

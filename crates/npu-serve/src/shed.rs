@@ -55,6 +55,14 @@ pub(crate) fn retry_after(config: &ServeConfig, backlog: &Backlog) -> SimDuratio
     config.retry_after.max(backlog.earliest_free + drain)
 }
 
+/// Whether any watermark is configured; without one, [`evaluate`]
+/// admits every submission.
+pub(crate) fn enabled(config: &ServeConfig) -> bool {
+    config.shed_depth_watermark.is_some()
+        || config.shed_latency_watermark.is_some()
+        || config.cpu_degrade_watermark.is_some()
+}
+
 /// Applies the configured watermarks to one admission decision.
 ///
 /// Order: depth watermark (cheapest signal), then estimated-latency shed
