@@ -187,9 +187,20 @@ echo "overload gate passed"
 # Golden-digest gate: the FNV-64 digests of the fleet, overload and edge
 # CSVs (the edge grid includes the five chaos storm presets) over a small
 # named scenario grid, each at a one- and a four-thread budget, must
-# match the committed fixtures byte for byte.
+# match the committed fixtures byte for byte. The golden traces and the
+# digests both run with their notices visible: a fixture skipped for a
+# foreign StdRng fingerprint pins nothing, so this workspace's own stream
+# may not leave one dead.
 gate_begin
-cargo test -q --test golden_digests
+for suite in golden_digests golden_traces; do
+    golden_log="$ckpt_tmp/$suite.log"
+    cargo test -q --test "$suite" -- --nocapture > "$golden_log" 2>&1 || {
+        cat "$golden_log" >&2; echo "golden gate: $suite failed" >&2; exit 1; }
+    if grep 'skipping golden fixture' "$golden_log" >&2; then
+        echo "golden gate: $suite skipped a fixture blessed under another StdRng stream" >&2
+        exit 1
+    fi
+done
 gate_end "golden-digest gate"
 echo "golden-digest gate passed"
 

@@ -2,11 +2,11 @@
 //! platform ticks, NN inference (float and int8), the edge serving path,
 //! and oracle collection.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 
 use edge_sim::EdgeConfig;
-use hikey_platform::{Platform, PlatformConfig};
+use hikey_platform::{Platform, PlatformConfig, THERMAL_PERIOD};
 use hmc_types::{CoreId, SimDuration, SimTime, Watts, NUM_CORES};
 use nn::{Adam, KernelMode, Matrix, Mlp};
 use npu::{InferScratch, NpuModel};
@@ -39,20 +39,7 @@ fn thermal_benches(c: &mut Criterion) {
 
 fn platform_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("platform");
-    // One sample is a single ~200 ns tick: take enough for a stable min.
     group.sample_size(10_000);
-    for apps in [0usize, 1, 8, 16] {
-        group.bench_function(format!("tick_{apps}_apps"), |b| {
-            let mut platform = Platform::new(PlatformConfig::default());
-            let w = Workload::single(Benchmark::Syr2k, QosSpec::FractionOfMaxBig(0.2));
-            let mut spec = *w.iter().next().unwrap();
-            spec.total_instructions = Some(u64::MAX);
-            for i in 0..apps {
-                platform.admit(&spec, CoreId::new(i % NUM_CORES));
-            }
-            b.iter(|| platform.tick());
-        });
-    }
     group.bench_function("snapshots_8_apps", |b| {
         let mut platform = Platform::new(PlatformConfig::default());
         let w = Workload::single(Benchmark::Adi, QosSpec::FractionOfMaxBig(0.2));
@@ -64,6 +51,29 @@ fn platform_benches(c: &mut Criterion) {
         platform.tick();
         b.iter(|| black_box(platform.snapshots()));
     });
+    // One sample is one thermal period of ticks, starting on a period
+    // boundary, so it pays the period's one thermal step and sensor sample
+    // (a min over single ticks would see only the cheap ticks). The
+    // figure to read is ns per tick.
+    let config = PlatformConfig::default();
+    let block = THERMAL_PERIOD.as_nanos() / config.tick.as_nanos();
+    group.throughput(Throughput::Elements(block));
+    for apps in [0usize, 1, 8, 16] {
+        group.bench_function(format!("tick_{apps}_apps"), |b| {
+            let mut platform = Platform::new(config);
+            let w = Workload::single(Benchmark::Syr2k, QosSpec::FractionOfMaxBig(0.2));
+            let mut spec = *w.iter().next().unwrap();
+            spec.total_instructions = Some(u64::MAX);
+            for i in 0..apps {
+                platform.admit(&spec, CoreId::new(i % NUM_CORES));
+            }
+            b.iter(|| {
+                for _ in 0..block {
+                    platform.tick();
+                }
+            });
+        });
+    }
     group.finish();
 }
 

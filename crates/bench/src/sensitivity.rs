@@ -192,6 +192,32 @@ pub fn run(artifacts: &TrainedArtifacts, effort: Effort) -> SensitivityReport {
 mod tests {
     use super::*;
     use crate::harness::train_artifacts;
+    use hikey_platform::THERMAL_PERIOD;
+    use thermal::{Cooling, SocThermal};
+
+    /// The platform's thermal step integrates a whole `THERMAL_PERIOD` at
+    /// once; under every perturbation and both coolings that must stay a
+    /// single forward-Euler sub-step (the tightest, `capacity x0.5`, has a
+    /// 30 ms limit).
+    #[test]
+    fn thermal_period_is_one_euler_substep_under_every_perturbation() {
+        let mut tightest = f64::INFINITY;
+        for (label, params) in perturbations() {
+            for cooling in [Cooling::fan(), Cooling::passive()] {
+                let dt_max = SocThermal::with_params(cooling, params).dt_max();
+                assert!(
+                    THERMAL_PERIOD.as_secs_f64() <= dt_max,
+                    "`{label}` ({}): thermal period exceeds dt_max {dt_max} s",
+                    cooling.name()
+                );
+                tightest = tightest.min(dt_max);
+            }
+        }
+        assert!(
+            (tightest - 0.030).abs() < 1e-9,
+            "tightest dt_max {tightest}"
+        );
+    }
 
     #[test]
     fn conclusions_robust_to_thermal_calibration() {

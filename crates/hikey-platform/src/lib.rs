@@ -59,7 +59,7 @@ mod sim;
 pub use dtm::{Dtm, RELEASE_CELSIUS, TRIP_CELSIUS};
 pub use metrics::{AppOutcome, RunMetrics};
 pub use opp::{Opp, OppTable};
-pub use platform::{AppSnapshot, Platform, PlatformConfig};
+pub use platform::{AppSnapshot, Platform, PlatformConfig, THERMAL_PERIOD};
 pub use policy::{default_placement, DegradationReport, Policy};
 pub use power::PowerModel;
 pub use sensor::{SensorFilter, SensorFilterConfig, SensorReading};

@@ -92,11 +92,41 @@ impl PowerModel {
         effective_activity: f64,
         core_temp: Celsius,
     ) -> Watts {
+        self.core_power_with_leakage(
+            cluster,
+            f,
+            v,
+            effective_activity,
+            Self::leakage_factor(core_temp),
+        )
+    }
+
+    /// The temperature factor `exp((T − 25 °C)/T₀)` of a core's leakage.
+    ///
+    /// It depends on the die temperature only, so a caller that advances
+    /// the temperatures more slowly than the V/f levels (the platform's
+    /// thermal period) can cache it per core and price each tick's
+    /// `k_leak · V` against the cached factor.
+    pub fn leakage_factor(core_temp: Celsius) -> f64 {
+        ((core_temp.value() - 25.0) / LEAKAGE_T0).exp()
+    }
+
+    /// [`core_power`](Self::core_power) with the leakage temperature
+    /// factor given (see [`leakage_factor`](Self::leakage_factor)); equal
+    /// to it bit for bit when the factor is that of the same temperature.
+    pub fn core_power_with_leakage(
+        &self,
+        cluster: Cluster,
+        f: Frequency,
+        v: Voltage,
+        effective_activity: f64,
+        leakage_factor: f64,
+    ) -> Watts {
         let c = &self.coeffs[cluster.index()];
         let v2f = v.as_volts() * v.as_volts() * f.as_ghz();
         let activity = effective_activity.max(c.idle_fraction);
         let dynamic = c.k_dyn * activity * v2f;
-        let leakage = c.k_leak * v.as_volts() * ((core_temp.value() - 25.0) / LEAKAGE_T0).exp();
+        let leakage = c.k_leak * v.as_volts() * leakage_factor;
         Watts::new(dynamic + leakage)
     }
 

@@ -146,6 +146,13 @@ impl RcNetwork {
         Celsius::new(self.ambient)
     }
 
+    /// Longest forward-Euler sub-step [`step`](Self::step) takes, in
+    /// seconds: half the stability limit of the current conductances. A
+    /// step no longer than this is a single sub-step.
+    pub fn dt_max(&self) -> f64 {
+        self.dt_max
+    }
+
     /// Returns the current temperature of `node`.
     pub fn temperature(&self, node: NodeId) -> Celsius {
         Celsius::new(self.temperatures[node.0])

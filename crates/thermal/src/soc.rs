@@ -242,6 +242,12 @@ impl SocThermal {
         self.net.step(&powers, dt);
     }
 
+    /// Longest forward-Euler sub-step of the network, in seconds (see
+    /// [`RcNetwork::dt_max`]).
+    pub fn dt_max(&self) -> f64 {
+        self.net.dt_max()
+    }
+
     /// Returns the current temperature of a core.
     pub fn core_temperature(&self, core: CoreId) -> Celsius {
         self.net.temperature(self.cores[core.index()])
