@@ -110,8 +110,58 @@ pub struct AppModel {
     l2d_per_kinst: f64,
     activity: f64,
     phases: Vec<Phase>,
+    /// Where each phase ends within one period: phase `j` covers the
+    /// offsets `[phase_ends[j - 1], phase_ends[j])` (the first starts at
+    /// 0), and the last ends at the period. The builder derives them from
+    /// the float rule of [`AppModel::phase_at`], so the lookup is exact.
+    phase_ends: Vec<u64>,
     phase_period_insts: u64,
     total_instructions: u64,
+}
+
+/// The offsets in `[0, period]` where each phase ends under the float
+/// rule of [`AppModel::phase_at`]. The fraction `offset / period` never falls
+/// as the offset grows, so each running sum splits the offsets into a
+/// prefix below it and a suffix at or above it, and a binary search finds
+/// the split. The last phase takes everything left, up to the period.
+fn phase_ends(phases: &[Phase], period: u64) -> Vec<u64> {
+    let mut ends = Vec::with_capacity(phases.len());
+    let mut acc = 0.0;
+    for phase in &phases[..phases.len() - 1] {
+        acc += phase.weight;
+        let (mut lo, mut hi) = (0, period);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if (mid as f64 / period as f64) < acc {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        ends.push(lo);
+    }
+    ends.push(period);
+    ends
+}
+
+/// The phase an application is in and the instruction interval over which
+/// it stays there (see [`AppModel::phase_span`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PhaseSpan {
+    /// Index into [`AppModel::phases`].
+    pub index: usize,
+    /// First executed-instruction count of the interval.
+    pub start: u64,
+    /// One past the last executed-instruction count of the interval
+    /// (saturating at `u64::MAX`).
+    pub end: u64,
+}
+
+impl PhaseSpan {
+    /// Whether `executed` lies in the interval.
+    pub fn contains(&self, executed: u64) -> bool {
+        self.start <= executed && executed < self.end
+    }
 }
 
 impl AppModel {
@@ -150,6 +200,14 @@ impl AppModel {
         &self.phases
     }
 
+    /// Returns where each phase ends within one period of
+    /// [`phase_period_insts`](Self::phase_period_insts) instructions: phase
+    /// `j` covers the offsets from the previous end (0 for the first) up to
+    /// `phase_ends()[j]`, exclusive. The last end is the period.
+    pub fn phase_ends(&self) -> &[u64] {
+        &self.phase_ends
+    }
+
     /// Returns the number of instructions after which the phase pattern
     /// repeats.
     pub fn phase_period_insts(&self) -> u64 {
@@ -167,19 +225,45 @@ impl AppModel {
     }
 
     /// Returns the phase active after `executed` instructions.
+    ///
+    /// Phase `j` is active while the offset into the period, as a fraction
+    /// of the period, is below the sum of the weights of phases `0..=j` and
+    /// at or above that of phases `0..j`; the last phase takes the rest.
+    /// The lookup reads the integer offsets where that rule changes phase
+    /// ([`phase_ends`](Self::phase_ends)), so it does no float arithmetic.
     pub fn phase_at(&self, executed: u64) -> Phase {
+        self.phases[self.phase_span(executed).index]
+    }
+
+    /// Returns the phase active after `executed` instructions (as
+    /// [`phase_at`](Self::phase_at)) with the interval of executed counts
+    /// around `executed` over which it stays active. A caller that keeps
+    /// the span needs no lookup while its count stays inside it.
+    pub fn phase_span(&self, executed: u64) -> PhaseSpan {
         if self.phases.len() == 1 {
-            return self.phases[0];
+            return PhaseSpan {
+                index: 0,
+                start: 0,
+                end: u64::MAX,
+            };
         }
-        let pos = (executed % self.phase_period_insts) as f64 / self.phase_period_insts as f64;
-        let mut acc = 0.0;
-        for phase in &self.phases {
-            acc += phase.weight;
-            if pos < acc {
-                return *phase;
-            }
+        let offset = executed % self.phase_period_insts;
+        let period_start = executed - offset;
+        let index = self
+            .phase_ends
+            .iter()
+            .position(|&end| offset < end)
+            .expect("the last phase ends at the period");
+        let start = if index == 0 {
+            0
+        } else {
+            self.phase_ends[index - 1]
+        };
+        PhaseSpan {
+            index,
+            start: period_start + start,
+            end: period_start.saturating_add(self.phase_ends[index]),
         }
-        *self.phases.last().expect("phases is never empty")
     }
 
     /// Computes the steady-state performance on `cluster` at frequency `f`
@@ -271,6 +355,7 @@ impl AppModelBuilder {
                 l2d_per_kinst: 20.0,
                 activity: 1.0,
                 phases: vec![Phase::NEUTRAL],
+                phase_ends: Vec::new(),
                 phase_period_insts: 1_000_000_000,
                 total_instructions: 10_000_000_000,
             },
@@ -337,7 +422,8 @@ impl AppModelBuilder {
     }
 
     /// Finalizes the model.
-    pub fn build(self) -> AppModel {
+    pub fn build(mut self) -> AppModel {
+        self.model.phase_ends = phase_ends(&self.model.phases, self.model.phase_period_insts);
         self.model
     }
 }
@@ -346,6 +432,23 @@ impl AppModelBuilder {
 mod tests {
     use super::*;
     use crate::Frequency;
+    use proptest::prelude::*;
+
+    /// The float rule that defines phase membership, kept as the
+    /// specification of the boundary lookup: the offset as a fraction of
+    /// the period against the running sum of the phase weights, in phase
+    /// order.
+    fn phase_index_by_weight(phases: &[Phase], period: u64, offset: u64) -> usize {
+        let pos = offset as f64 / period as f64;
+        let mut acc = 0.0;
+        for (j, phase) in phases.iter().enumerate() {
+            acc += phase.weight;
+            if pos < acc {
+                return j;
+            }
+        }
+        phases.len() - 1
+    }
 
     fn sample() -> AppModel {
         AppModel::builder("test")
@@ -489,6 +592,88 @@ mod tests {
         assert!(t.is_violated_by(Ips::from_mips(99.0)));
         assert!(!t.is_violated_by(Ips::from_mips(100.0)));
         assert!(!QosTarget::NONE.is_violated_by(Ips::ZERO));
+    }
+
+    /// Checks `phase_at` and `phase_span` against the float rule at
+    /// `executed`.
+    fn assert_matches_float_rule(m: &AppModel, executed: u64) {
+        let period = m.phase_period_insts();
+        let expected = phase_index_by_weight(m.phases(), period, executed % period);
+        let span = m.phase_span(executed);
+        assert_eq!(span.index, expected, "phase after {executed} instructions");
+        assert_eq!(m.phase_at(executed), m.phases()[expected]);
+        assert!(span.contains(executed), "{span:?} must hold {executed}");
+        // The span's first and last counts are in the same phase, and it
+        // ends where the phase does: at a phase change or a period's end
+        // (or, cut short, at the top of the count).
+        let first = phase_index_by_weight(m.phases(), period, span.start % period);
+        assert_eq!(first, expected, "start of {span:?}");
+        let last = phase_index_by_weight(m.phases(), period, (span.end - 1) % period);
+        assert_eq!(last, expected, "end of {span:?}");
+        if span.end < u64::MAX && !span.end.is_multiple_of(period) {
+            let next = phase_index_by_weight(m.phases(), period, span.end % period);
+            assert_ne!(next, expected, "{span:?} must end at a phase change");
+        }
+    }
+
+    proptest! {
+        /// The boundary lookup agrees with the float rule at every phase
+        /// boundary, one instruction either side of it, and at random
+        /// counts, over random weights and periods (down to periods shorter
+        /// than the phase count, where phases are empty).
+        #[test]
+        fn phase_boundaries_match_the_float_rule(
+            weights in proptest::collection::vec(1u32..1_000, 1..6),
+            period_log in 0u32..40,
+            period_frac in 0u64..1_000_000,
+            seed in 0u64..u64::MAX,
+        ) {
+            let scale = 1u64 << period_log;
+            let period = scale + period_frac % scale;
+            let phases = weights
+                .iter()
+                .map(|&w| Phase { weight: f64::from(w), ..Phase::NEUTRAL })
+                .collect();
+            let m = AppModel::builder("random").phases(phases).phase_period_insts(period).build();
+            prop_assert_eq!(m.phase_ends().len(), m.phases().len());
+            prop_assert_eq!(*m.phase_ends().last().unwrap(), period);
+            for cycle in [0, 1, 7_919] {
+                let base = cycle * period;
+                for &end in m.phase_ends() {
+                    for executed in [end.saturating_sub(1), end, end + 1] {
+                        assert_matches_float_rule(&m, base + executed);
+                    }
+                }
+            }
+            let mut x = seed;
+            for _ in 0..64 {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                assert_matches_float_rule(&m, x);
+                assert_matches_float_rule(&m, x % (3 * period));
+            }
+        }
+    }
+
+    #[test]
+    fn single_phase_span_covers_every_count() {
+        let m = sample();
+        let span = m.phase_span(123);
+        assert_eq!((span.index, span.start, span.end), (0, 0, u64::MAX));
+        assert_eq!(m.phase_ends(), &[m.phase_period_insts()]);
+    }
+
+    #[test]
+    fn span_end_saturates_near_the_top_of_the_count() {
+        let m = AppModel::builder("phased")
+            .phases(vec![Phase::NEUTRAL, Phase::NEUTRAL])
+            .phase_period_insts(3)
+            .build();
+        // 2^64 - 1 is a multiple of 3: the count starts a period whose
+        // end does not fit, so the span is cut short at the top.
+        let span = m.phase_span(u64::MAX);
+        assert_eq!((span.index, span.start, span.end), (0, u64::MAX, u64::MAX));
+        let span = m.phase_span(u64::MAX - 1);
+        assert_eq!((span.index, span.end), (1, u64::MAX));
     }
 
     #[test]

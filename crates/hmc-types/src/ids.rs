@@ -99,6 +99,7 @@ impl CoreId {
     /// # Panics
     ///
     /// Panics if `index >= NUM_CORES`.
+    #[inline]
     pub fn new(index: usize) -> Self {
         assert!(index < NUM_CORES, "core index {index} out of range");
         CoreId(index as u8)

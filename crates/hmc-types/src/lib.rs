@@ -29,7 +29,7 @@ mod ids;
 mod time;
 mod units;
 
-pub use app::{AppModel, AppModelBuilder, Phase, QosTarget};
+pub use app::{AppModel, AppModelBuilder, Phase, PhaseSpan, QosTarget};
 pub use error::TypeError;
 pub use ids::{AppId, Cluster, CoreId, CORES_PER_CLUSTER, NUM_CLUSTERS, NUM_CORES};
 pub use time::{SimDuration, SimTime};

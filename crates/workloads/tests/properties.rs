@@ -1,6 +1,6 @@
 //! Property-based tests of workload generation and the benchmark catalog.
 
-use hmc_types::{Cluster, Frequency, SimDuration};
+use hmc_types::{Cluster, Frequency, Phase, SimDuration};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,4 +76,45 @@ proptest! {
                 >= model.mean_ips(Cluster::Little, f_lo, 1.0).value()
         );
     }
+
+    /// Every catalog model's boundary-based phase lookup equals the float
+    /// rule that defines phases, at each phase boundary, one instruction
+    /// either side of it, and at random counts across many periods.
+    #[test]
+    fn catalog_phase_lookup_matches_the_float_rule(
+        bench_idx in 0usize..16,
+        period_index in 0u64..1_000,
+        offset in 0u64..u64::MAX,
+    ) {
+        let model = Benchmark::all()[bench_idx].model();
+        let period = model.phase_period_insts();
+        let base = period_index * period;
+        let mut counts: Vec<u64> = model
+            .phase_ends()
+            .iter()
+            .flat_map(|&end| [end.saturating_sub(1), end, end + 1])
+            .map(|offset| base + offset)
+            .collect();
+        counts.extend([offset, offset % period, base + offset % period]);
+        for executed in counts {
+            let expected = phase_index_by_weight(model.phases(), period, executed % period);
+            prop_assert_eq!(model.phase_span(executed).index, expected);
+            prop_assert_eq!(model.phase_at(executed), model.phases()[expected]);
+        }
+    }
+}
+
+/// The float rule that defines phase membership (the specification of
+/// `AppModel::phase_at`): the offset into the period as a fraction of it,
+/// against the running sum of the phase weights in phase order.
+fn phase_index_by_weight(phases: &[Phase], period: u64, offset: u64) -> usize {
+    let pos = offset as f64 / period as f64;
+    let mut acc = 0.0;
+    for (j, phase) in phases.iter().enumerate() {
+        acc += phase.weight;
+        if pos < acc {
+            return j;
+        }
+    }
+    phases.len() - 1
 }
