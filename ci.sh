@@ -55,11 +55,19 @@ fi
 gate_end "fmt + clippy + lints"
 
 # Platform hot-path gate: a steady-state `Platform::tick` performs no heap
-# allocation (fleet runs tick every board 500 times per epoch). The test
-# binary counts allocations over 1,000 warmed-up ticks.
+# allocation (fleet runs tick every board 500 times per epoch), and neither
+# does the TOP-IL DVFS loop that runs every 50 ticks beside it; each test
+# binary counts allocations over 1,000 warmed-up ticks. The memoized tick
+# must also match its un-memoized reference bit for bit over randomized
+# scenarios (phases, shared cores, migrations, governor debt, DVFS faults,
+# DTM clamps).
 gate_begin
 cargo test -q -p hikey-platform --test tick_alloc || {
     echo "platform hot-path gate: Platform::tick allocated in steady state" >&2; exit 1; }
+cargo test -q -p topil --test dvfs_alloc || {
+    echo "platform hot-path gate: the DVFS loop allocated in steady state" >&2; exit 1; }
+cargo test -q -p hikey-platform --lib memoized_tick_matches_the_reference_bit_for_bit || {
+    echo "platform hot-path gate: the memoized tick diverged from its reference" >&2; exit 1; }
 gate_end "platform hot-path gate"
 echo "platform hot-path gate passed"
 

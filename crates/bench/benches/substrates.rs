@@ -14,6 +14,7 @@ use npu_serve::{seeded_payload, ClientId, TierSubmit, TieredService};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use thermal::{Cooling, SocThermal};
+use topil::dvfs::DvfsControlLoop;
 use topil::oracle::{Scenario, TraceCollector};
 use workloads::{Benchmark, QosSpec, Workload};
 
@@ -74,6 +75,34 @@ fn platform_benches(c: &mut Criterion) {
             });
         });
     }
+    // Fleet-topil's per-board load: phased PARSEC and steady Polybench
+    // apps on both clusters, two of them sharing big core 4, under the
+    // TOP-IL DVFS loop every 50 ticks (whose CPU time drains core 0).
+    group.bench_function("tick_mixed_4_apps", |b| {
+        let mut platform = Platform::new(config);
+        for (benchmark, core) in [
+            (Benchmark::Dedup, 4),
+            (Benchmark::Syr2k, 1),
+            (Benchmark::Facesim, 4),
+            (Benchmark::Canneal, 6),
+        ] {
+            let w = Workload::single(benchmark, QosSpec::FractionOfMaxBig(0.3));
+            let mut spec = *w.iter().next().unwrap();
+            spec.total_instructions = Some(u64::MAX);
+            platform.admit(&spec, CoreId::new(core));
+        }
+        let mut dvfs = DvfsControlLoop::new();
+        let mut ticks = 0u64;
+        b.iter(|| {
+            for _ in 0..block {
+                platform.tick();
+                ticks += 1;
+                if ticks.is_multiple_of(50) {
+                    dvfs.run(&mut platform);
+                }
+            }
+        });
+    });
     group.finish();
 }
 

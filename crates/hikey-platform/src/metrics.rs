@@ -113,15 +113,16 @@ impl RunMetrics {
         }
     }
 
+    /// Records one tick of length `dt` (`secs` seconds).
     pub(crate) fn record_tick(
         &mut self,
         dt: SimDuration,
+        secs: f64,
         sensor: Celsius,
         busy_cores_per_level: &[(Cluster, usize, usize)],
         utilization: f64,
         power: f64,
     ) {
-        let secs = dt.as_secs_f64();
         self.temp_time_sum += sensor.value() * secs;
         self.peak_temp = self.peak_temp.max(sensor.value());
         self.elapsed += dt;
@@ -324,6 +325,7 @@ mod tests {
         let mut m = RunMetrics::new(7, 9);
         m.record_tick(
             SimDuration::from_millis(1),
+            1e-3,
             Celsius::new(40.0),
             &[(Cluster::Big, 8, 2)],
             0.25,
@@ -331,6 +333,7 @@ mod tests {
         );
         m.record_tick(
             SimDuration::from_millis(1),
+            1e-3,
             Celsius::new(50.0),
             &[(Cluster::Big, 8, 2)],
             0.75,

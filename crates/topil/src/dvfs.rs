@@ -45,13 +45,12 @@ impl DvfsControlLoop {
     /// minimum that satisfies all its applications' QoS targets. Returns
     /// the CPU cost of the invocation (already charged to the platform).
     pub fn run(&mut self, platform: &mut Platform) -> SimDuration {
-        let snapshots = platform.snapshots();
         for cluster in Cluster::ALL {
             let table = platform.opp_table(cluster);
             let f_current = platform.cluster_frequency(cluster);
             // Eq. 6: the cluster must satisfy its most demanding app.
-            let target_level = snapshots
-                .iter()
+            let target_level = platform
+                .app_qos()
                 .filter(|s| s.core.cluster() == cluster)
                 .map(|s| estimate_min_level(s.qos_current, s.qos_target, f_current, table))
                 .max();
@@ -66,7 +65,7 @@ impl DvfsControlLoop {
                 platform.set_cluster_level(cluster, next);
             }
         }
-        let cost = BASE_COST + PER_APP_COST * snapshots.len() as u64;
+        let cost = BASE_COST + PER_APP_COST * platform.app_count() as u64;
         platform.consume_governor_time(cost);
         cost
     }
