@@ -185,6 +185,24 @@ impl Adam {
     }
 }
 
+/// `x`, or a zero of its sign when `x` is subnormal.
+///
+/// A dead ReLU unit's gradient is exactly zero, so its first moment decays
+/// by β₁ every step until it turns subnormal, and subnormal arithmetic is
+/// slow on x86. Such a moment contributes an update of `lr · m / (√v̂ + ε)`
+/// below 1e-32, which no weight of normal magnitude can register, so the
+/// flush leaves trained weights unchanged. It is plain software (a compare
+/// and a bit mask, no branch), not a floating-point mode such as FTZ, so
+/// every host runs it the same way.
+#[inline(always)]
+fn flush_subnormal(x: f32) -> f32 {
+    const SIGN: u32 = 0x8000_0000;
+    let bits = x.to_bits();
+    // All ones when |x| >= f32::MIN_POSITIVE (NaN included), else 0.
+    let normal = u32::from((bits & !SIGN) >= f32::MIN_POSITIVE.to_bits()).wrapping_neg();
+    f32::from_bits(bits & (normal | SIGN))
+}
+
 /// The coefficients of one Adam step.
 #[derive(Debug, Clone, Copy)]
 struct AdamRule {
@@ -200,7 +218,9 @@ struct AdamRule {
 impl AdamRule {
     /// Updates parameters `p` and their moments `m`, `v` from gradients
     /// `g`, element by element. Each element is independent, so the loop
-    /// runs in SIMD lanes without changing any element's arithmetic.
+    /// runs in SIMD lanes without changing any element's arithmetic. A
+    /// subnormal first moment is flushed to zero before it is stored or
+    /// used (see [`flush_subnormal`]).
     ///
     /// # Panics
     ///
@@ -214,7 +234,7 @@ impl AdamRule {
         );
         let (g, m, v) = (&g[..n], &mut m[..n], &mut v[..n]);
         for i in 0..n {
-            let m_i = self.beta1 * m[i] + (1.0 - self.beta1) * g[i];
+            let m_i = flush_subnormal(self.beta1 * m[i] + (1.0 - self.beta1) * g[i]);
             let v_i = self.beta2 * v[i] + (1.0 - self.beta2) * g[i] * g[i];
             m[i] = m_i;
             v[i] = v_i;
@@ -341,5 +361,84 @@ mod tests {
             };
             assert_eq!(moments(&adam), moments(&reference_adam));
         }
+    }
+
+    /// The Adam rule without the subnormal flush.
+    fn unflushed_apply(rule: &AdamRule, p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]) {
+        for i in 0..p.len() {
+            let m_i = rule.beta1 * m[i] + (1.0 - rule.beta1) * g[i];
+            let v_i = rule.beta2 * v[i] + (1.0 - rule.beta2) * g[i] * g[i];
+            m[i] = m_i;
+            v[i] = v_i;
+            p[i] -= rule.lr * (m_i / rule.bc1) / ((v_i / rule.bc2).sqrt() + rule.eps);
+        }
+    }
+
+    /// A dead unit's gradient is zero after a few live steps: its first
+    /// moment decays to exactly zero instead of lingering as a subnormal,
+    /// and the weights still equal those of the unflushed rule bit for bit.
+    #[test]
+    fn dead_unit_moments_flush_to_zero_without_moving_weights() {
+        let (beta1, beta2, lr) = (0.9f32, 0.999f32, 1e-3f32);
+        let weights = [0.731f32, -0.052, 1.9e-3, -2.4, 0.0, -0.0, 3.1e-5, 0.44];
+        let live = [0.3f32, -1.2, 4.0e-4, 7.5, -0.02, 0.9, -3.3e-3, 1.0e-6];
+        let (mut p, mut m, mut v) = (weights, [0.0f32; 8], [0.0f32; 8]);
+        let (mut p_ref, mut m_ref, mut v_ref) = (p, m, v);
+        let mut flushed_at = None;
+        let mut saw_subnormal = false;
+        for t in 1..=2_000 {
+            let rule = AdamRule {
+                beta1,
+                beta2,
+                eps: 1e-8,
+                lr,
+                bc1: 1.0 - beta1.powi(t),
+                bc2: 1.0 - beta2.powi(t),
+            };
+            // Five live steps, then the unit dies.
+            let g = if t <= 5 { live } else { [0.0; 8] };
+            rule.apply(&mut p, &g, &mut m, &mut v);
+            unflushed_apply(&rule, &mut p_ref, &g, &mut m_ref, &mut v_ref);
+            let bits = |x: &[f32; 8]| x.map(f32::to_bits);
+            assert_eq!(bits(&p), bits(&p_ref), "weights after step {t}");
+            assert_eq!(bits(&v), bits(&v_ref), "second moments after step {t}");
+            assert!(
+                m.iter().all(|x| x.is_normal() || *x == 0.0),
+                "step {t}: {m:?}"
+            );
+            saw_subnormal |= m_ref.iter().any(|x| x.is_subnormal());
+            if flushed_at.is_none() && m.iter().all(|&x| x == 0.0) {
+                flushed_at = Some(t);
+            }
+        }
+        assert!(
+            saw_subnormal,
+            "the unflushed moments must pass through subnormals"
+        );
+        let t = flushed_at.expect("every first moment must reach exactly zero");
+        assert!(t > 5 && t < 2_000, "flushed at step {t}");
+        assert!(
+            m_ref.iter().any(|&x| x != 0.0),
+            "the unflushed rule is still decaying"
+        );
+    }
+
+    #[test]
+    fn flush_keeps_normals_and_signs() {
+        for x in [
+            1.0f32,
+            -1.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::INFINITY,
+        ] {
+            assert_eq!(flush_subnormal(x).to_bits(), x.to_bits());
+        }
+        assert!(flush_subnormal(f32::NAN).is_nan());
+        let tiny = f32::MIN_POSITIVE / 2.0;
+        assert_eq!(flush_subnormal(tiny).to_bits(), 0.0f32.to_bits());
+        assert_eq!(flush_subnormal(-tiny).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(flush_subnormal(-0.0).to_bits(), (-0.0f32).to_bits());
     }
 }
