@@ -91,7 +91,9 @@ fi
 gate_end "test suite"
 
 # Crash-recovery gate: an interrupted sweep, resumed, must reproduce the
-# uninterrupted run's CSV (incl. per-point trace hashes) byte-for-byte.
+# uninterrupted run's CSV (incl. per-point trace hashes) byte-for-byte,
+# and an interrupted IL training run, resumed from its snapshot, must
+# write the uninterrupted run's model file byte-for-byte.
 gate_begin
 cargo build --release -q -p bench --bin experiments
 ckpt_tmp="$(mktemp -d)"
@@ -109,6 +111,23 @@ if [ "$status" -ne 130 ]; then
 fi
 "$experiments" sweep --points 2 --state "$ckpt_tmp/state" --out "$ckpt_tmp/resumed" >/dev/null
 diff "$ckpt_tmp/ref/sweep.csv" "$ckpt_tmp/resumed/sweep.csv"
+"$experiments" train --state "$ckpt_tmp/train-ref-state" --out "$ckpt_tmp/train-ref" >/dev/null
+set +e
+TOPIL_TRAIN_CRASH_AFTER=3 "$experiments" train \
+    --state "$ckpt_tmp/train-state" --out "$ckpt_tmp/train-resumed" >/dev/null
+status=$?
+set -e
+if [ "$status" -ne 130 ]; then
+    echo "crash-recovery gate: expected exit 130 from interrupted training, got $status" >&2
+    exit 1
+fi
+"$experiments" train --state "$ckpt_tmp/train-state" --out "$ckpt_tmp/train-resumed" \
+    2> "$ckpt_tmp/train-resume.log" >/dev/null
+grep -q 'resumed from training snapshot' "$ckpt_tmp/train-resume.log" || {
+    cat "$ckpt_tmp/train-resume.log" >&2
+    echo "crash-recovery gate: the rerun did not resume from the training snapshot" >&2; exit 1; }
+cmp "$ckpt_tmp/train-ref/il-model.bin" "$ckpt_tmp/train-resumed/il-model.bin" || {
+    echo "crash-recovery gate: resumed training wrote a different model" >&2; exit 1; }
 gate_end "crash-recovery gate"
 echo "crash-recovery gate passed"
 

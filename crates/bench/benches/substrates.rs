@@ -20,6 +20,9 @@ use workloads::{Benchmark, QosSpec, Workload};
 
 fn thermal_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("thermal");
+    // A min over the default 10 single-call samples of a ~100 ns step
+    // swings with timer noise; 10,000 samples settle it.
+    group.sample_size(10_000);
     let powers = [Watts::new(1.0); NUM_CORES];
     group.bench_function("step_1ms", |b| {
         let mut soc = SocThermal::new(Cooling::fan());

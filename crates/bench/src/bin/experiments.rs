@@ -645,7 +645,7 @@ fn main() {
                 let state = state
                     .clone()
                     .unwrap_or_else(|| PathBuf::from("train-state"));
-                let trainer = bench::harness::il_trainer(effort);
+                let trainer = bench::harness::il_trainer(effort).with_budget(budget);
                 let scenarios = topil::oracle::Scenario::standard_set(
                     effort.scenario_count().min(20),
                     0xC0FFEE,
@@ -658,10 +658,7 @@ fn main() {
                     &cases,
                     0,
                     &state,
-                    &topil::CkptConfig {
-                        budget,
-                        ..topil::CkptConfig::default()
-                    },
+                    &topil::CkptConfig::default(),
                     interrupt,
                     None,
                 ) {

@@ -1,12 +1,12 @@
 //! Wall-clock timing harness behind `BENCH_parallel.json`.
 //!
-//! Measures the serial wall time of the three layers that accept a
-//! [`par::Budget`] — a sharded training epoch, a robustness-sweep grid and
-//! a fleet run — re-runs each at a 4-thread budget, verifies the outputs
-//! are bit-identical, and reports *modeled* 4-worker speedups from the
-//! measured serial decomposition (parallelizable work scheduled over four
-//! workers plus the measured serial residue). The modeled numbers are the
-//! honest headline on hosts with fewer than four cores, where the measured
+//! Measures the serial wall time of two layers that accept a
+//! [`par::Budget`] — a robustness-sweep grid and a fleet run — re-runs
+//! each at a 4-thread budget, verifies the outputs are bit-identical, and
+//! reports a *modeled* 4-worker sweep speedup from the measured serial
+//! decomposition (parallelizable work scheduled over four workers plus
+//! the measured serial residue). The modeled number is the honest
+//! headline on hosts with fewer than four cores, where the measured
 //! parallel wall time cannot beat serial. Prints JSON to stdout:
 //!
 //! ```text
@@ -15,10 +15,6 @@
 //!
 //! Methodology notes:
 //!
-//! * The training epoch is timed *marginally* — `(T(9 epochs) - T(1
-//!   epoch)) / 8` — so one-off setup (dataset split, Adam init) does not
-//!   pollute the per-epoch number. Its parallelizable portion re-runs the
-//!   exact sharded forward/backward arithmetic on the same split sizes.
 //! * Sweep points are timed as grid *prefixes* (via the supervisor's
 //!   simulated-crash hook), because every point derives its workload from
 //!   its own grid index — timing points in isolation would give all of
@@ -29,15 +25,11 @@ use std::time::Instant;
 
 use bench::fleet::{run_with_model, FleetConfig};
 use bench::sweep::{run_sweep, sweep_csv, GridPoint, SweepConfig, SweepHooks};
-use nn::{Dataset, Mlp, TrainControl};
-use par::{shard_ranges, Budget, DEFAULT_SHARDS};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use par::Budget;
 use topil::oracle::Scenario;
 use topil::training::{IlModel, IlTrainer, TrainSettings};
 
 const SAMPLES: usize = 7;
-const WORKERS: f64 = 4.0;
 
 /// Median wall time of `f` in nanoseconds over [`SAMPLES`] runs.
 fn median_ns(mut f: impl FnMut()) -> f64 {
@@ -69,41 +61,6 @@ fn quick_model(seed: u64) -> IlModel {
     IlTrainer::new(settings).train(&Scenario::standard_set(6, 9), seed)
 }
 
-/// One serial pass of the sharded minibatch gradient arithmetic over
-/// `rows` examples — the train-set portion of an epoch the budget scales.
-fn gradient_work(mlp: &Mlp, data: &Dataset, rows: usize, batch_size: usize) {
-    let order: Vec<usize> = (0..rows).collect();
-    for chunk in order.chunks(batch_size.max(1)) {
-        let shards = shard_ranges(chunk.len(), DEFAULT_SHARDS);
-        let total_elems = chunk.len() * mlp.output_size();
-        let mut merged: Option<(f32, nn::Gradients)> = None;
-        for range in shards {
-            let batch = data.subset(&chunk[range]);
-            let cache = mlp.forward_cached(batch.x());
-            let (sq_sum, grad) = Mlp::mse_loss_sharded(cache.output(), batch.y(), total_elems);
-            let shard = (sq_sum, mlp.backward(&cache, &grad));
-            merged = Some(match merged {
-                None => shard,
-                Some((sq_a, mut grad_a)) => {
-                    grad_a.accumulate(&shard.1);
-                    (sq_a + shard.0, grad_a)
-                }
-            });
-        }
-        std::hint::black_box(&merged);
-    }
-}
-
-/// One serial pass of the sharded validation arithmetic over `rows`
-/// examples — the val-set portion of an epoch the budget scales.
-fn validation_work(mlp: &Mlp, data: &Dataset, rows: usize) {
-    for range in shard_ranges(rows, DEFAULT_SHARDS) {
-        let indices: Vec<usize> = range.collect();
-        let batch = data.subset(&indices);
-        std::hint::black_box(Mlp::sq_error_sum(&mlp.forward_batch(batch.x()), batch.y()));
-    }
-}
-
 fn main() {
     println!("{{");
     println!(
@@ -111,79 +68,11 @@ fn main() {
          measured_t4 re-runs the same work at Budget::with_threads(4), modeled_t4 schedules \
          the measured parallelizable work over 4 workers and adds the measured serial \
          residue (Amdahl); every *identical* flag asserts bit-identical outputs across \
-         budgets; the training epoch is timed marginally over 8 extra epochs, sweep points \
-         as grid prefixes\",",
+         budgets; sweep points are timed as grid prefixes\",",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
 
-    // --- Layer 1: one sharded training epoch ------------------------------
-    let trainer = IlTrainer::new(TrainSettings::default());
-    let cases = trainer.collect_cases(&Scenario::standard_set(4, 21));
-    let (dataset, _) = IlTrainer::build_dataset(&cases);
-    let config = |max_epochs: usize| nn::TrainConfig {
-        max_epochs,
-        patience: 1_000, // never stop early inside the timing window
-        ..nn::TrainConfig::default()
-    };
-    let init = Mlp::with_topology(
-        topil::FEATURE_COUNT,
-        2,
-        64,
-        hmc_types::NUM_CORES,
-        &mut StdRng::seed_from_u64(33),
-    );
-    let run_epochs = |max_epochs: usize, budget: &Budget| {
-        let mut mlp = init.clone();
-        nn::train_resumable(
-            &mut mlp,
-            &dataset,
-            &config(max_epochs),
-            7,
-            budget,
-            None,
-            &mut |_| TrainControl::Continue,
-        );
-        mlp
-    };
-    let marginal = |budget: &Budget| {
-        let t1 = median_ns(|| {
-            std::hint::black_box(run_epochs(1, budget));
-        });
-        let t9 = median_ns(|| {
-            std::hint::black_box(run_epochs(9, budget));
-        });
-        (t9 - t1) / 8.0
-    };
-    let epoch_serial_ns = marginal(&Budget::serial());
-    let epoch_t4_ns = marginal(&Budget::with_threads(4));
-    let epoch_identical =
-        run_epochs(9, &Budget::serial()) == run_epochs(9, &Budget::with_threads(4));
-    // Parallelizable portion: the sharded forward/backward arithmetic on
-    // the epoch's actual split sizes (same clamp as `Dataset::split`).
-    let nn_config = config(1);
-    let n_val = ((dataset.len() as f64) * nn_config.val_fraction).round() as usize;
-    let n_val = n_val.clamp(1, dataset.len().saturating_sub(1).max(1));
-    let n_train = dataset.len() - n_val;
-    let gradient_ns = median_ns(|| {
-        gradient_work(&init, &dataset, n_train, nn_config.batch_size);
-        validation_work(&init, &dataset, n_val);
-    });
-    let residue_ns = (epoch_serial_ns - gradient_ns).max(0.0);
-    let epoch_modeled_t4 = residue_ns + gradient_ns / WORKERS;
-    println!("  \"training_epoch_examples\": {},", dataset.len());
-    println!("  \"training_epoch_serial_ns\": {epoch_serial_ns:.0},");
-    println!("  \"training_epoch_measured_t4_ns\": {epoch_t4_ns:.0},");
-    println!("  \"training_epoch_gradient_work_ns\": {gradient_ns:.0},");
-    println!("  \"training_epoch_serial_residue_ns\": {residue_ns:.0},");
-    println!("  \"training_epoch_modeled_t4_ns\": {epoch_modeled_t4:.0},");
-    println!(
-        "  \"modeled_speedup_training_epoch_4workers\": {:.2},",
-        epoch_serial_ns / epoch_modeled_t4
-    );
-    println!("  \"training_epoch_identical\": {epoch_identical},");
-    eprintln!("training epoch timed");
-
-    // --- Layer 2: a four-point sweep grid ---------------------------------
+    // --- Layer 1: a four-point sweep grid ---------------------------------
     let model = quick_model(3);
     let grid: Vec<GridPoint> = [(0.0, 0.0), (0.3, 0.0), (0.0, 0.2), (0.3, 0.2)]
         .iter()
@@ -262,7 +151,7 @@ fn main() {
     println!("  \"sweep_grid_identical\": {sweep_identical},");
     eprintln!("sweep grid timed");
 
-    // --- Layer 3: a fleet run ---------------------------------------------
+    // --- Layer 2: a fleet run ---------------------------------------------
     let fleet_config = FleetConfig {
         boards: 8,
         epochs: 8,

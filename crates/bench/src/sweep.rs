@@ -517,7 +517,8 @@ fn run_point_supervised(
 ) -> PointStatus {
     // Each point gets its own derived workload seed so resumed runs
     // reproduce interrupted ones regardless of execution order.
-    let seed = nn::derive_rng(config.workload_seed, WORKLOAD_POINT_STREAM, index as u64).next_u64();
+    let seed =
+        sim_core::derive_rng(config.workload_seed, WORKLOAD_POINT_STREAM, index as u64).next_u64();
     let injected = hooks.injected_failures(index);
     let mut attempts = 0u32;
     loop {

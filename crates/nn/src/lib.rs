@@ -46,8 +46,7 @@ pub use kernel::KernelMode;
 pub use matrix::Matrix;
 pub use mlp::{Gradients, Mlp};
 pub use resume::{
-    derive_rng, rng_stream_fingerprint, train_resumable, StateDecodeError, TrainControl,
-    TrainOutcome, TrainState,
+    rng_stream_fingerprint, StateDecodeError, TrainControl, TrainOutcome, TrainState,
 };
 pub use standardize::Standardizer;
-pub use train::{train, Dataset, TrainConfig, TrainReport};
+pub use train::{train, train_resumable, Dataset, TrainConfig, TrainReport};

@@ -184,22 +184,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise sum in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_inplace(&mut self, other: &Matrix) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "shape mismatch"
-        );
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
     /// Element-wise product in place.
     ///
     /// # Panics

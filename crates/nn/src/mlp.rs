@@ -64,27 +64,6 @@ pub struct Gradients {
 }
 
 impl Gradients {
-    /// Sums `other` into `self`, element-wise — the combine step of a
-    /// sharded data-parallel batch, where each shard backpropagates its
-    /// rows independently and the partial gradients are merged before the
-    /// optimizer step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two gradient sets have different shapes.
-    pub fn accumulate(&mut self, other: &Gradients) {
-        assert_eq!(self.dw.len(), other.dw.len(), "layer count mismatch");
-        for (dw, odw) in self.dw.iter_mut().zip(&other.dw) {
-            dw.add_inplace(odw);
-        }
-        for (db, odb) in self.db.iter_mut().zip(&other.db) {
-            assert_eq!(db.len(), odb.len(), "bias gradient length mismatch");
-            for (d, o) in db.iter_mut().zip(odb) {
-                *d += o;
-            }
-        }
-    }
-
     /// Adds `decay · w` to the weight gradients (L2 regularization; biases
     /// are conventionally exempt).
     pub fn apply_weight_decay(&mut self, mlp: &Mlp, decay: f32) {
@@ -360,46 +339,23 @@ impl Mlp {
     ///
     /// Returns `(loss, d_loss/d_output)` where the loss is averaged over
     /// all elements.
-    pub fn mse_loss(predictions: &Matrix, targets: &Matrix) -> (f32, Matrix) {
-        let n = predictions.rows() * predictions.cols();
-        let (sq_sum, grad) = Mlp::mse_loss_sharded(predictions, targets, n);
-        (sq_sum / n as f32, grad)
-    }
-
-    /// MSE loss pieces for one shard of a larger batch: the *sum* of
-    /// squared errors over this shard (unaveraged, so shard sums can be
-    /// tree-reduced) and the gradient averaged over `total_elems` — the
-    /// element count of the full batch, not the shard — so merged shard
-    /// gradients equal the full-batch gradient.
-    ///
-    /// `mse_loss(p, t)` is exactly `mse_loss_sharded(p, t, n)` with
-    /// `n = rows · cols` and the sum divided by `n`.
     ///
     /// # Panics
     ///
     /// Panics if the shapes differ.
-    pub fn mse_loss_sharded(
-        predictions: &Matrix,
-        targets: &Matrix,
-        total_elems: usize,
-    ) -> (f32, Matrix) {
-        assert_eq!(
-            (predictions.rows(), predictions.cols()),
-            (targets.rows(), targets.cols()),
-            "shape mismatch"
-        );
-        let n = total_elems as f32;
+    pub fn mse_loss(predictions: &Matrix, targets: &Matrix) -> (f32, Matrix) {
+        let sq_sum = Mlp::sq_error_sum(predictions, targets);
+        let n = (predictions.rows() * predictions.cols()) as f32;
         let mut grad = Matrix::zeros(predictions.rows(), predictions.cols());
         let pairs = predictions.as_slice().iter().zip(targets.as_slice());
         for (g, (&p, &t)) in grad.as_mut_slice().iter_mut().zip(pairs) {
             *g = 2.0 * (p - t) / n;
         }
-        (Mlp::sq_error_sum(predictions, targets), grad)
+        (sq_sum / n, grad)
     }
 
-    /// Sum of squared errors over a batch, unaveraged — the shard-local
-    /// piece of a validation loss whose mean is taken by the caller over
-    /// the full set.
+    /// Sum of squared errors over a batch, unaveraged: the loss of
+    /// [`Mlp::mse_loss`] times the element count, without its gradient.
     ///
     /// # Panics
     ///

@@ -1,9 +1,10 @@
 //! Training loop: minibatch Adam with exponential LR decay and early
-//! stopping — the exact recipe of the paper (§4.3).
+//! stopping — the exact recipe of the paper (§4.3) — resumable after any
+//! epoch.
 
 use rand::RngExt;
 
-use crate::{Adam, Matrix, Mlp};
+use crate::{Adam, Matrix, Mlp, TrainControl, TrainOutcome, TrainState};
 
 /// A supervised dataset: feature rows `x` and target rows `y`.
 ///
@@ -135,6 +136,9 @@ pub struct TrainReport {
 /// loss and early stopping. On return `mlp` holds the weights of the best
 /// validation epoch.
 ///
+/// This is [`train_resumable`] with no resume point and a hook that never
+/// stops the run.
+///
 /// # Panics
 ///
 /// Panics if the dataset is empty or its dimensions do not match the
@@ -145,60 +149,127 @@ pub fn train<R: RngExt + ?Sized>(
     config: &TrainConfig,
     rng: &mut R,
 ) -> TrainReport {
+    train_resumable(mlp, data, config, rng, None, &mut |_| {
+        TrainControl::Continue
+    })
+    .report
+}
+
+/// The training loop behind [`train`], with a resume point and an
+/// `on_epoch` hook, so a run can be interrupted after any epoch and later
+/// resumed — from the [`TrainState`] the hook saw — to produce exactly the
+/// weights an uninterrupted run yields.
+///
+/// The split and every epoch's shuffle come from `rng` in sequence. A
+/// resumed run must be handed an `rng` in the state the interrupted run's
+/// was in when this function was called (in practice: the same seed and
+/// the same draws before the call). It draws the split again and replays
+/// the shuffle of every completed epoch without training on it, so the
+/// stream stands where an uninterrupted run's would.
+///
+/// The hook borrows the loop's carried state after every trained epoch;
+/// nothing is cloned unless the hook keeps it. On completion (early
+/// stopping or `max_epochs`), `mlp` holds the best validation epoch's
+/// weights. When the hook returns [`TrainControl::Stop`], the function
+/// returns with `completed: false` and `mlp` at the current epoch's
+/// weights.
+///
+/// # Panics
+///
+/// Panics if the dataset is empty, its dimensions do not match the
+/// network, or `resume` carries a different network topology.
+pub fn train_resumable<R: RngExt + ?Sized>(
+    mlp: &mut Mlp,
+    data: &Dataset,
+    config: &TrainConfig,
+    rng: &mut R,
+    resume: Option<TrainState>,
+    on_epoch: &mut dyn FnMut(&TrainState) -> TrainControl,
+) -> TrainOutcome {
     assert!(!data.is_empty(), "cannot train on an empty dataset");
     assert_eq!(data.x().cols(), mlp.input_size(), "feature width mismatch");
     assert_eq!(data.y().cols(), mlp.output_size(), "target width mismatch");
 
     let (train_set, val_set) = data.split(config.val_fraction, rng);
-    let mut adam = Adam::new(mlp);
-    let mut best = mlp.clone();
-    let mut best_val = f32::INFINITY;
-    let mut since_best = 0;
-    let mut train_losses = Vec::new();
-    let mut val_losses = Vec::new();
+    let mut state = match resume {
+        Some(state) => {
+            assert_eq!(
+                state.mlp.layer_sizes(),
+                mlp.layer_sizes(),
+                "resume state topology mismatch"
+            );
+            state
+        }
+        None => TrainState {
+            next_epoch: 0,
+            mlp: mlp.clone(),
+            adam: Adam::new(mlp),
+            best: mlp.clone(),
+            best_val_loss: f32::INFINITY,
+            epochs_since_best: 0,
+            train_losses: Vec::new(),
+            val_losses: Vec::new(),
+        },
+    };
 
     let mut order: Vec<usize> = (0..train_set.len()).collect();
+    let mut completed = true;
     for epoch in 0..config.max_epochs {
-        let lr = config.initial_lr * config.lr_decay.powi(epoch as i32);
+        let replay = epoch < state.next_epoch;
+        // Early stopping: checked before the next shuffle, so a run resumed
+        // from its stopping epoch ends where the uninterrupted one did.
+        if !replay && state.epochs_since_best >= config.patience.max(1) {
+            break;
+        }
         shuffle(&mut order, rng);
+        if replay {
+            continue;
+        }
+        let lr = config.initial_lr * config.lr_decay.powi(epoch as i32);
         let mut epoch_loss = 0.0;
         let mut batches = 0;
         for chunk in order.chunks(config.batch_size.max(1)) {
             let batch = train_set.subset(chunk);
-            let cache = mlp.forward_cached(batch.x());
+            let cache = state.mlp.forward_cached(batch.x());
             let (loss, grad) = Mlp::mse_loss(cache.output(), batch.y());
-            let mut grads = mlp.backward(&cache, &grad);
+            let mut grads = state.mlp.backward(&cache, &grad);
             if config.weight_decay > 0.0 {
-                grads.apply_weight_decay(mlp, config.weight_decay);
+                grads.apply_weight_decay(&state.mlp, config.weight_decay);
             }
             if config.grad_clip > 0.0 {
                 grads.clip_global_norm(config.grad_clip);
             }
-            adam.step(mlp, &grads, lr);
+            state.adam.step(&mut state.mlp, &grads, lr);
             epoch_loss += loss;
             batches += 1;
         }
-        train_losses.push(epoch_loss / batches.max(1) as f32);
+        state.train_losses.push(epoch_loss / batches.max(1) as f32);
 
-        let (val_loss, _) = Mlp::mse_loss(&mlp.forward_batch(val_set.x()), val_set.y());
-        val_losses.push(val_loss);
-        if val_loss < best_val {
-            best_val = val_loss;
-            best = mlp.clone();
-            since_best = 0;
+        let (val_loss, _) = Mlp::mse_loss(&state.mlp.forward_batch(val_set.x()), val_set.y());
+        state.val_losses.push(val_loss);
+        if val_loss < state.best_val_loss {
+            state.best_val_loss = val_loss;
+            state.best = state.mlp.clone();
+            state.epochs_since_best = 0;
         } else {
-            since_best += 1;
-            if since_best >= config.patience {
-                break;
-            }
+            state.epochs_since_best += 1;
+        }
+        state.next_epoch = epoch + 1;
+        if on_epoch(&state) == TrainControl::Stop {
+            completed = false;
+            break;
         }
     }
-    *mlp = best;
-    TrainReport {
-        epochs: val_losses.len(),
-        best_val_loss: best_val,
-        train_losses,
-        val_losses,
+
+    *mlp = if completed { state.best } else { state.mlp };
+    TrainOutcome {
+        report: TrainReport {
+            epochs: state.val_losses.len(),
+            best_val_loss: state.best_val_loss,
+            train_losses: state.train_losses,
+            val_losses: state.val_losses,
+        },
+        completed,
     }
 }
 

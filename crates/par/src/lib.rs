@@ -3,23 +3,17 @@
 //! Everything in this repository that is bit-exact — golden-trace hashes,
 //! checkpoint checksums, resumable sweeps — stays bit-exact only if
 //! parallelism never changes *what* is computed, only *when*. This crate
-//! provides the three primitives the rest of the stack parallelizes with,
+//! provides the two primitives the rest of the stack parallelizes with,
 //! all built on scoped std threads (no async runtime, no external
 //! dependencies):
 //!
 //! * [`Budget`] — the thread-count configuration threaded through
-//!   `SimConfig`, sweep/fleet configs and the training loops. A budget
+//!   `SimConfig`, sweep/fleet/edge configs and trace collection. A budget
 //!   only chooses how many workers execute the schedule; it never
 //!   influences the schedule itself.
 //! * [`par_map`] / [`par_for_each_mut`] — order-preserving parallel map:
 //!   item `i`'s result lands in slot `i` regardless of which worker ran
 //!   it, so the output is byte-identical to a serial loop.
-//! * [`shard_ranges`] + [`tree_fold`] / [`par_reduce`] — ordered
-//!   reduction: work is split into shards whose layout depends only on
-//!   the input length, and partial results are folded over a *fixed*
-//!   balanced binary tree. Floating-point sums therefore associate the
-//!   same way at every thread count, which is what makes `threads=1` and
-//!   `threads=N` produce identical IEEE-754 bit patterns.
 //!
 //! Worker panics are contained and re-thrown deterministically: if
 //! several tasks panic, the panic of the *lowest-indexed* task is the one
@@ -27,8 +21,6 @@
 
 mod budget;
 mod pool;
-mod reduce;
 
 pub use budget::Budget;
 pub use pool::{par_for_each_mut, par_map};
-pub use reduce::{par_reduce, shard_ranges, tree_fold, DEFAULT_SHARDS};

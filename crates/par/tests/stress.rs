@@ -1,12 +1,10 @@
 //! Stress and soak tests for the deterministic pool: thousands of tiny
-//! tasks, seeded fault-injected worker panics (via `faults`), and
-//! property checks that ordered reduction equals a serial fold.
+//! tasks and seeded fault-injected worker panics (via `faults`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use faults::TaskFaultPlan;
-use par::{par_map, par_reduce, shard_ranges, tree_fold, Budget};
-use proptest::prelude::*;
+use par::{par_map, Budget};
 
 /// 10k tiny tasks with seeded injected panics: for every thread count the
 /// pool must drain (join all workers, no deadlock) and re-throw the panic
@@ -60,62 +58,5 @@ fn soak_clean_pool_is_order_preserving() {
     for threads in [2, 4, 7] {
         let got = par_map(&Budget::with_threads(threads), &items, |_, &t| t ^ (t << 7));
         assert_eq!(got, reference, "threads={threads}");
-    }
-}
-
-proptest! {
-    /// For an exactly associative operation (wrapping integer addition),
-    /// the fixed-tree reduction over *any* shard split equals the plain
-    /// serial fold of the un-sharded data, at every thread count.
-    #[test]
-    fn par_reduce_equals_serial_fold(
-        values in proptest::collection::vec(0u64..u64::MAX, 0..300),
-        shards in 1usize..40,
-        threads in 1usize..9,
-    ) {
-        let serial: u64 = values.iter().fold(0u64, |acc, &v| acc.wrapping_add(v));
-        let ranges = shard_ranges(values.len(), shards);
-        let reduced = par_reduce(
-            &Budget::with_threads(threads),
-            ranges.len(),
-            |s| values[ranges[s].clone()]
-                .iter()
-                .fold(0u64, |acc, &v| acc.wrapping_add(v)),
-            u64::wrapping_add,
-        )
-        .unwrap_or(0);
-        prop_assert_eq!(reduced, serial);
-    }
-
-    /// Floating-point tree reduction is bit-stable across shard workers'
-    /// thread counts (the shard split itself is part of the schedule, so
-    /// it is held fixed while threads vary).
-    #[test]
-    fn float_tree_reduction_is_bit_stable(
-        values in proptest::collection::vec(-1e6f64..1e6, 1..200),
-        shards in 1usize..16,
-    ) {
-        let ranges = shard_ranges(values.len(), shards);
-        let eval = |s: usize| values[ranges[s].clone()].iter().sum::<f64>();
-        let reference = par_reduce(&Budget::serial(), ranges.len(), eval, |a, b| a + b)
-            .unwrap()
-            .to_bits();
-        for threads in [2, 4, 7] {
-            let got = par_reduce(&Budget::with_threads(threads), ranges.len(), eval, |a, b| a + b)
-                .unwrap()
-                .to_bits();
-            prop_assert_eq!(got, reference, "threads={}", threads);
-        }
-    }
-
-    /// tree_fold never loses or duplicates an element: combining
-    /// singleton vectors by concatenation reproduces the input order.
-    #[test]
-    fn tree_fold_is_a_permutation_free_fold(
-        values in proptest::collection::vec(0u32..u32::MAX, 0..100),
-    ) {
-        let wrapped: Vec<Vec<u32>> = values.iter().map(|&v| vec![v]).collect();
-        let folded = tree_fold(wrapped, |mut a, mut b| { a.append(&mut b); a });
-        prop_assert_eq!(folded.unwrap_or_default(), values);
     }
 }

@@ -40,10 +40,10 @@ pub fn mix_indexed(seed: u64, index: u64) -> u64 {
     mix64(seed.wrapping_add(index.wrapping_mul(GOLDEN_GAMMA)))
 }
 
-/// Derives an independent RNG for `(seed, stream, index)` via a
-/// splitmix64-style finalizer — bit-identical to
-/// `nn::resume::derive_rng`, so simulation components and resumable
-/// training draw from the same stream family.
+/// Derives an independent RNG for `(seed, stream, index)` via the
+/// splitmix64 finalizer, so consecutive indices yield unrelated streams.
+/// Sweep points and TOP-RL pretraining segments draw their workloads from
+/// it, which is what lets either resume in any order.
 pub fn derive_rng(seed: u64, stream: u64, index: u64) -> StdRng {
     StdRng::seed_from_u64(mix64(seed ^ stream ^ index.wrapping_mul(GOLDEN_GAMMA)))
 }

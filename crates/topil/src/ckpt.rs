@@ -5,9 +5,10 @@
 //! state — MLP weights, Adam moments, the fitted [`Standardizer`] and the
 //! [`AggregationBuffer`] of oracle cases — into a [`CheckpointStore`]
 //! after every N epochs, and resumes from the newest *valid* snapshot.
-//! Because the underlying loop is [`nn::train_resumable`] (per-epoch
-//! derived RNG streams), an interrupted-and-resumed run produces exactly
-//! the model an uninterrupted run with the same seed yields.
+//! The underlying loop is [`nn::train_resumable`], the loop of
+//! [`nn::train`]: a resumed run replays the completed epochs' shuffles
+//! from the seeded RNG, so it produces exactly the model an uninterrupted
+//! run — and [`IlTrainer::train_from_cases`] — yields for the same seed.
 //!
 //! Snapshots that fail their checksum are quarantined and skipped;
 //! snapshots written under a different RNG implementation (detected via
@@ -28,8 +29,10 @@ use crate::features::{Features, FEATURE_COUNT};
 use crate::oracle::OracleCase;
 use crate::training::{IlModel, IlTrainer};
 
-/// Checkpoint kind tag for IL training snapshots.
-pub const IL_TRAIN_KIND: &str = "il-train";
+/// Checkpoint kind tag for IL training snapshots. The older `il-train`
+/// snapshots drew each epoch's shuffle from a derived stream and must not
+/// resume into the sequential one, so this store never reads them.
+pub const IL_TRAIN_KIND: &str = "il-train-seq";
 
 /// Rounds of oracle cases aggregated across data-collection passes — the
 /// DAgger-style buffer that rides along in every training snapshot so a
@@ -202,12 +205,7 @@ pub struct IlTrainCheckpoint {
 impl IlTrainCheckpoint {
     /// Serializes into a checkpoint payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        self.buffer.encode_into(&mut enc);
-        enc.put_f32s(self.standardizer.mean());
-        enc.put_f32s(self.standardizer.std());
-        enc.put_bytes(&self.state.encode());
-        enc.finish()
+        encode_payload(&self.buffer, &self.standardizer, &self.state)
     }
 
     /// Deserializes a payload produced by [`IlTrainCheckpoint::encode`].
@@ -232,6 +230,21 @@ impl IlTrainCheckpoint {
     }
 }
 
+/// The payload of [`IlTrainCheckpoint::encode`], from borrowed parts, so
+/// a training run snapshots without cloning its buffer or state.
+fn encode_payload(
+    buffer: &AggregationBuffer,
+    standardizer: &Standardizer,
+    state: &TrainState,
+) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    buffer.encode_into(&mut enc);
+    enc.put_f32s(standardizer.mean());
+    enc.put_f32s(standardizer.std());
+    enc.put_bytes(&state.encode());
+    enc.finish()
+}
+
 /// Snapshot cadence and retention for [`IlTrainer::train_checkpointed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CkptConfig {
@@ -239,10 +252,6 @@ pub struct CkptConfig {
     pub every_epochs: usize,
     /// Snapshots kept on disk (older ones are pruned).
     pub retain: usize,
-    /// Thread budget for the sharded gradient loop. Never persisted: the
-    /// trained weights are bit-identical at every budget, so a run
-    /// checkpointed under one budget resumes cleanly under another.
-    pub budget: par::Budget,
 }
 
 impl Default for CkptConfig {
@@ -250,7 +259,6 @@ impl Default for CkptConfig {
         CkptConfig {
             every_epochs: 1,
             retain: 3,
-            budget: par::Budget::serial(),
         }
     }
 }
@@ -288,10 +296,10 @@ impl IlTrainer {
     /// simulates a crash: the run stops (with `completed: false`) after
     /// that many epochs have executed *in this invocation*.
     ///
-    /// Uses [`nn::train_resumable`], so the result is bit-identical
-    /// whether or not the run was interrupted — but differs from
-    /// [`IlTrainer::train_from_cases`], which draws from one sequential
-    /// RNG.
+    /// Uses [`nn::train_resumable`] with the RNG that
+    /// [`IlTrainer::train_from_cases`] hands [`nn::train`], so the model
+    /// equals `train_from_cases(cases, seed)` bit for bit, whether or not
+    /// the run was interrupted.
     ///
     /// # Errors
     ///
@@ -379,18 +387,12 @@ impl IlTrainer {
             &mut mlp,
             &dataset,
             &settings.nn,
-            seed,
-            &config.budget,
+            &mut rng,
             resume,
             &mut |state| {
                 epochs_this_run += 1;
                 if config.every_epochs > 0 && state.next_epoch % config.every_epochs.max(1) == 0 {
-                    let payload = IlTrainCheckpoint {
-                        buffer: buffer.clone(),
-                        standardizer: standardizer.clone(),
-                        state: state.clone(),
-                    }
-                    .encode();
+                    let payload = encode_payload(&buffer, &standardizer, state);
                     match store.save(&payload, fingerprint) {
                         Ok(saved) => {
                             snapshots_written += 1;
@@ -478,13 +480,11 @@ mod tests {
             &mut StdRng::seed_from_u64(0),
         );
         let mut captured = None;
-        let budget = par::Budget::serial();
         nn::train_resumable(
             &mut mlp,
             &dataset,
             &tiny_settings().nn,
-            3,
-            &budget,
+            &mut StdRng::seed_from_u64(3),
             None,
             &mut |s| {
                 captured = Some(s.clone());
@@ -501,35 +501,97 @@ mod tests {
         assert!(IlTrainCheckpoint::decode(&ckpt.encode()[..10]).is_err());
     }
 
+    /// The checkpointed run is `train_from_cases` with snapshots: equal bit
+    /// for bit, uninterrupted or resumed after the first, the fifth or the
+    /// last epoch (here an early-stopping one).
     #[test]
-    fn interrupted_resumed_training_matches_uninterrupted() {
+    fn checkpointed_training_equals_train_from_cases() {
+        let settings = TrainSettings {
+            nn: TrainConfig {
+                max_epochs: 200,
+                patience: 1,
+                ..TrainConfig::default()
+            },
+            ..tiny_settings()
+        };
+        let trainer = IlTrainer::new(settings);
+        let cases = cases();
+        let expected = trainer.train_from_cases(&cases, 4);
+
+        let dir = tmp_dir("plain-eq");
+        let plain = trainer
+            .train_checkpointed(&cases, 4, &dir, &CkptConfig::default(), None, None)
+            .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(plain.completed);
+        assert_eq!(plain.snapshots_written, plain.report.epochs);
+        assert_eq!(plain.model.as_ref(), Some(&expected));
+        let last = plain.report.epochs;
+        assert!(last > 5 && last < 200, "patience must stop the run: {last}");
+
+        for stop_after in [1, 5, last] {
+            let dir = tmp_dir(&format!("resume-eq-{stop_after}"));
+            let first = trainer
+                .train_checkpointed(
+                    &cases,
+                    4,
+                    &dir,
+                    &CkptConfig::default(),
+                    Some(stop_after),
+                    None,
+                )
+                .unwrap();
+            assert!(!first.completed, "stop_after={stop_after}");
+            assert!(first.model.is_none());
+            let resumed = trainer
+                .train_checkpointed(&cases, 4, &dir, &CkptConfig::default(), None, None)
+                .unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            assert_eq!(resumed.resumed_from_seq, Some(stop_after as u64 - 1));
+            assert_eq!(
+                resumed.model.as_ref(),
+                Some(&expected),
+                "stop_after={stop_after}"
+            );
+            assert_eq!(resumed.report, plain.report, "stop_after={stop_after}");
+        }
+    }
+
+    /// A snapshot under the retired `il-train` kind is never resumed: the
+    /// run starts fresh and ends where a fresh run does.
+    #[test]
+    fn retired_kind_snapshot_trains_from_scratch() {
         let cases = cases();
         let trainer = IlTrainer::new(tiny_settings());
+        let dir = tmp_dir("retired");
 
-        let ref_dir = tmp_dir("ref");
-        let reference = trainer
-            .train_checkpointed(&cases, 9, &ref_dir, &CkptConfig::default(), None, None)
+        // A genuine mid-run training state, filed under the old tag.
+        trainer
+            .train_checkpointed(&cases, 6, &dir, &CkptConfig::default(), Some(3), None)
             .unwrap();
-        assert!(reference.completed);
-        assert!(reference.snapshots_written > 0);
-
-        let dir = tmp_dir("resume");
-        let first = trainer
-            .train_checkpointed(&cases, 9, &dir, &CkptConfig::default(), Some(3), None)
+        let mut current = CheckpointStore::open(&dir, IL_TRAIN_KIND, 3).unwrap();
+        let snapshot = current.load_latest().unwrap().snapshot.unwrap();
+        for path in current.snapshot_paths().unwrap() {
+            std::fs::remove_file(path).unwrap();
+        }
+        let mut retired = CheckpointStore::open(&dir, "il-train", 3).unwrap();
+        retired
+            .save(&snapshot.payload, snapshot.rng_fingerprint)
             .unwrap();
-        assert!(!first.completed);
-        assert!(first.model.is_none());
 
-        let second = trainer
-            .train_checkpointed(&cases, 9, &dir, &CkptConfig::default(), None, None)
+        let outcome = trainer
+            .train_checkpointed(&cases, 6, &dir, &CkptConfig::default(), None, None)
             .unwrap();
-        assert!(second.completed);
-        assert_eq!(second.resumed_from_seq, Some(2));
-        assert_eq!(second.model, reference.model);
-        assert_eq!(second.report, reference.report);
-
-        std::fs::remove_dir_all(&ref_dir).ok();
         std::fs::remove_dir_all(&dir).ok();
+        assert!(outcome.completed);
+        assert_eq!(outcome.resumed_from_seq, None);
+        assert_eq!(outcome.corrupt_skipped, 0);
+        assert_eq!(outcome.discarded, None);
+        assert_eq!(
+            outcome.snapshots_written, outcome.report.epochs,
+            "every epoch ran in this invocation"
+        );
+        assert_eq!(outcome.model, Some(trainer.train_from_cases(&cases, 6)));
     }
 
     #[test]

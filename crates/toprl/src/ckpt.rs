@@ -249,7 +249,7 @@ pub fn pretrain_segmented(
     };
     let pending: Vec<u64> = (start_segment..config.segments).collect();
     let workloads = par::par_map(&config.budget, &pending, |_, &segment| {
-        let mut workload_rng = nn::derive_rng(seed, WORKLOAD_STREAM, segment);
+        let mut workload_rng = sim_core::derive_rng(seed, WORKLOAD_STREAM, segment);
         WorkloadGenerator::mixed(&workload_cfg, &mut workload_rng)
     });
 
@@ -257,7 +257,7 @@ pub fn pretrain_segmented(
     let mut snapshots_written = 0usize;
     let mut completed = true;
     for (workload, &segment) in workloads.iter().zip(&pending) {
-        let governor_seed = nn::derive_rng(seed, GOVERNOR_STREAM, segment).next_u64();
+        let governor_seed = sim_core::derive_rng(seed, GOVERNOR_STREAM, segment).next_u64();
         let mut governor = TopRlGovernor::with_qtable(table, governor_seed)
             .with_epsilon(config.schedule.epsilon_at(segment));
         let sim = SimConfig {

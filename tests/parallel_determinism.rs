@@ -1,15 +1,16 @@
 //! Cross-cutting bit-identity proof for the `par` execution engine.
 //!
-//! Every layer that accepts a [`par::Budget`] — checkpointed IL training,
-//! the resumable robustness sweep and the fleet simulator — must produce
+//! Every layer that accepts a [`par::Budget`] — IL trace collection feeding
+//! checkpointed training, the resumable robustness sweep and the fleet
+//! simulator — must produce
 //! *byte-identical* artifacts at every thread count: same model weights,
 //! same checkpoint snapshot bytes on disk, same CSV output, same per-point
 //! trace hashes. The budgets include 7 (and odd item counts) on purpose:
-//! remainder shards and partial final waves are where order bugs hide.
+//! remainders and partial final waves are where order bugs hide.
 
 mod common;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use bench::sweep::{model_fingerprint, run_sweep, GridPoint, SweepConfig, SweepHooks, SWEEP_KIND};
 use checkpoint::CheckpointStore;
@@ -19,7 +20,7 @@ use topil::ckpt::{CkptConfig, IL_TRAIN_KIND};
 use topil::oracle::OracleCase;
 
 /// The non-serial budgets every layer is checked against. 2 and 4 divide
-/// typical shard counts; 7 does not divide anything in sight.
+/// typical item counts; 7 does not divide anything in sight.
 const BUDGETS: [usize; 3] = [2, 4, 7];
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -58,45 +59,44 @@ fn tiny_train_settings() -> TrainSettings {
     }
 }
 
-fn training_cases() -> Vec<OracleCase> {
+/// Collects the cases under `budget` and trains on them with snapshots:
+/// the cases, the model, the loss report and the snapshot bytes must not
+/// depend on the budget.
+fn checkpointed_training(
+    budget: Budget,
+    dir: &Path,
+) -> (Vec<OracleCase>, IlModel, nn::TrainReport) {
+    let trainer = IlTrainer::new(tiny_train_settings()).with_budget(budget);
     // Odd scenario count so `collect_cases`' parallel map has a tail.
-    IlTrainer::new(tiny_train_settings()).collect_cases(&Scenario::standard_set(3, 4))
+    let cases = trainer.collect_cases(&Scenario::standard_set(3, 4));
+    let outcome = trainer
+        .train_checkpointed(&cases, 11, dir, &CkptConfig::default(), None, None)
+        .unwrap();
+    assert!(outcome.completed);
+    (cases, outcome.model.expect("run completed"), outcome.report)
 }
 
 #[test]
 fn training_checkpoints_are_bit_identical_across_budgets() {
-    let cases = training_cases();
-    let trainer = IlTrainer::new(tiny_train_settings());
-
     let serial_dir = tmp_dir("train-serial");
-    let config = CkptConfig {
-        budget: Budget::serial(),
-        ..CkptConfig::default()
-    };
-    let reference = trainer
-        .train_checkpointed(&cases, 11, &serial_dir, &config, None, None)
-        .unwrap();
-    assert!(reference.completed);
-    let reference_model = reference.model.expect("serial run completed");
+    let (reference_cases, reference_model, reference_report) =
+        checkpointed_training(Budget::serial(), &serial_dir);
     let reference_snapshots = snapshot_bytes(&serial_dir, IL_TRAIN_KIND);
     assert!(!reference_snapshots.is_empty());
 
     for threads in BUDGETS {
         let dir = tmp_dir(&format!("train-t{threads}"));
-        let config = CkptConfig {
-            budget: Budget::with_threads(threads),
-            ..CkptConfig::default()
-        };
-        let outcome = trainer
-            .train_checkpointed(&cases, 11, &dir, &config, None, None)
-            .unwrap();
-        let model = outcome.model.expect("parallel run completed");
+        let (cases, model, report) = checkpointed_training(Budget::with_threads(threads), &dir);
+        assert_eq!(
+            cases, reference_cases,
+            "threads={threads}: collected cases diverged"
+        );
         assert_eq!(
             model_fingerprint(&model),
             model_fingerprint(&reference_model),
             "threads={threads}: model weights diverged from serial"
         );
-        assert_eq!(outcome.report, reference.report, "threads={threads}");
+        assert_eq!(report, reference_report, "threads={threads}");
         assert_eq!(
             snapshot_bytes(&dir, IL_TRAIN_KIND),
             reference_snapshots,
