@@ -49,7 +49,7 @@ fi
 # sequence (same k-order, same zero skips, no contraction), which is what
 # keeps trained weights bit-identical. A fused multiply-add rounds once
 # instead of twice and would silently change every trained weight.
-if grep -nE 'mul_add|fmadd' crates/nn/src/{matrix,mlp,adam,train,resume}.rs; then
+if grep -nE 'mul_add|fmadd' crates/nn/src/{matrix,mlp,adam,train,resume,simd}.rs; then
     echo "FMA lint: no fused multiply-add in the f32 training kernels" >&2; exit 1
 fi
 gate_end "fmt + clippy + lints"
@@ -70,6 +70,16 @@ cargo test -q -p hikey-platform --lib memoized_tick_matches_the_reference_bit_fo
     echo "platform hot-path gate: the memoized tick diverged from its reference" >&2; exit 1; }
 gate_end "platform hot-path gate"
 echo "platform hot-path gate passed"
+
+# Training-step allocation gate: once its workspace has seen the largest
+# batch, an IL training step (batch gather, forward, loss, backward,
+# Adam) and the validation pass perform no heap allocation; the test
+# binary counts allocations over three warmed-up epochs.
+gate_begin
+cargo test -q -p nn --test train_alloc || {
+    echo "training-step allocation gate: a warmed-up training step allocated" >&2; exit 1; }
+gate_end "training-step allocation gate"
+echo "training-step allocation gate passed"
 
 # Serve-path allocation gate: once warmed up, a 6x-load epoch on the
 # edge fleet's one-rack tier allocates at most 1.1 times per submitted
@@ -157,7 +167,8 @@ echo "fleet smoke + parallel-determinism gate passed"
 # fleet smoke onto the scalar kernel and onto a cache-disabled service
 # and diffs the CSVs against the vectorized cached default. The f32
 # training kernels get the same treatment: their differential suite
-# (blocked products vs the naive loops, baseline and AVX2 bodies) and
+# (blocked products vs the naive loops, on every SIMD tier the host
+# runs: baseline, AVX2, AVX-512) and
 # the trained-weight digest of the fleet and quick models.
 gate_begin
 cargo test -q -p nn kernel

@@ -8,7 +8,7 @@ use std::hint::black_box;
 use edge_sim::EdgeConfig;
 use hikey_platform::{Platform, PlatformConfig, THERMAL_PERIOD};
 use hmc_types::{CoreId, SimDuration, SimTime, Watts, NUM_CORES};
-use nn::{Adam, KernelMode, Matrix, Mlp};
+use nn::{Adam, Dataset, KernelMode, Matrix, Mlp, TrainWorkspace};
 use npu::{InferScratch, NpuModel};
 use npu_serve::{seeded_payload, ClientId, TierSubmit, TieredService};
 use rand::rngs::StdRng;
@@ -16,6 +16,7 @@ use rand::SeedableRng;
 use thermal::{Cooling, SocThermal};
 use topil::dvfs::DvfsControlLoop;
 use topil::oracle::{Scenario, TraceCollector};
+use topil::training::{IlTrainer, TrainSettings};
 use workloads::{Benchmark, QosSpec, Workload};
 
 fn thermal_benches(c: &mut Criterion) {
@@ -143,7 +144,46 @@ fn nn_benches(c: &mut Criterion) {
         let grads = trained.backward(&cache, &grad);
         b.iter(|| adam.step(&mut trained, black_box(&grads), 1e-3));
     });
+    let (fleet_mlp, train, val) = fleet_model_start();
+    group.bench_function("train_step_batch64", |b| {
+        // One minibatch step as `nn::train` runs it: gather 64 rows, then
+        // forward, loss, backward and Adam on reused buffers.
+        let mut mlp = fleet_mlp.clone();
+        let mut adam = Adam::new(&mlp);
+        let mut workspace = TrainWorkspace::new(&mlp);
+        let config = nn::TrainConfig::default();
+        let batch: Vec<usize> = (0..64).collect();
+        b.iter(|| {
+            workspace.step(
+                &mut mlp,
+                &mut adam,
+                &train,
+                black_box(&batch),
+                1e-3,
+                &config,
+            )
+        });
+    });
+    group.bench_function("forward_batch313", |b| {
+        // The epoch's validation forward over all 313 held-out rows.
+        b.iter(|| black_box(fleet_mlp.forward_batch(black_box(val.x()))));
+    });
     group.finish();
+}
+
+/// `fleet::fleet_model(7)`'s training at its start: the initial 21-64x4-8
+/// network and its standardized dataset, split as `nn::train` splits it
+/// (1,251 training and 313 validation rows).
+fn fleet_model_start() -> (Mlp, Dataset, Dataset) {
+    let settings = TrainSettings::default();
+    let (hidden, width) = (settings.hidden_layers, settings.width);
+    let cases = IlTrainer::new(settings).collect_cases(&Scenario::standard_set(8, 0xF1EE7));
+    let (data, _) = IlTrainer::build_dataset(&cases);
+    let mut rng = StdRng::seed_from_u64(7);
+    let (inputs, outputs) = (data.x().cols(), data.y().cols());
+    let mlp = Mlp::with_topology(inputs, hidden, width, outputs, &mut rng);
+    let (train, val) = data.split(nn::TrainConfig::default().val_fraction, &mut rng);
+    (mlp, train, val)
 }
 
 /// The edge fleet at 6× load on one rack, as the `edge-overload6`

@@ -375,8 +375,9 @@ fn main() {
     };
 
     eprintln!(
-        "# TOP-IL experiment suite (effort: {effort:?}, thread budget: {})\n",
-        budget.effective_threads()
+        "# TOP-IL experiment suite (effort: {effort:?}, thread budget: {}, f32 SIMD tier: {})\n",
+        budget.effective_threads(),
+        nn::simd_tier()
     );
 
     // Train once; share across experiments that need models.

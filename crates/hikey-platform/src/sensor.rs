@@ -93,8 +93,8 @@ pub struct SensorFilter {
     /// Ring of the most recent raw (non-missing) samples.
     ring: Vec<f64>,
     ring_pos: usize,
-    /// Scratch copy of `ring` sorted for the median check, reused so a
-    /// sample costs no allocation.
+    /// The values of `ring` in `total_cmp` order, kept in step with it
+    /// (one removal and one insertion per sample) for the median check.
     sorted: Vec<f64>,
     last_good: Option<(SimTime, f64)>,
     lost: bool,
@@ -192,9 +192,10 @@ impl SensorFilter {
         true
     }
 
-    fn median(&mut self) -> f64 {
-        self.sorted.clone_from(&self.ring);
-        self.sorted.sort_by(|a, b| a.total_cmp(b));
+    /// The middle element of the window in `total_cmp` order. `total_cmp`
+    /// is a total order on bit patterns, so `sorted` holds exactly the
+    /// bits a fresh sort of the ring would, and this is the same value.
+    fn median(&self) -> f64 {
         self.sorted[self.sorted.len() / 2]
     }
 
@@ -203,9 +204,16 @@ impl SensorFilter {
         if self.ring.len() < window {
             self.ring.push(value);
         } else {
-            self.ring[self.ring_pos] = value;
+            let evicted = std::mem::replace(&mut self.ring[self.ring_pos], value);
             self.ring_pos = (self.ring_pos + 1) % window;
+            let at = self
+                .sorted
+                .binary_search_by(|v| v.total_cmp(&evicted))
+                .expect("every ring value is in the sorted window");
+            self.sorted.remove(at);
         }
+        let at = self.sorted.partition_point(|v| v.total_cmp(&value).is_lt());
+        self.sorted.insert(at, value);
     }
 
     fn hold_or_lose(&mut self, now: SimTime) -> SensorReading {
@@ -305,6 +313,51 @@ mod tests {
             SensorReading::Valid(Celsius::new(50.2))
         );
         assert!(!f.is_lost());
+    }
+
+    /// The incrementally sorted window selects the same median bits as a
+    /// clone-and-sort of the ring, over random sequences past the ring's
+    /// wrap-around with repeated values, `±0.0` and NaNs.
+    #[test]
+    fn incremental_median_matches_clone_and_sort() {
+        let palette = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            -1.5,
+            40.0,
+            40.0,
+            41.25,
+            1e-300,
+        ];
+        let mut state = 99u64;
+        for window in 1..=7 {
+            let config = SensorFilterConfig {
+                window,
+                ..SensorFilterConfig::default()
+            };
+            let mut f = SensorFilter::new(config);
+            for _ in 0..500 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let r = (state >> 33) as usize;
+                let value = if r.is_multiple_of(3) {
+                    (r % 97) as f64 * 0.25 - 12.0
+                } else {
+                    palette[r % palette.len()]
+                };
+                f.push_ring(value);
+                let mut reference = f.ring.clone();
+                reference.sort_by(|a, b| a.total_cmp(b));
+                let want = reference[reference.len() / 2];
+                assert_eq!(f.median().to_bits(), want.to_bits(), "window {window}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&f.sorted), bits(&reference), "window {window}");
+            }
+        }
     }
 
     /// The median check against a clone-and-sort reference, past the ring

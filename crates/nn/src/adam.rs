@@ -1,7 +1,7 @@
 //! The Adam optimizer ("Adam with momentum", as the paper trains with).
 
-use crate::matrix::simd;
 use crate::mlp::Gradients;
+use crate::simd::{Elementwise, Tier};
 use crate::{Matrix, Mlp};
 
 /// Adam optimizer state.
@@ -78,6 +78,11 @@ impl Adam {
     /// Panics if `grads` does not match the network the optimizer was
     /// created for.
     pub fn step(&mut self, mlp: &mut Mlp, grads: &Gradients, lr: f32) {
+        self.step_on(Tier::detected(), mlp, grads, lr);
+    }
+
+    /// [`Adam::step`] compiled for `tier`.
+    pub(crate) fn step_on(&mut self, tier: Tier, mlp: &mut Mlp, grads: &Gradients, lr: f32) {
         assert_eq!(
             grads.dw.len(),
             self.m_w.len(),
@@ -96,7 +101,7 @@ impl Adam {
             let (m_w, v_w) = (&mut self.m_w[i], &mut self.v_w[i]);
             let (m_b, v_b) = (&mut self.m_b[i], &mut self.v_b[i]);
             layer.update(|w, b| {
-                simd(
+                tier.run(Elementwise(
                     #[inline(always)]
                     || {
                         rule.apply(
@@ -107,7 +112,7 @@ impl Adam {
                         );
                         rule.apply(b, &grads.db[i], m_b, v_b);
                     },
-                )
+                ))
             });
         }
     }
@@ -332,6 +337,13 @@ mod tests {
 
     #[test]
     fn step_matches_reference_loop_bitwise() {
+        for tier in Tier::supported() {
+            check_step_against_reference(tier);
+        }
+    }
+
+    /// Six steps on `tier` against [`reference_step`], bit for bit.
+    fn check_step_against_reference(tier: Tier) {
         let mut rng = StdRng::seed_from_u64(8);
         let mut mlp = Mlp::new(&[21, 17, 8], &mut rng);
         let mut reference = mlp.clone();
@@ -347,7 +359,7 @@ mod tests {
             let cache = mlp.forward_cached(&x);
             let (_, grad) = Mlp::mse_loss(cache.output(), &y);
             let grads = mlp.backward(&cache, &grad);
-            adam.step(&mut mlp, &grads, 0.01);
+            adam.step_on(tier, &mut mlp, &grads, 0.01);
             reference_step(&mut reference_adam, &mut reference, &grads, 0.01);
             assert_eq!(param_bits(&mlp), param_bits(&reference));
             assert_eq!(adam.steps(), reference_adam.steps());

@@ -38,6 +38,7 @@ mod mlp;
 pub mod nas;
 pub mod persist;
 pub mod resume;
+mod simd;
 mod standardize;
 mod train;
 
@@ -48,5 +49,6 @@ pub use mlp::{Gradients, Mlp};
 pub use resume::{
     rng_stream_fingerprint, StateDecodeError, TrainControl, TrainOutcome, TrainState,
 };
+pub use simd::simd_tier;
 pub use standardize::Standardizer;
-pub use train::{train, train_resumable, Dataset, TrainConfig, TrainReport};
+pub use train::{train, train_resumable, Dataset, TrainConfig, TrainReport, TrainWorkspace};

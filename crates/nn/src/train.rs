@@ -4,6 +4,9 @@
 
 use rand::RngExt;
 
+use crate::matrix::GemmScratch;
+use crate::mlp::Gradients;
+use crate::simd::Tier;
 use crate::{Adam, Matrix, Mlp, TrainControl, TrainOutcome, TrainState};
 
 /// A supervised dataset: feature rows `x` and target rows `y`.
@@ -78,6 +81,115 @@ pub(crate) fn shuffle<R: RngExt + ?Sized>(indices: &mut [usize], rng: &mut R) {
     for i in (1..indices.len()).rev() {
         let j = rng.random_range(0..=i);
         indices.swap(i, j);
+    }
+}
+
+/// The reusable buffers of training steps: the gathered batch, every
+/// layer's activations, the deltas and the gradients. After the first
+/// step of a shape, a step allocates nothing.
+///
+/// # Examples
+///
+/// ```
+/// use nn::{Adam, Dataset, Matrix, Mlp, TrainConfig, TrainWorkspace};
+/// use rand::rngs::StdRng;
+/// use rand::SeedableRng;
+///
+/// let mut mlp = Mlp::new(&[2, 8, 1], &mut StdRng::seed_from_u64(1));
+/// let mut adam = Adam::new(&mlp);
+/// let x = Matrix::from_rows(vec![vec![1.0, 0.0], vec![0.0, 1.0]]);
+/// let data = Dataset::new(x, Matrix::from_rows(vec![vec![3.0], vec![-1.0]]));
+/// let mut workspace = TrainWorkspace::new(&mlp);
+/// let first = workspace.step(&mut mlp, &mut adam, &data, &[0, 1], 0.01, &TrainConfig::default());
+/// for _ in 0..200 {
+///     workspace.step(&mut mlp, &mut adam, &data, &[0, 1], 0.01, &TrainConfig::default());
+/// }
+/// assert!(workspace.loss(&mlp, &data) < first);
+/// ```
+#[derive(Debug, Clone)]
+pub struct TrainWorkspace {
+    x: Matrix,
+    y: Matrix,
+    /// One output per layer.
+    acts: Vec<Matrix>,
+    delta: Matrix,
+    prev: Matrix,
+    grads: Gradients,
+    scratch: GemmScratch,
+}
+
+impl TrainWorkspace {
+    /// Buffers for training `mlp` on the host's SIMD tier.
+    pub fn new(mlp: &Mlp) -> Self {
+        Self::on(Tier::detected(), mlp)
+    }
+
+    /// Buffers for training `mlp` on `tier`.
+    pub(crate) fn on(tier: Tier, mlp: &Mlp) -> Self {
+        let layers = mlp.layer_count();
+        TrainWorkspace {
+            x: Matrix::zeros(0, 0),
+            y: Matrix::zeros(0, 0),
+            acts: vec![Matrix::zeros(0, 0); layers],
+            delta: Matrix::zeros(0, 0),
+            prev: Matrix::zeros(0, 0),
+            grads: Gradients {
+                dw: vec![Matrix::zeros(0, 0); layers],
+                db: vec![Vec::new(); layers],
+            },
+            scratch: GemmScratch::on(tier),
+        }
+    }
+
+    /// One minibatch step on the examples of `data` at `batch`: gather,
+    /// forward, MSE loss, backward, `config`'s weight decay and gradient
+    /// clip, then Adam at learning rate `lr`. Returns the batch's loss.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range or the shapes do not match the
+    /// network.
+    pub fn step(
+        &mut self,
+        mlp: &mut Mlp,
+        adam: &mut Adam,
+        data: &Dataset,
+        batch: &[usize],
+        lr: f32,
+        config: &TrainConfig,
+    ) -> f32 {
+        data.x.select_rows_into(batch, &mut self.x);
+        data.y.select_rows_into(batch, &mut self.y);
+        mlp.forward_into(&self.x, &mut self.acts, &mut self.scratch);
+        let output = self.acts.last().expect("a network has at least one layer");
+        let loss = Mlp::mse_loss_into(output, &self.y, &mut self.delta);
+        mlp.backward_into(
+            &self.x,
+            &self.acts,
+            &mut self.delta,
+            &mut self.prev,
+            &mut self.grads,
+            &mut self.scratch,
+        );
+        if config.weight_decay > 0.0 {
+            self.grads.apply_weight_decay(mlp, config.weight_decay);
+        }
+        if config.grad_clip > 0.0 {
+            self.grads.clip_global_norm(config.grad_clip);
+        }
+        adam.step_on(self.scratch.tier(), mlp, &self.grads, lr);
+        loss
+    }
+
+    /// The MSE loss of `mlp` over all of `data` (the validation pass).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes do not match the network.
+    pub fn loss(&mut self, mlp: &Mlp, data: &Dataset) -> f32 {
+        mlp.forward_into(&data.x, &mut self.acts, &mut self.scratch);
+        let output = self.acts.last().expect("a network has at least one layer");
+        Mlp::sq_error_sum(output, &data.y) / (output.rows() * output.cols()) as f32
     }
 }
 
@@ -186,6 +298,20 @@ pub fn train_resumable<R: RngExt + ?Sized>(
     resume: Option<TrainState>,
     on_epoch: &mut dyn FnMut(&TrainState) -> TrainControl,
 ) -> TrainOutcome {
+    let workspace = TrainWorkspace::new(mlp);
+    train_on(workspace, mlp, data, config, rng, resume, on_epoch)
+}
+
+/// [`train_resumable`] on `workspace`'s buffers and tier.
+fn train_on<R: RngExt + ?Sized>(
+    mut workspace: TrainWorkspace,
+    mlp: &mut Mlp,
+    data: &Dataset,
+    config: &TrainConfig,
+    rng: &mut R,
+    resume: Option<TrainState>,
+    on_epoch: &mut dyn FnMut(&TrainState) -> TrainControl,
+) -> TrainOutcome {
     assert!(!data.is_empty(), "cannot train on an empty dataset");
     assert_eq!(data.x().cols(), mlp.input_size(), "feature width mismatch");
     assert_eq!(data.y().cols(), mlp.output_size(), "target width mismatch");
@@ -229,23 +355,13 @@ pub fn train_resumable<R: RngExt + ?Sized>(
         let mut epoch_loss = 0.0;
         let mut batches = 0;
         for chunk in order.chunks(config.batch_size.max(1)) {
-            let batch = train_set.subset(chunk);
-            let cache = state.mlp.forward_cached(batch.x());
-            let (loss, grad) = Mlp::mse_loss(cache.output(), batch.y());
-            let mut grads = state.mlp.backward(&cache, &grad);
-            if config.weight_decay > 0.0 {
-                grads.apply_weight_decay(&state.mlp, config.weight_decay);
-            }
-            if config.grad_clip > 0.0 {
-                grads.clip_global_norm(config.grad_clip);
-            }
-            state.adam.step(&mut state.mlp, &grads, lr);
-            epoch_loss += loss;
+            let (mlp, adam) = (&mut state.mlp, &mut state.adam);
+            epoch_loss += workspace.step(mlp, adam, &train_set, chunk, lr, config);
             batches += 1;
         }
         state.train_losses.push(epoch_loss / batches.max(1) as f32);
 
-        let (val_loss, _) = Mlp::mse_loss(&state.mlp.forward_batch(val_set.x()), val_set.y());
+        let val_loss = workspace.loss(&state.mlp, &val_set);
         state.val_losses.push(val_loss);
         if val_loss < state.best_val_loss {
             state.best_val_loss = val_loss;
@@ -392,6 +508,53 @@ mod tests {
         let (train_set, val_set) = data.split(0.2, &mut rng);
         assert_eq!(train_set.len() + val_set.len(), data.len());
         assert_eq!(val_set.len(), 60);
+    }
+
+    #[test]
+    fn training_gives_identical_weights_on_every_tier() {
+        // The IL policy's shape (21 features, 8 targets) with ReLU-sparse
+        // hidden layers, a short last batch and an odd validation count.
+        let rows: Vec<Vec<f32>> = (0..151)
+            .map(|i| {
+                (0..21)
+                    .map(|c| match (i * 21 + c) % 9 {
+                        0 => 0.0,
+                        k => (k as f32 - 4.5) * 0.3,
+                    })
+                    .collect()
+            })
+            .collect();
+        let y = rows
+            .iter()
+            .map(|r| (0..8).map(|j| r[j] - 0.5 * r[j + 8] + r[20]).collect())
+            .collect();
+        let data = Dataset::new(Matrix::from_rows(rows), Matrix::from_rows(y));
+        let config = TrainConfig {
+            max_epochs: 12,
+            ..TrainConfig::default()
+        };
+        let run = |tier| {
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut mlp = Mlp::with_topology(21, 3, 48, 8, &mut rng);
+            let workspace = TrainWorkspace::on(tier, &mlp);
+            let mut go_on = |_: &TrainState| TrainControl::Continue;
+            let outcome = train_on(
+                workspace, &mut mlp, &data, &config, &mut rng, None, &mut go_on,
+            );
+            let weights = (0..mlp.layer_count()).flat_map(|i| {
+                let w = mlp.weights(i).as_slice().iter();
+                w.chain(mlp.biases(i))
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            });
+            (weights.collect::<Vec<_>>(), outcome.report.epochs)
+        };
+        let tiers = Tier::supported();
+        let want = run(tiers[0]);
+        assert_eq!(want.1, 12, "the run must train every epoch");
+        for &tier in &tiers[1..] {
+            assert!(run(tier) == want, "weights differ on {}", tier.name());
+        }
     }
 
     #[test]
