@@ -83,8 +83,13 @@ echo "training-step allocation gate passed"
 
 # Serve-path allocation gate: once warmed up, a 6x-load epoch on the
 # edge fleet's one-rack tier allocates at most 1.1 times per submitted
-# request (the reply's output; every other buffer is reused). The test
-# binary counts allocations over ten epochs of submit, flush and redeem.
+# request (the reply's output; every other buffer is reused). Bytes are
+# budgeted too, so one large buffer per flush cannot pass: beyond the
+# reply outputs, every warmed-up epoch requests at most 4 KiB, none of it
+# in one allocation over 1 KiB, whatever the epoch's request count (the
+# services' per-request sample Vecs, doubling past 64 KiB, are set
+# apart). The test binary counts allocation calls and bytes over ten
+# epochs of submit, flush and redeem.
 gate_begin
 cargo test -q -p npu-serve --test serve_alloc || {
     echo "serve-path allocation gate: the tier allocated past its per-request budget" >&2; exit 1; }

@@ -76,12 +76,12 @@ fn serving_benches(c: &mut Criterion) {
             for row in &rows {
                 let scale = model.quantize_input(row.as_slice(), &mut q);
                 let out = match cache.probe(&q, scale, 1) {
-                    Some(out) => out.to_vec(),
-                    None => {
+                    Ok(out) => out.to_vec(),
+                    Err(key) => {
                         let out = model
                             .infer_prequant(&q, scale, 1, KernelMode::Vectorized, &mut scratch)
                             .to_vec();
-                        cache.insert(&q, scale, 1, &out);
+                        cache.insert(key, &q, scale, 1, &out);
                         out
                     }
                 };

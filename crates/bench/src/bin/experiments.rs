@@ -69,6 +69,13 @@ fn run_edge(name: &str, config: &EdgeConfig, out: &Option<PathBuf>) {
         report.submitted as f64 / wall,
         wall
     );
+    match process_memory() {
+        Some((peak_kib, minor_faults)) => eprintln!(
+            "{name}: process peak RSS {:.1} MiB (VmHWM), {minor_faults} minor page faults",
+            peak_kib as f64 / 1024.0
+        ),
+        None => eprintln!("{name}: process memory unavailable (no /proc/self)"),
+    }
     let csv = bench::csv::edge_csv(&report, config.storm);
     print!("{csv}");
     report_csv(write_csv(out, &format!("{name}.csv"), csv));
@@ -79,6 +86,28 @@ fn run_edge(name: &str, config: &EdgeConfig, out: &Option<PathBuf>) {
         );
         std::process::exit(1);
     }
+}
+
+/// The process's peak resident set (`VmHWM` of `/proc/self/status`, in
+/// KiB) and its minor page faults so far (field 10 of `/proc/self/stat`);
+/// `None` where `/proc` is not mounted.
+fn process_memory() -> Option<(u64, u64)> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let peak_kib = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()?;
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The command name (field 2) is parenthesised and may hold spaces;
+    // the fields after it are plain. `minflt` is field 10, the eighth
+    // after the name.
+    let after_name = &stat[stat.rfind(')')? + 1..];
+    let minor_faults = after_name.split_whitespace().nth(7)?.parse().ok()?;
+    Some((peak_kib, minor_faults))
 }
 
 const USAGE: &str = "\

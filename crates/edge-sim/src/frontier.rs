@@ -139,17 +139,22 @@ fn home_board(seed: u64, user: u64, boards_r: usize) -> usize {
     (sim_core::mix_indexed(seed ^ TAG_AFFINITY, user) % boards_r as u64) as usize
 }
 
-/// Plans every request of one `(region, epoch)` cell, sorted by offset
-/// (stable, so the draw order breaks ties deterministically).
-pub(crate) fn epoch_arrivals(config: &EdgeConfig, region: usize, epoch: u64) -> Vec<EdgeArrival> {
+/// Plans every request of one `(region, epoch)` cell into `arrivals`
+/// (cleared first), sorted by offset, with ties in draw order.
+pub(crate) fn epoch_arrivals(
+    config: &EdgeConfig,
+    region: usize,
+    epoch: u64,
+    arrivals: &mut Vec<EdgeArrival>,
+) {
+    arrivals.clear();
     let boards_r = region_boards(config.boards, config.regions, region);
     let users_r = region_users(config.users, config.regions, config.regional_skew, region);
     if boards_r == 0 || users_r == 0 {
-        return Vec::new();
+        return;
     }
     let user_base = region_user_base(config.users, config.regions, config.regional_skew, region);
     let epoch_ns = config.epoch.as_nanos();
-    let mut arrivals = Vec::new();
     match &config.demand {
         Demand::Synthetic => {
             let reqs = stream(config.seed, TAG_REQ, region, epoch);
@@ -184,13 +189,18 @@ pub(crate) fn epoch_arrivals(config: &EdgeConfig, region: usize, epoch: u64) -> 
         }
     }
     arrivals.sort_by_key(|a| a.offset);
-    arrivals
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use workloads::{Benchmark, QosSpec, Workload};
+
+    fn arrivals(config: &EdgeConfig, region: usize, epoch: u64) -> Vec<EdgeArrival> {
+        let mut arrivals = Vec::new();
+        epoch_arrivals(config, region, epoch, &mut arrivals);
+        arrivals
+    }
 
     fn config() -> EdgeConfig {
         EdgeConfig {
@@ -222,8 +232,8 @@ mod tests {
     fn schedules_are_pure_functions_of_the_seed() {
         let config = config();
         for region in 0..config.regions {
-            let a = epoch_arrivals(&config, region, 7);
-            let b = epoch_arrivals(&config, region, 7);
+            let a = arrivals(&config, region, 7);
+            let b = arrivals(&config, region, 7);
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(
@@ -236,8 +246,8 @@ mod tests {
             seed: 99,
             ..config.clone()
         };
-        let a: usize = (0..48).map(|e| epoch_arrivals(&config, 0, e).len()).sum();
-        let b: usize = (0..48).map(|e| epoch_arrivals(&reseeded, 0, e).len()).sum();
+        let a: usize = (0..48).map(|e| arrivals(&config, 0, e).len()).sum();
+        let b: usize = (0..48).map(|e| arrivals(&reseeded, 0, e).len()).sum();
         assert_ne!((a, b), (0, 0), "synthetic demand must generate something");
     }
 
@@ -246,7 +256,7 @@ mod tests {
         let config = config();
         let mut homes = std::collections::BTreeMap::new();
         for epoch in 0..24 {
-            for a in epoch_arrivals(&config, 1, epoch) {
+            for a in arrivals(&config, 1, epoch) {
                 let prev = homes.insert(a.user, a.board);
                 if let Some(prev) = prev {
                     assert_eq!(prev, a.board, "user {} moved boards", a.user);
@@ -304,10 +314,43 @@ mod tests {
         let spread: usize = (0..config.regions)
             .map(|r| {
                 (0..config.epochs)
-                    .map(|e| epoch_arrivals(&config, r, e).len())
+                    .map(|e| arrivals(&config, r, e).len())
                     .sum::<usize>()
             })
             .sum();
         assert_eq!(spread, total, "each replayed arrival lands in one region");
+    }
+
+    #[test]
+    fn simultaneous_arrivals_keep_their_draw_order() {
+        // A 64 ns epoch: hundreds of draws land on 64 instants, in
+        // random order, so offsets tie all the time.
+        let config = EdgeConfig {
+            epoch: SimDuration::from_nanos(64),
+            load: 3.0,
+            ..config()
+        };
+        let mut ties = 0;
+        for epoch in 0..config.epochs {
+            // Recover each arrival's draw index from its payload seed.
+            let reqs = stream(config.seed, TAG_REQ, 0, epoch);
+            let draw = |a: &EdgeArrival| {
+                (0u64..)
+                    .find(|&k| {
+                        let h2 = sim_core::splitmix64(sim_core::mix_indexed(reqs, k));
+                        sim_core::splitmix64(h2) == a.payload_seed
+                    })
+                    .expect("every arrival is a draw")
+            };
+            let arrivals = arrivals(&config, 0, epoch);
+            for pair in arrivals.windows(2) {
+                assert!(
+                    (pair[0].offset, draw(&pair[0])) < (pair[1].offset, draw(&pair[1])),
+                    "epoch {epoch}: arrivals out of (offset, draw) order"
+                );
+                ties += usize::from(pair[0].offset == pair[1].offset);
+            }
+        }
+        assert!(ties > 0, "no two arrivals shared an instant");
     }
 }

@@ -2,9 +2,9 @@
 //! network model into per-region [`TieredService`] ladders, one barrier
 //! epoch at a time.
 //!
-//! One run plans every region's requests up front (arrival → FIFO
-//! uplink → delivery instant, all pure functions of the seed), then
-//! simulates the regions independently — sharded across host threads by
+//! Each region plans its requests one epoch ahead of serving them
+//! (arrival → FIFO uplink → delivery instant, all pure functions of the
+//! seed), and the regions simulate independently — sharded across host threads by
 //! the [`par::Budget`] and merged in region order, so the report is
 //! byte-identical at every thread budget. Each region's service ladder
 //! carries the backbone round trip as
@@ -17,6 +17,7 @@
 //! accounting, not a full `hikey-platform` model — which is what lets
 //! a single run sweep 10k–100k boards.
 
+use std::collections::VecDeque;
 use std::fmt;
 
 use faults::{FleetFault, FleetSchedule, StormBuilder};
@@ -407,7 +408,7 @@ impl fmt::Display for EdgeReport {
 }
 
 /// One planned request after the network model: where and when it lands.
-#[derive(Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PlannedRequest {
     /// Region-local home board.
     board: usize,
@@ -420,21 +421,174 @@ struct PlannedRequest {
     deadline_tier: SimTime,
     /// Seed the payload is a pure function of.
     payload_seed: u64,
+    /// Plan sequence number. Buckets fill in this order, and it breaks
+    /// ties between equal delivery instants.
+    seq: u64,
 }
 
-/// The immutable per-region plan.
+/// Distinct users of one region, as a bitset over its user range.
+struct UserSet {
+    base: u64,
+    words: Vec<u64>,
+    count: u64,
+}
+
+impl UserSet {
+    fn new(config: &EdgeConfig, region: usize) -> Self {
+        let skew = config.regional_skew;
+        let users = frontier::region_users(config.users, config.regions, skew, region);
+        UserSet {
+            base: frontier::region_user_base(config.users, config.regions, skew, region),
+            words: vec![0; users.div_ceil(64) as usize],
+            count: 0,
+        }
+    }
+
+    fn insert(&mut self, user: u64) {
+        let bit = user - self.base;
+        let word = &mut self.words[(bit / 64) as usize];
+        let mask = 1 << (bit % 64);
+        if *word & mask == 0 {
+            *word |= mask;
+            self.count += 1;
+        }
+    }
+}
+
+/// A region's request plan, streamed one delivery epoch at a time:
+/// frontier arrivals pushed through the rack uplinks, bucketed by
+/// delivery epoch. Users homed on a crashed board send nothing that
+/// epoch (they are not `generated` either). Deliveries past the horizon
+/// are counted as `truncated` and never submitted.
+///
+/// A delivery is never earlier than its arrival, so once the arrivals of
+/// epochs `..=e` are planned, no later arrival can land in epoch `e`:
+/// its bucket is complete. Planning epoch by epoch in arrival order
+/// keeps the uplink FIFOs and the jitter sequence exactly as planning the
+/// whole run up front does. A bucket fills in plan order, so sorting it
+/// stably by delivery instant gives the `(delivered_at, seq)` order.
 struct RegionPlan {
-    schedule: FleetSchedule,
-    requests: Vec<PlannedRequest>,
-    /// Request index ranges per delivery epoch (epoch-major, sorted by
-    /// delivery instant within each epoch).
-    epoch_ranges: Vec<(usize, usize)>,
-    generated: u64,
-    truncated: u64,
-    /// Distinct logical users that issued at least one request.
-    active_users: u64,
+    /// Each board's crash spans; `None` when the storm crashes no board.
+    down: Option<Vec<Vec<(u64, u64)>>>,
     /// Board-epochs the storm had a board crashed.
     down_board_epochs: u64,
+    uplinks: Vec<FifoLink>,
+    jitter_ns: u64,
+    jitter_stream: u64,
+    downlink: SimDuration,
+    /// Requests planned so far.
+    seq: u64,
+    /// The frontier arrivals of the epoch being planned.
+    arrivals: Vec<frontier::EdgeArrival>,
+    /// Buckets of the delivery epochs from the next one on.
+    ahead: VecDeque<Vec<PlannedRequest>>,
+    /// Emptied buckets, reused when a delivery lands further ahead.
+    spare: Vec<Vec<PlannedRequest>>,
+    /// The deliveries of the epoch being served, in delivery order.
+    current: Vec<PlannedRequest>,
+    users: UserSet,
+    generated: u64,
+    truncated: u64,
+}
+
+impl RegionPlan {
+    fn new(config: &EdgeConfig, region: usize, schedule: &FleetSchedule) -> Self {
+        let down = board_down_spans(
+            schedule,
+            region_boards(config.boards, config.regions, region),
+        );
+        let down_board_epochs = down
+            .iter()
+            .flatten()
+            .flatten()
+            .map(|&(from, until)| until - from)
+            .sum();
+        RegionPlan {
+            down,
+            down_board_epochs,
+            uplinks: vec![FifoLink::new(config.network.edge); config.racks_per_region],
+            jitter_ns: config.network.jitter.as_nanos(),
+            jitter_stream: jitter_stream(config, region),
+            downlink: config.network.downlink(),
+            seq: 0,
+            arrivals: Vec::new(),
+            ahead: VecDeque::new(),
+            spare: Vec::new(),
+            current: Vec::new(),
+            users: UserSet::new(config, region),
+            generated: 0,
+            truncated: 0,
+        }
+    }
+
+    /// Plans the arrivals of epoch `epoch` and returns that epoch's
+    /// deliveries in delivery order. Epochs are taken in order from 0.
+    fn next_epoch(&mut self, config: &EdgeConfig, region: usize, epoch: u64) -> &[PlannedRequest] {
+        let epoch_ns = config.epoch.as_nanos();
+        let base = SimTime::from_nanos(epoch * epoch_ns);
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        frontier::epoch_arrivals(config, region, epoch, &mut arrivals);
+        for arrival in &arrivals {
+            if self.down.as_ref().is_some_and(|spans| {
+                spans[arrival.board]
+                    .iter()
+                    .any(|&(from, until)| (from..until).contains(&epoch))
+            }) {
+                continue;
+            }
+            self.generated += 1;
+            self.users.insert(arrival.user);
+            let at = base + arrival.offset;
+            // The uplink is a shared FIFO medium per rack; sends are
+            // issued in arrival order (the frontier sorts each epoch).
+            let wire = self.uplinks[arrival.board % config.racks_per_region]
+                .send(at, config.network.request_bytes);
+            let jitter = SimDuration::from_nanos(if self.jitter_ns == 0 {
+                0
+            } else {
+                sim_core::mix_indexed(self.jitter_stream, self.seq) % (self.jitter_ns + 1)
+            });
+            self.seq += 1;
+            let delivered_at = wire + jitter;
+            let delivery_epoch = delivered_at.as_nanos() / epoch_ns;
+            if delivery_epoch >= config.epochs {
+                self.truncated += 1;
+                continue;
+            }
+            let ahead = (delivery_epoch - epoch) as usize;
+            while self.ahead.len() <= ahead {
+                self.ahead.push_back(self.spare.pop().unwrap_or_default());
+            }
+            self.ahead[ahead].push(PlannedRequest {
+                board: arrival.board,
+                at,
+                delivered_at,
+                deadline_tier: at + config.qos_deadline - self.downlink,
+                payload_seed: arrival.payload_seed,
+                seq: self.seq,
+            });
+        }
+        self.arrivals = arrivals;
+        let mut served = std::mem::take(&mut self.current);
+        served.clear();
+        self.spare.push(served);
+        self.current = self.ahead.pop_front().unwrap_or_default();
+        // The tier clock is nondecreasing between flushes: submit in
+        // delivery order. The bucket was filled in plan order, so the
+        // stable sort breaks ties by plan sequence.
+        self.current.sort_by_key(|request| request.delivered_at);
+        &self.current
+    }
+
+    /// Distinct logical users that issued at least one request so far.
+    fn active_users(&self) -> u64 {
+        self.users.count
+    }
+}
+
+/// Root of the per-request uplink jitter draws of region `region`.
+fn jitter_stream(config: &EdgeConfig, region: usize) -> u64 {
+    sim_core::mix64(config.seed ^ TAG_NET ^ (region as u64).wrapping_mul(sim_core::GOLDEN_GAMMA))
 }
 
 /// Derives the region's fault schedule: the backbone outage, which
@@ -463,105 +617,14 @@ fn board_down_spans(schedule: &FleetSchedule, boards: usize) -> Option<Vec<Vec<(
     crashes.then(|| (0..boards).map(|b| schedule.down_spans(b)).collect())
 }
 
-/// Plans one region: frontier arrivals pushed through the rack uplinks,
-/// bucketed by delivery epoch. Users homed on a crashed board send
-/// nothing that epoch (they are not `generated` either). Deliveries past
-/// the horizon are counted as `truncated` and never submitted.
-fn plan_region(config: &EdgeConfig, region: usize) -> RegionPlan {
-    let schedule = storm_schedule(config, region);
-    let down = board_down_spans(
-        &schedule,
-        region_boards(config.boards, config.regions, region),
-    );
-    let epoch_ns = config.epoch.as_nanos();
-    let racks = config.racks_per_region;
-    let mut uplinks = vec![FifoLink::new(config.network.edge); racks];
-    let jitter_ns = config.network.jitter.as_nanos();
-    let jitter_stream = sim_core::mix64(
-        config.seed ^ TAG_NET ^ (region as u64).wrapping_mul(sim_core::GOLDEN_GAMMA),
-    );
-    let downlink = config.network.downlink();
-
-    let mut generated = 0u64;
-    let mut truncated = 0u64;
-    let mut active_users = std::collections::HashSet::new();
-    let mut buckets: Vec<Vec<(SimTime, u64, PlannedRequest)>> =
-        vec![Vec::new(); config.epochs as usize];
-    let mut seq = 0u64;
-    for epoch in 0..config.epochs {
-        let base = SimTime::from_nanos(epoch * epoch_ns);
-        for arrival in frontier::epoch_arrivals(config, region, epoch) {
-            if down.as_ref().is_some_and(|spans| {
-                spans[arrival.board]
-                    .iter()
-                    .any(|&(from, until)| (from..until).contains(&epoch))
-            }) {
-                continue;
-            }
-            generated += 1;
-            active_users.insert(arrival.user);
-            let at = base + arrival.offset;
-            // The uplink is a shared FIFO medium per rack; sends are
-            // issued in arrival order (the frontier sorts each epoch).
-            let wire = uplinks[arrival.board % racks].send(at, config.network.request_bytes);
-            let jitter = SimDuration::from_nanos(if jitter_ns == 0 {
-                0
-            } else {
-                sim_core::mix_indexed(jitter_stream, seq) % (jitter_ns + 1)
-            });
-            seq += 1;
-            let delivered_at = wire + jitter;
-            let delivery_epoch = delivered_at.as_nanos() / epoch_ns;
-            if delivery_epoch >= config.epochs {
-                truncated += 1;
-                continue;
-            }
-            let request = PlannedRequest {
-                board: arrival.board,
-                at,
-                delivered_at,
-                deadline_tier: at + config.qos_deadline - downlink,
-                payload_seed: arrival.payload_seed,
-            };
-            buckets[delivery_epoch as usize].push((delivered_at, seq, request));
-        }
-    }
-
-    let mut requests = Vec::new();
-    let mut epoch_ranges = Vec::with_capacity(config.epochs as usize);
-    for mut bucket in buckets {
-        let start = requests.len();
-        // The tier clock is nondecreasing between flushes: submit in
-        // delivery order (plan sequence breaks ties deterministically).
-        // The keys are unique, so the unstable sort gives the stable order.
-        bucket.sort_unstable_by_key(|&(delivered_at, seq, _)| (delivered_at, seq));
-        requests.extend(bucket.into_iter().map(|(_, _, request)| request));
-        epoch_ranges.push((start, requests.len()));
-    }
-    let down_board_epochs = down
-        .iter()
-        .flatten()
-        .flatten()
-        .map(|&(from, until)| until - from)
-        .sum();
-    RegionPlan {
-        schedule,
-        requests,
-        epoch_ranges,
-        generated,
-        truncated,
-        active_users: active_users.len() as u64,
-        down_board_epochs,
-    }
-}
-
 /// Mutable per-region state threaded through epoch processing.
 struct RegionState {
     service: TieredService,
     checker: TierChecker,
     width: usize,
     board_base: usize,
-    /// Tickets of the epoch currently accepting deliveries.
+    /// Tickets of the epoch currently accepting deliveries, with each
+    /// request's index in the epoch's deliveries.
     tickets: Vec<(TierTicket, usize)>,
     /// End-to-end QoS delays of replies, in resolution order.
     qos_delays: Vec<SimDuration>,
@@ -577,9 +640,9 @@ struct RegionState {
 
 /// Starts epoch `epoch`: applies the storm's fault events at the epoch
 /// base and counts dark epochs.
-fn begin_epoch(plan: &RegionPlan, config: &EdgeConfig, state: &mut RegionState, epoch: u64) {
+fn begin_epoch(schedule: &FleetSchedule, config: &EdgeConfig, state: &mut RegionState, epoch: u64) {
     let base = SimTime::from_nanos(epoch * config.epoch.as_nanos());
-    for event in plan.schedule.events_at(epoch) {
+    for event in schedule.events_at(epoch) {
         state.service.apply_fault(event.fault, base);
     }
     if state.service.regional_down() {
@@ -587,9 +650,14 @@ fn begin_epoch(plan: &RegionPlan, config: &EdgeConfig, state: &mut RegionState, 
     }
 }
 
-/// Delivers one planned request to the region's tier.
-fn deliver(plan: &RegionPlan, config: &EdgeConfig, state: &mut RegionState, idx: usize) {
-    let request = &plan.requests[idx];
+/// Delivers request `idx` of the epoch's deliveries to the region's tier.
+fn deliver(
+    config: &EdgeConfig,
+    state: &mut RegionState,
+    deliveries: &[PlannedRequest],
+    idx: usize,
+) {
+    let request = &deliveries[idx];
     let ticket = state
         .service
         .submit(
@@ -609,13 +677,18 @@ fn deliver(plan: &RegionPlan, config: &EdgeConfig, state: &mut RegionState, idx:
 
 /// Ends epoch `epoch`: flushes the tier at the barrier, resolves every
 /// ticket, checks transitions, and steps the thermal proxy.
-fn end_epoch(plan: &RegionPlan, config: &EdgeConfig, state: &mut RegionState, epoch: u64) {
+fn end_epoch(
+    config: &EdgeConfig,
+    state: &mut RegionState,
+    deliveries: &[PlannedRequest],
+    epoch: u64,
+) {
     let barrier = SimTime::from_nanos((epoch + 1) * config.epoch.as_nanos());
     state.checker.observe_barrier(barrier);
     state.service.flush(barrier);
     let downlink = config.network.downlink();
     for (ticket, idx) in state.tickets.drain(..) {
-        let request = &plan.requests[idx];
+        let request = &deliveries[idx];
         match state.service.take_outcome(ticket) {
             Some(outcome) => {
                 if let TierOutcome::Reply(reply) = &outcome {
@@ -675,9 +748,14 @@ pub fn tier_config(config: &EdgeConfig) -> TierConfig {
             devices: 4,
             max_batch: 32,
             queue_capacity: 512,
-            // Replays repeated quantized feature vectors; outputs are
-            // bit-identical with the cache on or off, so the CSV and
-            // checker artifacts do not depend on this.
+            // Edge payloads are a pure function of a per-request seed,
+            // so they never repeat: the rack and regional caches record
+            // no hits (0 in 38,802 rack and 15,470 regional probes of the
+            // perfbench edge-overload6 run, seed 1). They stay on as
+            // deployment config, as a fleet whose boards revisit states
+            // would run them; outputs are bit-identical with the cache on
+            // or off, so the CSV and checker artifacts do not depend on
+            // this.
             policy_cache: 512,
             ..ServeConfig::default()
         },
@@ -700,7 +778,8 @@ pub fn tier_config(config: &EdgeConfig) -> TierConfig {
 /// delays for the fleet-wide percentile merge, and its crashed
 /// board-epochs for the fleet-wide availability.
 fn simulate_region(config: &EdgeConfig, region: usize) -> (RegionOutcome, Vec<SimDuration>, u64) {
-    let plan = plan_region(config, region);
+    let schedule = storm_schedule(config, region);
+    let mut plan = RegionPlan::new(config, region, &schedule);
     let boards_r = region_boards(config.boards, config.regions, region);
     let mlp = region_policy(config, region);
     let mut state = RegionState {
@@ -719,12 +798,12 @@ fn simulate_region(config: &EdgeConfig, region: usize) -> (RegionOutcome, Vec<Si
     };
 
     for epoch in 0..config.epochs {
-        begin_epoch(&plan, config, &mut state, epoch);
-        let (start, end) = plan.epoch_ranges[epoch as usize];
-        for idx in start..end {
-            deliver(&plan, config, &mut state, idx);
+        begin_epoch(&schedule, config, &mut state, epoch);
+        let deliveries = plan.next_epoch(config, region, epoch);
+        for idx in 0..deliveries.len() {
+            deliver(config, &mut state, deliveries, idx);
         }
-        end_epoch(&plan, config, &mut state, epoch);
+        end_epoch(config, &mut state, deliveries, epoch);
     }
 
     let RegionState {
@@ -746,7 +825,7 @@ fn simulate_region(config: &EdgeConfig, region: usize) -> (RegionOutcome, Vec<Si
         region,
         boards: boards_r,
         users: frontier::region_users(config.users, config.regions, config.regional_skew, region),
-        active_users: plan.active_users,
+        active_users: plan.active_users(),
         generated: plan.generated,
         truncated: plan.truncated,
         submitted: stats.submitted,
@@ -759,7 +838,7 @@ fn simulate_region(config: &EdgeConfig, region: usize) -> (RegionOutcome, Vec<Si
         hedges: stats.hedges,
         hedges_infeasible: stats.hedges_infeasible,
         breaker_transitions: transitions,
-        storm_events: plan.schedule.events().len() as u64,
+        storm_events: schedule.events().len() as u64,
         outage_epochs,
         qos_p50: quantile(0.50),
         qos_p99: quantile(0.99),
@@ -860,6 +939,9 @@ pub fn run(config: &EdgeConfig) -> EdgeReport {
         violations,
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1065,15 +1147,25 @@ mod tests {
         }
     }
 
+    /// Streams region 0 of `config` through every epoch; returns the plan
+    /// with its counts.
+    fn stream_region(config: &EdgeConfig, mut each: impl FnMut(&PlannedRequest)) -> RegionPlan {
+        let schedule = storm_schedule(config, 0);
+        let mut plan = RegionPlan::new(config, 0, &schedule);
+        for epoch in 0..config.epochs {
+            plan.next_epoch(config, 0, epoch).iter().for_each(&mut each);
+        }
+        plan
+    }
+
     #[test]
     fn crashed_boards_send_nothing_while_down() {
         let config = small_storm(StormPreset::CrashWave);
-        let plan = plan_region(&config, 0);
+        let schedule = storm_schedule(&config, 0);
         let spans =
-            board_down_spans(&plan.schedule, config.boards).expect("a crash wave crashes boards");
-        assert!(plan.down_board_epochs > 0);
+            board_down_spans(&schedule, config.boards).expect("a crash wave crashes boards");
         let epoch_ns = config.epoch.as_nanos();
-        for request in &plan.requests {
+        let plan = stream_region(&config, |request| {
             let epoch = request.at.as_nanos() / epoch_ns;
             assert!(
                 !spans[request.board]
@@ -1082,15 +1174,16 @@ mod tests {
                 "board {} was down in epoch {epoch} but sent a request",
                 request.board
             );
-        }
+        });
+        assert!(plan.down_board_epochs > 0);
         // The same demand without the storm homes requests on those
         // board-epochs, so the filter really removed some.
-        let calm = plan_region(
+        let calm = stream_region(
             &EdgeConfig {
                 storm: None,
                 ..config
             },
-            0,
+            |_| {},
         );
         assert!(calm.generated > plan.generated);
     }

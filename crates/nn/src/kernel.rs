@@ -27,6 +27,10 @@
 //! proptests below hold the two paths equal on randomized shapes, scales,
 //! and adversarial rounding-boundary inputs.
 
+mod groups;
+
+pub use groups::quantize_groups;
+
 /// Lane width of the wide `i32` accumulator bundles.
 ///
 /// 16 × i32 fills one AVX-512 register, two AVX2 registers, or four SSE2
@@ -338,14 +342,7 @@ pub fn fused_layer_groups(
     let rows = group_rows.iter().sum();
     assert_eq!(input.len(), rows * w.n_in, "input shape mismatch");
     q.resize(input.len(), 0);
-    scales.clear();
-    let mut start = 0;
-    for &n in group_rows {
-        let end = start + n * w.n_in;
-        let scale = quantize_into(&input[start..end], &mut q[start..end]);
-        scales.extend(std::iter::repeat_n(scale, n));
-        start = end;
-    }
+    quantize_groups(input, w.n_in, group_rows, q, scales);
     let act_scales = match (group_rows, scales.first()) {
         ([_], Some(&scale)) => RowScales::Uniform(scale),
         _ => RowScales::PerRow(scales),

@@ -87,6 +87,19 @@ impl Tier {
         tiers
     }
 
+    /// Whether the tier runs AVX2 code (the AVX2 and AVX-512 tiers).
+    pub(crate) fn has_avx2(self) -> bool {
+        self.0 != Level::Baseline
+    }
+
+    /// Whether the tier runs AVX-512F code.
+    pub(crate) fn has_avx512(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return self.0 == Level::Avx512;
+        #[cfg(not(target_arch = "x86_64"))]
+        false
+    }
+
     /// The tier's name: `avx512f`, `avx2` or `baseline`.
     pub(crate) fn name(self) -> &'static str {
         match self.0 {

@@ -127,10 +127,15 @@ impl SubmissionQueue {
     pub(crate) fn push(&mut self, request: QueuedRequest) {
         debug_assert!(self.rejection().is_none(), "push past capacity");
         let key = (request.dispatch_deadline, request.id);
-        let at = self
-            .entries
-            .partition_point(|e| (e.dispatch_deadline, e.id) <= key);
-        self.entries.insert(at, request);
+        let before = |e: &QueuedRequest| (e.dispatch_deadline, e.id) <= key;
+        // Submissions come in time order behind one batching window, so a
+        // request almost always belongs at the back.
+        if self.entries.last().is_none_or(before) {
+            self.entries.push(request);
+        } else {
+            let at = self.entries.partition_point(before);
+            self.entries.insert(at, request);
+        }
     }
 
     /// Removes and returns the `n` most urgent requests (fewer when less

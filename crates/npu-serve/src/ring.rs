@@ -99,6 +99,12 @@ impl<T> TicketRing<T> {
             }
             self.slots.pop_front();
             self.base += 1;
+            if self.slots.is_empty() {
+                // Start the next run of tickets at the front of the
+                // buffer again, so the ring only ever touches as many
+                // slots as it has held at once.
+                self.slots.clear();
+            }
         }
     }
 
@@ -153,5 +159,27 @@ mod tests {
         ring.fill(0, 7);
         assert_eq!(ring.take_if(0, |_| true), Some(7));
         assert_eq!(ring.resident(), 0);
+    }
+
+    /// A flush files a batch of outcomes and redeems them all; the next
+    /// batch starts at the front of the buffer again instead of
+    /// wrapping round it, so the ring touches only as many slots as the
+    /// largest batch.
+    #[test]
+    fn an_emptied_ring_refills_from_the_front_of_its_buffer() {
+        let mut ring = TicketRing::default();
+        let mut next = 0u64;
+        for batch in [100u64, 37, 100, 64, 99, 100, 3, 100] {
+            for id in next..next + batch {
+                ring.fill(id, id);
+            }
+            let (front, back) = ring.slots.as_slices();
+            assert_eq!((front.len(), back.len()), (batch as usize, 0));
+            for id in next..next + batch {
+                assert_eq!(ring.take_if(id, |_| true), Some(id));
+            }
+            next += batch;
+        }
+        assert!(ring.slots.capacity() < 256, "{}", ring.slots.capacity());
     }
 }

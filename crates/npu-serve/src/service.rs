@@ -7,7 +7,9 @@ use std::sync::Arc;
 use faults::{BreakerState, CircuitBreaker, FaultInjector, ServeFault};
 use hmc_types::{SimDuration, SimTime};
 use nn::{Matrix, Mlp};
-use npu::{CacheStats, CpuInference, InferScratch, NpuDevice, NpuModel, Occupancy, PolicyCache};
+use npu::{
+    CacheKey, CacheStats, CpuInference, InferScratch, NpuDevice, NpuModel, Occupancy, PolicyCache,
+};
 use topil::{ClientJob, ClientReply, InferenceBackend};
 use trace::TraceBackend;
 
@@ -100,6 +102,9 @@ struct Group {
     /// Start of the group's codes in [`ComputeScratch::q`].
     q_start: usize,
     scale: f32,
+    /// The cache key a missed probe returned, for the insert of the
+    /// computed output (`None` on a hit or without a cache).
+    key: Option<CacheKey>,
     /// Start of the replayed output in [`ComputeScratch::hits`]; `None`
     /// when the kernel computes the group (a miss, or no cache).
     hit: Option<usize>,
@@ -108,6 +113,12 @@ struct Group {
 /// Buffers of the compute drain, reused across flushes.
 #[derive(Debug, Default)]
 struct ComputeScratch {
+    /// Feature rows of every NPU-path group, back to back.
+    x: Vec<f32>,
+    /// Rows of each NPU-path group.
+    group_rows: Vec<usize>,
+    /// Each row's activation scale (its group's).
+    row_scales: Vec<f32>,
     /// Quantized input codes of every NPU-path group, back to back.
     q: Vec<i8>,
     /// One entry per request of every NPU-path plan, in dispatch order;
@@ -855,15 +866,17 @@ impl NpuService {
         }
         let mut plans = std::mem::take(&mut self.inflight);
         let mut scratch = std::mem::take(&mut self.compute);
-        scratch.q.clear();
-        scratch.groups.clear();
-        scratch.hits.clear();
-        for plan in plans.iter().filter(|p| p.fallback.is_none()) {
-            for request in &plan.requests {
-                let group = probe_group(self.cache.as_mut(), &mut scratch, request);
-                scratch.groups.push(group);
-            }
+        scratch.x.clear();
+        scratch.group_rows.clear();
+        for request in plans
+            .iter()
+            .filter(|p| p.fallback.is_none())
+            .flat_map(|p| &p.requests)
+        {
+            scratch.x.extend_from_slice(request.rows.as_slice());
+            scratch.group_rows.push(request.rows.rows());
         }
+        probe_groups(self.cache.as_mut(), self.model.input_size(), &mut scratch);
         let mut next_group = 0;
         for mut plan in plans.drain(..) {
             let out_cols = self.model.output_size();
@@ -946,7 +959,8 @@ impl NpuService {
                 self.stats.cache_misses += 1;
                 let q = &scratch.q[group.q_start..group.q_start + rows * width];
                 let out = &scratch.out[start_row * out_cols..(start_row + rows) * out_cols];
-                cache.insert(q, group.scale, rows, out);
+                let key = group.key.expect("a cached service keys every group");
+                cache.insert(key, q, group.scale, rows, out);
             }
             start_row += rows;
         }
@@ -1017,30 +1031,47 @@ fn total_rows(requests: &[QueuedRequest]) -> usize {
     requests.iter().map(|r| r.rows.rows()).sum()
 }
 
-/// Quantizes one request group exactly as the first inference layer
-/// would ([`NpuModel::quantize_input`]), appending its codes to
-/// `scratch.q`, and probes the cache with them: a hit's output is copied
-/// to `scratch.hits`.
-fn probe_group(
-    cache: Option<&mut PolicyCache>,
-    scratch: &mut ComputeScratch,
-    request: &QueuedRequest,
-) -> Group {
-    let q_start = scratch.q.len();
-    scratch.q.resize(q_start + request.rows.as_slice().len(), 0);
-    let q = &mut scratch.q[q_start..];
-    let scale = nn::kernel::quantize_into(request.rows.as_slice(), q);
-    let hit = cache
-        .and_then(|cache| cache.probe(q, scale, request.rows.rows()))
-        .map(|out| {
-            let at = scratch.hits.len();
-            scratch.hits.extend_from_slice(out);
-            at
+/// Quantizes every group of `scratch.x` exactly as the first inference
+/// layer would quantize it alone ([`NpuModel::quantize_input`]), all of
+/// them in one lane-parallel sweep, then probes the cache with each
+/// group's codes in dispatch order: a hit's output is copied to
+/// `scratch.hits`. Fills `scratch.groups`.
+fn probe_groups(mut cache: Option<&mut PolicyCache>, width: usize, scratch: &mut ComputeScratch) {
+    scratch.q.resize(scratch.x.len(), 0);
+    nn::kernel::quantize_groups(
+        &scratch.x,
+        width,
+        &scratch.group_rows,
+        &mut scratch.q,
+        &mut scratch.row_scales,
+    );
+    scratch.groups.clear();
+    scratch.hits.clear();
+    let (mut q_start, mut row) = (0, 0);
+    for &rows in &scratch.group_rows {
+        let q = &scratch.q[q_start..q_start + rows * width];
+        // Requests hold at least one row (admission refuses empty ones).
+        let scale = scratch.row_scales[row];
+        let (hit, key) = match cache
+            .as_deref_mut()
+            .map(|cache| cache.probe(q, scale, rows))
+        {
+            Some(Ok(out)) => {
+                let at = scratch.hits.len();
+                scratch.hits.extend_from_slice(out);
+                (Some(at), None)
+            }
+            Some(Err(key)) => (None, Some(key)),
+            None => (None, None),
+        };
+        scratch.groups.push(Group {
+            q_start,
+            scale,
+            key,
+            hit,
         });
-    Group {
-        q_start,
-        scale,
-        hit,
+        q_start += q.len();
+        row += rows;
     }
 }
 

@@ -270,6 +270,49 @@ struct PendingRequest {
     failed_over: bool,
 }
 
+/// A pending request and its walk down the ladder at the next flush.
+#[derive(Debug)]
+struct Ladder {
+    pending: PendingRequest,
+    /// Successful rack completion `(output, completed_at)`.
+    rack_reply: Option<(Matrix, SimTime)>,
+    /// When the rack rung was given up on (hedge instant or submit
+    /// instant for direct failovers).
+    handover_at: SimTime,
+    hedged: bool,
+    regional: Option<RequestTicket>,
+    /// When the regional submission was made (if any).
+    regional_at: SimTime,
+}
+
+impl Ladder {
+    /// A request that has not been resolved yet.
+    fn new(pending: PendingRequest) -> Self {
+        Ladder {
+            handover_at: pending.submit_at,
+            rack_reply: None,
+            hedged: false,
+            regional: None,
+            regional_at: pending.submit_at,
+            pending,
+        }
+    }
+}
+
+/// Buffers of [`TieredService::resolve_pending`], empty between flushes.
+/// A saturated rack resolves thousands of requests per flush; held by
+/// the service, these stay allocated instead of being mapped afresh by
+/// every flush.
+#[derive(Debug, Default)]
+struct ResolveScratch {
+    /// Regional submissions `(at, ladder index)`: they must reach the
+    /// service in nondecreasing time order, so they are collected,
+    /// sorted, submitted, and then flushed once.
+    regional_submits: Vec<(SimTime, usize)>,
+    /// The latency window in order, for the hedge quantile.
+    sorted_window: Vec<SimDuration>,
+}
+
 #[derive(Debug)]
 struct RackSlot {
     service: NpuService,
@@ -306,7 +349,10 @@ pub struct TieredService {
     latency_window: Vec<SimDuration>,
     /// Hedge timeout derived from `latency_window` at the last flush.
     hedge_timeout: SimDuration,
-    pending: Vec<PendingRequest>,
+    /// Requests submitted since the last flush, in submission order.
+    /// The flush resolves them in place and leaves the buffer empty.
+    pending: Vec<Ladder>,
+    resolve: ResolveScratch,
     outcomes: TicketRing<TierOutcome>,
     transitions: Vec<TierTransition>,
     stats: TierStats,
@@ -360,6 +406,7 @@ impl TieredService {
             latency_window: Vec::new(),
             hedge_timeout: config.hedge_min,
             pending: Vec::new(),
+            resolve: ResolveScratch::default(),
             outcomes: TicketRing::default(),
             transitions: Vec::new(),
             stats: TierStats::default(),
@@ -394,9 +441,11 @@ impl TieredService {
             .len()
             .saturating_sub(self.config.hedge_window);
         self.latency_window.drain(..excess);
-        let mut sorted = self.latency_window.clone();
+        let sorted = &mut self.resolve.sorted_window;
+        sorted.clear();
+        sorted.extend_from_slice(&self.latency_window);
         sorted.sort_unstable();
-        if let Some(quantile) = nearest_rank(&sorted, self.config.hedge_quantile) {
+        if let Some(quantile) = nearest_rank(sorted, self.config.hedge_quantile) {
             self.hedge_timeout = quantile.max(self.config.hedge_min);
         }
     }
@@ -573,7 +622,7 @@ impl TieredService {
             Primary::Rack(_) => Some(now + hedge_timeout),
             _ => None,
         };
-        self.pending.push(PendingRequest {
+        self.pending.push(Ladder::new(PendingRequest {
             id,
             rack: opts.rack,
             rows: payload,
@@ -583,7 +632,7 @@ impl TieredService {
             hedge_at,
             primary,
             failed_over,
-        });
+        }));
         Ok(TierTicket(id))
     }
 
@@ -760,33 +809,12 @@ impl TieredService {
 
     /// Resolution of one pending request after the rack rung.
     fn resolve_pending(&mut self, barrier: SimTime) {
-        let pendings = std::mem::take(&mut self.pending);
+        // The flush's buffers are the service's: taken here and handed
+        // back empty, so their capacity outlives the flush.
+        let mut ladders = std::mem::take(&mut self.pending);
+        let mut regional_submits = std::mem::take(&mut self.resolve.regional_submits);
         // Phase 1: rack outcomes, hedge decisions, regional submissions.
-        struct Ladder {
-            pending: PendingRequest,
-            /// Successful rack completion `(output, completed_at)`.
-            rack_reply: Option<(Matrix, SimTime)>,
-            /// When the rack rung was given up on (hedge instant or
-            /// submit instant for direct failovers).
-            handover_at: SimTime,
-            hedged: bool,
-            regional: Option<RequestTicket>,
-            /// When the regional submission was made (if any).
-            regional_at: SimTime,
-        }
-        let mut ladders: Vec<Ladder> = Vec::with_capacity(pendings.len());
-        // Regional submissions must reach the service in nondecreasing
-        // time order; collect, sort, submit, then flush once.
-        let mut regional_submits: Vec<(SimTime, usize)> = Vec::new();
-        for pending in pendings {
-            let mut ladder = Ladder {
-                handover_at: pending.submit_at,
-                rack_reply: None,
-                hedged: false,
-                regional: None,
-                regional_at: pending.submit_at,
-                pending,
-            };
+        for (idx, ladder) in ladders.iter_mut().enumerate() {
             match ladder.pending.primary {
                 Primary::Rack(ticket) => {
                     let hedge_at = ladder.pending.hedge_at.expect("rack primaries arm a hedge");
@@ -869,7 +897,7 @@ impl TieredService {
                             ladder.hedged = true;
                             ladder.handover_at = hedge_at;
                             self.stats.hedges += 1;
-                            regional_submits.push((hedge_at, ladders.len()));
+                            regional_submits.push((hedge_at, idx));
                         } else {
                             // Regional rung fenced: hand straight to the
                             // CPU rung at the instant the rack was given
@@ -882,18 +910,17 @@ impl TieredService {
                     }
                 }
                 Primary::Regional => {
-                    regional_submits.push((ladder.pending.submit_at, ladders.len()));
+                    regional_submits.push((ladder.pending.submit_at, idx));
                 }
                 Primary::Cpu => {}
             }
-            ladders.push(ladder);
         }
         self.refresh_hedge_timeout();
 
         // Phase 2: regional rung.
         // The keys are unique, so the unstable sort gives the stable order.
         regional_submits.sort_unstable_by_key(|&(at, idx)| (at, idx));
-        for (at, idx) in regional_submits {
+        for (at, idx) in regional_submits.drain(..) {
             let ladder = &mut ladders[idx];
             let rows = ladder.pending.rows.take().expect("payload is home");
             let submit = self.regional.submit_owned(
@@ -920,8 +947,10 @@ impl TieredService {
         }
         self.regional.flush(barrier);
 
+        self.resolve.regional_submits = regional_submits;
+
         // Phase 3: race resolution and the CPU last rung.
-        for ladder in ladders {
+        for ladder in ladders.drain(..) {
             let Ladder {
                 mut pending,
                 rack_reply,
@@ -1037,6 +1066,7 @@ impl TieredService {
             }
             self.outcomes.fill(pending.id, outcome);
         }
+        self.pending = ladders;
     }
 
     fn reply(

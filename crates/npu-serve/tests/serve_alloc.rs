@@ -1,10 +1,14 @@
 //! The allocation budget of the serving path: once warmed up, serving one
 //! edge request through a saturated tier allocates about once — the
-//! reply's output — and everything else reuses buffers.
+//! reply's output — and everything else reuses buffers. Counting calls
+//! alone would pass a buffer allocated once per flush however large it
+//! is, so the bytes are budgeted too: beyond the reply outputs, no
+//! warmed-up epoch's bytes and no single allocation may grow with the
+//! epoch's request count.
 //!
 //! This file is its own test binary so that its counting global allocator
-//! sees only this test's allocations. The counter is thread-local, so the
-//! harness's other threads cannot disturb it.
+//! sees only this test's allocations. The counters are thread-local, so
+//! the harness's other threads cannot disturb them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,30 +23,86 @@ use rand::SeedableRng;
 
 struct CountingAlloc;
 
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+/// What the allocator has been asked for on one thread.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    /// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`).
+    calls: u64,
+    /// Bytes requested: the size of each allocation, the new size of
+    /// each reallocation.
+    bytes: u64,
+    /// The largest single request since the last [`reset_largest`].
+    largest: u64,
+    /// Reallocations that grew a service's sample Vec, counted apart
+    /// from `calls` and `bytes` (see [`is_sample_growth`]).
+    sample_growths: u64,
 }
 
-fn count_one() {
+thread_local! {
+    static TALLY: Cell<Tally> = const {
+        Cell::new(Tally {
+            calls: 0,
+            bytes: 0,
+            largest: 0,
+            sample_growths: 0,
+        })
+    };
+}
+
+fn count(size: usize) {
     // `try_with`: the slot may already be gone while the thread exits.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = TALLY.try_with(|t| {
+        let mut tally = t.get();
+        tally.calls += 1;
+        tally.bytes += size as u64;
+        tally.largest = tally.largest.max(size as u64);
+        t.set(tally);
+    });
+}
+
+fn count_sample_growth() {
+    let _ = TALLY.try_with(|t| {
+        let mut tally = t.get();
+        tally.sample_growths += 1;
+        t.set(tally);
+    });
+}
+
+/// Buffers at least this large that double are a service's sample Vecs.
+const SAMPLE_VEC_FLOOR: usize = 64 * 1024;
+
+/// Whether a reallocation is the amortized growth of a service's latency
+/// or queue-wait samples (`ServeStats`), which keep one `u64` per request
+/// for the service's life: a power-of-two `u64` buffer of at least
+/// [`SAMPLE_VEC_FLOOR`] bytes doubling. A buffer built within one flush
+/// cannot pass as one: before it reaches the floor it makes an
+/// allocation above [`LARGEST_BYTES`], which is counted.
+fn is_sample_growth(layout: Layout, new_size: usize) -> bool {
+    layout.align() == std::mem::align_of::<u64>()
+        && layout.size() >= SAMPLE_VEC_FLOOR
+        && layout.size().is_power_of_two()
+        && new_size == 2 * layout.size()
 }
 
 // SAFETY: every call forwards to the system allocator unchanged; the
 // counter only observes.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        if is_sample_growth(layout, new_size) {
+            count_sample_growth();
+        } else {
+            count(new_size);
+        }
         System.realloc(ptr, layout, new_size)
     }
 
@@ -54,14 +114,42 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
+fn tally() -> Tally {
+    TALLY.with(Cell::get)
+}
+
+fn reset_largest() {
+    TALLY.with(|t| {
+        t.set(Tally {
+            largest: 0,
+            ..t.get()
+        })
+    });
 }
 
 /// Heap allocations per submitted request allowed in steady state. The
 /// tier measures 1.04: the reply's output matrix, plus a job list per
-/// batch and the per-flush bookkeeping.
+/// batch.
 const BUDGET_PER_REQUEST: f64 = 1.1;
+
+/// Bytes of one reply's output: one row of the policy's 4 outputs.
+const OUTPUT_BYTES: u64 = 4 * 4;
+
+/// Bytes an epoch may request beyond its reply outputs. The tier
+/// measures about 2 KB: one 32-byte job list per batch (a batch holds up
+/// to 32 requests) and a few small odds and ends. A buffer sized by the
+/// epoch's requests costs more than this on its own: 1,870 entries of
+/// even one byte.
+const EPOCH_SLACK_BYTES: u64 = 4 * 1024;
+
+/// The largest allocation a steady-state epoch may make: a reply output
+/// and a job list are 16 and 32 bytes.
+const LARGEST_BYTES: u64 = 1024;
+
+/// Sample Vecs of the one-rack tier: latencies and queue waits of its
+/// rack service and of its regional service. Each doubles at most once
+/// an epoch.
+const SAMPLE_VECS: u64 = 4;
 
 /// Requests per 100 ms epoch: the edge fleet's 6× load on one rack.
 const PER_EPOCH: u64 = 1_870;
@@ -94,16 +182,26 @@ fn edge_tier() -> TierConfig {
     }
 }
 
+/// What one epoch asked of the allocator, and what it served.
+struct Epoch {
+    calls: u64,
+    bytes: u64,
+    largest: u64,
+    sample_growths: u64,
+    replies: u64,
+}
+
 /// Runs one epoch, counting only the tier's allocations (the payloads
-/// are made before the count starts). Returns `(allocations, replies)`.
-fn epoch(tier: &mut TieredService, width: usize, index: u64) -> (u64, u64) {
+/// are made before the count starts).
+fn epoch(tier: &mut TieredService, width: usize, index: u64) -> Epoch {
     let epoch_ns = SimDuration::from_millis(100).as_nanos();
     let base = index * epoch_ns;
     let payloads: Vec<_> = (0..PER_EPOCH)
         .map(|i| seeded_payload(base + i, 1, width))
         .collect();
     let mut tickets = Vec::with_capacity(PER_EPOCH as usize);
-    let before = allocations();
+    reset_largest();
+    let before = tally();
     for (i, payload) in (0..PER_EPOCH).zip(payloads) {
         // The epoch's demand lands in its first 10 ms: more than the
         // rack's pool can drain, so its queue overflows to the regional
@@ -123,7 +221,14 @@ fn epoch(tier: &mut TieredService, width: usize, index: u64) -> (u64, u64) {
             replies += 1;
         }
     }
-    (allocations() - before, replies)
+    let after = tally();
+    Epoch {
+        calls: after.calls - before.calls,
+        bytes: after.bytes - before.bytes,
+        largest: after.largest,
+        sample_growths: after.sample_growths - before.sample_growths,
+        replies,
+    }
 }
 
 #[test]
@@ -135,12 +240,11 @@ fn serving_a_request_allocates_about_once() {
         epoch(&mut tier, mlp.input_size(), index);
     }
 
-    let (mut allocated, mut replies) = (0, 0);
-    for index in 30..40 {
-        let (a, r) = epoch(&mut tier, mlp.input_size(), index);
-        allocated += a;
-        replies += r;
-    }
+    let epochs: Vec<Epoch> = (30..40)
+        .map(|index| epoch(&mut tier, mlp.input_size(), index))
+        .collect();
+    let allocated: u64 = epochs.iter().map(|e| e.calls).sum();
+    let replies: u64 = epochs.iter().map(|e| e.replies).sum();
     let submitted = 10 * PER_EPOCH;
     let per_request = allocated as f64 / submitted as f64;
     let stats = tier.stats();
@@ -152,4 +256,25 @@ fn serving_a_request_allocates_about_once() {
         "{per_request:.2} allocations per request over {submitted} requests \
          (budget {BUDGET_PER_REQUEST})"
     );
+
+    // Every warmed-up epoch: the sample Vecs' growth is set apart by
+    // `is_sample_growth`, so nothing else may make a large request.
+    for (index, e) in (30..).zip(&epochs) {
+        let beyond = e.bytes.saturating_sub(e.replies * OUTPUT_BYTES);
+        assert!(
+            beyond <= EPOCH_SLACK_BYTES,
+            "epoch {index} requested {beyond} bytes beyond its reply outputs \
+             (budget {EPOCH_SLACK_BYTES})"
+        );
+        assert!(
+            e.largest <= LARGEST_BYTES,
+            "epoch {index} made an allocation of {} bytes (budget {LARGEST_BYTES})",
+            e.largest
+        );
+        assert!(
+            e.sample_growths <= SAMPLE_VECS,
+            "epoch {index} doubled {} large buffers; the tier has {SAMPLE_VECS} sample Vecs",
+            e.sample_growths
+        );
+    }
 }

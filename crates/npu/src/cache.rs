@@ -9,14 +9,19 @@
 //! *bit-identical* to recomputing it, not an approximation.
 //!
 //! The key is FNV-64 over the int8 row bytes, the scale bits, and the row
-//! count; the map uses it as its hash as it is, without hashing it again.
-//! Hash collisions are guarded by comparing the stored key material;
-//! eviction is FIFO (deterministic, no recency bookkeeping on the hot
-//! path), and an evicted slot's buffers hold its successor. The cache only ever replaces wall-clock numeric
-//! compute: simulated device time, batching, and occupancy are charged
-//! identically on hits and misses (regression-tested in `npu-serve`).
+//! count, computed once per group by [`PolicyCache::probe`], which hands
+//! it back on a miss for the [`PolicyCache::insert`] that follows; the
+//! map uses it as its hash as
+//! it is, without hashing it again. Hash collisions are guarded by
+//! comparing the stored key material. Eviction is FIFO (deterministic,
+//! no recency bookkeeping on the hot path): slots fill in order and are
+//! never freed, so the oldest entry is always the next slot round the
+//! ring, and an evicted slot's buffers hold its successor. The cache
+//! only ever replaces wall-clock numeric compute: simulated device time,
+//! batching, and occupancy are charged identically on hits and misses
+//! (regression-tested in `npu-serve`).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -68,8 +73,14 @@ impl Hasher for KeyHasher {
     }
 }
 
+/// The FNV-64 key of a quantized group, handed back by a missed
+/// [`PolicyCache::probe`] for the [`PolicyCache::insert`] of its output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheKey(u64);
+
 #[derive(Debug, Clone)]
 struct Slot {
+    key: CacheKey,
     q: Vec<i8>,
     scale_bits: u32,
     rows: usize,
@@ -78,7 +89,8 @@ struct Slot {
 
 impl Slot {
     /// Overwrites the slot in place, reusing its buffers.
-    fn fill(&mut self, q: &[i8], scale: f32, rows: usize, out: &[f32]) {
+    fn fill(&mut self, key: CacheKey, q: &[i8], scale: f32, rows: usize, out: &[f32]) {
+        self.key = key;
         self.q.clear();
         self.q.extend_from_slice(q);
         self.scale_bits = scale.to_bits();
@@ -95,18 +107,20 @@ impl Slot {
 /// ```
 /// use npu::PolicyCache;
 /// let mut cache = PolicyCache::new(2);
-/// assert!(cache.probe(&[1, -2, 3], 0.5, 1).is_none());
-/// cache.insert(&[1, -2, 3], 0.5, 1, &[9.0, 8.0]);
-/// assert_eq!(cache.probe(&[1, -2, 3], 0.5, 1), Some(&[9.0f32, 8.0][..]));
+/// let key = cache.probe(&[1, -2, 3], 0.5, 1).unwrap_err();
+/// cache.insert(key, &[1, -2, 3], 0.5, 1, &[9.0, 8.0]);
+/// assert_eq!(cache.probe(&[1, -2, 3], 0.5, 1), Ok(&[9.0f32, 8.0][..]));
 /// // A different scale is a different key, even with identical codes.
-/// assert!(cache.probe(&[1, -2, 3], 0.25, 1).is_none());
+/// assert!(cache.probe(&[1, -2, 3], 0.25, 1).is_err());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PolicyCache {
     capacity: usize,
     map: HashMap<u64, usize, BuildHasherDefault<KeyHasher>>,
     slots: Vec<Slot>,
-    fifo: VecDeque<u64>,
+    /// The slot the next eviction reuses: the oldest once every slot is
+    /// filled.
+    next_victim: usize,
     stats: CacheStats,
 }
 
@@ -118,7 +132,7 @@ impl PolicyCache {
             capacity,
             map: HashMap::with_capacity_and_hasher(capacity.min(1 << 16), Default::default()),
             slots: Vec::new(),
-            fifo: VecDeque::new(),
+            next_victim: 0,
             stats: CacheStats::default(),
         }
     }
@@ -127,7 +141,7 @@ impl PolicyCache {
     /// The scale MUST be part of the key: two float rows can quantize to
     /// the same int8 codes under different scales and produce different
     /// outputs.
-    fn key(q: &[i8], scale: f32, rows: usize) -> u64 {
+    fn key(q: &[i8], scale: f32, rows: usize) -> CacheKey {
         let mut h = FNV_OFFSET;
         for &v in q {
             h = (h ^ v as u8 as u64).wrapping_mul(FNV_PRIME);
@@ -138,52 +152,56 @@ impl PolicyCache {
         for b in (rows as u64).to_le_bytes() {
             h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
         }
-        h
+        CacheKey(h)
     }
 
     /// Looks up the output of a quantized group, counting a hit or miss.
-    pub fn probe(&mut self, q: &[i8], scale: f32, rows: usize) -> Option<&[f32]> {
+    /// A miss returns the group's key for the [`PolicyCache::insert`] of
+    /// its output, so the group is hashed once.
+    pub fn probe(&mut self, q: &[i8], scale: f32, rows: usize) -> Result<&[f32], CacheKey> {
+        let key = Self::key(q, scale, rows);
         if self.capacity == 0 {
             self.stats.misses += 1;
-            return None;
+            return Err(key);
         }
-        let key = Self::key(q, scale, rows);
-        match self.map.get(&key) {
+        match self.map.get(&key.0) {
             Some(&idx)
                 if self.slots[idx].q == q
                     && self.slots[idx].scale_bits == scale.to_bits()
                     && self.slots[idx].rows == rows =>
             {
                 self.stats.hits += 1;
-                Some(&self.slots[idx].out)
+                Ok(&self.slots[idx].out)
             }
             Some(_) => {
                 self.stats.collisions += 1;
                 self.stats.misses += 1;
-                None
+                Err(key)
             }
             None => {
                 self.stats.misses += 1;
-                None
+                Err(key)
             }
         }
     }
 
-    /// Stores the output of a quantized group, evicting the oldest entry
-    /// when full. Re-inserting a resident key overwrites its slot in
-    /// place (last writer wins on a hash collision) without moving its
-    /// FIFO position.
-    pub fn insert(&mut self, q: &[i8], scale: f32, rows: usize, out: &[f32]) {
+    /// Stores the output of a quantized group under the `key` its missed
+    /// [`PolicyCache::probe`] returned, evicting the oldest entry when
+    /// full. Re-inserting a
+    /// resident key overwrites its slot in place (last writer wins on a
+    /// hash collision) without moving its FIFO position.
+    pub fn insert(&mut self, key: CacheKey, q: &[i8], scale: f32, rows: usize, out: &[f32]) {
         if self.capacity == 0 {
             return;
         }
-        let key = Self::key(q, scale, rows);
-        if let Some(&idx) = self.map.get(&key) {
-            self.slots[idx].fill(q, scale, rows, out);
+        debug_assert_eq!(key, Self::key(q, scale, rows), "key of other material");
+        if let Some(&idx) = self.map.get(&key.0) {
+            self.slots[idx].fill(key, q, scale, rows, out);
             return;
         }
         let idx = if self.slots.len() < self.capacity {
             self.slots.push(Slot {
+                key,
                 q: q.to_vec(),
                 scale_bits: scale.to_bits(),
                 rows,
@@ -191,14 +209,17 @@ impl PolicyCache {
             });
             self.slots.len() - 1
         } else {
-            let victim = self.fifo.pop_front().expect("full cache has a queue");
-            let idx = self.map.remove(&victim).expect("queued key is mapped");
+            let idx = self.next_victim;
+            self.next_victim = (idx + 1) % self.capacity;
+            let victim = self.slots[idx].key;
+            self.map
+                .remove(&victim.0)
+                .expect("a resident slot is mapped");
             self.stats.evictions += 1;
-            self.slots[idx].fill(q, scale, rows, out);
+            self.slots[idx].fill(key, q, scale, rows, out);
             idx
         };
-        self.map.insert(key, idx);
-        self.fifo.push_back(key);
+        self.map.insert(key.0, idx);
         self.stats.insertions += 1;
     }
 
@@ -232,13 +253,18 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::VecDeque;
+
+    fn insert(cache: &mut PolicyCache, q: &[i8], scale: f32, rows: usize, out: &[f32]) {
+        cache.insert(PolicyCache::key(q, scale, rows), q, scale, rows, out);
+    }
 
     #[test]
     fn probe_counts_and_round_trips() {
         let mut cache = PolicyCache::new(4);
-        assert!(cache.probe(&[1, 2], 1.0, 1).is_none());
-        cache.insert(&[1, 2], 1.0, 1, &[3.0]);
-        assert_eq!(cache.probe(&[1, 2], 1.0, 1), Some(&[3.0f32][..]));
+        assert!(cache.probe(&[1, 2], 1.0, 1).is_err());
+        insert(&mut cache, &[1, 2], 1.0, 1, &[3.0]);
+        assert_eq!(cache.probe(&[1, 2], 1.0, 1).ok(), Some(&[3.0f32][..]));
         assert_eq!(cache.len(), 1);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
@@ -248,31 +274,62 @@ mod tests {
     #[test]
     fn scale_and_rows_are_part_of_the_key() {
         let mut cache = PolicyCache::new(8);
-        cache.insert(&[5, -5], 0.5, 1, &[1.0]);
-        assert!(cache.probe(&[5, -5], 0.25, 1).is_none());
-        assert!(cache.probe(&[5, -5], 0.5, 2).is_none());
-        assert!(cache.probe(&[5, -5, 0], 0.5, 1).is_none());
-        assert_eq!(cache.probe(&[5, -5], 0.5, 1), Some(&[1.0f32][..]));
+        insert(&mut cache, &[5, -5], 0.5, 1, &[1.0]);
+        assert!(cache.probe(&[5, -5], 0.25, 1).is_err());
+        assert!(cache.probe(&[5, -5], 0.5, 2).is_err());
+        assert!(cache.probe(&[5, -5, 0], 0.5, 1).is_err());
+        assert_eq!(cache.probe(&[5, -5], 0.5, 1).ok(), Some(&[1.0f32][..]));
     }
 
     #[test]
     fn fifo_eviction_is_oldest_first() {
         let mut cache = PolicyCache::new(2);
-        cache.insert(&[1], 1.0, 1, &[1.0]);
-        cache.insert(&[2], 1.0, 1, &[2.0]);
-        cache.insert(&[3], 1.0, 1, &[3.0]); // evicts [1]
-        assert!(cache.probe(&[1], 1.0, 1).is_none());
-        assert!(cache.probe(&[2], 1.0, 1).is_some());
-        assert!(cache.probe(&[3], 1.0, 1).is_some());
+        insert(&mut cache, &[1], 1.0, 1, &[1.0]);
+        insert(&mut cache, &[2], 1.0, 1, &[2.0]);
+        insert(&mut cache, &[3], 1.0, 1, &[3.0]); // evicts [1]
+        assert!(cache.probe(&[1], 1.0, 1).is_err());
+        assert!(cache.probe(&[2], 1.0, 1).is_ok());
+        assert!(cache.probe(&[3], 1.0, 1).is_ok());
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.len(), 2);
+    }
+
+    proptest! {
+        /// The round-robin victim is the FIFO queue's front: against a
+        /// key queue that re-inserts never move, every probe agrees on
+        /// which keys are resident, through fills, evictions and
+        /// in-place overwrites.
+        #[test]
+        fn round_robin_eviction_matches_a_fifo_queue(
+            capacity in 1usize..6,
+            stream in proptest::collection::vec(0u8..12, 1..80),
+        ) {
+            let mut cache = PolicyCache::new(capacity);
+            let mut fifo: VecDeque<u8> = VecDeque::new();
+            for (step, &code) in stream.iter().enumerate() {
+                let q = [code as i8];
+                let out = [step as f32];
+                if !fifo.contains(&code) {
+                    if fifo.len() == capacity {
+                        fifo.pop_front();
+                    }
+                    fifo.push_back(code);
+                }
+                insert(&mut cache, &q, 1.0, 1, &out);
+                prop_assert_eq!(cache.probe(&q, 1.0, 1).ok(), Some(&out[..]));
+                for other in 0u8..12 {
+                    let resident = cache.probe(&[other as i8], 1.0, 1).is_ok();
+                    prop_assert_eq!(resident, fifo.contains(&other), "step {}", step);
+                }
+            }
+        }
     }
 
     #[test]
     fn zero_capacity_disables_the_cache() {
         let mut cache = PolicyCache::new(0);
-        cache.insert(&[1], 1.0, 1, &[1.0]);
-        assert!(cache.probe(&[1], 1.0, 1).is_none());
+        insert(&mut cache, &[1], 1.0, 1, &[1.0]);
+        assert!(cache.probe(&[1], 1.0, 1).is_err());
         assert!(cache.is_empty());
         assert_eq!(cache.stats().insertions, 0);
     }
@@ -296,13 +353,14 @@ mod tests {
         group: &Matrix,
     ) -> Vec<f32> {
         let scale = model.quantize_input(group.as_slice(), q0);
-        if let Some(out) = cache.probe(q0, scale, group.rows()) {
-            return out.to_vec();
-        }
+        let key = match cache.probe(q0, scale, group.rows()) {
+            Ok(out) => return out.to_vec(),
+            Err(key) => key,
+        };
         let out = model
             .infer_prequant(q0, scale, group.rows(), KernelMode::Vectorized, scratch)
             .to_vec();
-        cache.insert(q0, scale, group.rows(), &out);
+        cache.insert(key, q0, scale, group.rows(), &out);
         out
     }
 

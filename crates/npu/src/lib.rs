@@ -45,7 +45,7 @@ mod error;
 mod model;
 mod quant;
 
-pub use cache::{CacheStats, PolicyCache};
+pub use cache::{CacheKey, CacheStats, PolicyCache};
 pub use ddk::{CompletedJob, CpuInference, HiaiClient, JobHandle, JobRecord, JobStatus};
 pub use device::{NpuDevice, Occupancy};
 pub use error::NpuError;

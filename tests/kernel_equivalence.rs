@@ -286,12 +286,12 @@ fn cached_path_is_bit_identical_to_fresh_inference() {
             );
             let scale = model.quantize_input(group.as_slice(), &mut q);
             let cached = match cache.probe(&q, scale, rows) {
-                Some(out) => out.to_vec(),
-                None => {
+                Ok(out) => out.to_vec(),
+                Err(key) => {
                     let out = model
                         .infer_prequant(&q, scale, rows, mode, &mut scratch)
                         .to_vec();
-                    cache.insert(&q, scale, rows, &out);
+                    cache.insert(key, &q, scale, rows, &out);
                     out
                 }
             };
