@@ -19,6 +19,7 @@ mod common;
 use common::{check_golden, golden_sim, golden_workload, quick_model};
 use top_il::prelude::*;
 use top_il::topil::oracle_governor::OracleGovernor;
+use top_il::topil::RobustnessConfig;
 
 #[test]
 fn golden_trace_topil() {
@@ -26,6 +27,50 @@ fn golden_trace_topil() {
         let mut governor = TopIlGovernor::new(quick_model(0));
         Simulator::new(golden_sim()).run(&golden_workload(), &mut governor)
     });
+}
+
+/// The TOP-IL fixture run under NPU failures, hangs and latency spikes
+/// plus sensor dropout: pins the degradation ladder's retries, breaker,
+/// half-open resets and CPU fallback, as the fault-free fixture cannot.
+#[test]
+fn golden_trace_topil_faults() {
+    check_golden("topil_faults", true, || {
+        let mut governor = TopIlGovernor::new(quick_model(0)).with_fault_plan(golden_faults());
+        let sim = SimConfig {
+            fault_plan: Some(golden_faults()),
+            ..golden_sim()
+        };
+        Simulator::new(sim).run(&golden_workload(), &mut governor)
+    });
+}
+
+/// The same faults with every mitigation off: one attempt per epoch, no
+/// breaker (a lost device stays lost), no CPU fallback and no sensor
+/// filter.
+#[test]
+fn golden_trace_topil_faults_unguarded() {
+    check_golden("topil_faults_unguarded", true, || {
+        let mut governor = TopIlGovernor::new(quick_model(0))
+            .with_fault_plan(golden_faults())
+            .with_robustness(RobustnessConfig::disabled());
+        let sim = SimConfig {
+            fault_plan: Some(golden_faults()),
+            sensor_filter: None,
+            ..golden_sim()
+        };
+        Simulator::new(sim).run(&golden_workload(), &mut governor)
+    });
+}
+
+/// The fault plan of the two fault fixtures.
+fn golden_faults() -> FaultPlan {
+    let mut plan = FaultPlan::none(0x60_1D);
+    plan.npu.failure_rate = 0.1;
+    plan.npu.timeout_rate = 0.1;
+    plan.npu.latency_spike_rate = 0.2;
+    plan.npu.latency_spike_factor = 5.0;
+    plan.sensor.dropout_rate = 0.1;
+    plan
 }
 
 #[test]
