@@ -9,9 +9,10 @@ use governors::LinuxGovernor;
 use hikey_platform::{Platform, PlatformConfig, Policy};
 use hmc_types::CoreId;
 use topil::dvfs::DvfsControlLoop;
-use topil::migration::{InferenceBackend, MigrationPolicy};
+use topil::migration::InferenceBackend;
 use topil::oracle::Scenario;
 use topil::training::{IlTrainer, TrainSettings};
+use topil::TopIlGovernor;
 use toprl::TopRlGovernor;
 use workloads::{Benchmark, QosSpec, Workload};
 
@@ -51,8 +52,8 @@ fn policy_benches(c: &mut Criterion) {
     ] {
         group.bench_function(label, |b| {
             let mut platform = loaded_platform(8);
-            let mut policy = MigrationPolicy::new(model.clone()).with_backend(backend);
-            b.iter(|| black_box(policy.run(&mut platform)));
+            let mut governor = TopIlGovernor::new(model.clone()).with_backend(backend);
+            b.iter(|| black_box(governor.migrate(&mut platform)));
         });
     }
 

@@ -149,7 +149,7 @@ pub fn run_point_traced(
 
     let mut governor = TopIlGovernor::new(model).with_fault_plan(plan);
     if !ladder {
-        governor = governor.with_robustness(RobustnessConfig::disabled());
+        governor = governor.with_robustness(RobustnessConfig::Disabled);
     }
     let workload_cfg = MixedWorkloadConfig {
         num_apps: 12,

@@ -1,20 +1,19 @@
-//! Error taxonomy of the DDK-shaped client.
+//! Error taxonomy of one inference job on a board's NPU.
 
 use std::error::Error;
 use std::fmt;
 
-/// An error reported by the (simulated) HiAI DDK for one inference job.
+/// Why one inference job on a [`DedicatedNpu`](crate::DedicatedNpu)
+/// failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NpuError {
     /// The device faulted while executing the job; it stays unusable until
-    /// [`HiaiClient::reset`](crate::HiaiClient::reset) is called.
+    /// [`DedicatedNpu::reset`](crate::DedicatedNpu::reset) is called.
     DeviceFault,
     /// The job did not complete before the caller's deadline.
     Timeout,
     /// The model is not loaded (the device is in its faulted state).
     ModelNotLoaded,
-    /// The polled handle is unknown or was already collected.
-    UnknownHandle,
 }
 
 impl fmt::Display for NpuError {
@@ -23,7 +22,6 @@ impl fmt::Display for NpuError {
             NpuError::DeviceFault => write!(f, "NPU device fault; reset required"),
             NpuError::Timeout => write!(f, "NPU job timed out"),
             NpuError::ModelNotLoaded => write!(f, "model not loaded on the NPU"),
-            NpuError::UnknownHandle => write!(f, "unknown or already-collected job handle"),
         }
     }
 }
@@ -40,7 +38,6 @@ mod tests {
             NpuError::DeviceFault,
             NpuError::Timeout,
             NpuError::ModelNotLoaded,
-            NpuError::UnknownHandle,
         ];
         for (i, a) in all.iter().enumerate() {
             for b in &all[i + 1..] {

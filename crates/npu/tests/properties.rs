@@ -1,8 +1,8 @@
 //! Property-based tests of quantization and the device cost model.
 
-use hmc_types::SimTime;
+use hmc_types::SimDuration;
 use nn::{Matrix, Mlp};
-use npu::{HiaiClient, NpuDevice, NpuModel, QuantizedTensor};
+use npu::{DedicatedNpu, NpuDevice, NpuModel, QuantizedTensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,24 +54,23 @@ proptest! {
         }
     }
 
-    /// Jobs submitted at time t are never ready before t, and always ready
-    /// after the reported latency has elapsed.
+    /// A job resolves exactly at the device latency when the deadline
+    /// allows it, and exactly at the deadline when it does not.
     #[test]
-    fn job_readiness_consistent(batch in 1usize..16, t_ms in 0u64..10_000) {
+    fn job_resolves_at_its_latency_or_the_deadline(batch in 1usize..16, deadline_us in 1u64..10_000) {
         let mlp = Mlp::with_topology(21, 2, 16, 8, &mut StdRng::seed_from_u64(1));
-        let mut client = HiaiClient::load(NpuDevice::kirin970(), &mlp);
+        let mut npu = DedicatedNpu::load(NpuDevice::kirin970(), &mlp);
         let input = Matrix::from_rows(vec![vec![0.5; 21]; batch]);
-        let now = SimTime::from_millis(t_ms);
-        let job = client.submit(&input, now);
-        match client.poll(job, now) {
-            npu::JobStatus::Pending { ready_at } => {
-                prop_assert!(ready_at > now);
-                prop_assert!(matches!(
-                    client.poll(job, ready_at),
-                    npu::JobStatus::Done(_)
-                ));
-            }
-            other => prop_assert!(false, "job done instantly: {other:?}"),
+        let latency = NpuDevice::kirin970().inference_latency(&NpuModel::compile(&mlp), batch);
+        let deadline = SimDuration::from_micros(deadline_us);
+        let job = npu.run(&input, deadline);
+        prop_assert!(job.latency > SimDuration::ZERO);
+        if latency <= deadline {
+            prop_assert_eq!(job.latency, latency);
+            prop_assert!(job.output.is_ok());
+        } else {
+            prop_assert_eq!(job.latency, deadline);
+            prop_assert_eq!(job.output, Err(npu::NpuError::Timeout));
         }
     }
 }

@@ -8,7 +8,9 @@ use hmc_types::AppModel;
 use hmc_types::{CoreId, QosTarget, SimDuration};
 
 use crate::dvfs::DvfsControlLoop;
-use crate::migration::{InferenceBackend, MigrationPolicy, RobustnessConfig};
+use crate::migration::{
+    DedicatedNpuClient, InferenceBackend, MigrationOutcome, MigrationPolicy, RobustnessConfig,
+};
 use crate::training::IlModel;
 
 /// Migration epoch length (paper: 500 ms).
@@ -54,6 +56,8 @@ pub struct GovernorStats {
 pub struct TopIlGovernor {
     dvfs: DvfsControlLoop,
     migration: MigrationPolicy,
+    /// The board's own NPU, serving every migration epoch's batch.
+    client: DedicatedNpuClient,
     dvfs_skip: u8,
     stats: GovernorStats,
     name: String,
@@ -68,6 +72,7 @@ impl TopIlGovernor {
     pub fn new(model: IlModel) -> Self {
         TopIlGovernor {
             dvfs: DvfsControlLoop::new(),
+            client: DedicatedNpuClient::new(&model),
             migration: MigrationPolicy::new(model),
             dvfs_skip: 0,
             stats: GovernorStats::default(),
@@ -81,7 +86,7 @@ impl TopIlGovernor {
 
     /// Switches the inference backend (ablation for Fig. 11).
     pub fn with_backend(mut self, backend: InferenceBackend) -> Self {
-        self.migration = self.migration.with_backend(backend);
+        self.client.backend = backend;
         if backend == InferenceBackend::Cpu {
             self.name = "TOP-IL (CPU inference)".to_string();
         }
@@ -122,13 +127,14 @@ impl TopIlGovernor {
     /// (robustness experiments). The plan's sensor and DVFS faults are
     /// injected by the platform from independent streams of the same seed.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.migration = self.migration.with_fault_injector(FaultInjector::new(plan));
+        self.client.npu = self.client.npu.with_injector(FaultInjector::new(plan));
         self
     }
 
-    /// Overrides the NPU degradation-ladder configuration.
+    /// Switches the NPU degradation ladder on or off. Resets the circuit
+    /// breaker.
     pub fn with_robustness(mut self, config: RobustnessConfig) -> Self {
-        self.migration = self.migration.with_robustness(config);
+        self.client.set_robustness(config);
         self
     }
 
@@ -136,13 +142,32 @@ impl TopIlGovernor {
     /// `Scalar` forces the reference loop so golden traces can be
     /// re-verified against both paths).
     pub fn with_kernel(mut self, kernel: npu::KernelMode) -> Self {
-        self.migration = self.migration.with_kernel(kernel);
+        self.client.npu = self.client.npu.with_kernel(kernel);
         self
     }
 
     /// The accumulated run-time statistics.
     pub fn stats(&self) -> GovernorStats {
         self.stats
+    }
+
+    /// Runs one migration epoch: prepares the feature batch, serves it on
+    /// the board's NPU client, and completes the epoch. A platform with
+    /// nothing running is a no-op.
+    pub fn migrate(&mut self, platform: &mut Platform) -> MigrationOutcome {
+        let Some(prepared) = self.migration.prepare(platform) else {
+            return MigrationOutcome {
+                migrated: None,
+                latency: SimDuration::ZERO,
+                cpu_time: SimDuration::ZERO,
+                backend: self.client.backend,
+                npu_failures: 0,
+                fallback_active: false,
+                deadline_missed: false,
+            };
+        };
+        let reply = self.client.infer(prepared.batch());
+        self.migration.complete(platform, &prepared, reply)
     }
 }
 
@@ -166,11 +191,11 @@ impl Policy for TopIlGovernor {
                 epoch: self.epoch,
             });
             self.epoch += 1;
-            let outcome = self.migration.run(platform);
+            let outcome = self.migrate(platform);
             self.stats.migration_invocations += 1;
             self.stats.migration_time += outcome.latency;
             self.stats.npu_failures += u64::from(outcome.npu_failures);
-            self.stats.breaker_opens = self.migration.breaker_opens();
+            self.stats.breaker_opens = self.client.breaker.opens();
             if outcome.migrated.is_some() {
                 self.stats.migrations_executed += 1;
             }

@@ -13,7 +13,8 @@
 //! * [`migration`] — the run-time migration policy with batched NPU
 //!   inference (§5.1, Eq. 5),
 //! * [`governor`] — the integrated [`TopIlGovernor`] implementing
-//!   [`hikey_platform::Policy`],
+//!   [`hikey_platform::Policy`]; it owns the board's NPU client, which
+//!   serves each epoch's batch behind the degradation ladder,
 //! * [`eval`] — isolated model evaluation (§7.4: fraction of decisions
 //!   within 1 °C of the optimum).
 //!
@@ -58,8 +59,7 @@ pub use ckpt::{AggregationBuffer, CheckpointedTrainOutcome, CkptConfig, IlTrainC
 pub use features::{Features, FEATURE_COUNT};
 pub use governor::{GovernorStats, TopIlGovernor};
 pub use migration::{
-    BreakerState, ClientJob, ClientReply, DedicatedNpuClient, InferenceBackend, MigrationPolicy,
-    PreparedEpoch, RobustnessConfig,
+    ClientJob, ClientReply, InferenceBackend, MigrationPolicy, PreparedEpoch, RobustnessConfig,
 };
 pub use training::IlModel;
 pub use util::estimate_min_level;

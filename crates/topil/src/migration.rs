@@ -16,12 +16,11 @@
 
 use std::sync::Arc;
 
-use faults::FaultInjector;
-pub use faults::{BreakerState, CircuitBreaker};
+use faults::{BreakerState, CircuitBreaker};
 use hikey_platform::Platform;
-use hmc_types::{AppId, CoreId, SimDuration, SimTime};
-use nn::Matrix;
-use npu::{CpuInference, HiaiClient, NpuDevice};
+use hmc_types::{AppId, CoreId, SimDuration};
+use nn::{Matrix, Mlp};
+use npu::{CpuInference, DedicatedNpu, NpuDevice};
 use trace::{FaultKind, TraceBackend, TraceEvent};
 
 use crate::features::Features;
@@ -41,63 +40,74 @@ pub const DEFAULT_IMPROVEMENT_THRESHOLD: f32 = 0.1;
 /// Where the batched inference executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InferenceBackend {
-    /// The NPU via the (simulated) HiAI DDK — the paper's configuration.
+    /// The board's NPU — the paper's configuration.
     Npu,
     /// A CPU core — the ablation whose overhead grows with the number of
     /// applications.
     Cpu,
 }
 
-/// Configuration of the NPU retry / circuit-breaker degradation ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RobustnessConfig {
+/// Whether a board's NPU client guards inference with the degradation
+/// ladder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RobustnessConfig {
+    /// Bounded retries with backoff, a consecutive-failure circuit breaker
+    /// with half-open probing, and a CPU fallback.
+    #[default]
+    Ladder,
+    /// One attempt, no retries, no CPU fallback, and a breaker that never
+    /// opens. A failed epoch simply skips its migration (the naive
+    /// deployment the robustness experiment compares against).
+    Disabled,
+}
+
+/// The constants of one [`RobustnessConfig`] preset.
+#[derive(Debug, Clone, Copy)]
+struct LadderParams {
     /// Maximum inference attempts per epoch (first try + retries).
-    pub max_attempts: u32,
+    max_attempts: u32,
     /// Deadline imposed on a single NPU attempt.
-    pub attempt_timeout: SimDuration,
+    attempt_timeout: SimDuration,
     /// Backoff inserted before each retry.
-    pub retry_backoff: SimDuration,
+    retry_backoff: SimDuration,
     /// Total wall-clock budget for inference within one migration epoch;
     /// once exhausted the epoch's migration is skipped.
-    pub epoch_budget: SimDuration,
+    epoch_budget: SimDuration,
     /// Consecutive NPU failures after which the circuit breaker opens.
-    pub breaker_threshold: u32,
+    breaker_threshold: u32,
     /// Epochs the breaker stays open before a half-open probe (the device
     /// is reset and one real attempt is made).
-    pub breaker_cooldown_epochs: u32,
+    breaker_cooldown_epochs: u32,
     /// Whether to serve inference from the CPU while the NPU is
     /// unavailable.
-    pub cpu_fallback: bool,
+    cpu_fallback: bool,
 }
 
-impl Default for RobustnessConfig {
-    fn default() -> Self {
-        RobustnessConfig {
-            max_attempts: 3,
-            attempt_timeout: SimDuration::from_millis(30),
-            retry_backoff: SimDuration::from_millis(5),
-            epoch_budget: SimDuration::from_millis(250),
-            breaker_threshold: 3,
-            breaker_cooldown_epochs: 4,
-            cpu_fallback: true,
-        }
-    }
-}
+const LADDER: LadderParams = LadderParams {
+    max_attempts: 3,
+    attempt_timeout: SimDuration::from_millis(30),
+    retry_backoff: SimDuration::from_millis(5),
+    epoch_budget: SimDuration::from_millis(250),
+    breaker_threshold: 3,
+    breaker_cooldown_epochs: 4,
+    cpu_fallback: true,
+};
+
+const NO_LADDER: LadderParams = LadderParams {
+    max_attempts: 1,
+    attempt_timeout: SimDuration::from_millis(250),
+    retry_backoff: SimDuration::ZERO,
+    epoch_budget: SimDuration::from_millis(250),
+    breaker_threshold: u32::MAX,
+    breaker_cooldown_epochs: u32::MAX,
+    cpu_fallback: false,
+};
 
 impl RobustnessConfig {
-    /// Disables the degradation ladder: one attempt, no retries, no CPU
-    /// fallback, breaker never opens. A failed epoch simply skips its
-    /// migration (the naive deployment the robustness experiment compares
-    /// against).
-    pub fn disabled() -> Self {
-        RobustnessConfig {
-            max_attempts: 1,
-            attempt_timeout: SimDuration::from_millis(250),
-            retry_backoff: SimDuration::ZERO,
-            epoch_budget: SimDuration::from_millis(250),
-            breaker_threshold: u32::MAX,
-            breaker_cooldown_epochs: u32::MAX,
-            cpu_fallback: false,
+    fn params(self) -> LadderParams {
+        match self {
+            RobustnessConfig::Ladder => LADDER,
+            RobustnessConfig::Disabled => NO_LADDER,
         }
     }
 }
@@ -138,9 +148,9 @@ pub struct ClientJob {
     pub ok: bool,
 }
 
-/// The reply to one epoch's inference request, from the board's
-/// [`DedicatedNpuClient`] or from a shared service (the `npu-serve`
-/// crate) via [`MigrationPolicy::complete`].
+/// The reply to one epoch's inference request, from the board's own NPU
+/// client or from a shared service (the `npu-serve` crate), fed to
+/// [`MigrationPolicy::complete`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientReply {
     /// Rating matrix, or `None` when the epoch's deadline was missed.
@@ -163,57 +173,72 @@ pub struct ClientReply {
     pub breaker_opened: bool,
 }
 
+impl ClientReply {
+    /// A reply that served nothing: the epoch's migration is skipped.
+    fn missed(latency: SimDuration, npu_failures: u32) -> Self {
+        ClientReply {
+            output: None,
+            latency,
+            cpu_time: SimDuration::ZERO,
+            backend: InferenceBackend::Npu,
+            npu_failures,
+            fallback_active: false,
+            jobs: Arc::default(),
+            breaker_opened: false,
+        }
+    }
+}
+
 /// The paper's deployment: a dedicated (simulated) NPU per board, guarded
 /// by the degradation ladder of [`RobustnessConfig`] — bounded retries
 /// with backoff, a consecutive-failure circuit breaker with half-open
-/// probing, and an optional CPU fallback.
+/// probing, and an optional CPU fallback. Each attempt is one synchronous
+/// [`DedicatedNpu::run`].
 #[derive(Debug, Clone)]
-pub struct DedicatedNpuClient {
-    model: IlModel,
-    client: HiaiClient,
+pub(crate) struct DedicatedNpuClient {
+    mlp: Mlp,
+    pub(crate) npu: DedicatedNpu,
     cpu: CpuInference,
-    backend: InferenceBackend,
-    robustness: RobustnessConfig,
-    breaker: CircuitBreaker,
+    pub(crate) backend: InferenceBackend,
+    ladder: LadderParams,
+    pub(crate) breaker: CircuitBreaker,
 }
 
 impl DedicatedNpuClient {
-    /// Loads `model` onto a dedicated Kirin 970 NPU.
-    pub fn new(model: IlModel) -> Self {
-        // The job log only fills between epochs and is drained every
-        // request; its records feed `NpuJob` trace events when tracing is
-        // on.
-        let client = HiaiClient::load(NpuDevice::kirin970(), model.mlp()).with_job_log();
-        let robustness = RobustnessConfig::default();
+    /// Loads `model` onto a dedicated Kirin 970 NPU, guarded by the ladder.
+    pub(crate) fn new(model: &IlModel) -> Self {
         DedicatedNpuClient {
-            model,
-            client,
+            mlp: model.mlp().clone(),
+            npu: DedicatedNpu::load(NpuDevice::kirin970(), model.mlp()),
             cpu: CpuInference::cortex_a73(),
             backend: InferenceBackend::Npu,
-            robustness,
-            breaker: CircuitBreaker::new(
-                robustness.breaker_threshold,
-                robustness.breaker_cooldown_epochs,
-            ),
+            ladder: LADDER,
+            breaker: CircuitBreaker::new(LADDER.breaker_threshold, LADDER.breaker_cooldown_epochs),
         }
     }
 
-    /// The active degradation-ladder configuration.
-    pub fn robustness(&self) -> &RobustnessConfig {
-        &self.robustness
+    /// Switches the degradation ladder on or off. Resets the circuit
+    /// breaker.
+    pub(crate) fn set_robustness(&mut self, config: RobustnessConfig) {
+        self.ladder = config.params();
+        self.breaker = CircuitBreaker::new(
+            self.ladder.breaker_threshold,
+            self.ladder.breaker_cooldown_epochs,
+        );
     }
 
-    /// Runs the batch on the CPU cost model.
-    fn cpu_reply(&self, batch: &Matrix, fallback: bool) -> ClientReply {
-        let output = self.model.mlp().forward_batch(batch);
-        let latency = self.cpu.latency(self.model.mlp().macs(), batch.rows());
+    /// Runs the batch on the CPU cost model after `spent` of failed NPU
+    /// attempts.
+    fn cpu_reply(&self, batch: &Matrix, spent: SimDuration, npu_failures: u32) -> ClientReply {
+        let latency = self.cpu.latency(self.mlp.macs(), batch.rows());
         ClientReply {
-            output: Some(output),
-            latency,
+            output: Some(self.mlp.forward_batch(batch)),
+            latency: spent + latency,
             cpu_time: latency,
             backend: InferenceBackend::Cpu,
-            npu_failures: 0,
-            fallback_active: fallback,
+            npu_failures,
+            // The CPU serves as a fallback unless it is the chosen backend.
+            fallback_active: self.backend == InferenceBackend::Npu,
             jobs: Arc::default(),
             breaker_opened: false,
         }
@@ -222,37 +247,25 @@ impl DedicatedNpuClient {
     /// NPU inference behind the degradation ladder: bounded retries with
     /// backoff, a consecutive-failure circuit breaker with half-open
     /// probing, and an optional CPU fallback. On pristine hardware this is
-    /// exactly one submit + collect, identical to the fault-free path.
-    fn npu_with_recovery(&mut self, batch: &Matrix, now: SimTime) -> ClientReply {
-        let cfg = self.robustness;
-        let mut spent = SimDuration::ZERO;
-        // Failed attempts cost wall time only: the governor sleeps between
-        // polls, so no CPU time is charged for them.
-        let cpu_time = SimDuration::ZERO;
-        let mut failures = 0u32;
-
+    /// exactly one device call. Appends each attempt to `jobs`.
+    fn npu_with_recovery(&mut self, batch: &Matrix, jobs: &mut Vec<ClientJob>) -> ClientReply {
+        let cfg = self.ladder;
         if self.breaker.state() == BreakerState::Open {
-            let probe = self.breaker.epoch_elapsed();
-            if !probe {
+            if !self.breaker.epoch_elapsed() {
                 // Still cooling down: bypass the NPU entirely this epoch.
                 if cfg.cpu_fallback {
-                    return self.cpu_reply(batch, true);
+                    return self.cpu_reply(batch, SimDuration::ZERO, 0);
                 }
-                return ClientReply {
-                    output: None,
-                    latency: SimDuration::ZERO,
-                    cpu_time: SimDuration::ZERO,
-                    backend: InferenceBackend::Npu,
-                    npu_failures: 0,
-                    fallback_active: false,
-                    jobs: Arc::default(),
-                    breaker_opened: false,
-                };
+                return ClientReply::missed(SimDuration::ZERO, 0);
             }
             // Half-open: reset the device and probe with a real attempt.
-            self.client.reset();
+            self.npu.reset();
         }
 
+        // Failed attempts cost wall time only: the governor sleeps until
+        // its deadline, so no CPU time is charged for them.
+        let mut spent = SimDuration::ZERO;
+        let mut failures = 0u32;
         for attempt in 0..cfg.max_attempts {
             if attempt > 0 {
                 spent += cfg.retry_backoff;
@@ -261,85 +274,55 @@ impl DedicatedNpuClient {
             if timeout.is_zero() {
                 break;
             }
-            let submit_at = now + spent;
-            let job = self.client.submit(batch, submit_at);
-            match self.client.poll_until(job, submit_at + timeout) {
-                Ok(done) => {
-                    self.breaker.record_success();
-                    return ClientReply {
-                        output: Some(done.output),
-                        latency: spent + done.latency,
-                        cpu_time: cpu_time + done.host_cpu_time,
-                        backend: InferenceBackend::Npu,
-                        npu_failures: failures,
-                        fallback_active: false,
-                        jobs: Arc::default(),
-                        breaker_opened: false,
-                    };
-                }
-                Err(_) => {
-                    failures += 1;
-                    // The governor discovers a failure at its polling
-                    // deadline, so a failed attempt costs its full timeout.
-                    spent += timeout;
-                    self.breaker.record_failure();
-                    if self.breaker.state() == BreakerState::Open {
-                        break;
-                    }
-                }
+            let job = self.npu.run(batch, timeout);
+            jobs.push(ClientJob {
+                batch: batch.rows() as u32,
+                latency: job.latency,
+                backend: TraceBackend::Npu,
+                ok: job.output.is_ok(),
+            });
+            if let Ok(output) = job.output {
+                self.breaker.record_success();
+                return ClientReply {
+                    output: Some(output),
+                    latency: spent + job.latency,
+                    cpu_time: job.host_cpu_time,
+                    backend: InferenceBackend::Npu,
+                    npu_failures: failures,
+                    fallback_active: false,
+                    jobs: Arc::default(),
+                    breaker_opened: false,
+                };
+            }
+            failures += 1;
+            // The governor discovers a failure at its polling deadline, so
+            // a failed attempt costs its full timeout.
+            spent += timeout;
+            self.breaker.record_failure();
+            if self.breaker.state() == BreakerState::Open {
+                break;
             }
         }
 
         // Retries exhausted (or the breaker tripped mid-epoch).
         if cfg.cpu_fallback && spent < cfg.epoch_budget {
-            let fallback = self.cpu_reply(batch, true);
-            return ClientReply {
-                output: fallback.output,
-                latency: spent + fallback.latency,
-                cpu_time: cpu_time + fallback.cpu_time,
-                backend: InferenceBackend::Cpu,
-                npu_failures: failures,
-                fallback_active: true,
-                jobs: Arc::default(),
-                breaker_opened: false,
-            };
+            return self.cpu_reply(batch, spent, failures);
         }
-        ClientReply {
-            output: None,
-            latency: spent,
-            cpu_time,
-            backend: InferenceBackend::Npu,
-            npu_failures: failures,
-            fallback_active: false,
-            jobs: Arc::default(),
-            breaker_opened: false,
-        }
+        ClientReply::missed(spent, failures)
     }
 
-    /// Serves one epoch's batched inference request submitted at `now`.
-    pub fn infer(&mut self, batch: &Matrix, now: SimTime) -> ClientReply {
+    /// Serves one epoch's batched inference request.
+    pub(crate) fn infer(&mut self, batch: &Matrix) -> ClientReply {
         let opens_before = self.breaker.opens();
+        let mut jobs = Vec::new();
         let mut reply = match self.backend {
-            InferenceBackend::Npu => self.npu_with_recovery(batch, now),
-            InferenceBackend::Cpu => self.cpu_reply(batch, false),
+            InferenceBackend::Npu => self.npu_with_recovery(batch, &mut jobs),
+            InferenceBackend::Cpu => self.cpu_reply(batch, SimDuration::ZERO, 0),
         };
-        // Replay the device's job log into the reply (drained even when
-        // the caller won't trace it, so it never grows across epochs).
-        let mut jobs: Vec<ClientJob> = self
-            .client
-            .drain_job_log()
-            .into_iter()
-            .map(|record| ClientJob {
-                batch: record.batch,
-                latency: record.latency,
-                backend: TraceBackend::Npu,
-                ok: record.ok,
-            })
-            .collect();
-        if reply.backend == InferenceBackend::Cpu && reply.output.is_some() {
+        if reply.backend == InferenceBackend::Cpu {
             jobs.push(ClientJob {
                 batch: batch.rows() as u32,
-                latency: self.cpu.latency(self.model.mlp().macs(), batch.rows()),
+                latency: self.cpu.latency(self.mlp.macs(), batch.rows()),
                 backend: TraceBackend::Cpu,
                 ok: true,
             });
@@ -347,16 +330,6 @@ impl DedicatedNpuClient {
         reply.jobs = jobs.into();
         reply.breaker_opened = self.breaker.opens() > opens_before;
         reply
-    }
-
-    /// State of the circuit breaker guarding the dedicated NPU.
-    pub fn breaker_state(&self) -> BreakerState {
-        self.breaker.state()
-    }
-
-    /// Times the breaker opened so far.
-    pub fn breaker_opens(&self) -> u64 {
-        self.breaker.opens()
     }
 }
 
@@ -376,12 +349,15 @@ impl PreparedEpoch {
     }
 }
 
-/// The IL migration policy.
+/// The IL migration policy: builds each epoch's feature batch and turns
+/// the inference reply into the Eq. 5 migration. The transport in between
+/// belongs to the caller: the governor's own NPU client, or a fleet's
+/// shared service.
 ///
 /// # Examples
 ///
 /// ```
-/// use topil::migration::{InferenceBackend, MigrationPolicy};
+/// use topil::migration::MigrationPolicy;
 /// use topil::oracle::Scenario;
 /// use topil::training::{IlTrainer, TrainSettings};
 /// use hikey_platform::{Platform, PlatformConfig};
@@ -389,74 +365,23 @@ impl PreparedEpoch {
 /// let mut settings = TrainSettings::default();
 /// settings.nn.max_epochs = 10;
 /// let model = IlTrainer::new(settings).train(&Scenario::standard_set(2, 0), 0);
-/// let mut policy = MigrationPolicy::new(model);
-/// let mut platform = Platform::new(PlatformConfig::default());
-/// let outcome = policy.run(&mut platform);
-/// assert!(outcome.migrated.is_none()); // nothing to migrate yet
+/// let policy = MigrationPolicy::new(model);
+/// let platform = Platform::new(PlatformConfig::default());
+/// assert!(policy.prepare(&platform).is_none()); // nothing to migrate yet
 /// ```
 #[derive(Debug, Clone)]
 pub struct MigrationPolicy {
     model: IlModel,
-    /// The board's own NPU transport, used by [`MigrationPolicy::run`].
-    /// A fleet driver serves [`MigrationPolicy::prepare`]d batches
-    /// through a shared service instead and bypasses it.
-    dedicated: DedicatedNpuClient,
     threshold: f32,
 }
 
 impl MigrationPolicy {
-    /// Creates the policy with the model loaded onto the Kirin 970 NPU.
+    /// Creates the policy for a trained model.
     pub fn new(model: IlModel) -> Self {
         MigrationPolicy {
-            dedicated: DedicatedNpuClient::new(model.clone()),
             model,
             threshold: DEFAULT_IMPROVEMENT_THRESHOLD,
         }
-    }
-
-    /// Switches the inference backend (for the overhead ablation).
-    pub fn with_backend(mut self, backend: InferenceBackend) -> Self {
-        self.dedicated.backend = backend;
-        self
-    }
-
-    /// Attaches a fault injector to the NPU client (robustness
-    /// experiments).
-    pub fn with_fault_injector(mut self, injector: FaultInjector) -> Self {
-        self.dedicated.client = self.dedicated.client.with_injector(injector);
-        self
-    }
-
-    /// Selects the numeric kernel of the dedicated NPU client — outputs
-    /// are bit-identical across modes; `Scalar` forces the reference loop
-    /// for differential runs (golden-trace re-verification).
-    pub fn with_kernel(mut self, kernel: npu::KernelMode) -> Self {
-        self.dedicated.client = self.dedicated.client.with_kernel(kernel);
-        self
-    }
-
-    /// Overrides the degradation-ladder configuration. Resets the circuit
-    /// breaker.
-    pub fn with_robustness(mut self, config: RobustnessConfig) -> Self {
-        self.dedicated.robustness = config;
-        self.dedicated.breaker =
-            CircuitBreaker::new(config.breaker_threshold, config.breaker_cooldown_epochs);
-        self
-    }
-
-    /// Current circuit-breaker state of the dedicated NPU.
-    pub fn breaker_state(&self) -> BreakerState {
-        self.dedicated.breaker_state()
-    }
-
-    /// Times the dedicated NPU's circuit breaker opened so far.
-    pub fn breaker_opens(&self) -> u64 {
-        self.dedicated.breaker_opens()
-    }
-
-    /// The active degradation-ladder configuration.
-    pub fn robustness(&self) -> &RobustnessConfig {
-        &self.dedicated.robustness
     }
 
     /// Overrides the migration hysteresis threshold (for ablations).
@@ -478,33 +403,15 @@ impl MigrationPolicy {
         &self.model
     }
 
-    /// Runs one migration epoch on the platform: prepares the feature
-    /// batch, serves it on the dedicated NPU, and completes the epoch.
-    /// Equivalent to [`MigrationPolicy::prepare`] +
-    /// [`MigrationPolicy::complete`] with the client in between.
-    pub fn run(&mut self, platform: &mut Platform) -> MigrationOutcome {
-        let Some(prepared) = self.prepare(platform) else {
-            return MigrationOutcome {
-                migrated: None,
-                latency: SimDuration::ZERO,
-                cpu_time: SimDuration::ZERO,
-                backend: self.dedicated.backend,
-                npu_failures: 0,
-                fallback_active: false,
-                deadline_missed: false,
-            };
-        };
-        let reply = self.dedicated.infer(&prepared.batch, platform.now());
-        self.complete(platform, &prepared, reply)
-    }
-
     /// Builds the epoch's standardized feature batch (every running
     /// application is the AoI once). Returns `None` when nothing runs —
     /// the epoch is a no-op then.
     ///
-    /// Splitting preparation from completion lets a fleet driver gather
-    /// many boards' batches, serve them through a shared service, and
-    /// feed each reply back via [`MigrationPolicy::complete`].
+    /// Splitting preparation from completion lets the caller pick the
+    /// transport: the governor serves the batch on the board's own NPU, and
+    /// a fleet driver gathers many boards' batches, serves them through a
+    /// shared service, and feeds each reply back via
+    /// [`MigrationPolicy::complete`].
     pub fn prepare(&self, platform: &Platform) -> Option<PreparedEpoch> {
         let snapshots = platform.snapshots();
         if snapshots.is_empty() {
@@ -642,8 +549,10 @@ impl MigrationPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::governor::TopIlGovernor;
     use crate::oracle::Scenario;
     use crate::training::{IlTrainer, TrainSettings};
+    use faults::{FaultInjector, FaultPlan};
     use hikey_platform::PlatformConfig;
     use hmc_types::Cluster;
     use nn::TrainConfig;
@@ -663,10 +572,9 @@ mod tests {
 
     #[test]
     fn empty_platform_is_a_noop() {
-        let model = trained_model(0);
-        let mut policy = MigrationPolicy::new(model);
+        let mut governor = TopIlGovernor::new(trained_model(0));
         let mut platform = Platform::new(PlatformConfig::default());
-        let outcome = policy.run(&mut platform);
+        let outcome = governor.migrate(&mut platform);
         assert!(outcome.migrated.is_none());
         assert_eq!(outcome.cpu_time, SimDuration::ZERO);
     }
@@ -674,22 +582,10 @@ mod tests {
     #[test]
     fn npu_latency_flat_cpu_latency_grows() {
         let model = trained_model(0);
-        let w = Workload::single(Benchmark::Adi, QosSpec::FractionOfMaxBig(0.2));
-        let spec = w.iter().next().unwrap();
-
         let run_with = |backend: InferenceBackend, napps: usize| {
-            let mut policy = MigrationPolicy::new(trained_model(0)).with_backend(backend);
-            let mut platform = Platform::new(PlatformConfig::default());
-            for i in 0..napps {
-                platform.admit(spec, hmc_types::CoreId::new(i));
-            }
-            for _ in 0..200 {
-                platform.tick();
-            }
-            policy.run(&mut platform).latency
+            let mut governor = TopIlGovernor::new(model.clone()).with_backend(backend);
+            governor.migrate(&mut loaded_platform(napps)).latency
         };
-        let _ = model;
-
         let npu_1 = run_with(InferenceBackend::Npu, 1).as_secs_f64();
         let npu_8 = run_with(InferenceBackend::Npu, 8).as_secs_f64();
         let cpu_1 = run_with(InferenceBackend::Cpu, 1).as_secs_f64();
@@ -720,7 +616,7 @@ mod tests {
         let model = trained_model(1);
 
         // adi on LITTLE should move to big.
-        let mut policy = MigrationPolicy::new(model.clone());
+        let mut governor = TopIlGovernor::new(model.clone());
         let mut dvfs = crate::dvfs::DvfsControlLoop::new();
         let mut platform = Platform::new(PlatformConfig::default());
         let w = Workload::single(Benchmark::Adi, QosSpec::FractionOfMaxBig(0.3));
@@ -728,7 +624,7 @@ mod tests {
         let mut core = hmc_types::CoreId::new(2);
         for _ in 0..8 {
             epoch_with_dvfs(&mut platform, &mut dvfs);
-            if let Some((app, c)) = policy.run(&mut platform).migrated {
+            if let Some((app, c)) = governor.migrate(&mut platform).migrated {
                 assert_eq!(app, id);
                 core = c;
             }
@@ -753,33 +649,48 @@ mod tests {
         platform
     }
 
-    fn faulty_policy(
-        model: IlModel,
-        configure: impl FnOnce(&mut faults::FaultPlan),
-    ) -> MigrationPolicy {
-        let mut plan = faults::FaultPlan::none(5);
+    fn fault_plan(configure: impl FnOnce(&mut FaultPlan)) -> FaultPlan {
+        let mut plan = FaultPlan::none(5);
         configure(&mut plan);
-        MigrationPolicy::new(model).with_fault_injector(faults::FaultInjector::new(plan))
+        plan
+    }
+
+    /// A board's NPU client with faults from `plan`, and the feature batch
+    /// of a platform running `napps` applications.
+    fn faulty_client(
+        model: &IlModel,
+        napps: usize,
+        configure: impl FnOnce(&mut FaultPlan),
+    ) -> (DedicatedNpuClient, Matrix) {
+        let mut client = DedicatedNpuClient::new(model);
+        client.npu = client
+            .npu
+            .with_injector(FaultInjector::new(fault_plan(configure)));
+        let prepared = MigrationPolicy::new(model.clone())
+            .prepare(&loaded_platform(napps))
+            .expect("applications run");
+        (client, prepared.batch)
     }
 
     #[test]
     fn full_npu_failure_falls_back_to_cpu_and_opens_breaker() {
-        let mut policy = faulty_policy(trained_model(0), |p| p.npu.failure_rate = 1.0);
-        let mut platform = loaded_platform(2);
-        let outcome = policy.run(&mut platform);
-        assert!(outcome.npu_failures > 0, "every attempt must fail");
-        assert!(outcome.fallback_active, "CPU fallback must serve the epoch");
-        assert_eq!(outcome.backend, InferenceBackend::Cpu);
+        let (mut client, batch) = faulty_client(&trained_model(0), 2, |p| p.npu.failure_rate = 1.0);
+        let reply = client.infer(&batch);
+        assert!(reply.npu_failures > 0, "every attempt must fail");
+        assert!(reply.fallback_active, "CPU fallback must serve the epoch");
+        assert_eq!(reply.backend, InferenceBackend::Cpu);
         assert!(
-            !outcome.deadline_missed,
+            reply.output.is_some(),
             "the fallback still produced ratings"
         );
-        assert_eq!(policy.breaker_state(), BreakerState::Open);
-        assert_eq!(policy.breaker_opens(), 1);
+        assert!(reply.breaker_opened);
+        assert_eq!(client.breaker.state(), BreakerState::Open);
+        assert_eq!(client.breaker.opens(), 1);
         // While open, subsequent epochs bypass the NPU without new failures.
-        let outcome = policy.run(&mut platform);
-        assert_eq!(outcome.npu_failures, 0);
-        assert!(outcome.fallback_active);
+        let reply = client.infer(&batch);
+        assert_eq!(reply.npu_failures, 0);
+        assert!(reply.fallback_active);
+        assert_eq!(reply.jobs.len(), 1, "only the CPU job runs");
     }
 
     #[test]
@@ -808,38 +719,42 @@ mod tests {
 
     #[test]
     fn timeout_faults_cost_their_deadline_then_fall_back() {
-        let mut policy = faulty_policy(trained_model(0), |p| p.npu.timeout_rate = 1.0);
-        let mut platform = loaded_platform(1);
-        let outcome = policy.run(&mut platform);
-        assert!(outcome.fallback_active);
+        let (mut client, batch) = faulty_client(&trained_model(0), 1, |p| p.npu.timeout_rate = 1.0);
+        let reply = client.infer(&batch);
+        assert!(reply.fallback_active);
         // 3 attempts × 30 ms + 2 × 5 ms backoff = 100 ms of wall time, plus
-        // the CPU fallback and feature build on top.
+        // the CPU fallback on top.
         assert!(
-            outcome.latency >= SimDuration::from_millis(100),
+            reply.latency >= SimDuration::from_millis(100),
             "{:?}",
-            outcome.latency
+            reply.latency
         );
         assert!(
-            outcome.latency < SimDuration::from_millis(260),
+            reply.latency < SimDuration::from_millis(260),
             "{:?}",
-            outcome.latency
+            reply.latency
         );
+        // Each timed-out attempt's job record carries its deadline.
+        let npu_jobs: Vec<_> = reply.jobs.iter().filter(|j| !j.ok).collect();
+        assert_eq!(npu_jobs.len(), 3);
+        assert!(npu_jobs
+            .iter()
+            .all(|j| j.latency == SimDuration::from_millis(30)));
     }
 
     #[test]
     fn disabled_ladder_skips_the_epoch_without_panicking() {
-        let mut policy = faulty_policy(trained_model(0), |p| p.npu.failure_rate = 1.0)
-            .with_robustness(RobustnessConfig::disabled());
-        let mut platform = loaded_platform(2);
+        let (mut client, batch) = faulty_client(&trained_model(0), 2, |p| p.npu.failure_rate = 1.0);
+        client.set_robustness(RobustnessConfig::Disabled);
         for _ in 0..3 {
-            let outcome = policy.run(&mut platform);
-            assert!(outcome.deadline_missed, "no ladder: the epoch is lost");
-            assert!(outcome.migrated.is_none());
-            assert!(!outcome.fallback_active);
-            assert_eq!(outcome.backend, InferenceBackend::Npu);
+            let reply = client.infer(&batch);
+            assert!(reply.output.is_none(), "no ladder: the epoch is lost");
+            assert!(!reply.fallback_active);
+            assert_eq!(reply.backend, InferenceBackend::Npu);
+            assert_eq!(reply.npu_failures, 1, "one attempt per epoch");
         }
         assert_eq!(
-            policy.breaker_state(),
+            client.breaker.state(),
             BreakerState::Closed,
             "breaker disabled"
         );
@@ -848,13 +763,13 @@ mod tests {
     #[test]
     fn zero_fault_injector_matches_uninstrumented_policy() {
         let model = trained_model(0);
-        let mut plain = MigrationPolicy::new(model.clone());
-        let mut injected = faulty_policy(model, |_| {});
+        let mut plain = TopIlGovernor::new(model.clone());
+        let mut injected = TopIlGovernor::new(model).with_fault_plan(fault_plan(|_| {}));
         let mut p1 = loaded_platform(3);
         let mut p2 = loaded_platform(3);
         for _ in 0..3 {
-            let a = plain.run(&mut p1);
-            let b = injected.run(&mut p2);
+            let a = plain.migrate(&mut p1);
+            let b = injected.migrate(&mut p2);
             assert_eq!(a, b);
         }
     }
@@ -863,8 +778,7 @@ mod tests {
     fn does_not_churn_on_equal_mappings() {
         // After reaching a good mapping, repeated invocations should not
         // keep migrating between equally rated cores of the same cluster.
-        let model = trained_model(2);
-        let mut policy = MigrationPolicy::new(model);
+        let mut governor = TopIlGovernor::new(trained_model(2));
         let mut dvfs = crate::dvfs::DvfsControlLoop::new();
         let mut platform = Platform::new(PlatformConfig::default());
         let w = Workload::single(Benchmark::SeidelTwoD, QosSpec::FractionOfMaxBig(0.3));
@@ -872,7 +786,7 @@ mod tests {
         let mut migrations = 0;
         for _ in 0..12 {
             epoch_with_dvfs(&mut platform, &mut dvfs);
-            if policy.run(&mut platform).migrated.is_some() {
+            if governor.migrate(&mut platform).migrated.is_some() {
                 migrations += 1;
             }
         }

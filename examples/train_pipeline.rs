@@ -7,7 +7,7 @@
 //! ```
 
 use nn::Matrix;
-use npu::{HiaiClient, NpuDevice};
+use npu::{NpuDevice, NpuModel};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use top_il::prelude::*;
@@ -77,15 +77,15 @@ fn main() {
     println!("step 5: trained {} models", models.len());
 
     // 6. NPU compilation and a sanity batch inference.
-    let mut client = HiaiClient::load(NpuDevice::kirin970(), models[0].mlp());
+    let compiled = NpuModel::compile(models[0].mlp());
+    let device = NpuDevice::kirin970();
     let batch = Matrix::from_rows(vec![vec![0.0; topil::FEATURE_COUNT]; 4]);
-    let job = client.submit(&batch, SimTime::ZERO);
-    let done = client.wait(job);
+    assert_eq!(compiled.infer(&batch).rows(), 4);
     println!(
         "step 6: compiled to {} int8 weight bytes; batch-4 inference in {} (host CPU {})",
-        client.model().weight_bytes(),
-        done.latency,
-        done.host_cpu_time,
+        compiled.weight_bytes(),
+        device.inference_latency(&compiled, batch.rows()),
+        device.host_cpu_time(batch.rows()),
     );
 
     // 7. Isolated evaluation on unseen-AoI oracle cases.

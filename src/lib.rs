@@ -11,7 +11,7 @@
 //! | [`workloads`] | synthetic PARSEC/Polybench models + workload generators |
 //! | [`platform`] | full-system big.LITTLE simulator (DVFS, DTM, counters) |
 //! | [`nn`] | from-scratch MLP + Adam + NAS |
-//! | [`npu`] | Kirin 970 NPU device model with a HiAI-DDK-shaped API |
+//! | [`npu`] | Kirin 970 NPU device model: int8 models, batch latency, a board's own NPU |
 //! | [`topil`] | the paper's contribution: IL migration + DVFS governor |
 //! | [`toprl`] | the multi-agent Q-learning baseline |
 //! | [`governors`] | GTS/ondemand and GTS/powersave baselines |

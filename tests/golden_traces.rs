@@ -52,7 +52,7 @@ fn golden_trace_topil_faults_unguarded() {
     check_golden("topil_faults_unguarded", true, || {
         let mut governor = TopIlGovernor::new(quick_model(0))
             .with_fault_plan(golden_faults())
-            .with_robustness(RobustnessConfig::disabled());
+            .with_robustness(RobustnessConfig::Disabled);
         let sim = SimConfig {
             fault_plan: Some(golden_faults()),
             sensor_filter: None,
