@@ -74,8 +74,6 @@ pub struct RunMetrics {
     throttled_time: SimDuration,
     trip_events: u64,
     outcomes: Vec<AppOutcome>,
-    sensor_held: u64,
-    sensor_rejected: u64,
     sensor_dropouts: u64,
     failsafe_time: SimDuration,
     failsafe_events: u64,
@@ -103,8 +101,6 @@ impl RunMetrics {
             throttled_time: SimDuration::ZERO,
             trip_events: 0,
             outcomes: Vec::new(),
-            sensor_held: 0,
-            sensor_rejected: 0,
             sensor_dropouts: 0,
             failsafe_time: SimDuration::ZERO,
             failsafe_events: 0,
@@ -153,14 +149,10 @@ impl RunMetrics {
 
     pub(crate) fn record_sensor_faults(
         &mut self,
-        held: u64,
-        rejected: u64,
         dropouts: u64,
         failsafe_time: SimDuration,
         failsafe_events: u64,
     ) {
-        self.sensor_held = held;
-        self.sensor_rejected = rejected;
         self.sensor_dropouts = dropouts;
         self.failsafe_time = failsafe_time;
         self.failsafe_events = failsafe_events;
@@ -249,16 +241,6 @@ impl RunMetrics {
     /// Number of applications that violated their QoS target.
     pub fn qos_violations(&self) -> usize {
         self.outcomes.iter().filter(|o| o.violated_qos()).count()
-    }
-
-    /// Sensor samples bridged by hold-last-good (missing or rejected).
-    pub fn sensor_samples_held(&self) -> u64 {
-        self.sensor_held
-    }
-
-    /// Sensor samples rejected by the plausibility filter.
-    pub fn sensor_samples_rejected(&self) -> u64 {
-        self.sensor_rejected
     }
 
     /// Sensor samples that never arrived (bus dropouts).

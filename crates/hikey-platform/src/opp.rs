@@ -169,14 +169,6 @@ impl OppTable {
             .position(|o| o.frequency >= f)
             .unwrap_or(self.opps.len() - 1)
     }
-
-    /// Returns the voltage paired with frequency `f`.
-    ///
-    /// `f` is rounded up to the next available level if it is not an exact
-    /// table entry.
-    pub fn voltage_for(&self, f: Frequency) -> Voltage {
-        self.opps[self.ceil_index(f)].voltage
-    }
 }
 
 impl<'a> IntoIterator for &'a OppTable {

@@ -572,14 +572,6 @@ impl Platform {
         self.thermal.set_cooling(cooling);
     }
 
-    /// Resets the die and board to ambient temperature (the paper's
-    /// 10-minute cool-down between experiments).
-    pub fn reset_thermal(&mut self) {
-        self.thermal.reset_to_ambient();
-        self.refresh_leakage();
-        self.truth = self.thermal.sensor();
-    }
-
     /// Re-reads every core's leakage factor from the thermal network.
     fn refresh_leakage(&mut self) {
         for core in CoreId::all() {
@@ -959,13 +951,7 @@ impl Platform {
         }
         self.metrics
             .record_dtm(self.dtm.throttled_time(), self.dtm.trip_events());
-        let (held, rejected) = match &self.filter {
-            Some(filter) => (filter.held_samples(), filter.rejected_samples()),
-            None => (0, 0),
-        };
         self.metrics.record_sensor_faults(
-            held,
-            rejected,
             self.sensor_dropouts,
             self.failsafe_time,
             self.failsafe_events,

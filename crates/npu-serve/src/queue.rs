@@ -83,11 +83,6 @@ impl SubmissionQueue {
         self.entries.first().map(|e| e.dispatch_deadline)
     }
 
-    /// Total feature rows pending (backlog size in work units).
-    pub fn backlog_rows(&self) -> usize {
-        self.entries.iter().map(|e| e.rows.rows()).sum()
-    }
-
     /// Pending requests whose payload is ready at `at` (slow-loris holds
     /// excluded).
     pub(crate) fn ready_len(&self, at: SimTime) -> usize {

@@ -7,9 +7,7 @@ use std::sync::Arc;
 use faults::{BreakerState, CircuitBreaker, FaultInjector, ServeFault};
 use hmc_types::{SimDuration, SimTime};
 use nn::{Matrix, Mlp};
-use npu::{
-    CacheKey, CacheStats, CpuInference, InferScratch, NpuDevice, NpuModel, Occupancy, PolicyCache,
-};
+use npu::{CacheKey, CpuInference, InferScratch, NpuDevice, NpuModel, Occupancy, PolicyCache};
 use topil::{ClientJob, ClientReply, InferenceBackend};
 use trace::TraceBackend;
 
@@ -291,11 +289,6 @@ impl NpuService {
     /// Per-device busy time accumulated so far, by pool index.
     pub fn device_busy_times(&self) -> Vec<SimDuration> {
         self.lanes.iter().map(|l| l.occupancy.busy_time()).collect()
-    }
-
-    /// Counters of the policy-output cache, `None` when it is disabled.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
     }
 
     /// Submits one request (`rows` feature rows, one board's epoch batch)

@@ -158,18 +158,6 @@ pub struct MetricsSnapshot {
     pub cache_misses: u64,
 }
 
-impl MetricsSnapshot {
-    /// Fraction of cache probes this epoch that hit; 0.0 when the cache
-    /// is disabled or nothing was probed.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let probes = self.cache_hits + self.cache_misses;
-        if probes == 0 {
-            return 0.0;
-        }
-        self.cache_hits as f64 / probes as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

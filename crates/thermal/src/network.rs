@@ -15,7 +15,6 @@ impl NodeId {
 
 #[derive(Debug, Clone)]
 struct Node {
-    name: String,
     /// Heat capacity in J/K.
     capacity: f64,
     /// Conductance to ambient in W/K.
@@ -29,8 +28,8 @@ struct Node {
 /// ```
 /// use thermal::RcNetworkBuilder;
 /// let mut b = RcNetworkBuilder::new(25.0);
-/// let a = b.add_node("die", 0.5, 0.0);
-/// let s = b.add_node("sink", 10.0, 0.5);
+/// let a = b.add_node(0.5, 0.0);
+/// let s = b.add_node(10.0, 0.5);
 /// b.connect(a, s, 2.0);
 /// let net = b.build();
 /// assert_eq!(net.len(), 2);
@@ -59,12 +58,11 @@ impl RcNetworkBuilder {
     ///
     /// Panics if `capacity` is not strictly positive or `g_ambient` is
     /// negative.
-    pub fn add_node(&mut self, name: impl Into<String>, capacity: f64, g_ambient: f64) -> NodeId {
+    pub fn add_node(&mut self, capacity: f64, g_ambient: f64) -> NodeId {
         assert!(capacity > 0.0, "heat capacity must be positive");
         assert!(g_ambient >= 0.0, "ambient conductance must be non-negative");
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node {
-            name: name.into(),
             capacity,
             g_ambient,
         });
@@ -156,11 +154,6 @@ impl RcNetwork {
     /// Returns the current temperature of `node`.
     pub fn temperature(&self, node: NodeId) -> Celsius {
         Celsius::new(self.temperatures[node.0])
-    }
-
-    /// Returns the name given to `node` at construction.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.nodes[node.0].name
     }
 
     /// Returns all node temperatures in node order.
@@ -296,8 +289,8 @@ mod tests {
 
     fn two_node() -> (RcNetwork, NodeId, NodeId) {
         let mut b = RcNetworkBuilder::new(25.0);
-        let die = b.add_node("die", 0.5, 0.0);
-        let sink = b.add_node("sink", 5.0, 0.5);
+        let die = b.add_node(0.5, 0.0);
+        let sink = b.add_node(5.0, 0.5);
         b.connect(die, sink, 2.0);
         (b.build(), die, sink)
     }
@@ -352,8 +345,8 @@ mod tests {
     #[test]
     fn singular_without_ambient_path() {
         let mut b = RcNetworkBuilder::new(25.0);
-        let a = b.add_node("a", 1.0, 0.0);
-        let c = b.add_node("b", 1.0, 0.0);
+        let a = b.add_node(1.0, 0.0);
+        let c = b.add_node(1.0, 0.0);
         b.connect(a, c, 1.0);
         let net = b.build();
         assert!(net.steady_state(&[Watts::new(1.0)]).is_none());
@@ -386,8 +379,8 @@ mod tests {
         // more sub-steps than before.
         let build = |g_a: f64| {
             let mut b = RcNetworkBuilder::new(25.0);
-            let a = b.add_node("a", 0.25, g_a);
-            let s = b.add_node("s", 4.0, 0.25);
+            let a = b.add_node(0.25, g_a);
+            let s = b.add_node(4.0, 0.25);
             b.connect(a, s, 0.5);
             b.build()
         };
@@ -429,8 +422,8 @@ mod tests {
     #[test]
     fn heat_spreads_to_unpowered_neighbour() {
         let mut b = RcNetworkBuilder::new(25.0);
-        let a = b.add_node("a", 0.3, 0.2);
-        let c = b.add_node("c", 0.3, 0.2);
+        let a = b.add_node(0.3, 0.2);
+        let c = b.add_node(0.3, 0.2);
         b.connect(a, c, 0.5);
         let mut net = b.build();
         for _ in 0..50_000 {

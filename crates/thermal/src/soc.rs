@@ -129,19 +129,18 @@ impl SocThermal {
                 Cluster::Little => C_LITTLE_CORE,
                 Cluster::Big => C_BIG_CORE,
             };
-            b.add_node(format!("core{i}"), cap * params.capacity_scale, 0.0)
+            b.add_node(cap * params.capacity_scale, 0.0)
         });
+        // The LITTLE and big uncores, in `Cluster::index` order.
         let clusters = [
-            b.add_node("little-uncore", C_CLUSTER * params.capacity_scale, 0.0),
-            b.add_node("big-uncore", C_CLUSTER * params.capacity_scale, 0.0),
+            b.add_node(C_CLUSTER * params.capacity_scale, 0.0),
+            b.add_node(C_CLUSTER * params.capacity_scale, 0.0),
         ];
         let soc = b.add_node(
-            "soc",
             C_SOC * params.capacity_scale,
             cooling.soc_to_ambient_g() * params.ambient_scale,
         );
         let board = b.add_node(
-            "board",
             C_BOARD * params.capacity_scale,
             cooling.board_to_ambient_g() * params.ambient_scale,
         );
@@ -261,11 +260,6 @@ impl SocThermal {
     /// Returns the SoC package temperature.
     pub fn soc_temperature(&self) -> Celsius {
         self.net.temperature(self.soc)
-    }
-
-    /// Returns the board temperature.
-    pub fn board_temperature(&self) -> Celsius {
-        self.net.temperature(self.board)
     }
 
     /// Reading of the single on-board thermal sensor: the hottest on-die

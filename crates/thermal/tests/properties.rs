@@ -39,8 +39,8 @@ proptest! {
     #[test]
     fn two_node_steady_state_energy_balance(p in 0.01f64..10.0, g_amb in 0.1f64..2.0) {
         let mut b = RcNetworkBuilder::new(25.0);
-        let die = b.add_node("die", 0.5, 0.0);
-        let sink = b.add_node("sink", 5.0, g_amb);
+        let die = b.add_node(0.5, 0.0);
+        let sink = b.add_node(5.0, g_amb);
         b.connect(die, sink, 2.0);
         let net = b.build();
         let ss = net.steady_state(&[Watts::new(p)]).unwrap();
