@@ -19,6 +19,9 @@ gate_end() {
 gate_begin
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Docs gate: rustdoc warnings (broken, ambiguous or private intra-doc
+# links) fail CI, so docs cannot keep naming deleted items.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Thread lint: `par` is the single owner of host threads (its `Budget`
 # shards edge regions and fleet boards). No other crate spawns its own,
 # so per-call thread spawning cannot creep back into a hot path.
@@ -52,7 +55,7 @@ fi
 if grep -nE 'mul_add|fmadd' crates/nn/src/{matrix,mlp,adam,train,resume,simd}.rs; then
     echo "FMA lint: no fused multiply-add in the f32 training kernels" >&2; exit 1
 fi
-gate_end "fmt + clippy + lints"
+gate_end "fmt + clippy + docs + lints"
 
 # Platform hot-path gate: a steady-state `Platform::tick` performs no heap
 # allocation (fleet runs tick every board 500 times per epoch), and neither

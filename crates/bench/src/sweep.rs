@@ -263,7 +263,7 @@ pub fn model_fingerprint(model: &IlModel) -> u64 {
 }
 
 /// The default sweep grid: every fault combination of
-/// [`sweep_grid`](crate::robustness::sweep_grid), ladder on and off.
+/// [`sweep_grid`], ladder on and off.
 pub fn default_grid() -> Vec<GridPoint> {
     let mut grid = Vec::new();
     for (npu, dropout) in sweep_grid() {

@@ -44,7 +44,7 @@ pub struct Snapshot {
 /// Why snapshot bytes failed validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The file does not start with [`MAGIC`].
+    /// The file does not start with the magic bytes `TOPCKPT\0`.
     BadMagic,
     /// The format version is newer than this build understands.
     UnsupportedVersion {

@@ -24,7 +24,7 @@
 //!   rack→regional backbone, whose round trip feeds the tier's
 //!   network-aware hedging ([`npu_serve::TierConfig::regional_rtt`]);
 //!   each request is delivered at its planned transit instant;
-//! * **scale layer** ([`run`]) — lightweight boards (a thermal proxy
+//! * **scale layer** ([`mod@run`]) — lightweight boards (a thermal proxy
 //!   and QoS accounting, not a full platform) behind per-region
 //!   [`npu_serve::TieredService`] ladders with admission control end to
 //!   end, region-sharded via the [`par::Budget`] with byte-identical
