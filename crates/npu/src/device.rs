@@ -490,9 +490,9 @@ mod tests {
         let mut npu = DedicatedNpu::load(NpuDevice::kirin970(), &mlp);
         let batch = Matrix::from_rows(vec![vec![0.25; 21]]);
         let job = npu.run(&batch, DEADLINE);
-        assert_eq!(job.output, Ok(NpuModel::compile(&mlp).infer(&batch)));
-        let dev = NpuDevice::kirin970();
         let compiled = NpuModel::compile(&mlp);
+        assert_eq!(job.output, Ok(compiled.infer(&batch)));
+        let dev = NpuDevice::kirin970();
         assert_eq!(job.latency, dev.inference_latency(&compiled, 1));
         assert_eq!(job.host_cpu_time, dev.host_cpu_time(1));
     }

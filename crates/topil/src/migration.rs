@@ -112,6 +112,13 @@ impl RobustnessConfig {
     }
 }
 
+impl LadderParams {
+    /// A closed breaker with this preset's threshold and cooldown.
+    fn breaker(&self) -> CircuitBreaker {
+        CircuitBreaker::new(self.breaker_threshold, self.breaker_cooldown_epochs)
+    }
+}
+
 /// The outcome of one migration epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationOutcome {
@@ -213,7 +220,7 @@ impl DedicatedNpuClient {
             cpu: CpuInference::cortex_a73(),
             backend: InferenceBackend::Npu,
             ladder: LADDER,
-            breaker: CircuitBreaker::new(LADDER.breaker_threshold, LADDER.breaker_cooldown_epochs),
+            breaker: LADDER.breaker(),
         }
     }
 
@@ -221,10 +228,7 @@ impl DedicatedNpuClient {
     /// breaker.
     pub(crate) fn set_robustness(&mut self, config: RobustnessConfig) {
         self.ladder = config.params();
-        self.breaker = CircuitBreaker::new(
-            self.ladder.breaker_threshold,
-            self.ladder.breaker_cooldown_epochs,
-        );
+        self.breaker = self.ladder.breaker();
     }
 
     /// Runs the batch on the CPU cost model after `spent` of failed NPU
@@ -295,8 +299,8 @@ impl DedicatedNpuClient {
                 };
             }
             failures += 1;
-            // The governor discovers a failure at its polling deadline, so
-            // a failed attempt costs its full timeout.
+            // The governor collects the attempt at its deadline, so a
+            // failed attempt costs its full timeout.
             spent += timeout;
             self.breaker.record_failure();
             if self.breaker.state() == BreakerState::Open {
