@@ -84,18 +84,19 @@ cargo test -q -p nn --test train_alloc || {
 gate_end "training-step allocation gate"
 echo "training-step allocation gate passed"
 
-# Serve-path allocation gate: once warmed up, a 6x-load epoch on the
-# edge fleet's one-rack tier allocates at most 1.1 times per submitted
-# request (the reply's output; every other buffer is reused). Bytes are
-# budgeted too, so one large buffer per flush cannot pass: beyond the
-# reply outputs, every warmed-up epoch requests at most 4 KiB, none of it
-# in one allocation over 1 KiB, whatever the epoch's request count (the
-# services' per-request sample Vecs, doubling past 64 KiB, are set
-# apart). The test binary counts allocation calls and bytes over ten
-# epochs of submit, flush and redeem.
+# Serve-path allocation gate, on the edge fleet's own tier
+# (`edge_sim::tier_config`). Warmed up, a 6x-load epoch on a one-rack
+# tier allocates nothing: payloads are refilled in place, reply outputs
+# and job lists go back to the service that filed them, and every other
+# buffer is reused (the services' per-request sample Vecs, doubling past
+# 64 KiB, are set apart). Cold, a whole `edge_sim::run` from fresh
+# services on perfbench's two edge shapes allocates at most 1.1 (nominal)
+# and 0.4 (6x load) times per submitted request, so the cost every
+# perfbench run pays is pinned too. The test binary counts allocation
+# calls on its own thread.
 gate_begin
-cargo test -q -p npu-serve --test serve_alloc || {
-    echo "serve-path allocation gate: the tier allocated past its per-request budget" >&2; exit 1; }
+cargo test -q -p edge-sim --test serve_alloc || {
+    echo "serve-path allocation gate: the edge serving path allocated past its budget" >&2; exit 1; }
 gate_end "serve-path allocation gate"
 echo "serve-path allocation gate passed"
 

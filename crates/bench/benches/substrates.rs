@@ -10,7 +10,9 @@ use hikey_platform::{Platform, PlatformConfig, THERMAL_PERIOD};
 use hmc_types::{CoreId, SimDuration, SimTime, Watts, NUM_CORES};
 use nn::{Adam, Dataset, KernelMode, Matrix, Mlp, TrainWorkspace};
 use npu::{InferScratch, NpuModel};
-use npu_serve::{seeded_payload, ClientId, TierSubmit, TieredService};
+use npu_serve::{
+    seeded_payload, seeded_payload_into, ClientId, TierOutcome, TierSubmit, TieredService,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use thermal::{Cooling, SocThermal};
@@ -234,6 +236,8 @@ fn serve_benches(c: &mut Criterion) {
         let per_epoch = 1_870u64;
         let mut base = 0u64;
         let mut tickets = Vec::with_capacity(per_epoch as usize);
+        // Payloads and reply outputs go round as in `edge_sim::run`.
+        let mut payloads = Vec::new();
         b.iter(|| {
             for i in 0..per_epoch {
                 let at = SimTime::from_nanos(base + i * epoch / per_epoch);
@@ -242,13 +246,20 @@ fn serve_benches(c: &mut Criterion) {
                     client: ClientId::new(i % config.boards as u64),
                     deadline: Some(at + deadline),
                 };
-                let payload = seeded_payload(base + i, 1, mlp.input_size());
+                let mut payload = payloads
+                    .pop()
+                    .unwrap_or_else(|| Matrix::zeros(1, mlp.input_size()));
+                seeded_payload_into(base + i, &mut payload);
                 tickets.push(tier.submit(payload, at, opts).expect("valid payload"));
             }
             base += epoch;
             tier.flush(SimTime::from_nanos(base));
             for ticket in tickets.drain(..) {
-                black_box(tier.take_outcome(ticket));
+                let (outcome, payload) = tier.take_filed(ticket).expect("flushed");
+                if let TierOutcome::Reply(reply) = black_box(outcome) {
+                    tier.recycle(reply);
+                }
+                payloads.push(payload);
             }
         });
     });

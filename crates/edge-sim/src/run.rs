@@ -22,10 +22,10 @@ use std::fmt;
 
 use faults::{FleetFault, FleetSchedule, StormBuilder};
 use hmc_types::{SimDuration, SimTime};
-use nn::Mlp;
+use nn::{Matrix, Mlp};
 use npu_serve::quantile::nearest_rank;
 use npu_serve::{
-    seeded_payload, ClientId, ServeConfig, TierChecker, TierConfig, TierOutcome, TierSubmit,
+    seeded_payload_into, ClientId, ServeConfig, TierChecker, TierConfig, TierOutcome, TierSubmit,
     TierTicket, TieredService,
 };
 use rand::rngs::StdRng;
@@ -626,6 +626,9 @@ struct RegionState {
     /// Tickets of the epoch currently accepting deliveries, with each
     /// request's index in the epoch's deliveries.
     tickets: Vec<(TierTicket, usize)>,
+    /// Payloads the tier handed back with their outcomes, refilled for
+    /// later deliveries: at most one epoch's requests.
+    payloads: Vec<Matrix>,
     /// End-to-end QoS delays of replies, in resolution order.
     qos_delays: Vec<SimDuration>,
     /// Requests homed per board in the current epoch (thermal proxy
@@ -658,10 +661,15 @@ fn deliver(
     idx: usize,
 ) {
     let request = &deliveries[idx];
+    let mut payload = state
+        .payloads
+        .pop()
+        .unwrap_or_else(|| Matrix::zeros(1, state.width));
+    seeded_payload_into(request.payload_seed, &mut payload);
     let ticket = state
         .service
         .submit(
-            seeded_payload(request.payload_seed, 1, state.width),
+            payload,
             request.delivered_at,
             TierSubmit {
                 rack: request.board % config.racks_per_region,
@@ -676,7 +684,9 @@ fn deliver(
 }
 
 /// Ends epoch `epoch`: flushes the tier at the barrier, resolves every
-/// ticket, checks transitions, and steps the thermal proxy.
+/// ticket (handing each reply's output back to the tier and keeping each
+/// payload for a later delivery), checks transitions, and steps the
+/// thermal proxy.
 fn end_epoch(
     config: &EdgeConfig,
     state: &mut RegionState,
@@ -689,20 +699,22 @@ fn end_epoch(
     let downlink = config.network.downlink();
     for (ticket, idx) in state.tickets.drain(..) {
         let request = &deliveries[idx];
-        match state.service.take_outcome(ticket) {
-            Some(outcome) => {
-                if let TierOutcome::Reply(reply) = &outcome {
-                    // End-to-end QoS delay: arrival at the user until
-                    // the reply lands back at the user.
-                    state
-                        .qos_delays
-                        .push((reply.completed_at + downlink).since(request.at));
-                }
+        match state.service.take_filed(ticket) {
+            Some((outcome, payload)) => {
                 state.checker.observe_outcome(
                     request.delivered_at,
                     request.deadline_tier,
                     &outcome,
                 );
+                if let TierOutcome::Reply(reply) = outcome {
+                    // End-to-end QoS delay: arrival at the user until
+                    // the reply lands back at the user.
+                    state
+                        .qos_delays
+                        .push((reply.completed_at + downlink).since(request.at));
+                    state.service.recycle(reply);
+                }
+                state.payloads.push(payload);
             }
             None => state.checker.observe_lost_ticket(request.delivered_at),
         }
@@ -743,27 +755,21 @@ pub fn tier_config(config: &EdgeConfig) -> TierConfig {
         racks: config.racks_per_region,
         // Rack and regional pools sized for open-loop fleet volume: the
         // defaults target a single board's closed loop and would shed
-        // almost everything at 10k boards.
+        // almost everything at 10k boards. They run without the policy
+        // cache: an edge payload is a pure function of its request's
+        // unique seed, so no payload repeats and a cache would only miss
+        // (0 hits in 38,802 rack and 15,470 regional probes of the
+        // perfbench edge-overload6 run, seed 1).
         rack_serve: ServeConfig {
             devices: 4,
             max_batch: 32,
             queue_capacity: 512,
-            // Edge payloads are a pure function of a per-request seed,
-            // so they never repeat: the rack and regional caches record
-            // no hits (0 in 38,802 rack and 15,470 regional probes of the
-            // perfbench edge-overload6 run, seed 1). They stay on as
-            // deployment config, as a fleet whose boards revisit states
-            // would run them; outputs are bit-identical with the cache on
-            // or off, so the CSV and checker artifacts do not depend on
-            // this.
-            policy_cache: 512,
             ..ServeConfig::default()
         },
         regional_serve: ServeConfig {
             devices: 8,
             max_batch: 64,
             queue_capacity: 2_048,
-            policy_cache: 2_048,
             ..ServeConfig::default()
         },
         hedge_min: EDGE_HEDGE_MIN,
@@ -788,6 +794,7 @@ fn simulate_region(config: &EdgeConfig, region: usize) -> (RegionOutcome, Vec<Si
         width: mlp.input_size(),
         board_base: region_board_base(config.boards, config.regions, region),
         tickets: Vec::new(),
+        payloads: Vec::new(),
         qos_delays: Vec::new(),
         heat: vec![0; boards_r],
         temps: vec![AMBIENT; boards_r],

@@ -152,8 +152,14 @@ impl Matrix {
     }
 
     /// Mutably borrow the flat row-major buffer.
-    pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {
+    pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
+    }
+
+    /// The flat row-major buffer, for reuse by a later
+    /// [`Matrix::from_flat`].
+    pub fn into_flat(self) -> Vec<f32> {
+        self.data
     }
 
     /// Matrix product `self · other`. A zero element of `self` is

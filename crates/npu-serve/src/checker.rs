@@ -167,13 +167,18 @@ impl TierChecker {
 /// A `rows × width` request payload as a pure function of its seed:
 /// entries are uniform on `[-1, 1)` in steps of 0.001.
 pub fn seeded_payload(seed: u64, rows: usize, width: usize) -> Matrix {
-    let flat = (0..rows * width)
-        .map(|i| {
-            let draw = sim_core::splitmix64(seed ^ ((i as u64) << 1));
-            (draw % 2_000) as f32 / 1_000.0 - 1.0
-        })
-        .collect();
-    Matrix::from_flat(rows, width, flat)
+    let mut payload = Matrix::zeros(rows, width);
+    seeded_payload_into(seed, &mut payload);
+    payload
+}
+
+/// Refills `payload` in place, keeping its shape, with the entries
+/// [`seeded_payload`] makes for `seed`.
+pub fn seeded_payload_into(seed: u64, payload: &mut Matrix) {
+    for (i, entry) in payload.as_mut_slice().iter_mut().enumerate() {
+        let draw = sim_core::splitmix64(seed ^ ((i as u64) << 1));
+        *entry = (draw % 2_000) as f32 / 1_000.0 - 1.0;
+    }
 }
 
 #[cfg(test)]
@@ -313,6 +318,24 @@ mod tests {
             let mut checker = TierChecker::default();
             feed(&mut checker);
             assert_eq!(checker.finish(&stats), vec![expected.to_string()], "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_refilled_payload_equals_a_fresh_one_bit_for_bit() {
+        let mut reused = seeded_payload(99, 2, 12);
+        for seed in [0, 1, 0x9e37_79b9, u64::MAX] {
+            seeded_payload_into(seed, &mut reused);
+            // The entries as the payload was first defined: one splitmix
+            // draw per entry index.
+            let expected = (0..24u64).map(|i| {
+                let draw = sim_core::splitmix64(seed ^ (i << 1));
+                (draw % 2_000) as f32 / 1_000.0 - 1.0
+            });
+            for (got, want) in reused.as_slice().iter().zip(expected) {
+                assert_eq!(got.to_bits(), want.to_bits(), "seed {seed}");
+            }
+            assert_eq!(reused, seeded_payload(seed, 2, 12));
         }
     }
 

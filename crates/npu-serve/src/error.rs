@@ -69,7 +69,8 @@ pub enum ServeError {
         retry_after: SimDuration,
     },
     /// The submission itself is malformed (empty batch, wrong feature
-    /// width). Terminal — retrying identical input cannot succeed.
+    /// width, a rack the tier does not have). Terminal — retrying
+    /// identical input cannot succeed.
     InvalidInput {
         /// What was wrong with the input.
         reason: &'static str,

@@ -85,7 +85,7 @@ mod shed;
 mod stats;
 mod tier;
 
-pub use checker::{seeded_payload, TierChecker};
+pub use checker::{seeded_payload, seeded_payload_into, TierChecker};
 pub use config::{ConfigError, ServeConfig};
 pub use error::{ServeError, ShedReason};
 pub use limiter::{ClientId, RateLimit};

@@ -179,6 +179,16 @@ pub struct NpuService {
     /// Emptied request lists of computed plans, reused by the next
     /// dispatches.
     spare: Vec<Vec<QueuedRequest>>,
+    /// Reply output buffers the caller handed back
+    /// ([`NpuService::recycle_output`]), reused by the next replies. It
+    /// only ever holds outputs this service filed, so it is bounded by
+    /// the replies in flight.
+    spare_outputs: Vec<Vec<f32>>,
+    /// Job lists of filed replies, by length (one job, or a failed device
+    /// job and its CPU re-serve), that their last holder handed back
+    /// ([`NpuService::recycle_jobs`]); rewritten in place for later
+    /// batches.
+    spare_jobs: [Vec<Arc<[ClientJob]>>; 2],
     compute: ComputeScratch,
     /// Replies and fail-fast errors (deadline passed before compute), by
     /// ticket id.
@@ -231,6 +241,8 @@ impl NpuService {
             queue: SubmissionQueue::new(config.queue_capacity, config.retry_after),
             inflight: Vec::new(),
             spare: Vec::new(),
+            spare_outputs: Vec::new(),
+            spare_jobs: Default::default(),
             compute: ComputeScratch::default(),
             outcomes: TicketRing::default(),
             stats: ServeStats::default(),
@@ -465,6 +477,26 @@ impl NpuService {
         self.outcomes
             .take_if(ticket.0, |_| true)
             .map(|filed| (filed.outcome, filed.rows))
+    }
+
+    /// Hands back the output of a reply this service filed, for a later
+    /// reply to reuse instead of allocating its own.
+    pub(crate) fn recycle_output(&mut self, output: Matrix) {
+        self.spare_outputs.push(output.into_flat());
+    }
+
+    /// Hands back a filed reply's job list. The copy of a batch's last
+    /// holder is kept for a later batch to rewrite; any other is dropped.
+    pub(crate) fn recycle_jobs(&mut self, mut jobs: Arc<[ClientJob]>) {
+        if Arc::get_mut(&mut jobs).is_some() {
+            self.spare_jobs[jobs.len() - 1].push(jobs);
+        }
+    }
+
+    /// Reply output buffers and job lists waiting for reuse.
+    #[cfg(test)]
+    pub(crate) fn spare_buffers(&self) -> usize {
+        self.spare_outputs.len() + self.spare_jobs.iter().map(Vec::len).sum::<usize>()
     }
 
     /// Outcome slots the service is holding, redeemed or not (memory
@@ -960,8 +992,8 @@ impl NpuService {
     }
 
     /// Splits a batch output (`out_cols` wide) back into per-request
-    /// replies, draining the plan's requests. Every reply shares the
-    /// plan's job list.
+    /// replies, draining the plan's requests, each into a recycled output
+    /// buffer when one is spare. Every reply shares the plan's job list.
     fn file_replies(&mut self, plan: &mut BatchPlan, output: &[f32], out_cols: usize) {
         let total_rows = total_rows(&plan.requests) as u32;
         let npu_job = plan.npu.map(|(latency, ok)| ClientJob {
@@ -976,7 +1008,17 @@ impl NpuService {
             backend: TraceBackend::Cpu,
             ok: true,
         });
-        let jobs: Arc<[ClientJob]> = npu_job.into_iter().chain(cpu_job).collect();
+        let jobs = [npu_job, cpu_job];
+        let jobs = match self.spare_jobs[jobs.iter().flatten().count() - 1].pop() {
+            Some(mut spare) => {
+                let slots = Arc::get_mut(&mut spare).expect("a spare job list is unshared");
+                for (slot, job) in slots.iter_mut().zip(jobs.into_iter().flatten()) {
+                    *slot = job;
+                }
+                spare
+            }
+            None => jobs.into_iter().flatten().collect(),
+        };
         let backend = if plan.fallback.is_some() {
             InferenceBackend::Cpu
         } else {
@@ -986,7 +1028,9 @@ impl NpuService {
         let mut start_row = 0usize;
         for request in plan.requests.drain(..) {
             let n = request.rows.rows();
-            let flat = output[start_row * out_cols..(start_row + n) * out_cols].to_vec();
+            let mut flat = self.spare_outputs.pop().unwrap_or_default();
+            flat.clear();
+            flat.extend_from_slice(&output[start_row * out_cols..(start_row + n) * out_cols]);
             start_row += n;
             let latency = plan.completes_at.since(request.submitted_at);
             // Safety net behind the fail-fast pipeline: a reply delivered

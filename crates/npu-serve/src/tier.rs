@@ -164,7 +164,8 @@ pub enum TierOutcome {
 }
 
 /// Handle of a tier submission; redeem with
-/// [`TieredService::take_outcome`] after a [`TieredService::flush`].
+/// [`TieredService::take_outcome`] (or [`TieredService::take_filed`])
+/// after a [`TieredService::flush`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TierTicket(u64);
 
@@ -353,7 +354,9 @@ pub struct TieredService {
     /// The flush resolves them in place and leaves the buffer empty.
     pending: Vec<Ladder>,
     resolve: ResolveScratch,
-    outcomes: TicketRing<TierOutcome>,
+    /// Each request's outcome, filed with the payload it was submitted
+    /// with.
+    outcomes: TicketRing<(TierOutcome, Matrix)>,
     transitions: Vec<TierTransition>,
     stats: TierStats,
     clock: SimTime,
@@ -560,6 +563,12 @@ impl TieredService {
     /// Submits one request at `now` (nondecreasing across calls between
     /// flushes). Routing happens here; the outcome materializes at the
     /// next [`TieredService::flush`].
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::InvalidInput`] for an empty payload, a payload whose
+    /// width is not the policy's input width, or a rack index the tier
+    /// does not have.
     pub fn submit(
         &mut self,
         rows: Matrix,
@@ -576,7 +585,11 @@ impl TieredService {
                 reason: "input width mismatch",
             });
         }
-        assert!(opts.rack < self.racks.len(), "rack index out of range");
+        if opts.rack >= self.racks.len() {
+            return Err(ServeError::InvalidInput {
+                reason: "rack index out of range",
+            });
+        }
         self.clock = self.clock.max(now);
         self.stats.submitted += 1;
         let id = self.next_id;
@@ -664,9 +677,35 @@ impl TieredService {
         self.outcomes.resident()
     }
 
+    /// Buffers the tier's services hold for reuse.
+    #[cfg(test)]
+    fn spare_buffers(&self) -> usize {
+        let racks: usize = self.racks.iter().map(|r| r.service.spare_buffers()).sum();
+        racks + self.regional.spare_buffers()
+    }
+
     /// Redeems a ticket after a flush.
     pub fn take_outcome(&mut self, ticket: TierTicket) -> Option<TierOutcome> {
+        self.take_filed(ticket).map(|(outcome, _)| outcome)
+    }
+
+    /// [`TieredService::take_outcome`], handing back the request's
+    /// payload with its outcome, so the caller can refill it for a later
+    /// request.
+    pub fn take_filed(&mut self, ticket: TierTicket) -> Option<(TierOutcome, Matrix)> {
         self.outcomes.take_if(ticket.0, |_| true)
+    }
+
+    /// Hands a redeemed reply's output back to the rung that filed it,
+    /// for a later reply to reuse instead of allocating its own. Each
+    /// service keeps only the outputs it filed, so what it holds is
+    /// bounded by its replies in flight; a local-CPU output is dropped.
+    pub fn recycle(&mut self, reply: TierReply) {
+        match reply.served_by {
+            ServedBy::Rack(rack) => self.racks[rack].service.recycle_output(reply.output),
+            ServedBy::Regional => self.regional.recycle_output(reply.output),
+            ServedBy::LocalCpu => {}
+        }
     }
 
     // ---- barrier advance ----
@@ -829,8 +868,10 @@ impl TieredService {
                         Ok(ClientReply {
                             output: Some(output),
                             latency,
+                            jobs,
                             ..
                         }) => {
+                            slot.service.recycle_jobs(jobs);
                             let completed = ladder.pending.submit_at + latency;
                             self.latency_window.push(latency);
                             // A suspected rack's breaker belongs to the
@@ -969,8 +1010,10 @@ impl TieredService {
                     Ok(ClientReply {
                         output: Some(output),
                         latency,
+                        jobs,
                         ..
                     }) => {
+                        self.regional.recycle_jobs(jobs);
                         // The backbone round trip rides on every
                         // regional completion, after the slow-tier
                         // scaling (the RTT is wire time, not service
@@ -984,6 +1027,7 @@ impl TieredService {
                             .is_some_and(|deadline| completed > deadline);
                         if late {
                             handover_at = handover_at.max(completed);
+                            self.regional.recycle_output(output);
                             None
                         } else {
                             Some((output, completed))
@@ -1007,10 +1051,12 @@ impl TieredService {
             }
 
             // The race: earliest completion wins; ties go to the rack.
+            // The loser's output goes back to the service that filed it.
             let outcome = match (rack_reply, regional_reply) {
                 (Some((reply, rack_done)), Some((hedge, hedge_done))) => {
                     if hedge_done < rack_done {
                         self.stats.hedge_wins += 1;
+                        self.racks[pending.rack].service.recycle_output(reply);
                         self.reply(
                             &pending,
                             hedge,
@@ -1020,6 +1066,7 @@ impl TieredService {
                             true,
                         )
                     } else {
+                        self.regional.recycle_output(hedge);
                         self.reply(
                             &pending,
                             reply,
@@ -1064,7 +1111,8 @@ impl TieredService {
                 }
                 TierOutcome::Failed(_) => self.stats.failed += 1,
             }
-            self.outcomes.fill(pending.id, outcome);
+            let rows = pending.rows.expect("payload is home");
+            self.outcomes.fill(pending.id, (outcome, rows));
         }
         self.pending = ladders;
     }
@@ -1455,6 +1503,51 @@ mod tests {
     }
 
     #[test]
+    fn recycled_buffers_change_no_reply_and_stay_bounded() {
+        let mlp = mlp();
+        // A zero hedge floor hedges every rack request until the window
+        // fills, so race losers come back to both tiers' services.
+        let config = TierConfig {
+            hedge_min: SimDuration::ZERO,
+            ..TierConfig::default()
+        };
+        // One tier gets every reply's output back, the other none.
+        let mut recycling = TieredService::new(&mlp, config.clone());
+        let mut plain = TieredService::new(&mlp, config);
+        let per_flush = 4;
+        let mut most = [0; 2];
+        for round in 0..1_000u64 {
+            let at = SimTime::from_millis(1 + round * 10);
+            let input = |i: usize| rows(&mlp, 1 + (round as usize + i) % 3);
+            let tickets: Vec<_> = (0..per_flush)
+                .map(|i| {
+                    let opts = submit_opts(i);
+                    let a = recycling.submit(input(i), at, opts).unwrap();
+                    (a, plain.submit(input(i), at, opts).unwrap())
+                })
+                .collect();
+            recycling.flush(at + SimDuration::from_millis(5));
+            plain.flush(at + SimDuration::from_millis(5));
+            for (a, b) in tickets {
+                let (a, b) = (recycling.take_outcome(a), plain.take_outcome(b));
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "round {round}");
+                if let Some(TierOutcome::Reply(reply)) = a {
+                    recycling.recycle(reply);
+                }
+            }
+            most[0] = most[0].max(recycling.spare_buffers());
+            most[1] = most[1].max(plain.spare_buffers());
+        }
+        assert!(plain.stats().hedges > 0, "no race was run");
+        // Each request leaves at most its output and its batch's job
+        // list with each of the two rungs it was served by.
+        assert!(
+            most.iter().all(|&n| n <= 4 * per_flush),
+            "{most:?} spare buffers held for {per_flush} requests a flush"
+        );
+    }
+
+    #[test]
     fn regional_rtt_rides_on_regional_completions() {
         let mlp = mlp();
         let rtt = SimDuration::from_millis(8);
@@ -1589,6 +1682,24 @@ mod tests {
         assert!(matches!(
             tier.submit(narrow, SimTime::ZERO, submit_opts(0)),
             Err(ServeError::InvalidInput { .. })
+        ));
+        let racks = tier.config().racks;
+        assert_eq!(
+            tier.submit(rows(&mlp, 1), SimTime::ZERO, submit_opts(racks))
+                .unwrap_err(),
+            ServeError::InvalidInput {
+                reason: "rack index out of range"
+            }
+        );
+        // A refused request is not counted, and the tier still serves.
+        assert_eq!(tier.stats().submitted, 0);
+        let ticket = tier
+            .submit(rows(&mlp, 1), SimTime::ZERO, submit_opts(racks - 1))
+            .unwrap();
+        tier.flush(SimTime::from_millis(500));
+        assert!(matches!(
+            tier.take_outcome(ticket),
+            Some(TierOutcome::Reply(_))
         ));
     }
 
