@@ -2,7 +2,9 @@
 # Local CI gate: formatting, lints, and the full test suite.
 #
 # Fast tier by default; FULL=1 additionally runs the #[ignore]d soak
-# tests (10k-task pool drains) via --include-ignored.
+# tests (10k-task pool drains) via --include-ignored, widens the chaos
+# grid, and regenerates and diffs the Full paper archive
+# (`experiments_full.txt`; BLESS=1 rewrites it).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -54,6 +56,14 @@ fi
 # instead of twice and would silently change every trained weight.
 if grep -nE 'mul_add|fmadd' crates/nn/src/{matrix,mlp,adam,train,resume,simd}.rs; then
     echo "FMA lint: no fused multiply-add in the f32 training kernels" >&2; exit 1
+fi
+# Quantizer-rule lint: the libm rounding rule of int8 quantization
+# (`round` then `clamp` to the code range) is written once, in
+# `nn::kernel` (`quantize_reference`, the spec of `KernelMode::Scalar`
+# and of compiled weights). Every other quantizer is held to it bit for
+# bit by the differential tests, so no second copy can drift from it.
+if grep -rnE '\.round\(\)\.clamp\(' crates/*/src tests/ | grep -v '^crates/nn/src/kernel.rs:'; then
+    echo "quantizer-rule lint: quantize through nn::kernel::quantize_reference" >&2; exit 1
 fi
 gate_end "fmt + clippy + docs + lints"
 
@@ -169,12 +179,13 @@ diff "$fleet_csv" "$ckpt_tmp/fleet-b/fleet.csv" || {
 gate_end "fleet gate"
 echo "fleet smoke + parallel-determinism gate passed"
 
-# Kernel gate: the vectorized int8 kernel, the scalar reference, and the
+# Kernel gate: the fast int8 path (lane-parallel quantizer, vectorized
+# bodies), the scalar spec (reference quantizer, naive loop), and the
 # policy cache must be interchangeable byte-for-byte. Runs the
 # differential suite (scalar vs vectorized vs cached over randomized
-# shapes, scales, and rounding-boundary inputs), then forces a 1k-board
-# fleet smoke onto the scalar kernel and onto a cache-disabled service
-# and diffs the CSVs against the vectorized cached default. The f32
+# shapes, scales, group splits and rounding-boundary inputs), then forces
+# a 1k-board fleet smoke onto the scalar spec and onto a cache-disabled
+# service and diffs the CSVs against the vectorized cached default. The f32
 # training kernels get the same treatment: their differential suite
 # (blocked products vs the naive loops, on every SIMD tier the host
 # runs: baseline, AVX2, AVX-512) and
@@ -307,5 +318,25 @@ diff "$edge_csv" "$ckpt_tmp/edge-t4/edge.csv" || {
     echo "edge gate: CSV diverged between --threads 1 and --threads 4" >&2; exit 1; }
 gate_end "edge gate"
 echo "edge-fleet gate passed"
+
+# Paper-archive gate (FULL=1): `experiments --full all` is deterministic,
+# and its stdout is the committed `experiments_full.txt` that
+# EXPERIMENTS.md quotes (timings go to stderr). The gate regenerates the
+# archive and diffs it, so a change that moves a paper-comparison number
+# shows the moved lines; BLESS=1 rewrites the archive for an intended
+# change, as it does the golden fixtures.
+if [ "${FULL:-0}" = "1" ]; then
+    gate_begin
+    "$experiments" --full all > "$ckpt_tmp/experiments_full.txt" 2>/dev/null
+    if [ "${BLESS:-0}" = "1" ]; then
+        cp "$ckpt_tmp/experiments_full.txt" experiments_full.txt
+        echo "paper-archive gate: rewrote experiments_full.txt"
+    else
+        diff experiments_full.txt "$ckpt_tmp/experiments_full.txt" || {
+            echo "paper-archive gate: the Full archive moved (BLESS=1 rewrites it)" >&2; exit 1; }
+    fi
+    gate_end "paper-archive gate"
+    echo "paper-archive gate passed"
+fi
 
 printf 'gate timing summary:\n%s' "$gate_timing"

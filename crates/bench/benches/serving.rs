@@ -15,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use nn::{KernelMode, Matrix, Mlp};
+use nn::{kernel, KernelMode, Matrix, Mlp};
 use npu::{InferScratch, NpuModel, PolicyCache};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,7 +49,7 @@ fn serving_benches(c: &mut Criterion) {
             group.bench_function(format!("int8_64rows_batch{batch}_{}", mode.name()), |b| {
                 b.iter(|| {
                     for _ in 0..(ROWS / batch) {
-                        black_box(model.infer_with(black_box(&chunk), mode));
+                        black_box(model.infer(black_box(&chunk), mode));
                     }
                 });
             });
@@ -61,7 +61,19 @@ fn serving_benches(c: &mut Criterion) {
     let stacked = feature_rows(ROWS);
     let groups = vec![1usize; ROWS];
     group.bench_function("int8_64rows_grouped", |b| {
-        b.iter(|| black_box(model.infer_grouped(black_box(&stacked), &groups)));
+        let mut scratch = InferScratch::new();
+        let (mut q, mut scales) = (vec![0; stacked.as_slice().len()], Vec::new());
+        b.iter(|| {
+            kernel::quantize_groups(
+                black_box(stacked.as_slice()),
+                21,
+                &groups,
+                &mut q,
+                &mut scales,
+            );
+            let mode = KernelMode::Vectorized;
+            black_box(model.infer_groups(&q, &scales, &groups, mode, &mut scratch)[0])
+        });
     });
 
     // The cached service path on a repeating request stream: quantize,
@@ -70,18 +82,19 @@ fn serving_benches(c: &mut Criterion) {
     group.bench_function("int8_64rows_grouped_cached", |b| {
         let mut cache = PolicyCache::new(128);
         let mut scratch = InferScratch::new();
-        let mut q = Vec::new();
+        let (mut q, mut scales) = (vec![0; 21], Vec::new());
         let rows: Vec<Matrix> = (0..ROWS).map(|_| feature_rows(1)).collect();
         b.iter(|| {
             for row in &rows {
-                let scale = model.quantize_input(row.as_slice(), &mut q);
-                let out = match cache.probe(&q, scale, 1) {
+                kernel::quantize_groups(row.as_slice(), 21, &[1], &mut q, &mut scales);
+                let out = match cache.probe(&q, scales[0], 1) {
                     Ok(out) => out.to_vec(),
                     Err(key) => {
+                        let mode = KernelMode::Vectorized;
                         let out = model
-                            .infer_prequant(&q, scale, 1, KernelMode::Vectorized, &mut scratch)
+                            .infer_groups(&q, &scales, &[1], mode, &mut scratch)
                             .to_vec();
-                        cache.insert(key, &q, scale, 1, &out);
+                        cache.insert(key, &q, scales[0], 1, &out);
                         out
                     }
                 };

@@ -8,7 +8,7 @@ use std::hint::black_box;
 use edge_sim::EdgeConfig;
 use hikey_platform::{Platform, PlatformConfig, THERMAL_PERIOD};
 use hmc_types::{CoreId, SimDuration, SimTime, Watts, NUM_CORES};
-use nn::{Adam, Dataset, KernelMode, Matrix, Mlp, TrainWorkspace};
+use nn::{kernel, Adam, Dataset, KernelMode, Matrix, Mlp, TrainWorkspace};
 use npu::{InferScratch, NpuModel};
 use npu_serve::{
     seeded_payload, seeded_payload_into, ClientId, TierOutcome, TierSubmit, TieredService,
@@ -128,7 +128,7 @@ fn nn_benches(c: &mut Criterion) {
     });
     let compiled = NpuModel::compile(&mlp);
     group.bench_function("npu_int8_batch16", |b| {
-        b.iter(|| black_box(compiled.infer(black_box(&batch))));
+        b.iter(|| black_box(compiled.infer(black_box(&batch), KernelMode::Vectorized)));
     });
     group.bench_function("backward_batch16", |b| {
         let targets = Matrix::zeros(16, 8);
@@ -211,11 +211,12 @@ fn npu_benches(c: &mut Criterion) {
     // One edge request as the service computes a cache miss: quantize the
     // 12-wide row, then the 12-16-16-4 int8 forward, on reused buffers.
     group.bench_function("infer_edge_row", |b| {
-        let mut q = Vec::new();
+        let (mut q, mut scales) = (vec![0; row.as_slice().len()], Vec::new());
         let mut scratch = InferScratch::new();
+        let width = model.input_size();
         b.iter(|| {
-            let scale = model.quantize_input(black_box(row.as_slice()), &mut q);
-            let out = model.infer_prequant(&q, scale, 1, KernelMode::Vectorized, &mut scratch);
+            kernel::quantize_groups(black_box(row.as_slice()), width, &[1], &mut q, &mut scales);
+            let out = model.infer_groups(&q, &scales, &[1], KernelMode::Vectorized, &mut scratch);
             black_box(out[0])
         });
     });

@@ -13,7 +13,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use nn::{KernelMode, Matrix, Mlp};
+use nn::{kernel, KernelMode, Matrix, Mlp};
 use npu::{InferScratch, NpuDevice, NpuModel, PolicyCache};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,7 +67,7 @@ fn main() {
         let calls = ROWS / batch;
         let ns = median_ns(200, || {
             for _ in 0..calls {
-                black_box(model.infer(black_box(&chunk)));
+                black_box(model.infer(black_box(&chunk), KernelMode::Vectorized));
             }
         });
         if batch == 1 {
@@ -87,7 +87,7 @@ fn main() {
     // the vectorization win the kernel gate protects.
     let chunk64 = feature_rows(ROWS);
     let scalar_kernel_ns = median_ns(200, || {
-        black_box(model.infer_with(black_box(&chunk64), KernelMode::Scalar));
+        black_box(model.infer(black_box(&chunk64), KernelMode::Scalar));
     });
     println!("  \"int8_64rows_scalar_kernel_ns\": {scalar_kernel_ns:.0},");
     println!(
@@ -97,8 +97,18 @@ fn main() {
 
     let stacked = feature_rows(ROWS);
     let groups = vec![1usize; ROWS];
+    let mut iscratch = InferScratch::new();
+    let (mut q, mut scales) = (vec![0; stacked.as_slice().len()], Vec::new());
     let grouped_ns = median_ns(200, || {
-        black_box(model.infer_grouped(black_box(&stacked), &groups));
+        kernel::quantize_groups(
+            black_box(stacked.as_slice()),
+            21,
+            &groups,
+            &mut q,
+            &mut scales,
+        );
+        let mode = KernelMode::Vectorized;
+        black_box(model.infer_groups(&q, &scales, &groups, mode, &mut iscratch)[0]);
     });
     println!("  \"int8_64rows_grouped_ns\": {grouped_ns:.0},");
     println!(
@@ -110,18 +120,18 @@ fn main() {
     // hit the policy cache (quantize + probe + replay, no kernel work).
     let rows: Vec<Matrix> = (0..ROWS).map(|_| feature_rows(1)).collect();
     let mut cache = PolicyCache::new(128);
-    let mut iscratch = InferScratch::new();
-    let mut q = Vec::new();
+    let (mut q, mut scales) = (vec![0; 21], Vec::new());
     let cached_ns = median_ns(200, || {
         for row in &rows {
-            let scale = model.quantize_input(row.as_slice(), &mut q);
-            let out = match cache.probe(&q, scale, 1) {
+            kernel::quantize_groups(row.as_slice(), 21, &[1], &mut q, &mut scales);
+            let out = match cache.probe(&q, scales[0], 1) {
                 Ok(out) => out.to_vec(),
                 Err(key) => {
+                    let mode = KernelMode::Vectorized;
                     let out = model
-                        .infer_prequant(&q, scale, 1, KernelMode::Vectorized, &mut iscratch)
+                        .infer_groups(&q, &scales, &[1], mode, &mut iscratch)
                         .to_vec();
-                    cache.insert(key, &q, scale, 1, &out);
+                    cache.insert(key, &q, scales[0], 1, &out);
                     out
                 }
             };

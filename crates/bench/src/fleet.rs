@@ -813,10 +813,9 @@ fn fleet_epoch(
     // each is a pure re-inference of one board's batch, and the flags are
     // folded in submission order.
     let mismatch_flags = par::par_map(budget, &completed, |_, (_, prepared, reply)| {
-        reply
-            .output
-            .as_ref()
-            .is_some_and(|output| *output != dedicated.infer(prepared.batch()))
+        reply.output.as_ref().is_some_and(|output| {
+            *output != dedicated.infer(prepared.batch(), KernelMode::default())
+        })
     });
     *mismatches += mismatch_flags.iter().filter(|&&m| m).count() as u64;
 

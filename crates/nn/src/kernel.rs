@@ -1,12 +1,19 @@
 //! Cache-blocked, explicitly vectorized int8 inference kernel.
 //!
-//! This module is the numeric hot path of the whole fleet: one fused pass
-//! per layer doing quantize → int8 GEMM → rescale + bias → activation,
-//! with the matrix product carried in wide lanes of `i32` partial sums
-//! (a `std::simd`-style abstraction over fixed `[i32; LANES]` bundles).
-//! Two bodies compute the product, chosen by layer shape: a blocked one
-//! that sums each output across lanes, and one that keeps the outputs
-//! in lanes for narrow fan-ins.
+//! This module is the numeric hot path of the whole fleet. A compiled
+//! model runs each layer as quantize → int8 GEMM → rescale + bias →
+//! activation. The quantizing is a separate step, because the first
+//! layer's codes double as the policy-cache key:
+//!
+//! * [`quantize_groups`] quantizes a stack of independently scaled
+//!   groups lane-parallel, and [`quantize_reference`] is the same rule
+//!   written as the plain libm loop.
+//! * [`fused_layer`] runs one layer over prequantized codes, with the
+//!   matrix product carried in wide lanes of `i32` partial sums (a
+//!   `std::simd`-style abstraction over fixed `[i32; LANES]` bundles).
+//!   Two bodies compute the product, chosen by layer shape: a blocked one
+//!   that sums each output across lanes, and one that keeps the outputs
+//!   in lanes for narrow fan-ins.
 //!
 //! # Bit-exactness contract
 //!
@@ -21,11 +28,15 @@
 //! * The float epilogue (`acc as f32 * out_scale + bias`, then
 //!   `max(0.0)`) is the same IEEE operation sequence in both paths, so
 //!   the requantized outputs match bit for bit.
+//! * The fast quantizer takes the same IEEE operations, in the same
+//!   order, as the reference one, and rounds without libm to the same
+//!   codes.
 //!
-//! [`KernelMode::Scalar`] keeps the naive triple loop alive as an
-//! executable specification; `tests/kernel_equivalence.rs` and the
-//! proptests below hold the two paths equal on randomized shapes, scales,
-//! and adversarial rounding-boundary inputs.
+//! [`KernelMode::Scalar`] keeps the naive triple loop and the reference
+//! quantizer alive as an executable specification; the unit tests below
+//! hold every body, on every instantiation, equal to it, and
+//! `tests/kernel_equivalence.rs` holds whole models equal on randomized
+//! shapes, scales, groupings and adversarial rounding-boundary inputs.
 
 mod groups;
 
@@ -47,16 +58,19 @@ pub const OUT_TILE: usize = 4;
 /// Selects the numeric kernel for int8 inference.
 ///
 /// Both modes produce bit-identical outputs (enforced by the differential
-/// harness); `Scalar` exists as the executable reference specification and
-/// as a CLI-selectable mode (`experiments fleet --kernel scalar`) for the
-/// ci.sh byte-for-byte cross-kernel diff.
+/// harness). `Scalar` is the executable reference specification: every
+/// layer it quantizes goes through [`quantize_reference`] and every
+/// product through the naive triple loop. It is also a CLI-selectable
+/// mode (`experiments fleet --kernel scalar`) for the ci.sh byte-for-byte
+/// cross-kernel diff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
-    /// Naive triple-loop reference: one scalar `i32` accumulator per
-    /// output, in input order.
+    /// The reference quantizer and the naive triple loop: one scalar
+    /// `i32` accumulator per output, in input order.
     Scalar,
-    /// The wide-lane bodies: cache-blocked with `OUT_TILE` register
-    /// blocking, or outputs in lanes, whichever fits the layer shape.
+    /// [`quantize_groups`] and the wide-lane bodies: cache-blocked with
+    /// `OUT_TILE` register blocking, or outputs in lanes, whichever fits
+    /// the layer shape.
     #[default]
     Vectorized,
 }
@@ -80,36 +94,49 @@ impl KernelMode {
     }
 }
 
-/// Quantizes a float buffer with the symmetric per-tensor scheme into a
-/// reusable buffer, returning the scale.
+/// The reference quantizer: quantizes `src` with one symmetric scale into
+/// `out` and returns the scale.
 ///
-/// Bit-identical to `npu::QuantizedTensor::quantize` (same max-abs over
-/// the non-NaN magnitudes, same `(v / scale).round().clamp(-127, 127)`
-/// per element; an all-zero or empty buffer gets scale 1.0) — the npu
-/// crate's grouped inference and policy-cache key derivation both rely
-/// on this producing the exact same int8 row as the reference quantizer.
-pub fn quantize_sym(src: &[f32], out: &mut Vec<i8>) -> f32 {
-    // Every code is overwritten, so a reused buffer needs no clearing.
-    out.resize(src.len(), 0);
-    quantize_into(src, out)
-}
-
-/// [`quantize_sym`] into a slice of exactly `src.len()` codes.
+/// The scale is the largest non-NaN magnitude over 127 (1.0 for an
+/// all-zero or empty buffer), and each code is `v / scale` rounded half
+/// away from zero by libm's `round`, clamped to `±127` (NaN maps to 0).
+/// [`quantize_groups`] computes the same codes and scales without the
+/// libm call; this loop is its specification, the weight quantizer of
+/// compiled models, and the activation quantizer of
+/// [`KernelMode::Scalar`].
 ///
 /// # Panics
 ///
 /// Panics if `out` and `src` differ in length.
-pub fn quantize_into(src: &[f32], out: &mut [i8]) -> f32 {
+///
+/// # Examples
+///
+/// ```
+/// use nn::kernel::quantize_reference;
+///
+/// let mut codes = [0i8; 3];
+/// let scale = quantize_reference(&[2.0, -2.0, 1.0], &mut codes);
+/// assert_eq!(scale, 2.0 / 127.0);
+/// assert_eq!(codes, [127, -127, 64]); // 63.5 rounds away from zero
+/// ```
+pub fn quantize_reference(src: &[f32], out: &mut [i8]) -> f32 {
     assert_eq!(src.len(), out.len(), "quantize length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the feature check above guarantees AVX2 is available.
-        return unsafe { quantize_avx2(src, out) };
+    let max_abs = src.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+    let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 1.0 };
+    for (q, &v) in out.iter_mut().zip(src) {
+        *q = round_reference(v / scale);
     }
-    quantize_body(src, out)
+    scale
 }
 
-/// The AVX2 instantiation of [`quantize_body`].
+/// The code of one scaled value: the libm rounding rule that
+/// [`round_clamped`] reproduces without libm.
+fn round_reference(x: f32) -> i8 {
+    x.round().clamp(-127.0, 127.0) as i8
+}
+
+/// The AVX2 instantiation of [`quantize_body`], the per-row quantizer of
+/// groups that [`quantize_groups`] leaves out of its passes.
 ///
 /// # Safety
 ///
@@ -123,7 +150,7 @@ unsafe fn quantize_avx2(src: &[f32], out: &mut [i8]) -> f32 {
 /// Lanes of the max-abs scan.
 const MAX_LANES: usize = 8;
 
-/// The quantizer body.
+/// The per-row fast quantizer: [`quantize_reference`]'s codes and scale.
 ///
 /// The max-abs scan runs lane-parallel: `f32::max` ignores NaN, and a
 /// maximum over non-NaN magnitudes (all `≥ +0.0`) does not depend on
@@ -171,9 +198,9 @@ const TWO_POW_23: f32 = 8_388_608.0;
 /// integer in the low mantissa bits.
 const INT_MAGIC: f32 = 12_582_912.0;
 
-/// `x.round().clamp(-127.0, 127.0) as i8` without the libm call and
-/// without a saturating float-to-int cast, so the lanes of the quantizer
-/// loop stay in vector registers.
+/// [`round_reference`] without the libm call and without a saturating
+/// float-to-int cast, so the lanes of the quantizer loop stay in vector
+/// registers.
 ///
 /// Clamping to integer bounds commutes with rounding, so the magnitude
 /// `a` is clamped first. Round-to-nearest through `2²³` minus one where
@@ -194,9 +221,8 @@ fn round_clamped(x: f32) -> i8 {
 
 /// Which vectorized body computes a layer's products. Chosen from the
 /// layer's shape when its weights are packed.
-#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Body {
+enum Body {
     /// Inner products over `n_in` in `LANES`-wide bundles, `OUT_TILE`
     /// outputs per sweep, a horizontal sum per output.
     Blocked,
@@ -266,88 +292,10 @@ impl PackedWeights {
         &self.codes
     }
 
-    /// The weight scale.
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-
     /// Input width.
     pub fn n_in(&self) -> usize {
         self.n_in
     }
-
-    /// Output width.
-    pub fn n_out(&self) -> usize {
-        self.n_out
-    }
-}
-
-/// One fused layer pass: quantize `input`, multiply by the pre-quantized
-/// weights in `i32`, rescale with `w_scale · act_scale`, add bias, and
-/// apply ReLU if requested — one sweep, no intermediate allocations.
-///
-/// `input` is `rows × n_in` row-major. The quantized activations are left
-/// in `q` (callers reuse them, e.g. as a policy-cache key for the first
-/// layer) and the activations land in `out`, resized to `rows × n_out`.
-///
-/// # Panics
-///
-/// Panics if the buffer shapes are inconsistent.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_layer(
-    mode: KernelMode,
-    input: &[f32],
-    rows: usize,
-    w: &PackedWeights,
-    bias: &[f32],
-    relu: bool,
-    q: &mut Vec<i8>,
-    out: &mut Vec<f32>,
-) {
-    assert_eq!(input.len(), rows * w.n_in, "input shape mismatch");
-    let act_scale = quantize_sym(input, q);
-    fused_layer_prequant(
-        mode,
-        q,
-        RowScales::Uniform(act_scale),
-        rows,
-        w,
-        bias,
-        relu,
-        out,
-    );
-}
-
-/// [`fused_layer`] over a stack of independently quantized groups of
-/// `group_rows[i]` rows each, in order. Each group's codes and scale are
-/// exactly what [`fused_layer`] computes for it alone, and so are its
-/// outputs; the product then runs once over all the rows. `scales`
-/// receives each row's activation scale.
-///
-/// # Panics
-///
-/// Panics if the buffer shapes are inconsistent.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_layer_groups(
-    mode: KernelMode,
-    input: &[f32],
-    group_rows: &[usize],
-    w: &PackedWeights,
-    bias: &[f32],
-    relu: bool,
-    q: &mut Vec<i8>,
-    scales: &mut Vec<f32>,
-    out: &mut Vec<f32>,
-) {
-    let rows = group_rows.iter().sum();
-    assert_eq!(input.len(), rows * w.n_in, "input shape mismatch");
-    q.resize(input.len(), 0);
-    quantize_groups(input, w.n_in, group_rows, q, scales);
-    let act_scales = match (group_rows, scales.first()) {
-        ([_], Some(&scale)) => RowScales::Uniform(scale),
-        _ => RowScales::PerRow(scales),
-    };
-    fused_layer_prequant(mode, q, act_scales, rows, w, bias, relu, out);
 }
 
 /// The activation scale of each input row of a layer.
@@ -359,18 +307,22 @@ pub enum RowScales<'a> {
     PerRow(&'a [f32]),
 }
 
-/// The GEMM + epilogue half of [`fused_layer`], taking activations that
-/// are already quantized (`a_q`, with the activation scale of each row).
+/// One layer over quantized activations (`a_q`, `rows × n_in`, with the
+/// activation scale of each row): multiply by the prequantized weights in
+/// `i32`, rescale with `w_scale · act_scale`, add bias, and apply ReLU if
+/// requested — one sweep into `out`, resized to `rows × n_out`, with no
+/// intermediate allocations.
 ///
-/// Split out so the first layer of a cached inference can quantize once,
-/// probe the policy cache with the int8 row, and only run the matrix
-/// product on a miss.
+/// The activations arrive quantized so that a model's first layer can
+/// quantize once, probe the policy cache with the int8 rows, and run the
+/// product on a miss only. `mode` picks the naive triple loop or the
+/// layer's vectorized body; both write the same bits.
 ///
 /// # Panics
 ///
 /// Panics if the buffer shapes are inconsistent.
 #[allow(clippy::too_many_arguments)]
-pub fn fused_layer_prequant(
+pub fn fused_layer(
     mode: KernelMode,
     a_q: &[i8],
     act_scales: RowScales,
@@ -380,35 +332,24 @@ pub fn fused_layer_prequant(
     relu: bool,
     out: &mut Vec<f32>,
 ) {
-    let body = match mode {
-        KernelMode::Scalar => None,
-        KernelMode::Vectorized => Some(w.body),
-    };
+    let body = mode.body(w);
     run_layer(body, true, a_q, act_scales, rows, w, bias, relu, out);
 }
 
-/// [`fused_layer_prequant`] on a chosen vectorized body, on the baseline
-/// instantiation or (`avx2`, when the host has it) the AVX2 one. Exposed
-/// for the differential suite, which holds every body equal to the
-/// scalar reference on every shape.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-pub fn fused_layer_on(
-    body: Body,
-    avx2: bool,
-    a_q: &[i8],
-    act_scales: RowScales,
-    rows: usize,
-    w: &PackedWeights,
-    bias: &[f32],
-    relu: bool,
-    out: &mut Vec<f32>,
-) {
-    run_layer(Some(body), avx2, a_q, act_scales, rows, w, bias, relu, out);
+impl KernelMode {
+    /// The body that runs `w`'s products in this mode: none (the scalar
+    /// reference) for [`KernelMode::Scalar`].
+    fn body(self, w: &PackedWeights) -> Option<Body> {
+        match self {
+            KernelMode::Scalar => None,
+            KernelMode::Vectorized => Some(w.body),
+        }
+    }
 }
 
-/// Checks shapes, sizes `out`, and runs the scalar reference (`body` is
-/// `None`) or a vectorized body.
+/// The layer dispatcher: checks shapes, sizes `out`, and runs the scalar
+/// reference (`body` is `None`) or a vectorized body, on the baseline
+/// instantiation or (`avx2`, when the host has it) the AVX2 one.
 #[allow(clippy::too_many_arguments)]
 fn run_layer(
     body: Option<Body>,
@@ -529,9 +470,8 @@ impl RowEpilogue<'_> {
 }
 
 /// The scalar reference: one `i32` accumulator per output, products added
-/// in input order — the same loop `NpuModel`'s original `infer_layer`
-/// runs, kept as the executable specification the vectorized bodies are
-/// diffed against.
+/// in input order — the executable specification the vectorized bodies
+/// are diffed against.
 fn gemm_scalar(a_q: &[i8], w: &PackedWeights, rows: usize, epi: &Epilogue, out: &mut [f32]) {
     let (n_in, n_out) = (w.n_in, w.n_out);
     for r in 0..rows {
@@ -691,12 +631,39 @@ mod tests {
 
     /// Quantizes output-major float weights and packs them.
     fn pack(weights: &[f32], n_in: usize, n_out: usize) -> PackedWeights {
-        let mut codes = Vec::new();
-        let scale = quantize_sym(weights, &mut codes);
+        let mut codes = vec![0; weights.len()];
+        let scale = quantize_reference(weights, &mut codes);
         PackedWeights::new(codes, scale, n_in, n_out)
     }
 
-    /// Drives both kernels on the same problem and returns their outputs.
+    /// The specification of one layer over a stack of groups: each group
+    /// quantized alone by the reference quantizer, then the scalar
+    /// reference product.
+    fn spec_layer(
+        input: &[f32],
+        group_rows: &[usize],
+        w: &PackedWeights,
+        bias: &[f32],
+        relu: bool,
+    ) -> Vec<f32> {
+        let rows: usize = group_rows.iter().sum();
+        let mut q = vec![0; input.len()];
+        let mut scales = Vec::new();
+        let mut start = 0;
+        for &g in group_rows {
+            let end = start + g * w.n_in;
+            let scale = quantize_reference(&input[start..end], &mut q[start..end]);
+            scales.extend(std::iter::repeat_n(scale, g));
+            start = end;
+        }
+        let mut out = Vec::new();
+        let scales = RowScales::PerRow(&scales);
+        run_layer(None, false, &q, scales, rows, w, bias, relu, &mut out);
+        out
+    }
+
+    /// Drives the spec and the fast path (the lane-parallel quantizer,
+    /// then the vectorized body) on one group and returns their outputs.
     fn run_both(
         input: &[f32],
         rows: usize,
@@ -707,61 +674,63 @@ mod tests {
         relu: bool,
     ) -> (Vec<f32>, Vec<f32>) {
         let w = pack(w, n_in, n_out);
-        let mut q = Vec::new();
-        let mut scalar = Vec::new();
-        let mut vec = Vec::new();
-        fused_layer(
-            KernelMode::Scalar,
-            input,
-            rows,
-            &w,
-            bias,
-            relu,
-            &mut q,
-            &mut scalar,
-        );
+        let spec = spec_layer(input, &[rows], &w, bias, relu);
+        let (mut q, mut scales) = (vec![0; input.len()], Vec::new());
+        quantize_groups(input, n_in, &[rows], &mut q, &mut scales);
+        let mut fast = Vec::new();
+        let scales = RowScales::PerRow(&scales);
         fused_layer(
             KernelMode::Vectorized,
-            input,
+            &q,
+            scales,
             rows,
             &w,
             bias,
             relu,
-            &mut q,
-            &mut vec,
+            &mut fast,
         );
-        (scalar, vec)
+        (spec, fast)
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The reference quantizer on one buffer, into a fresh code vector.
+    fn quantize(src: &[f32]) -> (f32, Vec<i8>) {
+        let mut codes = vec![0; src.len()];
+        let scale = quantize_reference(src, &mut codes);
+        (scale, codes)
+    }
+
     #[test]
-    fn quantize_sym_matches_reference_semantics() {
-        let data = [0.5f32, -1.0, 0.25, 2.0, -2.0, 1.0, 0.0];
-        let mut q = Vec::new();
-        let scale = quantize_sym(&data, &mut q);
-        assert!((scale - 2.0 / 127.0).abs() < 1e-9);
+    fn reference_quantizer_semantics() {
+        let (scale, q) = quantize(&[0.5, -1.0, 0.25, 2.0, -2.0, 1.0, 0.0]);
+        assert_eq!(scale, 2.0 / 127.0);
         assert_eq!(q[3], 127);
         assert_eq!(q[4], -127);
         assert_eq!(q[5], 64); // 1.0 / (2/127) = 63.5 rounds away from zero
-                              // Zero buffer: scale 1.0, all-zero codes.
-        let scale = quantize_sym(&[0.0, 0.0], &mut q);
+        assert_eq!(q[6], 0);
+        // Zero buffer: scale 1.0, all-zero codes, zero round trip.
+        let (scale, q) = quantize(&[0.0, 0.0]);
         assert_eq!(scale, 1.0);
         assert_eq!(q, vec![0, 0]);
+        assert_eq!(quantize(&[]), (1.0, vec![]));
     }
 
-    /// The quantizer's specification: the per-element rule of
-    /// `npu::QuantizedTensor::quantize`, with the libm rounding call.
-    fn quantize_spec(src: &[f32]) -> (f32, Vec<i8>) {
-        let max_abs = src.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 1.0 };
-        let codes = src
-            .iter()
-            .map(|&v| (v / scale).round().clamp(-127.0, 127.0) as i8)
-            .collect();
-        (scale, codes)
+    #[test]
+    fn reference_round_trip_error_is_half_a_step() {
+        let data: Vec<f32> = (-100..=100).map(|i| i as f32 * 0.013).collect();
+        let (scale, codes) = quantize(&data);
+        for (orig, &q) in data.iter().zip(&codes) {
+            let rec = q as f32 * scale;
+            assert!(
+                (orig - rec).abs() <= scale * 0.50005 + 1e-6,
+                "error beyond half-step: {orig} vs {rec}"
+            );
+        }
+        // The scale covers the full range.
+        assert!((scale - 100.0 * 0.013 / 127.0).abs() < 1e-6);
     }
 
     /// Values on and around every rounding boundary `k ± 0.5` of the code
@@ -795,13 +764,15 @@ mod tests {
     #[test]
     fn round_clamped_matches_libm_round_on_every_boundary() {
         for x in boundary_values() {
-            let spec = x.round().clamp(-127.0, 127.0) as i8;
+            let spec = round_reference(x);
             assert_eq!(round_clamped(x), spec, "x = {x:e} ({:#010x})", x.to_bits());
         }
     }
 
+    /// The fast quantizer, through its per-row body and as one group of
+    /// a lane-parallel pass, matches the reference quantizer bit for bit.
     #[test]
-    fn quantize_matches_spec_on_adversarial_buffers() {
+    fn fast_quantizer_matches_the_reference_on_adversarial_buffers() {
         let boundary = boundary_values();
         // Scale 1 puts the boundary values themselves on the code grid; the
         // 127 companions pin the scale at exactly 1.
@@ -824,11 +795,17 @@ mod tests {
             (0..37).map(|i| (i as f32 - 18.0) * 0.37).collect(),
         ];
         for src in buffers {
-            let (scale, codes) = quantize_spec(&src);
-            let mut q = Vec::new();
-            let got = quantize_sym(&src, &mut q);
+            let (scale, codes) = quantize(&src);
+            let mut q = vec![0; src.len()];
+            let got = quantize_body(&src, &mut q);
             assert_eq!(got.to_bits(), scale.to_bits(), "scale of {src:?}");
             assert_eq!(q, codes, "codes of {src:?}");
+            let mut scales = Vec::new();
+            quantize_groups(&src, src.len(), &[1], &mut q, &mut scales);
+            assert_eq!(q, codes, "grouped codes of {src:?}");
+            if !src.is_empty() {
+                assert_eq!(scales[0].to_bits(), scale.to_bits(), "grouped scale");
+            }
         }
     }
 
@@ -881,9 +858,99 @@ mod tests {
         assert_eq!(bits(&scalar), bits(&vec));
     }
 
+    /// A deterministic xorshift stream of adversarial layer inputs.
+    struct Stream(u64);
+
+    impl Stream {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        /// Exact half-step rounding boundaries (`scale * (k - 127.5)`)
+        /// interleaved with saturating magnitudes and plain values.
+        fn adversarial(&mut self, scale: f32) -> f32 {
+            let r = self.next();
+            match r % 4 {
+                0 => scale * ((r % 256) as f32 - 127.5),
+                1 => scale * 127.0 * if r % 8 < 4 { 4.0 } else { -4.0 },
+                2 => scale * ((r % 255) as f32 - 127.0),
+                _ => ((r % 2_001) as f32 / 1_000.0 - 1.0) * scale * 64.0,
+            }
+        }
+    }
+
+    /// Every vectorized body, on the baseline and the AVX2 instantiation,
+    /// agrees with the spec on every small layer shape the shape dispatch
+    /// chooses between — each fan-in and fan-out up to one lane block
+    /// past `LANES`, plus the fleet's 21- and 64-wide layers — at one row
+    /// (a GEMV) and at sixteen rows in five separately quantized groups,
+    /// each scaled on its own as if it ran alone.
+    #[test]
+    fn every_body_agrees_on_the_small_shape_sweep() {
+        let mut s = Stream(0x5EED_0F5A_115B_A5E5);
+        for n_in in (1..=17).chain([21, 64]) {
+            for n_out in (1..=17).chain([64]) {
+                let w_q: Vec<i8> = (0..n_out * n_in)
+                    .map(|_| ((s.next() % 255) as i64 - 127) as i8)
+                    .collect();
+                let w = PackedWeights::new(w_q, 0.007_874_016, n_in, n_out);
+                let bias: Vec<f32> = (0..n_out)
+                    .map(|_| (s.next() % 2_001) as f32 / 1_000.0 - 1.0)
+                    .collect();
+                for groups in [&[1][..], &[1, 2, 3, 4, 6]] {
+                    let rows: usize = groups.iter().sum();
+                    let relu = rows == 1;
+                    let input: Vec<f32> = (0..rows * n_in).map(|_| s.adversarial(0.0625)).collect();
+                    let expect = bits(&spec_layer(&input, groups, &w, &bias, relu));
+                    let (mut q, mut scales, mut out) =
+                        (vec![0; input.len()], Vec::new(), Vec::new());
+                    quantize_groups(&input, n_in, groups, &mut q, &mut scales);
+                    for body in [Body::Blocked, Body::Lanes] {
+                        for avx2 in [false, true] {
+                            let scales = RowScales::PerRow(&scales);
+                            run_layer(
+                                Some(body),
+                                avx2,
+                                &q,
+                                scales,
+                                rows,
+                                &w,
+                                &bias,
+                                relu,
+                                &mut out,
+                            );
+                            assert_eq!(
+                                bits(&out),
+                                expect,
+                                "{body:?} avx2={avx2}: n_in={n_in} n_out={n_out} rows={rows}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`KernelMode::Scalar`] is the whole spec: on every shape it runs
+    /// the scalar reference, never a vectorized body (which would write
+    /// the same bits and leave the differential gates nothing to check).
+    #[test]
+    fn scalar_mode_runs_the_reference_on_every_shape() {
+        for n_in in (1..=17).chain([21, 64, 65]) {
+            for n_out in (1..=17).chain([64]) {
+                let w = PackedWeights::new(vec![1; n_in * n_out], 1.0, n_in, n_out);
+                assert_eq!(KernelMode::Scalar.body(&w), None, "{n_in}x{n_out}");
+                assert_eq!(KernelMode::Vectorized.body(&w), Some(w.body));
+            }
+        }
+    }
+
     proptest! {
-        /// Satellite: fused requantize rounding across a scale grid. The
-        /// fused path must match the two-step quantize → matmul →
+        /// Fused requantize rounding across a scale grid. The fast path
+        /// must match the two-step quantize → matmul →
         /// requantize reference on every lane, including saturation at the
         /// int8 extremes — inputs are drawn around exact half-step
         /// rounding boundaries of the quantization grid.
@@ -921,43 +988,6 @@ mod tests {
             let bias: Vec<f32> = (0..n_out).map(&mut gen_val).collect();
             let (scalar, vec) = run_both(&input, rows, n_in, &w, n_out, &bias, relu);
             prop_assert_eq!(bits(&scalar), bits(&vec));
-        }
-
-        /// The prequant split (quantize once, GEMM later) is bit-identical
-        /// to the fused entry point in both modes.
-        #[test]
-        fn prequant_split_matches_fused(
-            rows in 1usize..4,
-            n_in in 1usize..48,
-            n_out in 1usize..12,
-            seed in 0u64..1_000_000,
-        ) {
-            let mut state = seed.wrapping_mul(2654435761).wrapping_add(1);
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            let mut gen_val = || (next() % 2000) as f32 / 1000.0 - 1.0;
-            let input: Vec<f32> = (0..rows * n_in).map(|_| gen_val()).collect();
-            let w: Vec<f32> = (0..n_out * n_in).map(|_| gen_val()).collect();
-            let bias: Vec<f32> = (0..n_out).map(|_| gen_val()).collect();
-            let w = pack(&w, n_in, n_out);
-            for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
-                let mut q = Vec::new();
-                let mut fused = Vec::new();
-                fused_layer(mode, &input, rows, &w, &bias, true, &mut q, &mut fused);
-                let mut q2 = Vec::new();
-                let act_scale = quantize_sym(&input, &mut q2);
-                prop_assert_eq!(&q, &q2);
-                let mut split = Vec::new();
-                let act_scales = RowScales::Uniform(act_scale);
-                fused_layer_prequant(
-                    mode, &q2, act_scales, rows, &w, &bias, true, &mut split,
-                );
-                prop_assert_eq!(bits(&fused), bits(&split));
-            }
         }
     }
 

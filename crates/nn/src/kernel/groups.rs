@@ -2,7 +2,7 @@
 //!
 //! A serving flush quantizes every request on its own: one 12-wide input
 //! row per edge request, then one 16-wide hidden row per layer. Per row,
-//! [`quantize_into`](super::quantize_into) is one chain of dependent
+//! the per-row quantizer is one chain of dependent
 //! steps (max-abs, `max / 127`, `v / scale`, rounding) over a handful of
 //! elements, with scalar loops over the elements past the last whole
 //! vector, so its time is latency, not work. [`quantize_groups`]
@@ -17,7 +17,8 @@
 //! than 3 to 8 groups.
 //!
 //! Each group sees the same IEEE operations, in the same order, as the
-//! per-row quantizer: the NaN-skipping max-abs (`vmaxps` keeps its second
+//! per-row quantizer and [`quantize_reference`](super::quantize_reference):
+//! the NaN-skipping max-abs (`vmaxps` keeps its second
 //! operand when the first is NaN, which is the `>` test the per-row lanes
 //! use; a maximum over non-NaN magnitudes does not depend on the order it
 //! is taken in), `max / 127` (or 1 for an all-zero group), `v / scale`,
@@ -25,8 +26,8 @@
 //! [`round_clamped`](super::round_clamped). Codes and scales are
 //! therefore bit-identical to quantizing each group alone.
 //!
-//! The path is picked by the batch's shape, as
-//! [`Body::for_shape`](super::Body) picks a GEMM body: the per-row
+//! The path is picked by the batch's shape, as a layer's shape picks its
+//! GEMM body: the per-row
 //! quantizer keeps the groups left over when fewer than [`MIN_PASS`]
 //! remain for a pass, where it wins, and every group on a host without
 //! AVX2. Measured per one-row group on an AVX-512 host, in full passes
@@ -44,9 +45,9 @@ use crate::simd::Tier;
 
 /// Quantizes a stack of groups of `group_rows[i]` rows of `width`
 /// elements each, in order, exactly as
-/// [`quantize_into`](super::quantize_into) quantizes each group alone:
-/// the codes land in `out` and `scales` receives each row's scale (the
-/// scale of the row's group).
+/// [`quantize_reference`](super::quantize_reference) quantizes each group
+/// alone: the codes land in `out` and `scales` receives each row's scale
+/// (the scale of the row's group).
 ///
 /// # Panics
 ///
@@ -55,13 +56,13 @@ use crate::simd::Tier;
 /// # Examples
 ///
 /// ```
-/// use nn::kernel::{quantize_groups, quantize_into};
+/// use nn::kernel::{quantize_groups, quantize_reference};
 ///
 /// let src = [0.5, -1.0, 2.0, 4.0, f32::NAN, -8.0];
 /// let (mut codes, mut scales) = ([0i8; 6], Vec::new());
 /// quantize_groups(&src, 2, &[1, 2], &mut codes, &mut scales);
 /// let mut alone = [0i8; 4];
-/// let scale = quantize_into(&src[2..], &mut alone);
+/// let scale = quantize_reference(&src[2..], &mut alone);
 /// assert_eq!(&codes[2..], &alone);
 /// assert_eq!(scales[1..], [scale, scale]);
 /// ```
@@ -105,7 +106,8 @@ pub(crate) fn quantize_groups_on(
     pass.run(tier, src, out, scales);
 }
 
-/// The per-row quantizer on `tier`.
+/// The per-row quantizer on `tier`: the path of groups left out of a
+/// pass.
 fn quantize_row(tier: Tier, src: &[f32], out: &mut [i8]) -> f32 {
     #[cfg(target_arch = "x86_64")]
     if tier.has_avx2() {
@@ -394,7 +396,7 @@ fn round_clamped_avx512(x: __m512) -> __m512i {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::quantize_into;
+    use crate::kernel::quantize_reference;
 
     /// A small xorshift stream, so the cases need no RNG crate.
     struct Stream(u64);
@@ -452,7 +454,7 @@ mod tests {
         }
     }
 
-    /// Holds the grouped quantizer to `quantize_into` on every group:
+    /// Holds the grouped quantizer to the reference on every group:
     /// codes equal, and the bits of every row's scale equal the group's.
     fn check(tier: Tier, src: &[f32], width: usize, group_rows: &[usize], what: &str) {
         let mut codes = vec![0i8; src.len()];
@@ -463,7 +465,7 @@ mod tests {
         for (g, &n) in group_rows.iter().enumerate() {
             let end = start + n * width;
             let mut expected = vec![0i8; n * width];
-            let scale = quantize_into(&src[start..end], &mut expected);
+            let scale = quantize_reference(&src[start..end], &mut expected);
             assert_eq!(
                 &codes[start..end],
                 &expected[..],

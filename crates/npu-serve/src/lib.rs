@@ -24,9 +24,9 @@
 //!   requests wait or the oldest request hits its `max_wait` deadline
 //!   (deadline-aware ordering), the batch lands on the earliest-free
 //!   device ([`npu::Occupancy`]), and each request's activations are
-//!   quantized in its own group (as [`npu::NpuModel::infer_grouped`]
-//!   does) so results are **bit-identical** to dedicated-device
-//!   issuance,
+//!   quantized in its own group (the groups of
+//!   [`npu::NpuModel::infer_groups`]) so results are **bit-identical**
+//!   to dedicated-device issuance,
 //! * per-device **circuit breakers** (reusing [`faults::CircuitBreaker`])
 //!   — a device that keeps failing is taken out of rotation and its
 //!   traffic drains to a CPU fallback until the cooldown probe passes,

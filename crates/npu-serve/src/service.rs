@@ -950,7 +950,7 @@ impl NpuService {
         let computed: &[f32] = if scratch.miss_rows.is_empty() {
             &[]
         } else {
-            self.model.infer_groups_prequant(
+            self.model.infer_groups(
                 &scratch.miss_q,
                 &scratch.miss_scales,
                 &scratch.miss_rows,
@@ -1069,7 +1069,7 @@ fn total_rows(requests: &[QueuedRequest]) -> usize {
 }
 
 /// Quantizes every group of `scratch.x` exactly as the first inference
-/// layer would quantize it alone ([`NpuModel::quantize_input`]), all of
+/// layer would quantize it alone ([`nn::kernel::quantize_reference`]), all of
 /// them in one lane-parallel sweep, then probes the cache with each
 /// group's codes in dispatch order: a hit's output is copied to
 /// `scratch.hits`. Fills `scratch.groups`.
@@ -1244,7 +1244,10 @@ mod tests {
         for (r, t) in requests.iter().zip(tickets) {
             let reply = service.take_reply(t).unwrap();
             // Same bits as a dedicated device serving this request alone.
-            assert_eq!(reply.output.unwrap(), compiled.infer(r));
+            assert_eq!(
+                reply.output.unwrap(),
+                compiled.infer(r, KernelMode::default())
+            );
         }
     }
 
@@ -1738,7 +1741,7 @@ mod tests {
             let reply = service.take_reply(tickets[i]).expect("resolved");
             assert_eq!(
                 reply.output.unwrap(),
-                NpuModel::compile(&net).infer(&request(i, 1))
+                NpuModel::compile(&net).infer(&request(i, 1), KernelMode::default())
             );
         }
         for t in tickets {

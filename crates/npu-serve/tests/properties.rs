@@ -4,7 +4,7 @@
 
 use hmc_types::SimTime;
 use nn::{Matrix, Mlp};
-use npu::NpuModel;
+use npu::{KernelMode, NpuModel};
 use npu_serve::{NpuService, ServeConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -75,7 +75,7 @@ proptest! {
             let output = reply.output.expect("served");
             // Bit-identical, regardless of which batch the request
             // landed in or which device served it.
-            prop_assert_eq!(&output, &dedicated.infer(r));
+            prop_assert_eq!(&output, &dedicated.infer(r, KernelMode::default()));
         }
     }
 }

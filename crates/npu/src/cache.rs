@@ -248,7 +248,7 @@ impl PolicyCache {
 mod tests {
     use super::*;
     use crate::{InferScratch, NpuModel};
-    use nn::kernel::KernelMode;
+    use nn::kernel::{self, KernelMode};
     use nn::{Matrix, Mlp};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -352,15 +352,17 @@ mod tests {
         q0: &mut Vec<i8>,
         group: &Matrix,
     ) -> Vec<f32> {
-        let scale = model.quantize_input(group.as_slice(), q0);
-        let key = match cache.probe(q0, scale, group.rows()) {
+        let (rows, mut scales) = ([group.rows()], Vec::new());
+        q0.resize(group.as_slice().len(), 0);
+        kernel::quantize_groups(group.as_slice(), group.cols(), &rows, q0, &mut scales);
+        let key = match cache.probe(q0, scales[0], rows[0]) {
             Ok(out) => return out.to_vec(),
             Err(key) => key,
         };
         let out = model
-            .infer_prequant(q0, scale, group.rows(), KernelMode::Vectorized, scratch)
+            .infer_groups(q0, &scales, &rows, KernelMode::Vectorized, scratch)
             .to_vec();
-        cache.insert(key, q0, scale, group.rows(), &out);
+        cache.insert(key, q0, scales[0], rows[0], &out);
         out
     }
 
@@ -400,7 +402,7 @@ mod tests {
                         .collect(),
                 );
                 let cached = infer_cached(&model, &mut cache, &mut scratch, &mut q0, &group);
-                let fresh = model.infer_grouped(&group, &[rows]);
+                let fresh = model.infer(&group, KernelMode::Vectorized);
                 prop_assert_eq!(fresh.as_slice(), &cached[..], "step {}", step);
                 prop_assert!(cache.len() <= capacity);
             }

@@ -309,7 +309,7 @@ impl DedicatedNpu {
             };
         }
         DeviceJob {
-            output: fate.map(|()| self.model.infer_with(batch, self.kernel)),
+            output: fate.map(|()| self.model.infer(batch, self.kernel)),
             latency,
             host_cpu_time,
         }
@@ -491,7 +491,10 @@ mod tests {
         let batch = Matrix::from_rows(vec![vec![0.25; 21]]);
         let job = npu.run(&batch, DEADLINE);
         let compiled = NpuModel::compile(&mlp);
-        assert_eq!(job.output, Ok(compiled.infer(&batch)));
+        assert_eq!(
+            job.output,
+            Ok(compiled.infer(&batch, KernelMode::default()))
+        );
         let dev = NpuDevice::kirin970();
         assert_eq!(job.latency, dev.inference_latency(&compiled, 1));
         assert_eq!(job.host_cpu_time, dev.host_cpu_time(1));

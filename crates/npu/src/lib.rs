@@ -8,7 +8,9 @@
 //! * [`NpuModel`] — an offline-"compiled" network: int8-quantized weights
 //!   per layer (symmetric per-tensor scales), executed in integer
 //!   arithmetic with float rescaling, reproducing realistic quantization
-//!   error,
+//!   error. It has one inference path, [`NpuModel::infer_groups`], over
+//!   prequantized groups of rows, and [`NpuModel::infer`] runs a whole
+//!   batch through it as one group,
 //! * [`NpuDevice`] — a cycle-cost model (MACs/cycle, DMA setup, driver
 //!   round-trip) whose key property matches the paper's measurement: batch
 //!   inference latency is **nearly constant in the batch size**, because
@@ -46,11 +48,9 @@ mod cache;
 mod device;
 mod error;
 mod model;
-mod quant;
 
 pub use cache::{CacheKey, CacheStats, PolicyCache};
 pub use device::{CpuInference, DedicatedNpu, DeviceJob, NpuDevice, Occupancy};
 pub use error::NpuError;
 pub use model::{InferScratch, NpuModel};
 pub use nn::kernel::KernelMode;
-pub use quant::QuantizedTensor;

@@ -3,21 +3,15 @@
 use nn::kernel::{self, KernelMode, PackedWeights, RowScales};
 use nn::{Matrix, Mlp};
 
-use crate::QuantizedTensor;
-
-/// Reusable buffers for the fused inference path: quantized activations
-/// and the two activation planes swapped between layers. Create one per
-/// worker and reuse it across calls; every buffer sizes itself on first
-/// use and is recycled afterwards.
+/// Reusable buffers of [`NpuModel::infer_groups`]: quantized activations,
+/// their per-row scales, and the two activation planes swapped between
+/// layers. Create one per worker and reuse it across calls; every buffer
+/// sizes itself on first use and is recycled afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct InferScratch {
-    /// First-layer quantized input (kept intact across the forward pass —
-    /// it doubles as the policy-cache key material).
-    q0: Vec<i8>,
     /// Per-layer quantized activations.
     q: Vec<i8>,
-    /// Activation scale of each row, per layer (and of the first layer's
-    /// rows for [`NpuModel::infer_grouped`]).
+    /// Activation scale of each row, per layer.
     scales: Vec<f32>,
     cur: Vec<f32>,
     next: Vec<f32>,
@@ -42,16 +36,23 @@ struct NpuLayer {
 
 /// An offline-compiled network in the NPU's int8 execution format.
 ///
-/// Inference quantizes each layer's input activations on the fly
-/// (symmetric per-tensor), runs the matrix product in `i32` accumulators,
-/// and rescales to float — the standard int8 NN-accelerator dataflow. The
-/// resulting outputs carry realistic quantization error relative to the
-/// float [`Mlp`].
+/// Inference quantizes each layer's input activations (symmetric, one
+/// scale per group of rows), runs the matrix product in `i32`
+/// accumulators, and rescales to float — the standard int8
+/// NN-accelerator dataflow. The resulting outputs carry realistic
+/// quantization error relative to the float [`Mlp`].
+///
+/// There is one inference path, [`NpuModel::infer_groups`], over groups
+/// of rows whose first-layer codes are already quantized; a whole batch
+/// is one group ([`NpuModel::infer`]). [`KernelMode`] picks the kernel of
+/// every call: the reference quantizer and scalar loop, or the
+/// lane-parallel quantizer and vectorized bodies, which write the same
+/// bits.
 ///
 /// # Examples
 ///
 /// ```
-/// use nn::{Matrix, Mlp};
+/// use nn::{KernelMode, Matrix, Mlp};
 /// use npu::NpuModel;
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
@@ -61,7 +62,7 @@ struct NpuLayer {
 /// let model = NpuModel::compile(&mlp);
 /// let x = [0.3, -0.2, 0.5, 0.0];
 /// let exact = mlp.forward(&x);
-/// let approx = model.infer(&Matrix::from_rows(vec![x.to_vec()]));
+/// let approx = model.infer(&Matrix::from_rows(vec![x.to_vec()]), KernelMode::default());
 /// assert!((exact[0] - approx.get(0, 0)).abs() < 0.1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -73,15 +74,17 @@ pub struct NpuModel {
 }
 
 impl NpuModel {
-    /// Compiles a float network into the int8 execution format.
+    /// Compiles a float network into the int8 execution format, each
+    /// layer's weights quantized by [`kernel::quantize_reference`].
     pub fn compile(mlp: &Mlp) -> Self {
         let n = mlp.layer_count();
         let layers = (0..n)
             .map(|i| {
                 let w = mlp.weights(i);
-                let q = QuantizedTensor::quantize(w.as_slice());
+                let mut codes = vec![0; w.as_slice().len()];
+                let scale = kernel::quantize_reference(w.as_slice(), &mut codes);
                 NpuLayer {
-                    weights: PackedWeights::new(q.values().to_vec(), q.scale(), w.cols(), w.rows()),
+                    weights: PackedWeights::new(codes, scale, w.cols(), w.rows()),
                     bias: mlp.biases(i).to_vec(),
                     relu: i + 1 < n,
                 }
@@ -115,97 +118,49 @@ impl NpuModel {
         self.layers.iter().map(|l| l.weights.codes().len()).sum()
     }
 
-    /// Runs int8 batch inference with the default (vectorized) kernel.
-    /// Each row of `x` is one sample.
+    /// Runs int8 inference over a whole batch as one group on `mode`'s
+    /// kernel: each row of `x` is one sample, and every layer quantizes
+    /// the batch's activations with one scale, as a dedicated device
+    /// serving one caller does.
     ///
     /// # Panics
     ///
     /// Panics if the input width does not match.
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.infer_with(x, KernelMode::default())
-    }
-
-    /// Runs int8 batch inference with an explicit kernel selection.
-    ///
-    /// Both modes are bit-identical (`tests/kernel_equivalence.rs` holds
-    /// them equal); `Scalar` routes through the original triple-loop
-    /// reference, kept alive as the executable specification.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input width does not match.
-    pub fn infer_with(&self, x: &Matrix, mode: KernelMode) -> Matrix {
-        match mode {
-            KernelMode::Scalar => self.infer_reference(x),
-            KernelMode::Vectorized => {
-                assert_eq!(x.cols(), self.input_size, "input width mismatch");
-                let mut scratch = InferScratch::new();
-                let scale = kernel::quantize_sym(x.as_slice(), &mut scratch.q0);
-                let q0 = std::mem::take(&mut scratch.q0);
-                let out = self
-                    .infer_prequant(&q0, scale, x.rows(), mode, &mut scratch)
-                    .to_vec();
-                Matrix::from_flat(x.rows(), self.output_size, out)
-            }
-        }
-    }
-
-    /// The scalar reference: the naive per-layer loop the vectorized
-    /// kernel is differentially tested against. One `i32` accumulator per
-    /// output, products added in input order, whole-batch activation
-    /// quantization per layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input width does not match.
-    pub fn infer_reference(&self, x: &Matrix) -> Matrix {
+    pub fn infer(&self, x: &Matrix, mode: KernelMode) -> Matrix {
         assert_eq!(x.cols(), self.input_size, "input width mismatch");
-        let mut activations = x.clone();
-        for layer in &self.layers {
-            activations = Self::infer_layer(layer, &activations);
-        }
-        activations
+        let mut scratch = InferScratch::new();
+        let mut q0 = Vec::new();
+        let group = [x.rows()];
+        quantize(
+            mode,
+            x.as_slice(),
+            self.input_size,
+            &group,
+            &mut q0,
+            &mut scratch.scales,
+        );
+        // An empty batch has no row to scale.
+        let scale0 = scratch.scales.first().copied().unwrap_or(1.0);
+        self.forward(&q0, RowScales::Uniform(scale0), &group, mode, &mut scratch);
+        Matrix::from_flat(x.rows(), self.output_size, scratch.cur)
     }
 
-    /// Quantizes a stacked group of feature rows exactly as the first
-    /// inference layer would — the int8 row + scale pair is both the fast
-    /// path's input and the policy-cache key material.
-    pub fn quantize_input(&self, flat: &[f32], q: &mut Vec<i8>) -> f32 {
-        kernel::quantize_sym(flat, q)
-    }
-
-    /// Runs the fused forward for one group whose first-layer input is
-    /// already quantized (`q0` with scale `scale0`, `rows × input_size`).
+    /// Runs the int8 forward over a stack of independently quantized
+    /// groups of `group_rows[i]` rows each, in order, on `mode`'s kernel.
+    /// `q0` holds every group's first-layer codes and `scales0` each row's
+    /// scale, as [`kernel::quantize_groups`] writes them; every later
+    /// layer quantizes each group of its input on its own.
     ///
     /// Returns the output activations (`rows × output_size`) borrowed from
-    /// the scratch buffer. The output is a pure function of
-    /// `(q0, scale0, rows)` — the invariant that makes the policy cache
-    /// sound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q0` does not cover `rows` input rows.
-    pub fn infer_prequant<'a>(
-        &self,
-        q0: &[i8],
-        scale0: f32,
-        rows: usize,
-        mode: KernelMode,
-        scratch: &'a mut InferScratch,
-    ) -> &'a [f32] {
-        self.forward(q0, RowScales::Uniform(scale0), &[rows], mode, scratch)
-    }
-
-    /// [`NpuModel::infer_prequant`] over a stack of independently
-    /// quantized groups of `group_rows[i]` rows each, in order: `q0` holds
-    /// every group's first-layer codes and `scales0` each row's scale.
-    /// Every group's output rows are bit-identical to running the group
-    /// alone, and each layer runs once over all the rows.
+    /// the scratch buffer. Every group's output rows are bit-identical to
+    /// running the group alone, and each layer runs once over all the
+    /// rows. A group's output is a pure function of its codes, scale and
+    /// row count — the invariant that makes the policy cache sound.
     ///
     /// # Panics
     ///
     /// Panics if `q0` or `scales0` does not cover the groups' rows.
-    pub fn infer_groups_prequant<'a>(
+    pub fn infer_groups<'a>(
         &self,
         q0: &[i8],
         scales0: &[f32],
@@ -213,26 +168,27 @@ impl NpuModel {
         mode: KernelMode,
         scratch: &'a mut InferScratch,
     ) -> &'a [f32] {
-        self.forward(q0, RowScales::PerRow(scales0), group_rows, mode, scratch)
+        self.forward(q0, RowScales::PerRow(scales0), group_rows, mode, scratch);
+        &scratch.cur
     }
 
-    /// The fused forward over prequantized groups; later layers quantize
-    /// each group of their input separately.
-    fn forward<'a>(
+    /// The forward over prequantized groups, into `scratch.cur`; later
+    /// layers quantize each group of their input separately.
+    fn forward(
         &self,
         q0: &[i8],
         scales0: RowScales,
         group_rows: &[usize],
         mode: KernelMode,
-        scratch: &'a mut InferScratch,
-    ) -> &'a [f32] {
+        scratch: &mut InferScratch,
+    ) {
         let rows = group_rows.iter().sum();
         assert_eq!(q0.len(), rows * self.input_size, "input shape mismatch");
         let (first, rest) = self
             .layers
             .split_first()
             .expect("compiled model has layers");
-        kernel::fused_layer_prequant(
+        kernel::fused_layer(
             mode,
             q0,
             scales0,
@@ -243,115 +199,54 @@ impl NpuModel {
             &mut scratch.cur,
         );
         for layer in rest {
-            kernel::fused_layer_groups(
+            let width = layer.weights.n_in();
+            let (q, scales) = (&mut scratch.q, &mut scratch.scales);
+            quantize(mode, &scratch.cur, width, group_rows, q, scales);
+            let act_scales = match (group_rows, scales.first()) {
+                ([_], Some(&scale)) => RowScales::Uniform(scale),
+                _ => RowScales::PerRow(scales),
+            };
+            kernel::fused_layer(
                 mode,
-                &scratch.cur,
-                group_rows,
+                q,
+                act_scales,
+                rows,
                 &layer.weights,
                 &layer.bias,
                 layer.relu,
-                &mut scratch.q,
-                &mut scratch.scales,
                 &mut scratch.next,
             );
             std::mem::swap(&mut scratch.cur, &mut scratch.next);
         }
-        &scratch.cur
     }
+}
 
-    /// Runs int8 inference over a batch that coalesces several independent
-    /// requests, quantizing each request's activations separately.
-    ///
-    /// [`NpuModel::infer`] quantizes the whole batch's activations with one
-    /// per-tensor scale — correct for a single caller, but a multi-tenant
-    /// serving batch must not let one board's activation range perturb
-    /// another board's results. This entry point slices the stacked input
-    /// into per-request groups (`group_rows[i]` rows each, in order) and
-    /// quantizes each group independently, so every request's output is
-    /// bit-identical to submitting it alone, while the device still charges
-    /// a single batched job for the whole matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input width does not match or the group sizes do not
-    /// sum to the number of rows.
-    pub fn infer_grouped(&self, x: &Matrix, group_rows: &[usize]) -> Matrix {
-        self.infer_grouped_with(x, group_rows, KernelMode::default())
-    }
-
-    /// [`NpuModel::infer_grouped`] with an explicit kernel selection.
-    ///
-    /// The vectorized path quantizes each group on its own and runs every
-    /// layer once over all the groups
-    /// ([`NpuModel::infer_groups_prequant`], as the serving batcher does);
-    /// the scalar path keeps the original allocate-per-group reference
-    /// loop alive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input width does not match or the group sizes do not
-    /// sum to the number of rows.
-    pub fn infer_grouped_with(&self, x: &Matrix, group_rows: &[usize], mode: KernelMode) -> Matrix {
-        assert_eq!(x.cols(), self.input_size, "input width mismatch");
-        assert_eq!(
-            group_rows.iter().sum::<usize>(),
-            x.rows(),
-            "group sizes must cover the batch"
-        );
-        if mode == KernelMode::Vectorized {
-            let mut scratch = InferScratch::new();
-            let mut q0 = vec![0; x.as_slice().len()];
-            let mut scales = Vec::with_capacity(x.rows());
+/// Quantizes each of the groups of `group_rows[i]` rows of `width`
+/// elements in `src` on its own into `q`, resized to fit, and files each
+/// row's scale in `scales`: by the reference quantizer on
+/// [`KernelMode::Scalar`], in lane-parallel passes otherwise.
+fn quantize(
+    mode: KernelMode,
+    src: &[f32],
+    width: usize,
+    group_rows: &[usize],
+    q: &mut Vec<i8>,
+    scales: &mut Vec<f32>,
+) {
+    // Every code is overwritten, so a reused buffer needs no clearing.
+    q.resize(src.len(), 0);
+    match mode {
+        KernelMode::Scalar => {
+            scales.clear();
             let mut start = 0;
             for &rows in group_rows {
-                let end = start + rows * self.input_size;
-                let scale = kernel::quantize_into(&x.as_slice()[start..end], &mut q0[start..end]);
+                let end = start + rows * width;
+                let scale = kernel::quantize_reference(&src[start..end], &mut q[start..end]);
                 scales.extend(std::iter::repeat_n(scale, rows));
                 start = end;
             }
-            let out = self.infer_groups_prequant(&q0, &scales, group_rows, mode, &mut scratch);
-            return Matrix::from_flat(x.rows(), self.output_size, out.to_vec());
         }
-        let mut out = Matrix::zeros(x.rows(), self.output_size);
-        let mut start = 0usize;
-        for &rows in group_rows {
-            if rows == 0 {
-                continue;
-            }
-            let flat = &x.as_slice()[start * self.input_size..(start + rows) * self.input_size];
-            let group = Matrix::from_flat(rows, self.input_size, flat.to_vec());
-            let result = self.infer_reference(&group);
-            for r in 0..rows {
-                out.row_mut(start + r).copy_from_slice(result.row(r));
-            }
-            start += rows;
-        }
-        out
-    }
-
-    fn infer_layer(layer: &NpuLayer, input: &Matrix) -> Matrix {
-        // Quantize the activations of the whole batch with one scale.
-        let act_q = QuantizedTensor::quantize(input.as_slice());
-        let w_q = layer.weights.codes();
-        let (n_in, n_out) = (layer.weights.n_in(), layer.weights.n_out());
-        let out_scale = layer.weights.scale() * act_q.scale();
-        let mut out = Matrix::zeros(input.rows(), n_out);
-        for r in 0..input.rows() {
-            let a_row = &act_q.values()[r * n_in..(r + 1) * n_in];
-            for o in 0..n_out {
-                let w_row = &w_q[o * n_in..(o + 1) * n_in];
-                let mut acc: i32 = 0;
-                for (a, w) in a_row.iter().zip(w_row) {
-                    acc += *a as i32 * *w as i32;
-                }
-                let mut v = acc as f32 * out_scale + layer.bias[o];
-                if layer.relu {
-                    v = v.max(0.0);
-                }
-                out.set(r, o, v);
-            }
-        }
-        out
+        KernelMode::Vectorized => kernel::quantize_groups(src, width, group_rows, q, scales),
     }
 }
 
@@ -387,7 +282,7 @@ mod tests {
             })
             .collect();
         let batch = Matrix::from_rows(rows.clone());
-        let approx = c.infer(&batch);
+        let approx = c.infer(&batch, KernelMode::default());
         let mut max_err = 0.0f32;
         let mut max_mag = 0.0f32;
         for (i, row) in rows.iter().enumerate() {
@@ -416,7 +311,7 @@ mod tests {
                 .map(|j| (((i * 13 + j * 5) % 17) as f32 / 17.0) - 0.5)
                 .collect();
             let exact = m.forward(&row);
-            let approx = c.infer(&Matrix::from_rows(vec![row]));
+            let approx = c.infer(&Matrix::from_rows(vec![row]), KernelMode::default());
             let am_exact = exact
                 .iter()
                 .enumerate()
@@ -440,21 +335,37 @@ mod tests {
     #[should_panic(expected = "input width mismatch")]
     fn infer_validates_width() {
         let c = NpuModel::compile(&mlp());
-        let _ = c.infer(&Matrix::zeros(1, 3));
+        let _ = c.infer(&Matrix::zeros(1, 3), KernelMode::default());
+    }
+
+    /// Quantizes each group of `x` on its own, as the serving flush does,
+    /// and runs them through [`NpuModel::infer_groups`].
+    fn infer_grouped(c: &NpuModel, x: &Matrix, groups: &[usize], mode: KernelMode) -> Matrix {
+        let (mut q0, mut scales) = (vec![0; x.as_slice().len()], Vec::new());
+        kernel::quantize_groups(x.as_slice(), x.cols(), groups, &mut q0, &mut scales);
+        let mut scratch = InferScratch::new();
+        let out = c.infer_groups(&q0, &scales, groups, mode, &mut scratch);
+        Matrix::from_flat(x.rows(), c.output_size(), out.to_vec())
     }
 
     #[test]
     fn grouped_inference_isolates_requests() {
         let c = NpuModel::compile(&mlp());
+        let infer = |x: Vec<Vec<f32>>| c.infer(&Matrix::from_rows(x), KernelMode::default());
         // Two requests with very different activation ranges: stacked
         // whole-batch quantization would couple their scales.
         let small: Vec<Vec<f32>> = (0..2).map(|i| vec![0.01 * (i + 1) as f32; 21]).collect();
         let large: Vec<Vec<f32>> = (0..3).map(|i| vec![5.0 + i as f32; 21]).collect();
         let mut stacked = small.clone();
         stacked.extend(large.clone());
-        let grouped = c.infer_grouped(&Matrix::from_rows(stacked.clone()), &[2, 3]);
-        let alone_small = c.infer(&Matrix::from_rows(small));
-        let alone_large = c.infer(&Matrix::from_rows(large));
+        let grouped = infer_grouped(
+            &c,
+            &Matrix::from_rows(stacked.clone()),
+            &[2, 3],
+            KernelMode::default(),
+        );
+        let alone_small = infer(small);
+        let alone_large = infer(large);
         for r in 0..2 {
             assert_eq!(grouped.row(r), alone_small.row(r), "request 0 row {r}");
         }
@@ -463,15 +374,22 @@ mod tests {
         }
         // The naive whole-batch path does NOT have this isolation property
         // (which is exactly why the serve path uses groups).
-        let naive = c.infer(&Matrix::from_rows(stacked));
+        let naive = infer(stacked);
         assert_ne!(naive.row(0), grouped.row(0));
     }
 
     #[test]
-    #[should_panic(expected = "group sizes must cover the batch")]
+    #[should_panic(expected = "input shape mismatch")]
     fn grouped_inference_validates_group_sizes() {
         let c = NpuModel::compile(&mlp());
-        let _ = c.infer_grouped(&Matrix::zeros(4, 21), &[2, 1]);
+        let mut scratch = InferScratch::new();
+        let _ = c.infer_groups(
+            &[0; 4 * 21],
+            &[1.0; 4],
+            &[2, 1],
+            KernelMode::default(),
+            &mut scratch,
+        );
     }
 
     fn feature_batch(rows: usize, seed: usize) -> Matrix {
@@ -491,10 +409,9 @@ mod tests {
         let c = NpuModel::compile(&mlp());
         for rows in [1, 2, 5, 16] {
             let batch = feature_batch(rows, rows);
-            let reference = c.infer_reference(&batch);
-            let vectorized = c.infer_with(&batch, KernelMode::Vectorized);
+            let reference = c.infer(&batch, KernelMode::Scalar);
+            let vectorized = c.infer(&batch, KernelMode::Vectorized);
             assert_eq!(reference, vectorized, "batch of {rows}");
-            assert_eq!(c.infer(&batch), reference, "default mode, batch of {rows}");
         }
     }
 
@@ -503,30 +420,25 @@ mod tests {
         let c = NpuModel::compile(&mlp());
         let batch = feature_batch(9, 4);
         for groups in [vec![9], vec![1; 9], vec![2, 3, 4], vec![4, 0, 5]] {
-            let scalar = c.infer_grouped_with(&batch, &groups, KernelMode::Scalar);
-            let vectorized = c.infer_grouped_with(&batch, &groups, KernelMode::Vectorized);
+            let scalar = infer_grouped(&c, &batch, &groups, KernelMode::Scalar);
+            let vectorized = infer_grouped(&c, &batch, &groups, KernelMode::Vectorized);
             assert_eq!(scalar, vectorized, "groups {groups:?}");
         }
     }
 
     #[test]
-    fn prequant_path_matches_grouped_inference() {
+    fn one_group_matches_whole_batch_inference_with_reused_scratch() {
         let c = NpuModel::compile(&mlp());
-        let batch = feature_batch(3, 7);
-        let grouped = c.infer_grouped(&batch, &[3]);
-        let mut q0 = Vec::new();
-        let scale = c.quantize_input(batch.as_slice(), &mut q0);
         let mut scratch = InferScratch::new();
-        let out = c
-            .infer_prequant(&q0, scale, 3, KernelMode::Vectorized, &mut scratch)
-            .to_vec();
-        assert_eq!(grouped.as_slice(), &out[..]);
+        let (mut q0, mut scales) = (Vec::new(), Vec::new());
         // Scratch reuse across calls must not leak state between groups.
-        let other = feature_batch(2, 12);
-        let scale2 = c.quantize_input(other.as_slice(), &mut q0);
-        let out2 = c
-            .infer_prequant(&q0, scale2, 2, KernelMode::Vectorized, &mut scratch)
-            .to_vec();
-        assert_eq!(c.infer_grouped(&other, &[2]).as_slice(), &out2[..]);
+        for (rows, seed) in [(3, 7), (2, 12), (5, 1)] {
+            let batch = feature_batch(rows, seed);
+            q0.resize(batch.as_slice().len(), 0);
+            kernel::quantize_groups(batch.as_slice(), 21, &[rows], &mut q0, &mut scales);
+            let out = c.infer_groups(&q0, &scales, &[rows], KernelMode::Vectorized, &mut scratch);
+            let whole = c.infer(&batch, KernelMode::Vectorized);
+            assert_eq!(whole.as_slice(), out, "batch of {rows}");
+        }
     }
 }

@@ -1,8 +1,9 @@
 //! Property-based tests of quantization and the device cost model.
 
 use hmc_types::SimDuration;
-use nn::{Matrix, Mlp};
-use npu::{DedicatedNpu, NpuDevice, NpuModel, QuantizedTensor};
+use nn::kernel::quantize_reference;
+use nn::{KernelMode, Matrix, Mlp};
+use npu::{DedicatedNpu, NpuDevice, NpuModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -11,12 +12,12 @@ proptest! {
     /// Symmetric int8 quantization error is bounded by half a step.
     #[test]
     fn quantization_error_bounded(values in proptest::collection::vec(-100.0f32..100.0, 1..256)) {
-        let q = QuantizedTensor::quantize(&values);
-        let back = q.dequantize();
-        for (orig, rec) in values.iter().zip(&back) {
+        let mut codes = vec![0; values.len()];
+        let scale = quantize_reference(&values, &mut codes);
+        for (orig, &q) in values.iter().zip(&codes) {
             // Half a quantization step, plus a few ULP of slack: the f32
             // division can land exactly on the rounding boundary.
-            prop_assert!((orig - rec).abs() <= q.scale() * 0.50005 + 1e-6);
+            prop_assert!((orig - q as f32 * scale).abs() <= scale * 0.50005 + 1e-6);
         }
     }
 
@@ -44,7 +45,7 @@ proptest! {
             .map(|_| rand::RngExt::random_range(&mut input_rng, -1.0f32..1.0))
             .collect();
         let exact = mlp.forward(&row);
-        let approx = compiled.infer(&Matrix::from_rows(vec![row]));
+        let approx = compiled.infer(&Matrix::from_rows(vec![row]), KernelMode::default());
         let mag = exact.iter().fold(0.0f32, |m, v| m.max(v.abs())).max(0.5);
         for (j, &e) in exact.iter().enumerate() {
             prop_assert!(

@@ -7,7 +7,7 @@
 //! ```
 
 use nn::Matrix;
-use npu::{NpuDevice, NpuModel};
+use npu::{KernelMode, NpuDevice, NpuModel};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use top_il::prelude::*;
@@ -80,7 +80,7 @@ fn main() {
     let compiled = NpuModel::compile(models[0].mlp());
     let device = NpuDevice::kirin970();
     let batch = Matrix::from_rows(vec![vec![0.0; topil::FEATURE_COUNT]; 4]);
-    assert_eq!(compiled.infer(&batch).rows(), 4);
+    assert_eq!(compiled.infer(&batch, KernelMode::default()).rows(), 4);
     println!(
         "step 6: compiled to {} int8 weight bytes; batch-4 inference in {} (host CPU {})",
         compiled.weight_bytes(),

@@ -1,8 +1,11 @@
-//! Differential harness for the int8 inference kernels: the scalar
-//! reference loop, the vectorized fused kernel, and the policy-output
-//! cache must produce bit-identical results on every shape, weight,
-//! scale, and adversarial rounding-boundary input: the scalar loop is
-//! the executable specification the vectorized body is diffed against.
+//! Differential harness for the int8 inference path: the scalar spec
+//! (the reference quantizer and the naive product loop), the fast path
+//! (the lane-parallel quantizer and the vectorized bodies), and the
+//! policy-output cache must produce bit-identical results on every shape,
+//! weight, scale, grouping and adversarial rounding-boundary input: the
+//! scalar spec is the executable specification the fast path is diffed
+//! against. The per-body, per-instruction-tier sweep lives beside the
+//! private layer dispatcher, in `nn::kernel`'s unit tests.
 //!
 //! Bit equality here is load-bearing, not cosmetic: the golden-trace
 //! fixtures and the fleet/edge CSV diff gates hash policy outputs, so a
@@ -16,9 +19,9 @@ mod common;
 use bench::csv::fleet_csv;
 use bench::fleet::{self, FleetConfig};
 use common::quick_model;
-use nn::kernel::{self, Body, KernelMode, PackedWeights, RowScales};
+use nn::kernel::{self, KernelMode, PackedWeights, RowScales};
 use nn::{Matrix, Mlp};
-use npu::{InferScratch, NpuModel, PolicyCache, QuantizedTensor};
+use npu::{InferScratch, NpuModel, PolicyCache};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,6 +34,10 @@ impl Stream {
         self.0 ^= self.0 >> 7;
         self.0 ^= self.0 << 17;
         self.0
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
     }
 
     /// A value engineered to stress the quantizer: exact half-step
@@ -47,7 +54,79 @@ impl Stream {
     }
 }
 
-/// The fused layer agrees with itself across kernels on randomized
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The reference quantizer on one buffer, into a fresh code vector.
+fn quantize_reference(src: &[f32]) -> (f32, Vec<i8>) {
+    let mut codes = vec![0; src.len()];
+    let scale = kernel::quantize_reference(src, &mut codes);
+    (scale, codes)
+}
+
+/// One layer on the spec: each group of `input` quantized alone by the
+/// reference quantizer, then the scalar product. Returns the codes and
+/// the outputs.
+fn spec_layer(
+    input: &[f32],
+    groups: &[usize],
+    w: &PackedWeights,
+    bias: &[f32],
+    relu: bool,
+) -> (Vec<i8>, Vec<f32>) {
+    let (mut codes, mut scales) = (Vec::new(), Vec::new());
+    let mut start = 0;
+    for &g in groups {
+        let (scale, q) = quantize_reference(&input[start..start + g * w.n_in()]);
+        codes.extend(q);
+        scales.extend(std::iter::repeat_n(scale, g));
+        start += g * w.n_in();
+    }
+    let mut out = Vec::new();
+    let rows = scales.len();
+    let scales = RowScales::PerRow(&scales);
+    kernel::fused_layer(
+        KernelMode::Scalar,
+        &codes,
+        scales,
+        rows,
+        w,
+        bias,
+        relu,
+        &mut out,
+    );
+    (codes, out)
+}
+
+/// One layer on the fast path: the groups quantized lane-parallel, then
+/// the vectorized body. Returns the codes and the outputs.
+fn fast_layer(
+    input: &[f32],
+    groups: &[usize],
+    w: &PackedWeights,
+    bias: &[f32],
+    relu: bool,
+) -> (Vec<i8>, Vec<f32>) {
+    let (mut codes, mut scales) = (vec![0; input.len()], Vec::new());
+    kernel::quantize_groups(input, w.n_in(), groups, &mut codes, &mut scales);
+    let mut out = Vec::new();
+    let rows = scales.len();
+    let scales = RowScales::PerRow(&scales);
+    kernel::fused_layer(
+        KernelMode::Vectorized,
+        &codes,
+        scales,
+        rows,
+        w,
+        bias,
+        relu,
+        &mut out,
+    );
+    (codes, out)
+}
+
+/// One layer agrees across the spec and the fast path on randomized
 /// shapes — including every lane-tail class (`n_in % 16`) and
 /// output-tile remainder (`n_out % 4`) — with rounding-boundary inputs
 /// and power-of-two plus irregular scales.
@@ -71,30 +150,23 @@ fn fused_layer_kernels_agree_on_random_shapes() {
             .collect();
 
         let w = PackedWeights::new(w_q, w_scale, n_in, n_out);
-        let run = |mode: KernelMode| {
-            let mut q = Vec::new();
-            let mut out = Vec::new();
-            kernel::fused_layer(mode, &input, rows, &w, &bias, relu, &mut q, &mut out);
-            (q, out)
-        };
-        let (q_s, out_s) = run(KernelMode::Scalar);
-        let (q_v, out_v) = run(KernelMode::Vectorized);
+        let (q_s, out_s) = spec_layer(&input, &[rows], &w, &bias, relu);
+        let (q_v, out_v) = fast_layer(&input, &[rows], &w, &bias, relu);
         assert_eq!(q_s, q_v, "quantized codes diverged (case {case})");
-        let bits_s: Vec<u32> = out_s.iter().map(|v| v.to_bits()).collect();
-        let bits_v: Vec<u32> = out_v.iter().map(|v| v.to_bits()).collect();
         assert_eq!(
-            bits_s, bits_v,
+            bits(&out_s),
+            bits(&out_v),
             "case {case}: rows={rows} n_in={n_in} n_out={n_out} relu={relu}"
         );
     }
 }
 
-/// Every vectorized body, on the baseline and the AVX2 instantiation,
-/// agrees with the scalar reference on every small layer shape the
-/// shape dispatch chooses between — each fan-in and fan-out up to one
-/// lane block past `LANES`, plus the fleet's 21- and 64-wide layers —
-/// at one row (a GEMV) and at sixteen rows in five separately quantized
-/// groups, each scaled on its own as if it ran alone.
+/// The fast path agrees with the spec on every small layer shape the
+/// shape dispatch chooses a body for — each fan-in and fan-out up to one
+/// lane block past `LANES`, plus the fleet's 21- and 64-wide layers — at
+/// one row (a GEMV) and at sixteen rows in five separately quantized
+/// groups, each scaled on its own as if it ran alone. (`nn::kernel`'s
+/// unit test of the same name runs each body on each instantiation.)
 #[test]
 fn every_body_agrees_on_the_small_shape_sweep() {
     let mut s = Stream(0x5EED_0F5A_115B_A5E5);
@@ -111,64 +183,30 @@ fn every_body_agrees_on_the_small_shape_sweep() {
                 let rows: usize = groups.iter().sum();
                 let relu = rows == 1;
                 let input: Vec<f32> = (0..rows * n_in).map(|_| s.adversarial(0.0625)).collect();
-                // Each group alone through the scalar reference.
+                // Each group alone through the spec.
                 let mut expect = Vec::new();
                 let mut start = 0;
                 for &g in groups {
-                    let (mut q, mut out) = (Vec::new(), Vec::new());
                     let group = &input[start * n_in..(start + g) * n_in];
-                    kernel::fused_layer(
-                        KernelMode::Scalar,
-                        group,
-                        g,
-                        &w,
-                        &bias,
-                        relu,
-                        &mut q,
-                        &mut out,
-                    );
-                    expect.extend(out.iter().map(|v| v.to_bits()));
+                    expect.extend(bits(&spec_layer(group, &[g], &w, &bias, relu).1));
                     start += g;
                 }
-                let (mut q, mut scales, mut out) = (Vec::new(), Vec::new(), Vec::new());
-                kernel::fused_layer_groups(
-                    KernelMode::Vectorized,
-                    &input,
-                    groups,
-                    &w,
-                    &bias,
-                    relu,
-                    &mut q,
-                    &mut scales,
-                    &mut out,
-                );
-                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                let (_, got) = fast_layer(&input, groups, &w, &bias, relu);
                 assert_eq!(
-                    got, expect,
+                    bits(&got),
+                    expect,
                     "grouped: n_in={n_in} n_out={n_out} rows={rows}"
                 );
-                for body in [Body::Blocked, Body::Lanes] {
-                    for avx2 in [false, true] {
-                        let scales = RowScales::PerRow(&scales);
-                        kernel::fused_layer_on(
-                            body, avx2, &q, scales, rows, &w, &bias, relu, &mut out,
-                        );
-                        let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-                        assert_eq!(
-                            got, expect,
-                            "{body:?} avx2={avx2}: n_in={n_in} n_out={n_out} rows={rows}"
-                        );
-                    }
-                }
             }
         }
     }
 }
 
-/// The vectorized quantizer is bit-identical to `QuantizedTensor::quantize`
-/// (the libm `round` rule) on rounding boundaries `k ± 0.5` and their
-/// float neighbours, signed zeros, subnormals, NaN, the infinities and
-/// all-zero rows.
+/// The fast quantizer is bit-identical to the reference quantizer (the
+/// libm `round` rule) on rounding boundaries `k ± 0.5` and their float
+/// neighbours, signed zeros, subnormals, NaN, the infinities and
+/// all-zero rows — each row alone, and all of them stacked as one-row
+/// groups of a lane-parallel pass.
 #[test]
 fn quantizer_matches_the_reference_on_adversarial_rows() {
     let mut boundary = Vec::new();
@@ -205,26 +243,74 @@ fn quantizer_matches_the_reference_on_adversarial_rows() {
         row.insert(i * 3, v);
         rows.push(row);
     }
-    for row in rows {
-        let mut q = Vec::new();
-        let scale = kernel::quantize_sym(&row, &mut q);
-        let reference = QuantizedTensor::quantize(&row);
+    for row in &rows {
+        let (scale, codes) = quantize_reference(row);
+        let (mut q, mut scales) = (vec![0; row.len()], Vec::new());
+        kernel::quantize_groups(row, row.len(), &[1], &mut q, &mut scales);
+        assert_eq!(scales[0].to_bits(), scale.to_bits(), "scale of {row:?}");
+        assert_eq!(q, codes, "codes of {row:?}");
+    }
+    // The 37-wide mixed rows, stacked: enough one-row groups for a pass.
+    let mixed = &rows[rows.len() - specials.len()..];
+    let stacked: Vec<f32> = mixed.iter().flatten().copied().collect();
+    let (mut q, mut scales) = (vec![0; stacked.len()], Vec::new());
+    kernel::quantize_groups(&stacked, 38, &vec![1; mixed.len()], &mut q, &mut scales);
+    for (r, row) in mixed.iter().enumerate() {
+        let (scale, codes) = quantize_reference(row);
         assert_eq!(
+            scales[r].to_bits(),
             scale.to_bits(),
-            reference.scale().to_bits(),
-            "scale of {row:?}"
+            "stacked scale of {row:?}"
         );
-        assert_eq!(q, reference.values(), "codes of {row:?}");
+        assert_eq!(
+            &q[r * 38..(r + 1) * 38],
+            &codes[..],
+            "stacked codes of {row:?}"
+        );
     }
 }
 
-/// Whole-model differential over randomized topologies: the reference
-/// loop, the scalar fused pipeline, and the vectorized fused pipeline
-/// agree bit-for-bit on every layer count, width (including odd tails),
-/// and batch size.
+/// A random split of `rows` rows into groups: one-row groups (the edge's
+/// requests), one whole-batch group, or mixed sizes with now and then an
+/// empty group.
+fn random_split(s: &mut Stream, rows: usize) -> Vec<usize> {
+    match s.below(3) {
+        0 => vec![1; rows],
+        1 => vec![rows],
+        _ => {
+            let mut groups = Vec::new();
+            let mut left = rows;
+            while left > 0 {
+                let g = if s.below(8) == 0 {
+                    0
+                } else {
+                    1 + s.below(left)
+                };
+                groups.push(g);
+                left -= g;
+            }
+            groups
+        }
+    }
+}
+
+/// The first-layer codes and per-row scales of `x`'s groups, as the
+/// serving flush makes them.
+fn quantize_groups(x: &[f32], width: usize, groups: &[usize]) -> (Vec<i8>, Vec<f32>) {
+    let (mut q0, mut scales) = (vec![0; x.len()], Vec::new());
+    kernel::quantize_groups(x, width, groups, &mut q0, &mut scales);
+    (q0, scales)
+}
+
+/// Whole-model differential over randomized topologies and group splits:
+/// on every layer count, width (including odd tails), batch size and
+/// split into groups, the scalar spec and the fast path agree bit for
+/// bit, every group's rows equal that group run alone, and a whole batch
+/// run as one group equals the whole-batch convenience on both kernels.
 #[test]
 fn model_kernels_agree_on_random_topologies() {
     let mut s = Stream(0xFEED_FACE_CAFE_F00D);
+    let mut scratch = InferScratch::new();
     for case in 0..24 {
         let inputs = 1 + (s.next() % 40) as usize;
         let layers = 1 + (s.next() % 4) as usize;
@@ -244,20 +330,55 @@ fn model_kernels_agree_on_random_topologies() {
                 .map(|_| (0..inputs).map(|_| s.adversarial(0.031_25)).collect())
                 .collect(),
         );
-        let reference = model.infer_reference(&batch);
-        let scalar = model.infer_with(&batch, KernelMode::Scalar);
-        let vectorized = model.infer_with(&batch, KernelMode::Vectorized);
-        let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let shape = format!("case {case}: {inputs}x{layers}x{hidden}x{outputs}");
+        let scalar = model.infer(&batch, KernelMode::Scalar);
+        let vectorized = model.infer(&batch, KernelMode::Vectorized);
         assert_eq!(
-            bits(&reference),
-            bits(&scalar),
-            "case {case}: scalar fused pipeline drifted from the reference loop"
+            bits(scalar.as_slice()),
+            bits(vectorized.as_slice()),
+            "{shape}: the whole-batch fast path drifted from the spec"
         );
+        let (q0, scales) = quantize_groups(batch.as_slice(), inputs, &[rows]);
+        let one_group = model.infer_groups(&q0, &scales, &[rows], KernelMode::Scalar, &mut scratch);
         assert_eq!(
-            bits(&reference),
-            bits(&vectorized),
-            "case {case}: vectorized kernel drifted ({inputs}x{layers}x{hidden}x{outputs})"
+            bits(one_group),
+            bits(scalar.as_slice()),
+            "{shape}: one group diverged from the whole-batch call"
         );
+        // Several splits of a taller batch: the edge's one-row groups, one
+        // whole-batch group, and mixed sizes.
+        let tall = 1 + s.below(24);
+        let x: Vec<f32> = (0..tall * inputs)
+            .map(|_| s.adversarial(0.031_25))
+            .collect();
+        for _ in 0..4 {
+            let groups = random_split(&mut s, tall);
+            let what = format!("{shape}, groups {groups:?}");
+            let (q0, scales) = quantize_groups(&x, inputs, &groups);
+            let spec = model
+                .infer_groups(&q0, &scales, &groups, KernelMode::Scalar, &mut scratch)
+                .to_vec();
+            let fast =
+                model.infer_groups(&q0, &scales, &groups, KernelMode::Vectorized, &mut scratch);
+            assert_eq!(
+                bits(&spec),
+                bits(fast),
+                "{what}: the fast path drifted from the spec"
+            );
+            let mut row = 0;
+            for (g, &n) in groups.iter().enumerate() {
+                let group = &x[row * inputs..(row + n) * inputs];
+                let (q0, scales) = quantize_groups(group, inputs, &[n]);
+                let alone =
+                    model.infer_groups(&q0, &scales, &[n], KernelMode::Scalar, &mut scratch);
+                assert_eq!(
+                    bits(&spec[row * outputs..(row + n) * outputs]),
+                    bits(alone),
+                    "{what}: group {g} differs from running it alone"
+                );
+                row += n;
+            }
+        }
     }
 }
 
@@ -270,7 +391,6 @@ fn cached_path_is_bit_identical_to_fresh_inference() {
     for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
         let mut cache = PolicyCache::new(3);
         let mut scratch = InferScratch::new();
-        let mut q = Vec::new();
         let mut s = Stream(0xA11C_ED1D_EA75_0000 | mode as u64);
         for step in 0..60 {
             let which = (s.next() % 7) as usize;
@@ -284,21 +404,23 @@ fn cached_path_is_bit_identical_to_fresh_inference() {
                     })
                     .collect(),
             );
-            let scale = model.quantize_input(group.as_slice(), &mut q);
-            let cached = match cache.probe(&q, scale, rows) {
+            let (q, scales) = quantize_groups(group.as_slice(), 21, &[rows]);
+            let cached = match cache.probe(&q, scales[0], rows) {
                 Ok(out) => out.to_vec(),
                 Err(key) => {
                     let out = model
-                        .infer_prequant(&q, scale, rows, mode, &mut scratch)
+                        .infer_groups(&q, &scales, &[rows], mode, &mut scratch)
                         .to_vec();
-                    cache.insert(key, &q, scale, rows, &out);
+                    cache.insert(key, &q, scales[0], rows, &out);
                     out
                 }
             };
-            let fresh = model.infer_grouped(&group, &[rows]);
-            let cached_bits: Vec<u32> = cached.iter().map(|v| v.to_bits()).collect();
-            let fresh_bits: Vec<u32> = fresh.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(cached_bits, fresh_bits, "step {step} ({mode:?})");
+            let fresh = model.infer(&group, KernelMode::Vectorized);
+            assert_eq!(
+                bits(&cached),
+                bits(fresh.as_slice()),
+                "step {step} ({mode:?})"
+            );
         }
         let stats = cache.stats();
         assert!(stats.hits > 0, "stream must exercise cache hits");
