@@ -220,6 +220,23 @@ fn npu_benches(c: &mut Criterion) {
             black_box(out[0])
         });
     });
+    // One nominal-load compute drain: nine one-row requests, each its own
+    // quantization group, quantized in one call and run through the
+    // layers in one `infer_groups` call.
+    group.bench_function("infer_edge_drain", |b| {
+        let groups = [1; 9];
+        let width = model.input_size();
+        let rows = seeded_payload(1, groups.len(), width);
+        let (mut q, mut scales) = (vec![0; rows.as_slice().len()], Vec::new());
+        let mut scratch = InferScratch::new();
+        b.iter(|| {
+            let x = black_box(rows.as_slice());
+            kernel::quantize_groups(x, width, &groups, &mut q, &mut scales);
+            let out =
+                model.infer_groups(&q, &scales, &groups, KernelMode::Vectorized, &mut scratch);
+            black_box(out[0])
+        });
+    });
     group.finish();
 }
 

@@ -42,6 +42,8 @@ mod groups;
 
 pub use groups::quantize_groups;
 
+use crate::simd::Tier;
+
 /// Lane width of the wide `i32` accumulator bundles.
 ///
 /// 16 × i32 fills one AVX-512 register, two AVX2 registers, or four SSE2
@@ -333,7 +335,17 @@ pub fn fused_layer(
     out: &mut Vec<f32>,
 ) {
     let body = mode.body(w);
-    run_layer(body, true, a_q, act_scales, rows, w, bias, relu, out);
+    run_layer(
+        body,
+        Tier::detected(),
+        a_q,
+        act_scales,
+        rows,
+        w,
+        bias,
+        relu,
+        out,
+    );
 }
 
 impl KernelMode {
@@ -348,12 +360,12 @@ impl KernelMode {
 }
 
 /// The layer dispatcher: checks shapes, sizes `out`, and runs the scalar
-/// reference (`body` is `None`) or a vectorized body, on the baseline
-/// instantiation or (`avx2`, when the host has it) the AVX2 one.
+/// reference (`body` is `None`) or a vectorized body, instantiated for
+/// `tier`.
 #[allow(clippy::too_many_arguments)]
 fn run_layer(
     body: Option<Body>,
-    avx2: bool,
+    tier: Tier,
     a_q: &[i8],
     act_scales: RowScales,
     rows: usize,
@@ -376,14 +388,17 @@ fn run_layer(
         bias,
         relu,
     };
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = avx2;
     #[cfg(target_arch = "x86_64")]
-    if avx2 && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the feature check above guarantees AVX2 is available.
+    if tier.has_avx512() {
+        // SAFETY: an AVX-512 tier is made only on an AVX-512F host.
+        unsafe { gemm_avx512(body, a_q, w, rows, &epilogue, out) };
+        return;
+    } else if tier.has_avx2() {
+        // SAFETY: an AVX2 tier is made only on an AVX2 host.
         unsafe { gemm_avx2(body, a_q, w, rows, &epilogue, out) };
         return;
     }
+    let _ = tier;
     gemm(body, a_q, w, rows, &epilogue, out);
 }
 
@@ -398,6 +413,26 @@ fn run_layer(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn gemm_avx2(
+    body: Option<Body>,
+    a_q: &[i8],
+    w: &PackedWeights,
+    rows: usize,
+    epi: &Epilogue,
+    out: &mut [f32],
+) {
+    gemm(body, a_q, w, rows, epi, out)
+}
+
+/// The AVX-512F instantiation of [`gemm`]: a 16-lane bundle of `i32`
+/// sums, and the lane-wide epilogue over it, each fill one register.
+/// Value-identical to the others, as [`gemm_avx2`] is.
+///
+/// # Safety
+///
+/// The host must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gemm_avx512(
     body: Option<Body>,
     a_q: &[i8],
     w: &PackedWeights,
@@ -437,35 +472,57 @@ struct Epilogue<'a> {
 impl<'a> Epilogue<'a> {
     /// The epilogue of row `r`, rescaling by `w_scale · act_scale`.
     #[inline(always)]
-    fn row(&self, r: usize) -> RowEpilogue<'a> {
+    fn row(&self, r: usize) -> RowEpilogue {
         let act_scale = match self.act_scales {
             RowScales::Uniform(scale) => scale,
             RowScales::PerRow(scales) => scales[r],
         };
         RowEpilogue {
             out_scale: self.w_scale * act_scale,
-            bias: self.bias,
             relu: self.relu,
         }
+    }
+
+    /// The biases of outputs `o..o + LANES`, zero past the last output:
+    /// the padded lanes compute a value that is never stored.
+    #[inline(always)]
+    fn bias_block(&self, o: usize) -> [f32; LANES] {
+        let mut block = [0.0; LANES];
+        let live = LANES.min(self.bias.len() - o);
+        block[..live].copy_from_slice(&self.bias[o..o + live]);
+        block
     }
 }
 
 /// The epilogue of one row.
-struct RowEpilogue<'a> {
+struct RowEpilogue {
     out_scale: f32,
-    bias: &'a [f32],
     relu: bool,
 }
 
-impl RowEpilogue<'_> {
+impl RowEpilogue {
+    /// `N` outputs at once: `acc as f32 * out_scale + bias`, then
+    /// `max(0.0)` — per lane the same IEEE operations in the same order
+    /// as every other output, so a whole bundle rescales in vector
+    /// registers without changing a bit.
     #[inline(always)]
-    fn apply(&self, acc: i32, o: usize) -> f32 {
-        let v = acc as f32 * self.out_scale + self.bias[o];
-        if self.relu {
-            v.max(0.0)
-        } else {
-            v
+    fn apply<const N: usize>(&self, acc: &[i32; N], bias: &[f32; N]) -> [f32; N] {
+        let mut v = [0.0f32; N];
+        for l in 0..N {
+            v[l] = acc[l] as f32 * self.out_scale + bias[l];
         }
+        if self.relu {
+            for x in &mut v {
+                *x = x.max(0.0);
+            }
+        }
+        v
+    }
+
+    /// One output, through the same lane loop.
+    #[inline(always)]
+    fn apply_one(&self, acc: i32, bias: f32) -> f32 {
+        self.apply(&[acc], &[bias])[0]
     }
 }
 
@@ -473,7 +530,7 @@ impl RowEpilogue<'_> {
 /// in input order — the executable specification the vectorized bodies
 /// are diffed against.
 fn gemm_scalar(a_q: &[i8], w: &PackedWeights, rows: usize, epi: &Epilogue, out: &mut [f32]) {
-    let (n_in, n_out) = (w.n_in, w.n_out);
+    let (n_in, n_out, bias) = (w.n_in, w.n_out, epi.bias);
     for r in 0..rows {
         let epi = epi.row(r);
         let a_row = &a_q[r * n_in..(r + 1) * n_in];
@@ -483,7 +540,7 @@ fn gemm_scalar(a_q: &[i8], w: &PackedWeights, rows: usize, epi: &Epilogue, out: 
             for (a, w) in a_row.iter().zip(w_row) {
                 acc += *a as i32 * *w as i32;
             }
-            out[r * n_out + o] = epi.apply(acc, o);
+            out[r * n_out + o] = epi.apply_one(acc, bias[o]);
         }
     }
 }
@@ -542,7 +599,7 @@ impl I32Lanes {
 /// matrix streams through cache once per row block.
 #[inline(always)]
 fn gemm_blocked(a_q: &[i8], w: &PackedWeights, rows: usize, epi: &Epilogue, out: &mut [f32]) {
-    let (n_in, n_out, w_q) = (w.n_in, w.n_out, &w.codes[..]);
+    let (n_in, n_out, w_q, bias) = (w.n_in, w.n_out, &w.codes[..], epi.bias);
     let body = n_in - n_in % LANES;
     for r in 0..rows {
         let epi = epi.row(r);
@@ -564,14 +621,16 @@ fn gemm_blocked(a_q: &[i8], w: &PackedWeights, rows: usize, epi: &Epilogue, out:
                 }
                 k += LANES;
             }
+            let mut sums = [0i32; OUT_TILE];
             for t in 0..OUT_TILE {
-                let mut s = acc[t].sum();
+                sums[t] = acc[t].sum();
                 // Scalar fallback on the odd tail.
                 for k in body..n_in {
-                    s += a_row[k] as i32 * w_rows[t][k] as i32;
+                    sums[t] += a_row[k] as i32 * w_rows[t][k] as i32;
                 }
-                out_row[o + t] = epi.apply(s, o + t);
             }
+            let tile_bias = bias[o..o + OUT_TILE].try_into().expect("tile bias");
+            out_row[o..o + OUT_TILE].copy_from_slice(&epi.apply(&sums, tile_bias));
             o += OUT_TILE;
         }
         // Leftover outputs that do not fill a tile.
@@ -589,7 +648,7 @@ fn gemm_blocked(a_q: &[i8], w: &PackedWeights, rows: usize, epi: &Epilogue, out:
             for k in body..n_in {
                 s += a_row[k] as i32 * w_row[k] as i32;
             }
-            out_row[o] = epi.apply(s, o);
+            out_row[o] = epi.apply_one(s, bias[o]);
             o += 1;
         }
     }
@@ -599,16 +658,18 @@ fn gemm_blocked(a_q: &[i8], w: &PackedWeights, rows: usize, epi: &Epilogue, out:
 /// activation code is broadcast against that block's slice of one
 /// input-major weight row. Each lane accumulates exactly one output's
 /// products, in input order, and the zero weights past `n_out` only
-/// fill lanes that are never written out.
+/// fill lanes that are never written out. The epilogue rescales the
+/// whole bundle against the block's zero-padded biases and stores the
+/// real outputs.
 #[inline(always)]
 fn gemm_lanes(a_q: &[i8], w: &PackedWeights, rows: usize, epi: &Epilogue, out: &mut [f32]) {
     let (n_in, n_out) = (w.n_in, w.n_out);
     let stride = n_out.next_multiple_of(LANES);
-    for r in 0..rows {
-        let epi = epi.row(r);
-        let a_row = &a_q[r * n_in..(r + 1) * n_in];
-        let out_row = &mut out[r * n_out..(r + 1) * n_out];
-        for o in (0..n_out).step_by(LANES) {
+    for o in (0..n_out).step_by(LANES) {
+        let live = LANES.min(n_out - o);
+        let bias = epi.bias_block(o);
+        for r in 0..rows {
+            let a_row = &a_q[r * n_in..(r + 1) * n_in];
             let mut acc = I32Lanes::ZERO;
             for (k, &a) in a_row.iter().enumerate() {
                 let base = k * stride + o;
@@ -617,9 +678,8 @@ fn gemm_lanes(a_q: &[i8], w: &PackedWeights, rows: usize, epi: &Epilogue, out: &
                     .expect("lane slice");
                 acc.mul_add_broadcast(a, w);
             }
-            for (l, v) in out_row[o..n_out.min(o + LANES)].iter_mut().enumerate() {
-                *v = epi.apply(acc.0[l], o + l);
-            }
+            let v = epi.row(r).apply(&acc.0, &bias);
+            out[r * n_out + o..][..live].copy_from_slice(&v[..live]);
         }
     }
 }
@@ -658,7 +718,17 @@ mod tests {
         }
         let mut out = Vec::new();
         let scales = RowScales::PerRow(&scales);
-        run_layer(None, false, &q, scales, rows, w, bias, relu, &mut out);
+        run_layer(
+            None,
+            Tier::detected(),
+            &q,
+            scales,
+            rows,
+            w,
+            bias,
+            relu,
+            &mut out,
+        );
         out
     }
 
@@ -882,12 +952,13 @@ mod tests {
         }
     }
 
-    /// Every vectorized body, on the baseline and the AVX2 instantiation,
-    /// agrees with the spec on every small layer shape the shape dispatch
-    /// chooses between — each fan-in and fan-out up to one lane block
-    /// past `LANES`, plus the fleet's 21- and 64-wide layers — at one row
-    /// (a GEMV) and at sixteen rows in five separately quantized groups,
-    /// each scaled on its own as if it ran alone.
+    /// Every vectorized body, on every instantiation the host runs
+    /// (baseline, AVX2, AVX-512F), agrees with the spec on every small
+    /// layer shape the shape dispatch chooses between — each fan-in and
+    /// fan-out up to one lane block past `LANES`, plus the fleet's 21- and
+    /// 64-wide layers — at one row (a GEMV) and at sixteen rows in five
+    /// separately quantized groups, each scaled on its own as if it ran
+    /// alone.
     #[test]
     fn every_body_agrees_on_the_small_shape_sweep() {
         let mut s = Stream(0x5EED_0F5A_115B_A5E5);
@@ -905,29 +976,68 @@ mod tests {
                     let relu = rows == 1;
                     let input: Vec<f32> = (0..rows * n_in).map(|_| s.adversarial(0.0625)).collect();
                     let expect = bits(&spec_layer(&input, groups, &w, &bias, relu));
-                    let (mut q, mut scales, mut out) =
-                        (vec![0; input.len()], Vec::new(), Vec::new());
+                    let (mut q, mut scales) = (vec![0; input.len()], Vec::new());
                     quantize_groups(&input, n_in, groups, &mut q, &mut scales);
-                    for body in [Body::Blocked, Body::Lanes] {
-                        for avx2 in [false, true] {
-                            let scales = RowScales::PerRow(&scales);
-                            run_layer(
-                                Some(body),
-                                avx2,
-                                &q,
-                                scales,
-                                rows,
-                                &w,
-                                &bias,
-                                relu,
-                                &mut out,
-                            );
-                            assert_eq!(
-                                bits(&out),
-                                expect,
-                                "{body:?} avx2={avx2}: n_in={n_in} n_out={n_out} rows={rows}"
-                            );
-                        }
+                    let what = format!("n_in={n_in} n_out={n_out} rows={rows}");
+                    check_every_body(&q, &scales, rows, &w, &bias, relu, &expect, &what);
+                }
+            }
+        }
+    }
+
+    /// Runs both vectorized bodies on every tier the host supports and
+    /// holds each output to `expect` bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn check_every_body(
+        q: &[i8],
+        scales: &[f32],
+        rows: usize,
+        w: &PackedWeights,
+        bias: &[f32],
+        relu: bool,
+        expect: &[u32],
+        what: &str,
+    ) {
+        let mut out = Vec::new();
+        for body in [Body::Blocked, Body::Lanes] {
+            for tier in Tier::supported() {
+                let scales = RowScales::PerRow(scales);
+                run_layer(Some(body), tier, q, scales, rows, w, bias, relu, &mut out);
+                assert_eq!(bits(&out), expect, "{body:?} on {}: {what}", tier.name());
+            }
+        }
+    }
+
+    /// The lane-wide epilogue stores only the real outputs of a partly
+    /// filled block or tile: fan-outs that are not a multiple of 16 (or
+    /// of the blocked tile), ReLU on and off, biases with signed zeros
+    /// and values that cancel the rescaled sum, against the scalar
+    /// reference on every tier.
+    #[test]
+    fn epilogue_tails_match_the_reference() {
+        let mut s = Stream(0x7A11_5EED_0BAD_CAFE);
+        for n_in in [5, 12, 16, 21] {
+            for n_out in [4, 17, 33] {
+                let w_q: Vec<i8> = (0..n_out * n_in)
+                    .map(|_| ((s.next() % 255) as i64 - 127) as i8)
+                    .collect();
+                let w = PackedWeights::new(w_q, 0.003_921_569, n_in, n_out);
+                let bias: Vec<f32> = (0..n_out)
+                    .map(|o| match o % 5 {
+                        0 => -0.0,
+                        1 => 0.0,
+                        _ => (s.next() % 2_001) as f32 / 1_000.0 - 1.0,
+                    })
+                    .collect();
+                for rows in [1, 3, 9] {
+                    let input: Vec<f32> = (0..rows * n_in).map(|_| s.adversarial(0.125)).collect();
+                    let groups = vec![1; rows];
+                    for relu in [false, true] {
+                        let expect = bits(&spec_layer(&input, &groups, &w, &bias, relu));
+                        let (mut q, mut scales) = (vec![0; input.len()], Vec::new());
+                        quantize_groups(&input, n_in, &groups, &mut q, &mut scales);
+                        let what = format!("n_in={n_in} n_out={n_out} rows={rows} relu={relu}");
+                        check_every_body(&q, &scales, rows, &w, &bias, relu, &expect, &what);
                     }
                 }
             }

@@ -90,6 +90,19 @@ pub(crate) fn quantize_groups_on(
     assert_eq!(out.len(), src.len(), "quantize length mismatch");
     scales.clear();
     scales.resize(rows, 0.0);
+    if group_rows.len() < MIN_PASS || !tier.has_avx2() {
+        // Too few groups for a pass to win, or no vector pass at all.
+        let (mut start, mut row) = (0, 0);
+        for &n in group_rows {
+            let span = start..start + n * width;
+            if n > 0 {
+                let scale = quantize_row(tier, &src[span.clone()], &mut out[span.clone()]);
+                scales[row..row + n].fill(scale);
+            }
+            (start, row) = (span.end, row + n);
+        }
+        return;
+    }
     let lanes = if tier.has_avx512() { 16 } else { 8 };
     let mut pass = Pass::default();
     let (mut start, mut row) = (0, 0);
@@ -147,12 +160,12 @@ impl Pass {
     }
 
     /// Quantizes the pass's groups, files their scales, and empties the
-    /// pass. Fewer than [`MIN_PASS`] groups, or a host without AVX2, go
-    /// through the per-row quantizer one by one.
+    /// pass. Fewer than [`MIN_PASS`] groups go through the per-row
+    /// quantizer one by one.
     fn run(&mut self, tier: Tier, src: &[f32], out: &mut [i8], scales: &mut [f32]) {
         let mut lane_scales = [0.0f32; MAX_LANES];
         let spans = &self.spans[..self.count];
-        if spans.len() < MIN_PASS || !tier.has_avx2() {
+        if spans.len() < MIN_PASS {
             for (scale, &(start, len)) in lane_scales.iter_mut().zip(spans) {
                 *scale = quantize_row(tier, &src[start..start + len], &mut out[start..start + len]);
             }

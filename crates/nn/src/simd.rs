@@ -57,18 +57,23 @@ impl<R, F: FnOnce() -> R> Kernel for Elementwise<F> {
 }
 
 impl Tier {
-    /// The best tier this host supports.
+    /// The best tier this host supports, detected on the first call: the
+    /// int8 kernel asks on every layer, so later calls read one static
+    /// instead of repeating the feature checks.
     pub(crate) fn detected() -> Tier {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if has_avx512() {
-                return Tier(Level::Avx512);
+        static DETECTED: std::sync::OnceLock<Tier> = std::sync::OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            {
+                if has_avx512() {
+                    return Tier(Level::Avx512);
+                }
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    return Tier(Level::Avx2);
+                }
             }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return Tier(Level::Avx2);
-            }
-        }
-        Tier(Level::Baseline)
+            Tier(Level::Baseline)
+        })
     }
 
     /// Every tier this host can run, lowest first.

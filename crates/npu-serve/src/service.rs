@@ -1,7 +1,6 @@
 //! The shared inference service: admission, dynamic batcher and
 //! virtual-time device pool.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use faults::{BreakerState, CircuitBreaker, FaultInjector, ServeFault};
@@ -124,7 +123,7 @@ struct ComputeScratch {
     groups: Vec<Group>,
     /// Replayed outputs of the cache hits, back to back.
     hits: Vec<f32>,
-    /// The codes, per-row scales and row counts of the plan's misses,
+    /// The codes, per-row scales and row counts of the drain's misses,
     /// which the kernel computes in one pass.
     miss_q: Vec<i8>,
     miss_scales: Vec<f32>,
@@ -160,11 +159,12 @@ struct Filed {
 #[derive(Debug)]
 pub struct NpuService {
     config: ServeConfig,
-    /// The compiled int8 model every pooled device executes.
-    model: NpuModel,
+    /// The compiled int8 model every pooled device executes, shared with
+    /// the other services of a tier.
+    model: Arc<NpuModel>,
     /// Float model for the CPU fallback path (mirrors the dedicated
     /// client's fallback substrate).
-    mlp: Mlp,
+    mlp: Arc<Mlp>,
     /// Cost model of one pool device (the pool is homogeneous).
     device_model: NpuDevice,
     cpu: CpuInference,
@@ -220,6 +220,18 @@ impl NpuService {
     /// Compiles `mlp` for the pool and starts an idle service, or returns
     /// which configuration invariant was violated.
     pub fn try_new(mlp: &Mlp, config: ServeConfig) -> Result<Self, ConfigError> {
+        let model = Arc::new(NpuModel::compile(mlp));
+        Self::with_model(model, Arc::new(mlp.clone()), config)
+    }
+
+    /// Starts an idle service on an already compiled `model` of `mlp`,
+    /// which services of one tier share instead of each compiling its
+    /// own.
+    pub(crate) fn with_model(
+        model: Arc<NpuModel>,
+        mlp: Arc<Mlp>,
+        config: ServeConfig,
+    ) -> Result<Self, ConfigError> {
         config.validate()?;
         let device_model = NpuDevice::kirin970();
         let lanes = (0..config.devices)
@@ -230,11 +242,11 @@ impl NpuService {
             })
             .collect();
         Ok(NpuService {
-            model: NpuModel::compile(mlp),
-            mlp: mlp.clone(),
+            macs: mlp.macs(),
+            model,
+            mlp,
             device_model,
             cpu: CpuInference::cortex_a73(),
-            macs: mlp.macs(),
             lanes,
             injector: None,
             limiter: config.rate_limit.map(RateLimiter::new),
@@ -881,16 +893,23 @@ impl NpuService {
         self.inflight.push(plan);
     }
 
-    /// Computes every in-flight batch on the calling thread, in dispatch
-    /// order, and files the per-request replies. Every group is quantized
-    /// and probed before any miss is inserted, so a batch never hits on
-    /// an output computed in the same flush.
+    /// Computes every in-flight batch on the calling thread and files the
+    /// per-request replies, plan by plan in dispatch order. Every group
+    /// is quantized and probed before any miss is inserted, so a batch
+    /// never hits on an output computed in the same flush. The kernel
+    /// then computes the misses of every NPU-path plan in one pass, each
+    /// group with its own scale (bit-identical to dedicated issuance),
+    /// and each plan is filed from its slice of that output and the
+    /// replayed hits, its misses inserted into the cache in dispatch
+    /// order.
     fn drain_compute(&mut self) {
         if self.inflight.is_empty() {
             return;
         }
         let mut plans = std::mem::take(&mut self.inflight);
         let mut scratch = std::mem::take(&mut self.compute);
+        let width = self.model.input_size();
+        let out_cols = self.model.output_size();
         scratch.x.clear();
         scratch.group_rows.clear();
         for request in plans
@@ -901,44 +920,12 @@ impl NpuService {
             scratch.x.extend_from_slice(request.rows.as_slice());
             scratch.group_rows.push(request.rows.rows());
         }
-        probe_groups(self.cache.as_mut(), self.model.input_size(), &mut scratch);
-        let mut next_group = 0;
-        for mut plan in plans.drain(..) {
-            let out_cols = self.model.output_size();
-            if plan.fallback.is_some() {
-                let output = cpu_forward(&self.mlp, &plan.requests);
-                self.file_replies(&mut plan, output.as_slice(), out_cols);
-            } else {
-                let groups = next_group..next_group + plan.requests.len();
-                next_group = groups.end;
-                self.compute_plan(&plan, groups, &mut scratch);
-                self.file_replies(&mut plan, &scratch.out, out_cols);
-            }
-            self.spare.push(plan.requests);
-        }
-        self.inflight = plans;
-        self.compute = scratch;
-    }
-
-    /// Runs one NPU-path plan into `scratch.out`: cache hits are
-    /// replayed, and the kernel computes every other group from its
-    /// prequantized codes in one pass over the plan's misses, each group
-    /// with its own scale (bit-identical to dedicated issuance). The
-    /// misses are then inserted into the cache in dispatch order.
-    fn compute_plan(
-        &mut self,
-        plan: &BatchPlan,
-        groups: Range<usize>,
-        scratch: &mut ComputeScratch,
-    ) {
-        let width = self.model.input_size();
-        let out_cols = self.model.output_size();
+        probe_groups(self.cache.as_mut(), width, &mut scratch);
         scratch.miss_q.clear();
         scratch.miss_scales.clear();
         scratch.miss_rows.clear();
-        for (request, group) in plan.requests.iter().zip(&scratch.groups[groups.clone()]) {
+        for (group, &rows) in scratch.groups.iter().zip(&scratch.group_rows) {
             if group.hit.is_none() {
-                let rows = request.rows.rows();
                 let q = &scratch.q[group.q_start..group.q_start + rows * width];
                 scratch.miss_q.extend_from_slice(q);
                 scratch
@@ -947,7 +934,7 @@ impl NpuService {
                 scratch.miss_rows.push(rows);
             }
         }
-        let computed: &[f32] = if scratch.miss_rows.is_empty() {
+        let mut computed: &[f32] = if scratch.miss_rows.is_empty() {
             &[]
         } else {
             self.model.infer_groups(
@@ -958,37 +945,42 @@ impl NpuService {
                 &mut scratch.infer,
             )
         };
-        scratch.out.clear();
-        let mut next_miss = 0;
-        for (request, group) in plan.requests.iter().zip(&scratch.groups[groups.clone()]) {
-            let len = request.rows.rows() * out_cols;
-            match group.hit {
-                Some(at) => scratch.out.extend_from_slice(&scratch.hits[at..at + len]),
-                None => {
-                    scratch
-                        .out
-                        .extend_from_slice(&computed[next_miss..next_miss + len]);
-                    next_miss += len;
-                }
+        let mut groups = scratch.groups.iter();
+        for mut plan in plans.drain(..) {
+            if plan.fallback.is_some() {
+                let output = cpu_forward(&self.mlp, &plan.requests);
+                self.file_replies(&mut plan, output.as_slice(), out_cols);
+                self.spare.push(plan.requests);
+                continue;
             }
-        }
-        let Some(cache) = self.cache.as_mut() else {
-            return;
-        };
-        let mut start_row = 0;
-        for (request, group) in plan.requests.iter().zip(&scratch.groups[groups]) {
-            let rows = request.rows.rows();
-            if group.hit.is_some() {
-                self.stats.cache_hits += 1;
-            } else {
-                self.stats.cache_misses += 1;
-                let q = &scratch.q[group.q_start..group.q_start + rows * width];
-                let out = &scratch.out[start_row * out_cols..(start_row + rows) * out_cols];
-                let key = group.key.expect("a cached service keys every group");
-                cache.insert(key, q, group.scale, rows, out);
+            scratch.out.clear();
+            for (request, group) in plan.requests.iter().zip(&mut groups) {
+                let rows = request.rows.rows();
+                let len = rows * out_cols;
+                let out = match group.hit {
+                    Some(at) => {
+                        self.stats.cache_hits += 1;
+                        &scratch.hits[at..at + len]
+                    }
+                    None => {
+                        let (out, rest) = computed.split_at(len);
+                        computed = rest;
+                        if let Some(cache) = self.cache.as_mut() {
+                            self.stats.cache_misses += 1;
+                            let q = &scratch.q[group.q_start..group.q_start + rows * width];
+                            let key = group.key.expect("a cached service keys every group");
+                            cache.insert(key, q, group.scale, rows, out);
+                        }
+                        out
+                    }
+                };
+                scratch.out.extend_from_slice(out);
             }
-            start_row += rows;
+            self.file_replies(&mut plan, &scratch.out, out_cols);
+            self.spare.push(plan.requests);
         }
+        self.inflight = plans;
+        self.compute = scratch;
     }
 
     /// Splits a batch output (`out_cols` wide) back into per-request

@@ -41,10 +41,12 @@
 //! has exactly one outcome (request conservation — checked, with every
 //! other tier invariant, by [`crate::TierChecker`]).
 
+use std::sync::Arc;
+
 use faults::{BreakerState, CircuitBreaker, FleetFault};
 use hmc_types::{SimDuration, SimTime};
 use nn::{Matrix, Mlp};
-use npu::CpuInference;
+use npu::{CpuInference, NpuModel};
 use topil::ClientReply;
 
 use crate::limiter::ClientId;
@@ -338,7 +340,7 @@ pub struct TieredService {
     racks: Vec<RackSlot>,
     regional: NpuService,
     regional_breaker: CircuitBreaker,
-    mlp: Mlp,
+    mlp: Arc<Mlp>,
     cpu: CpuInference,
     macs: usize,
     /// Regional latency multiplier in thousandths (slow-tier fault).
@@ -365,7 +367,7 @@ pub struct TieredService {
 
 impl TieredService {
     /// Builds the topology: `config.racks` rack services plus one
-    /// regional service, all compiled from `mlp`.
+    /// regional service, all running one model compiled from `mlp`.
     ///
     /// # Panics
     ///
@@ -381,29 +383,35 @@ impl TieredService {
     /// Fallible constructor.
     pub fn try_new(mlp: &Mlp, config: TierConfig) -> Result<Self, ConfigError> {
         config.validate()?;
+        // One compiled policy serves every service of the tier.
+        let model = Arc::new(NpuModel::compile(mlp));
+        let mlp = Arc::new(mlp.clone());
+        let service = |serve| NpuService::with_model(Arc::clone(&model), Arc::clone(&mlp), serve);
         let racks = (0..config.racks)
-            .map(|_| RackSlot {
-                service: NpuService::new(mlp, config.rack_serve),
-                breaker: CircuitBreaker::new(config.breaker_threshold, config.breaker_cooldown),
-                partitioned: false,
-                silent: false,
-                silent_since: SimTime::ZERO,
-                resume_at: SimTime::ZERO,
-                suspected: false,
-                beat_cursor: SimTime::ZERO,
-                last_beat: SimTime::ZERO,
+            .map(|_| {
+                Ok(RackSlot {
+                    service: service(config.rack_serve)?,
+                    breaker: CircuitBreaker::new(config.breaker_threshold, config.breaker_cooldown),
+                    partitioned: false,
+                    silent: false,
+                    silent_since: SimTime::ZERO,
+                    resume_at: SimTime::ZERO,
+                    suspected: false,
+                    beat_cursor: SimTime::ZERO,
+                    last_beat: SimTime::ZERO,
+                })
             })
-            .collect();
+            .collect::<Result<_, ConfigError>>()?;
         Ok(TieredService {
-            regional: NpuService::new(mlp, config.regional_serve),
+            regional: service(config.regional_serve)?,
             regional_breaker: CircuitBreaker::new(
                 config.breaker_threshold,
                 config.breaker_cooldown,
             ),
             racks,
-            mlp: mlp.clone(),
-            cpu: CpuInference::cortex_a73(),
             macs: mlp.macs(),
+            mlp,
+            cpu: CpuInference::cortex_a73(),
             slow_milli: 1000,
             regional_down: false,
             latency_window: Vec::new(),
