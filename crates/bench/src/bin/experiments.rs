@@ -122,8 +122,9 @@ usage: experiments [--full] [--out <dir>] [--state <dir>] [--points <n>]
 Regenerates the paper's evaluation artifacts. Without a command (or with
 `all`) the whole suite runs. `--full` uses paper-scale parameters;
 `--out <dir>` additionally writes CSV data series. `--state <dir>` holds
-checkpoint snapshots for the resumable commands (`sweep`, `train`);
-`--points <n>` truncates the sweep grid to its first n points.
+checkpoint snapshots for the resumable commands (`robustness`, `train`);
+without it `robustness` runs in a fresh directory that it removes when
+done. `--points <n>` truncates the robustness grid to its first n points.
 `--boards`, `--epochs` and `--devices` size the `fleet` experiment, and
 `--churn <period>` adds board churn to it (one seeded crash every
 `period` epochs, each lasting `--churn-down` epochs, default 2);
@@ -140,10 +141,10 @@ bare `--storm` injects its regional backbone outage, and
 simulator at chaos size (one region, flat demand; default 12 boards in
 3 racks x 40 epochs, seed 11) under `--storm <preset>` (default `all`),
 sized by `--boards`, `--racks`, `--epochs` and `--seed`.
-Sizing counts (`--boards`, `--racks`, `--epochs`, `--devices`,
+Sizing counts (`--points`, `--boards`, `--racks`, `--epochs`, `--devices`,
 `--clients`, `--users`) must be at least 1, and `--overload` and
 `--load` must be finite and above 0.
-`--threads <n>` sets the host-thread budget of `train`, `sweep`, `fleet`,
+`--threads <n>` sets the host-thread budget of `train`, `robustness`, `fleet`,
 `overload`, `chaos` and `edge` (default: all available cores). Every
 command produces the same bytes at every thread count — the budget
 changes wall time only. `--kernel` selects the numeric inference kernel
@@ -159,10 +160,11 @@ usage to stderr and exit with status 2.
 Diagnostics go to stderr; stdout carries only reports and CSV data, so
 `experiments fleet > fleet.csv` yields a clean machine-readable artifact.
 
-Interrupted `sweep` and `train` runs exit with status 130 and resume from
-their newest valid snapshot when rerun with the same --state directory.
-TOPIL_SWEEP_CRASH_AFTER=<n> / TOPIL_TRAIN_CRASH_AFTER=<n> simulate a crash
-after n points/epochs (used by the CI crash-recovery check).
+Interrupted `robustness` and `train` runs exit with status 130 and resume
+from their newest valid snapshot when rerun with the same --state
+directory. TOPIL_SWEEP_CRASH_AFTER=<n> / TOPIL_TRAIN_CRASH_AFTER=<n>
+simulate a crash after n points/epochs (used by the CI crash-recovery
+check); a value that is not a count is a usage error.
 
 commands:
   fig1         motivational example (optimal mapping differs per app)
@@ -178,13 +180,14 @@ commands:
   ablations    design-choice ablations
   oracle-gap   extension: online oracle vs. the imitating network
   sensitivity  extension: thermal-calibration perturbations
-  robustness   extension: fault-rate sweep vs. the degradation ladder
+  robustness   extension: resumable fault-rate sweep vs. the degradation
+               ladder (table on stdout, sweep.csv via --out, uses --state)
   traces       structured event traces per governor (JSONL/CSV via --out)
   fleet        multi-board fleet sharing one batched NPU inference service
   overload     adversarial 10x-overload harness against the shared service
   chaos        edge storm preset on a small flat-demand fleet (writes chaos.csv)
   edge         datacenter-scale edge fleet: user/request frontier + network model
-  sweep        crash-safe resumable robustness sweep (uses --state)
+  sweep        the same as robustness
   train        crash-safe resumable IL training (uses --state)
   all          everything above except sweep and train
 ";
@@ -266,6 +269,17 @@ fn flag_rate(args: &[String], i: &mut usize, flag: &str) -> f64 {
     x
 }
 
+/// Reads the simulated-crash count in environment variable `var`: `None`
+/// when unset, and exits 2 when it is not a count.
+fn crash_after(var: &str) -> Option<usize> {
+    let v = std::env::var(var).ok()?;
+    Some(v.parse().unwrap_or_else(|_| {
+        usage_error(&format!(
+            "environment variable `{var}` got a malformed count `{v}`"
+        ))
+    }))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args
@@ -304,7 +318,7 @@ fn main() {
             "--full" => full = true,
             "--out" => out = Some(PathBuf::from(flag_value(&args, &mut i, arg))),
             "--state" => state = Some(PathBuf::from(flag_value(&args, &mut i, arg))),
-            "--points" => points = Some(flag_number(&args, &mut i, arg)),
+            "--points" => points = Some(flag_count(&args, &mut i, arg)),
             "--boards" => boards = Some(flag_count(&args, &mut i, arg)),
             "--racks" => racks = Some(flag_count(&args, &mut i, arg)),
             "--epochs" => epochs = Some(flag_count(&args, &mut i, arg)),
@@ -403,6 +417,16 @@ fn main() {
         commands
     };
 
+    // The crash hooks are read before any run starts, so a malformed
+    // count is rejected up front instead of silently ignored.
+    let runs = |command: &str| commands.contains(&command);
+    let sweep_crash_after = (runs("robustness") || runs("sweep"))
+        .then(|| crash_after("TOPIL_SWEEP_CRASH_AFTER"))
+        .flatten();
+    let train_crash_after = runs("train")
+        .then(|| crash_after("TOPIL_TRAIN_CRASH_AFTER"))
+        .flatten();
+
     eprintln!(
         "# TOP-IL experiment suite (effort: {effort:?}, thread budget: {}, f32 SIMD tier: {})\n",
         budget.effective_threads(),
@@ -490,15 +514,6 @@ fn main() {
                     &out,
                     "sensitivity.csv",
                     bench::csv::sensitivity_csv(&report),
-                ));
-            }
-            "robustness" => {
-                let report = bench::robustness::run(effort);
-                println!("{report}");
-                report_csv(write_csv(
-                    &out,
-                    "robustness.csv",
-                    bench::csv::robustness_csv(&report),
                 ));
             }
             "traces" => {
@@ -618,58 +633,59 @@ fn main() {
                 }
                 run_edge("edge", &config, &out);
             }
-            "sweep" => {
+            "robustness" | "sweep" => {
+                // Without `--state` the sweep runs in a fresh directory that
+                // is removed afterwards: a manifest's identity does not
+                // cover the simulator's code, so resuming is opt-in.
+                let scratch = state.is_none();
+                let state = state.clone().unwrap_or_else(|| {
+                    std::env::temp_dir().join(format!("topil-sweep-{}", std::process::id()))
+                });
+                if scratch {
+                    std::fs::remove_dir_all(&state).ok();
+                }
                 let model = bench::robustness::sweep_model(effort);
-                let state = state
-                    .clone()
-                    .unwrap_or_else(|| PathBuf::from("sweep-state"));
                 let mut config = bench::sweep::SweepConfig {
                     effort,
                     budget,
+                    crash_after_points: sweep_crash_after,
                     ..bench::sweep::SweepConfig::default()
                 };
                 if let Some(n) = points {
                     config.grid = Some(bench::sweep::default_grid().into_iter().take(n).collect());
                 }
-                let hooks = bench::sweep::SweepHooks {
-                    crash_after_points: std::env::var("TOPIL_SWEEP_CRASH_AFTER")
-                        .ok()
-                        .and_then(|v| v.parse().ok()),
-                    ..bench::sweep::SweepHooks::default()
-                };
-                match bench::sweep::run_sweep(&model, &config, &state, &hooks, None) {
-                    Ok(outcome) => {
-                        if let Some(seq) = outcome.resumed_from_seq {
-                            eprintln!("resumed from manifest snapshot {seq}");
-                        }
-                        if outcome.corrupt_skipped > 0 {
-                            eprintln!(
-                                "skipped {} corrupt snapshot(s) during recovery",
-                                outcome.corrupt_skipped
-                            );
-                        }
-                        if let Some(reason) = &outcome.discarded {
-                            eprintln!("discarded stale manifest: {reason}");
-                        }
-                        eprintln!(
-                            "ran {} point(s); {} quarantined",
-                            outcome.points_run,
-                            outcome.manifest.quarantined()
-                        );
-                        if outcome.completed {
-                            let csv = bench::sweep::sweep_csv(&outcome.manifest);
-                            print!("{csv}");
-                            report_csv(write_csv(&out, "sweep.csv", csv));
-                        } else {
-                            eprintln!("sweep interrupted; rerun with the same --state to resume");
-                            std::process::exit(130);
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("sweep failed: {e}");
-                        std::process::exit(1);
-                    }
+                let outcome = bench::sweep::run_sweep(&model, &config, &state, None);
+                if scratch {
+                    std::fs::remove_dir_all(&state).ok();
                 }
+                let outcome = outcome.unwrap_or_else(|e| {
+                    eprintln!("sweep failed: {e}");
+                    std::process::exit(1);
+                });
+                if let Some(seq) = outcome.resumed_from_seq {
+                    eprintln!("resumed from manifest snapshot {seq}");
+                }
+                if outcome.corrupt_skipped > 0 {
+                    eprintln!(
+                        "skipped {} corrupt snapshot(s) during recovery",
+                        outcome.corrupt_skipped
+                    );
+                }
+                if let Some(reason) = &outcome.discarded {
+                    eprintln!("discarded stale manifest: {reason}");
+                }
+                eprintln!("ran {} point(s)", outcome.points_run);
+                if !outcome.completed {
+                    if scratch {
+                        eprintln!("sweep interrupted; pass --state <dir> to make it resumable");
+                    } else {
+                        eprintln!("sweep interrupted; rerun with the same --state to resume");
+                    }
+                    std::process::exit(130);
+                }
+                println!("{}", outcome.manifest.report());
+                let csv = bench::sweep::sweep_csv(&outcome.manifest);
+                report_csv(write_csv(&out, "sweep.csv", csv));
             }
             "train" => {
                 let state = state
@@ -681,15 +697,12 @@ fn main() {
                     0xC0FFEE,
                 );
                 let cases = trainer.collect_cases(&scenarios);
-                let interrupt = std::env::var("TOPIL_TRAIN_CRASH_AFTER")
-                    .ok()
-                    .and_then(|v| v.parse().ok());
                 match trainer.train_checkpointed(
                     &cases,
                     0,
                     &state,
                     &topil::CkptConfig::default(),
-                    interrupt,
+                    train_crash_after,
                     None,
                 ) {
                     Ok(outcome) => {

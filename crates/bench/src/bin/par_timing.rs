@@ -15,16 +15,16 @@
 //!
 //! Methodology notes:
 //!
-//! * Sweep points are timed as grid *prefixes* (via the supervisor's
-//!   simulated-crash hook), because every point derives its workload from
-//!   its own grid index — timing points in isolation would give all of
-//!   them point 0's workload.
+//! * Sweep points are timed as grid *prefixes* (via the sweep's
+//!   simulated-crash count), so each point's cost is measured in grid
+//!   context: after the same store open and manifest commits as in a
+//!   whole run.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use bench::fleet::{run_with_model, FleetConfig};
-use bench::sweep::{run_sweep, sweep_csv, GridPoint, SweepConfig, SweepHooks};
+use bench::sweep::{run_sweep, sweep_csv, GridPoint, SweepConfig};
 use par::Budget;
 use topil::oracle::Scenario;
 use topil::training::{IlModel, IlTrainer, TrainSettings};
@@ -92,13 +92,13 @@ fn main() {
     let serial_config = sweep_config(Budget::serial());
     let mut prefix_ns = vec![0.0f64; grid.len() + 1];
     for (k, slot) in prefix_ns.iter_mut().enumerate() {
-        let hooks = SweepHooks {
+        let prefix_config = SweepConfig {
             crash_after_points: Some(k),
-            ..SweepHooks::default()
+            ..serial_config.clone()
         };
         *slot = median_ns(|| {
             let dir = tmp_dir(&format!("prefix-{k}"));
-            run_sweep(&model, &serial_config, &dir, &hooks, None).expect("sweep prefix");
+            run_sweep(&model, &prefix_config, &dir, None).expect("sweep prefix");
             std::fs::remove_dir_all(&dir).ok();
         });
         eprintln!("sweep prefix {k} timed");
@@ -110,8 +110,7 @@ fn main() {
     let mut serial_manifest = None;
     let grid_serial_ns = median_ns(|| {
         let dir = tmp_dir("grid-serial");
-        let outcome =
-            run_sweep(&model, &serial_config, &dir, &SweepHooks::default(), None).expect("sweep");
+        let outcome = run_sweep(&model, &serial_config, &dir, None).expect("sweep");
         serial_manifest = Some(outcome.manifest);
         std::fs::remove_dir_all(&dir).ok();
     });
@@ -119,8 +118,7 @@ fn main() {
     let mut parallel_manifest = None;
     let grid_t4_ns = median_ns(|| {
         let dir = tmp_dir("grid-t4");
-        let outcome =
-            run_sweep(&model, &parallel_config, &dir, &SweepHooks::default(), None).expect("sweep");
+        let outcome = run_sweep(&model, &parallel_config, &dir, None).expect("sweep");
         parallel_manifest = Some(outcome.manifest);
         std::fs::remove_dir_all(&dir).ok();
     });

@@ -10,7 +10,6 @@ use crate::fig8::Fig8Report;
 use crate::fig9::Fig9Report;
 use crate::fleet::FleetReport;
 use crate::overload::OverloadReport;
-use crate::robustness::RobustnessReport;
 use crate::sensitivity::SensitivityReport;
 use edge_sim::{EdgeReport, StormPreset};
 
@@ -108,34 +107,6 @@ pub fn sensitivity_csv(report: &SensitivityReport) -> String {
                 row.conclusions_hold()
             );
         }
-    }
-    out
-}
-
-/// Robustness rows: one per fault point × ladder setting.
-pub fn robustness_csv(report: &RobustnessReport) -> String {
-    let mut out = String::from(
-        "npu_failure_rate,sensor_dropout_rate,ladder,avg_temp_c,peak_temp_c,\
-         violations,executions,degraded_epochs,cpu_fallback_epochs,npu_failures,\
-         breaker_opens,failsafe_events\n",
-    );
-    for p in &report.points {
-        let _ = writeln!(
-            out,
-            "{},{},{},{:.3},{:.3},{},{},{},{},{},{},{}",
-            p.npu_failure_rate,
-            p.sensor_dropout_rate,
-            p.ladder,
-            p.avg_temp_c,
-            p.peak_temp_c,
-            p.violations,
-            p.executions,
-            p.degraded_epochs,
-            p.cpu_fallback_epochs,
-            p.npu_failures,
-            p.breaker_opens,
-            p.failsafe_events
-        );
     }
     out
 }
@@ -508,34 +479,6 @@ mod tests {
         let csv = sensitivity_csv(&report);
         assert_eq!(csv.lines().count(), 4);
         assert!(csv.contains("lateral x2.0,TOP-IL,32.000,1,true"));
-    }
-
-    #[test]
-    fn robustness_csv_shape() {
-        let report = RobustnessReport {
-            points: vec![crate::robustness::RobustnessPoint {
-                npu_failure_rate: 0.2,
-                sensor_dropout_rate: 0.1,
-                ladder: true,
-                avg_temp_c: 31.25,
-                peak_temp_c: 44.5,
-                violations: 1,
-                executions: 12,
-                degraded_epochs: 0,
-                cpu_fallback_epochs: 7,
-                npu_failures: 30,
-                breaker_opens: 2,
-                failsafe_events: 3,
-            }],
-        };
-        let csv = robustness_csv(&report);
-        let mut lines = csv.lines();
-        assert!(lines.next().unwrap().starts_with("npu_failure_rate,"));
-        assert_eq!(
-            lines.next().unwrap(),
-            "0.2,0.1,true,31.250,44.500,1,12,0,7,30,2,3"
-        );
-        assert!(lines.next().is_none());
     }
 
     #[test]

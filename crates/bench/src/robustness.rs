@@ -6,6 +6,10 @@
 //! DTM fail-safe) and once with every mitigation off. The comparison shows
 //! that the ladder keeps the governor functional — and the die protected —
 //! under fault rates that break the unguarded configuration's QoS.
+//!
+//! This module measures one point ([`run_point`]) and prints the table
+//! ([`RobustnessReport`]); [`crate::sweep::run_sweep`] is the one driver
+//! that runs the grid, resumably.
 
 use std::fmt;
 
@@ -20,16 +24,11 @@ use topil::{RobustnessConfig, TopIlGovernor};
 use workloads::{MixedWorkloadConfig, WorkloadGenerator};
 
 use crate::harness::Effort;
+use crate::sweep::GridPoint;
 
-/// One fault point of the sweep, run with the ladder on or off.
+/// What one grid point measured.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RobustnessPoint {
-    /// Per-job NPU failure probability.
-    pub npu_failure_rate: f64,
-    /// Per-sample thermal-sensor dropout probability.
-    pub sensor_dropout_rate: f64,
-    /// Whether the degradation ladder was enabled.
-    pub ladder: bool,
     /// Average die temperature over the run.
     pub avg_temp_c: f64,
     /// Peak die temperature over the run.
@@ -50,11 +49,12 @@ pub struct RobustnessPoint {
     pub failsafe_events: u64,
 }
 
-/// The full fault-rate sweep.
+/// The finished sweep: each grid point with what it measured, in grid
+/// order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessReport {
-    /// All sweep points (each fault combination × ladder on/off).
-    pub points: Vec<RobustnessPoint>,
+    /// Every finished point (each fault combination × ladder on/off).
+    pub points: Vec<(GridPoint, RobustnessPoint)>,
 }
 
 impl fmt::Display for RobustnessReport {
@@ -77,13 +77,13 @@ impl fmt::Display for RobustnessReport {
             "npufail",
             "failsafe"
         )?;
-        for p in &self.points {
+        for (gp, p) in &self.points {
             writeln!(
                 f,
                 "  {:>7.2} {:>7.2} {:>6} {:>8.2} {:>8.2} {:>6}/{:<3} {:>9} {:>9} {:>8} {:>8}",
-                p.npu_failure_rate,
-                p.sensor_dropout_rate,
-                if p.ladder { "on" } else { "off" },
+                gp.npu_failure_rate,
+                gp.sensor_dropout_rate,
+                if gp.ladder { "on" } else { "off" },
                 p.avg_temp_c,
                 p.peak_temp_c,
                 p.violations,
@@ -98,57 +98,21 @@ impl fmt::Display for RobustnessReport {
     }
 }
 
-/// The fault combinations swept (NPU failure rate, sensor dropout rate).
-pub fn sweep_grid() -> Vec<(f64, f64)> {
-    vec![
-        (0.0, 0.0),
-        (0.05, 0.0),
-        (0.1, 0.0),
-        (0.2, 0.0),
-        (0.0, 0.05),
-        (0.0, 0.1),
-        (0.2, 0.1),
-    ]
-}
-
-/// Runs one fault point under a fresh governor.
+/// Runs one grid point under a fresh governor on the mixed workload of
+/// `workload_seed`, with full event tracing. Returns the measurement and
+/// the trace hash that certifies a resumed sweep reproduced it.
 pub fn run_point(
-    model: IlModel,
-    npu_failure_rate: f64,
-    sensor_dropout_rate: f64,
-    ladder: bool,
-    effort: Effort,
-) -> RobustnessPoint {
-    run_point_traced(
-        model,
-        npu_failure_rate,
-        sensor_dropout_rate,
-        ladder,
-        effort,
-        17,
-        trace::TraceConfig::off(),
-    )
-    .0
-}
-
-/// Runs one fault point with an explicit workload seed and event tracing —
-/// the sweep supervisor's entry point, whose trace hash certifies that a
-/// resumed sweep reproduces the uninterrupted run bit-for-bit.
-pub fn run_point_traced(
-    model: IlModel,
-    npu_failure_rate: f64,
-    sensor_dropout_rate: f64,
-    ladder: bool,
+    model: &IlModel,
+    gp: GridPoint,
     effort: Effort,
     workload_seed: u64,
-    trace: trace::TraceConfig,
-) -> (RobustnessPoint, Option<trace::TraceHash>) {
+) -> (RobustnessPoint, u64) {
     let mut plan = FaultPlan::none(0xFA0175);
-    plan.npu.failure_rate = npu_failure_rate;
-    plan.sensor.dropout_rate = sensor_dropout_rate;
+    plan.npu.failure_rate = gp.npu_failure_rate;
+    plan.sensor.dropout_rate = gp.sensor_dropout_rate;
 
-    let mut governor = TopIlGovernor::new(model).with_fault_plan(plan);
-    if !ladder {
+    let mut governor = TopIlGovernor::new(model.clone()).with_fault_plan(plan);
+    if !gp.ladder {
         governor = governor.with_robustness(RobustnessConfig::Disabled);
     }
     let workload_cfg = MixedWorkloadConfig {
@@ -162,10 +126,10 @@ pub fn run_point_traced(
     let sim = SimConfig {
         max_duration: SimDuration::from_secs(1200),
         fault_plan: Some(plan),
-        trace,
+        trace: trace::TraceConfig::full(),
         // The unguarded configuration also loses the sensor filter: raw
         // (possibly dropped) samples feed the DTM directly.
-        sensor_filter: if ladder {
+        sensor_filter: if gp.ladder {
             SimConfig::default().sensor_filter
         } else {
             None
@@ -173,12 +137,9 @@ pub fn run_point_traced(
         ..SimConfig::default()
     };
     let report = Simulator::new(sim).run(&workload, &mut governor);
-    let hash = report.events.as_ref().map(|log| log.hash);
+    let hash = report.events.as_ref().map_or(0, |log| log.hash.value());
     let degradation = report.degradation.unwrap_or_default();
     let point = RobustnessPoint {
-        npu_failure_rate,
-        sensor_dropout_rate,
-        ladder,
         avg_temp_c: report.metrics.avg_temperature().value(),
         peak_temp_c: report.metrics.peak_temperature().value(),
         violations: report.metrics.qos_violations(),
@@ -202,19 +163,6 @@ pub fn sweep_model(effort: Effort) -> IlModel {
     IlTrainer::new(settings).train(&scenarios, 0)
 }
 
-/// Regenerates the full sweep (each fault point, ladder on and off).
-pub fn run(effort: Effort) -> RobustnessReport {
-    let model = sweep_model(effort);
-
-    let mut points = Vec::new();
-    for (npu, dropout) in sweep_grid() {
-        for ladder in [true, false] {
-            points.push(run_point(model.clone(), npu, dropout, ladder, effort));
-        }
-    }
-    RobustnessReport { points }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,8 +183,13 @@ mod tests {
     #[test]
     fn ladder_absorbs_total_npu_loss() {
         let model = quick_model();
-        let on = run_point(model.clone(), 1.0, 0.0, true, Effort::Quick);
-        let off = run_point(model, 1.0, 0.0, false, Effort::Quick);
+        let point = |ladder| GridPoint {
+            npu_failure_rate: 1.0,
+            sensor_dropout_rate: 0.0,
+            ladder,
+        };
+        let (on, _) = run_point(&model, point(true), Effort::Quick, 17);
+        let (off, _) = run_point(&model, point(false), Effort::Quick, 17);
 
         // With the ladder the epochs are served by the CPU fallback.
         assert!(on.npu_failures > 0);
@@ -252,7 +205,12 @@ mod tests {
 
     #[test]
     fn fault_free_point_is_clean() {
-        let point = run_point(quick_model(), 0.0, 0.0, true, Effort::Quick);
+        let fault_free = GridPoint {
+            npu_failure_rate: 0.0,
+            sensor_dropout_rate: 0.0,
+            ladder: true,
+        };
+        let (point, _) = run_point(&quick_model(), fault_free, Effort::Quick, 17);
         assert_eq!(point.npu_failures, 0);
         assert_eq!(point.breaker_opens, 0);
         assert_eq!(point.degraded_epochs, 0);

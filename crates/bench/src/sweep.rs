@@ -1,4 +1,5 @@
-//! Crash-safe, resumable robustness sweeps.
+//! The robustness sweep: the one driver of the fault-rate grid, crash-safe
+//! and resumable.
 //!
 //! A full fault-rate sweep at [`Effort::Full`] runs fourteen long
 //! simulations; losing the whole grid to a crash on point thirteen is the
@@ -7,30 +8,26 @@
 //! every finished point — into a [`CheckpointStore`] after each completed
 //! point. An interrupted sweep resumes from the newest valid manifest,
 //! re-runs only the pending points, and produces a CSV and per-point trace
-//! hashes identical to an uninterrupted run with the same seed: every point
-//! is driven by its own explicit workload seed, never by where a shared RNG
-//! happened to be.
-//!
-//! Failed points are retried with capped exponential backoff
-//! ([`backoff_delay_ms`]); a point that keeps failing is quarantined in the
-//! manifest rather than wedging the sweep, so one pathological
-//! configuration cannot stall the remaining grid.
+//! hashes identical to an uninterrupted run. Every point runs the
+//! manifest's one workload seed, so the ladder-on and ladder-off rows of a
+//! fault point compare like with like, and no point depends on when or
+//! where it ran.
 
 use std::path::Path;
-use std::time::Duration;
 
 use checkpoint::{CheckpointStore, CodecError, Decoder, Encoder};
 use hmc_types::SimTime;
-use rand::RngCore;
 use topil::training::IlModel;
 use trace::{CheckpointScope, TraceEvent, TraceRecorder};
 
 use crate::error::BenchError;
 use crate::harness::Effort;
-use crate::robustness::{run_point_traced, sweep_grid, RobustnessPoint};
+use crate::robustness::{run_point, RobustnessPoint, RobustnessReport};
 
-/// Checkpoint kind tag for sweep manifests.
-pub const SWEEP_KIND: &str = "sweep-manifest";
+/// Checkpoint kind tag for sweep manifests. Manifests written before every
+/// point shared one workload seed carry the kind `sweep-manifest` and are
+/// never read.
+pub const SWEEP_KIND: &str = "sweep-manifest-v2";
 
 /// Upper bound on decoded grid sizes (decode-before-allocate guard).
 const MAX_POINTS: usize = 1 << 16;
@@ -49,7 +46,7 @@ pub struct GridPoint {
 /// Progress of one grid point inside the manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PointStatus {
-    /// Not yet attempted (or interrupted before completion).
+    /// Not yet run (or interrupted before completion).
     Pending,
     /// Finished; the result and its certifying trace hash are recorded.
     Done {
@@ -57,32 +54,13 @@ pub enum PointStatus {
         point: RobustnessPoint,
         /// Hash of the simulation's event trace.
         trace_hash: u64,
-        /// Attempts consumed (1 when the first try succeeded).
-        attempts: u32,
     },
-    /// Exhausted every retry; skipped so the rest of the grid can finish.
-    Quarantined {
-        /// Attempts consumed before giving up.
-        attempts: u32,
-        /// The final attempt's error.
-        last_error: String,
-    },
-}
-
-impl PointStatus {
-    fn tag(&self) -> u8 {
-        match self {
-            PointStatus::Pending => 0,
-            PointStatus::Done { .. } => 1,
-            PointStatus::Quarantined { .. } => 2,
-        }
-    }
 }
 
 /// The persisted sweep state: identity of the run plus per-point progress.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepManifest {
-    /// Workload seed every point derives from.
+    /// Workload seed every point runs.
     pub workload_seed: u64,
     /// Whether the sweep ran at [`Effort::Full`].
     pub effort_full: bool,
@@ -106,12 +84,18 @@ impl SweepManifest {
             .collect()
     }
 
-    /// Number of quarantined points.
-    pub fn quarantined(&self) -> usize {
-        self.status
+    /// The table of every finished point, in grid order.
+    pub fn report(&self) -> RobustnessReport {
+        let points = self
+            .points
             .iter()
-            .filter(|s| matches!(s, PointStatus::Quarantined { .. }))
-            .count()
+            .zip(&self.status)
+            .filter_map(|(gp, status)| match status {
+                PointStatus::Done { point, .. } => Some((*gp, *point)),
+                PointStatus::Pending => None,
+            })
+            .collect();
+        RobustnessReport { points }
     }
 
     /// Serializes into a checkpoint payload.
@@ -128,24 +112,12 @@ impl SweepManifest {
         }
         enc.put_usize(self.status.len());
         for s in &self.status {
-            enc.put_u8(s.tag());
             match s {
-                PointStatus::Pending => {}
-                PointStatus::Done {
-                    point,
-                    trace_hash,
-                    attempts,
-                } => {
+                PointStatus::Pending => enc.put_u8(0),
+                PointStatus::Done { point, trace_hash } => {
+                    enc.put_u8(1);
                     encode_point(&mut enc, point);
                     enc.put_u64(*trace_hash);
-                    enc.put_u32(*attempts);
-                }
-                PointStatus::Quarantined {
-                    attempts,
-                    last_error,
-                } => {
-                    enc.put_u32(*attempts);
-                    enc.put_str(last_error);
                 }
             }
         }
@@ -183,19 +155,9 @@ impl SweepManifest {
         for _ in 0..m {
             status.push(match dec.get_u8().map_err(err)? {
                 0 => PointStatus::Pending,
-                1 => {
-                    let point = decode_point(&mut dec).map_err(err)?;
-                    let trace_hash = dec.get_u64().map_err(err)?;
-                    let attempts = dec.get_u32().map_err(err)?;
-                    PointStatus::Done {
-                        point,
-                        trace_hash,
-                        attempts,
-                    }
-                }
-                2 => PointStatus::Quarantined {
-                    attempts: dec.get_u32().map_err(err)?,
-                    last_error: dec.get_str().map_err(err)?.to_string(),
+                1 => PointStatus::Done {
+                    point: decode_point(&mut dec).map_err(err)?,
+                    trace_hash: dec.get_u64().map_err(err)?,
                 },
                 t => return Err(format!("unknown point status tag {t}")),
             });
@@ -212,9 +174,6 @@ impl SweepManifest {
 }
 
 fn encode_point(enc: &mut Encoder, p: &RobustnessPoint) {
-    enc.put_f64(p.npu_failure_rate);
-    enc.put_f64(p.sensor_dropout_rate);
-    enc.put_bool(p.ladder);
     enc.put_f64(p.avg_temp_c);
     enc.put_f64(p.peak_temp_c);
     enc.put_usize(p.violations);
@@ -228,9 +187,6 @@ fn encode_point(enc: &mut Encoder, p: &RobustnessPoint) {
 
 fn decode_point(dec: &mut Decoder<'_>) -> Result<RobustnessPoint, CodecError> {
     Ok(RobustnessPoint {
-        npu_failure_rate: dec.get_f64()?,
-        sensor_dropout_rate: dec.get_f64()?,
-        ladder: dec.get_bool()?,
         avg_temp_c: dec.get_f64()?,
         peak_temp_c: dec.get_f64()?,
         violations: dec.get_usize()?,
@@ -262,11 +218,20 @@ pub fn model_fingerprint(model: &IlModel) -> u64 {
     checkpoint::fnv64(&enc.finish())
 }
 
-/// The default sweep grid: every fault combination of
-/// [`sweep_grid`], ladder on and off.
+/// The default sweep grid: each fault combination (NPU failure rate,
+/// sensor dropout rate), ladder on and off.
 pub fn default_grid() -> Vec<GridPoint> {
+    let faults = [
+        (0.0, 0.0),
+        (0.05, 0.0),
+        (0.1, 0.0),
+        (0.2, 0.0),
+        (0.0, 0.05),
+        (0.0, 0.1),
+        (0.2, 0.1),
+    ];
     let mut grid = Vec::new();
-    for (npu, dropout) in sweep_grid() {
+    for (npu, dropout) in faults {
         for ladder in [true, false] {
             grid.push(GridPoint {
                 npu_failure_rate: npu,
@@ -283,25 +248,22 @@ pub fn default_grid() -> Vec<GridPoint> {
 pub struct SweepConfig {
     /// Effort level each point runs at.
     pub effort: Effort,
-    /// Workload seed every point derives from.
+    /// Workload seed every point runs.
     pub workload_seed: u64,
     /// Manifest snapshots kept on disk.
     pub retain: usize,
-    /// Attempts per point before quarantine.
-    pub max_attempts: u32,
-    /// Backoff before the first retry, in milliseconds.
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling, in milliseconds.
-    pub backoff_cap_ms: u64,
     /// Grid override; `None` runs [`default_grid`].
     pub grid: Option<Vec<GridPoint>>,
     /// Thread budget: pending points run in waves of this many parallel
-    /// simulations. Each point's workload seed derives from its grid
-    /// index and results are committed to the manifest in grid order, so
-    /// the manifest, snapshots and CSV are byte-identical at every
-    /// budget. Not part of the manifest identity — a sweep interrupted
-    /// under one budget resumes cleanly under another.
+    /// simulations, and results are committed to the manifest in grid
+    /// order, so the manifest, snapshots and CSV are byte-identical at
+    /// every budget. Not part of the manifest identity — a sweep
+    /// interrupted under one budget resumes cleanly under another.
     pub budget: par::Budget,
+    /// Simulate a crash after this many points completed in this
+    /// invocation (the process would normally exit here). Not part of the
+    /// manifest identity.
+    pub crash_after_points: Option<usize>,
 }
 
 impl Default for SweepConfig {
@@ -310,35 +272,10 @@ impl Default for SweepConfig {
             effort: Effort::Quick,
             workload_seed: 17,
             retain: 3,
-            max_attempts: 3,
-            backoff_base_ms: 250,
-            backoff_cap_ms: 4_000,
             grid: None,
             budget: par::Budget::serial(),
+            crash_after_points: None,
         }
-    }
-}
-
-/// Test seams of the supervisor: simulated crashes and injected attempt
-/// failures, so the retry/backoff/quarantine paths are exercised without
-/// multi-minute simulations or real fault hardware.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SweepHooks {
-    /// Simulate a crash after this many points completed in this
-    /// invocation (the process would normally exit here).
-    pub crash_after_points: Option<usize>,
-    /// `(point_index, failing_attempts)`: the first `failing_attempts`
-    /// tries of grid point `point_index` fail before reaching the
-    /// simulator.
-    pub fail_attempts: Vec<(usize, u32)>,
-}
-
-impl SweepHooks {
-    fn injected_failures(&self, index: usize) -> u32 {
-        self.fail_attempts
-            .iter()
-            .find(|(i, _)| *i == index)
-            .map_or(0, |(_, n)| *n)
     }
 }
 
@@ -349,7 +286,7 @@ pub struct SweepOutcome {
     pub manifest: SweepManifest,
     /// `false` when interrupted with points still pending.
     pub completed: bool,
-    /// Points brought to a terminal status by this invocation.
+    /// Points run and committed by this invocation.
     pub points_run: usize,
     /// Sequence number of the manifest snapshot the run resumed from.
     pub resumed_from_seq: Option<u64>,
@@ -359,13 +296,6 @@ pub struct SweepOutcome {
     pub snapshots_written: usize,
     /// Why a structurally valid newest snapshot was discarded.
     pub discarded: Option<String>,
-}
-
-/// Delay before retry number `attempt` (1-based): capped exponential,
-/// `min(cap, base · 2^(attempt-1))`.
-pub fn backoff_delay_ms(attempt: u32, base_ms: u64, cap_ms: u64) -> u64 {
-    let shift = (attempt.saturating_sub(1)).min(63);
-    base_ms.saturating_mul(1u64 << shift).min(cap_ms)
 }
 
 /// Runs (or resumes) a robustness sweep, snapshotting the manifest into
@@ -382,7 +312,6 @@ pub fn run_sweep(
     model: &IlModel,
     config: &SweepConfig,
     dir: &Path,
-    hooks: &SweepHooks,
     mut recorder: Option<&mut TraceRecorder>,
 ) -> Result<SweepOutcome, BenchError> {
     let mut store = CheckpointStore::open(dir, SWEEP_KIND, config.retain)?;
@@ -448,24 +377,30 @@ pub fn run_sweep(
     let mut snapshots_written = 0usize;
     let mut completed = true;
     // Pending points run in waves of `effective_threads` parallel
-    // simulations. Every point's seed derives from its grid index and the
-    // wave's results are committed (and snapshotted) strictly in grid
-    // order, so the manifest history is identical to a serial run; the
-    // budget changes wall-clock only. A simulated crash discards the
+    // simulations. Every point runs the same workload seed and the wave's
+    // results are committed (and snapshotted) strictly in grid order, so
+    // the manifest history is identical to a serial run; the budget
+    // changes wall-clock only. A simulated crash discards the
     // uncommitted tail of the wave — exactly the state a serial crash at
     // the same commit count leaves behind.
     let wave = config.budget.effective_threads().max(1);
     let pending = manifest.pending();
     'waves: for chunk in pending.chunks(wave) {
-        if hooks.crash_after_points.is_some_and(|n| points_run >= n) {
+        if config.crash_after_points.is_some_and(|n| points_run >= n) {
             completed = false;
             break;
         }
         let statuses = par::par_map(&config.budget, chunk, |_, &index| {
-            run_point_supervised(model, config, hooks, manifest.points[index], index)
+            let (point, trace_hash) = run_point(
+                model,
+                manifest.points[index],
+                config.effort,
+                config.workload_seed,
+            );
+            PointStatus::Done { point, trace_hash }
         });
         for (&index, status) in chunk.iter().zip(statuses) {
-            if hooks.crash_after_points.is_some_and(|n| points_run >= n) {
+            if config.crash_after_points.is_some_and(|n| points_run >= n) {
                 completed = false;
                 break 'waves;
             }
@@ -484,10 +419,6 @@ pub fn run_sweep(
             }
         }
     }
-    if completed && hooks.crash_after_points.is_some_and(|n| points_run >= n) {
-        // The simulated crash landed exactly on the last pending point.
-        completed = manifest.pending().is_empty();
-    }
 
     Ok(SweepOutcome {
         manifest,
@@ -500,110 +431,38 @@ pub fn run_sweep(
     })
 }
 
-/// Stream tag for per-point workload seeds.
-const WORKLOAD_POINT_STREAM: u64 = 0x5EE9_0B05_7C11_D300;
-
-/// Brings one grid point to a terminal status: derives its workload seed
-/// from the grid index, applies the hook-injected attempt failures, and
-/// retries with capped exponential backoff until done or quarantined.
-/// Pure per-point (no shared state), so waves of points can run in
-/// parallel and produce the exact statuses a serial loop produces.
-fn run_point_supervised(
-    model: &IlModel,
-    config: &SweepConfig,
-    hooks: &SweepHooks,
-    gp: GridPoint,
-    index: usize,
-) -> PointStatus {
-    // Each point gets its own derived workload seed so resumed runs
-    // reproduce interrupted ones regardless of execution order.
-    let seed =
-        sim_core::derive_rng(config.workload_seed, WORKLOAD_POINT_STREAM, index as u64).next_u64();
-    let injected = hooks.injected_failures(index);
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        if attempts <= injected {
-            let last_error = format!("injected failure on attempt {attempts}");
-            if attempts >= config.max_attempts {
-                return PointStatus::Quarantined {
-                    attempts,
-                    last_error,
-                };
-            }
-            let delay = backoff_delay_ms(attempts, config.backoff_base_ms, config.backoff_cap_ms);
-            if delay > 0 {
-                std::thread::sleep(Duration::from_millis(delay));
-            }
-            continue;
-        }
-        let (point, hash) = run_point_traced(
-            model.clone(),
-            gp.npu_failure_rate,
-            gp.sensor_dropout_rate,
-            gp.ladder,
-            config.effort,
-            seed,
-            trace::TraceConfig::full(),
-        );
-        return PointStatus::Done {
-            point,
-            trace_hash: hash.map_or(0, |h| h.value()),
-            attempts,
-        };
-    }
-}
-
 /// Renders the manifest as CSV: the robustness columns plus per-point
-/// status, attempts and certifying trace hash.
+/// status and certifying trace hash.
 pub fn sweep_csv(manifest: &SweepManifest) -> String {
     use std::fmt::Write as _;
     let mut out = String::from(
         "npu_failure_rate,sensor_dropout_rate,ladder,status,avg_temp_c,peak_temp_c,\
          violations,executions,degraded_epochs,cpu_fallback_epochs,npu_failures,\
-         breaker_opens,failsafe_events,attempts,trace_hash\n",
+         breaker_opens,failsafe_events,trace_hash\n",
     );
     for (gp, status) in manifest.points.iter().zip(&manifest.status) {
-        match status {
-            PointStatus::Pending => {
-                let _ = writeln!(
-                    out,
-                    "{},{},{},pending,,,,,,,,,,,",
-                    gp.npu_failure_rate, gp.sensor_dropout_rate, gp.ladder
-                );
-            }
-            PointStatus::Done {
-                point,
-                trace_hash,
-                attempts,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{},{},{},done,{:.3},{:.3},{},{},{},{},{},{},{},{},{:016x}",
-                    gp.npu_failure_rate,
-                    gp.sensor_dropout_rate,
-                    gp.ladder,
-                    point.avg_temp_c,
-                    point.peak_temp_c,
-                    point.violations,
-                    point.executions,
-                    point.degraded_epochs,
-                    point.cpu_fallback_epochs,
-                    point.npu_failures,
-                    point.breaker_opens,
-                    point.failsafe_events,
-                    attempts,
-                    trace_hash
-                );
-            }
-            PointStatus::Quarantined { attempts, .. } => {
-                let _ = writeln!(
-                    out,
-                    "{},{},{},quarantined,,,,,,,,,,{},",
-                    gp.npu_failure_rate, gp.sensor_dropout_rate, gp.ladder, attempts
-                );
-            }
-        }
+        let _ = write!(
+            out,
+            "{},{},{},",
+            gp.npu_failure_rate, gp.sensor_dropout_rate, gp.ladder
+        );
+        let _ = match status {
+            PointStatus::Pending => writeln!(out, "pending,,,,,,,,,,"),
+            PointStatus::Done { point, trace_hash } => writeln!(
+                out,
+                "done,{:.3},{:.3},{},{},{},{},{},{},{},{:016x}",
+                point.avg_temp_c,
+                point.peak_temp_c,
+                point.violations,
+                point.executions,
+                point.degraded_epochs,
+                point.cpu_fallback_epochs,
+                point.npu_failures,
+                point.breaker_opens,
+                point.failsafe_events,
+                trace_hash
+            ),
+        };
     }
     out
 }
@@ -650,10 +509,22 @@ mod tests {
 
     fn tiny_config(grid: Vec<GridPoint>) -> SweepConfig {
         SweepConfig {
-            backoff_base_ms: 1,
-            backoff_cap_ms: 4,
             grid: Some(grid),
             ..SweepConfig::default()
+        }
+    }
+
+    fn sample_point() -> RobustnessPoint {
+        RobustnessPoint {
+            avg_temp_c: 31.5,
+            peak_temp_c: 44.0,
+            violations: 1,
+            executions: 12,
+            degraded_epochs: 0,
+            cpu_fallback_epochs: 3,
+            npu_failures: 7,
+            breaker_opens: 1,
+            failsafe_events: 0,
         }
     }
 
@@ -666,27 +537,10 @@ mod tests {
             points: tiny_grid(),
             status: vec![
                 PointStatus::Done {
-                    point: RobustnessPoint {
-                        npu_failure_rate: 0.0,
-                        sensor_dropout_rate: 0.0,
-                        ladder: true,
-                        avg_temp_c: 31.5,
-                        peak_temp_c: 44.0,
-                        violations: 1,
-                        executions: 12,
-                        degraded_epochs: 0,
-                        cpu_fallback_epochs: 3,
-                        npu_failures: 7,
-                        breaker_opens: 1,
-                        failsafe_events: 0,
-                    },
+                    point: sample_point(),
                     trace_hash: 0x1234,
-                    attempts: 2,
                 },
-                PointStatus::Quarantined {
-                    attempts: 3,
-                    last_error: "boom".into(),
-                },
+                PointStatus::Pending,
             ],
         };
         let bytes = manifest.encode();
@@ -697,93 +551,72 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_exponential_and_capped() {
-        assert_eq!(backoff_delay_ms(1, 250, 4_000), 250);
-        assert_eq!(backoff_delay_ms(2, 250, 4_000), 500);
-        assert_eq!(backoff_delay_ms(3, 250, 4_000), 1_000);
-        assert_eq!(backoff_delay_ms(6, 250, 4_000), 4_000);
-        assert_eq!(backoff_delay_ms(u32::MAX, 250, 4_000), 4_000);
-    }
-
-    #[test]
-    fn repeated_failures_quarantine_without_stalling() {
-        let dir = tmp_dir("quarantine");
-        let model = quick_model();
-        let grid = vec![tiny_grid()[0]];
-        let config = tiny_config(grid);
-        let hooks = SweepHooks {
-            fail_attempts: vec![(0, 99)],
-            ..SweepHooks::default()
-        };
-        let outcome = run_sweep(&model, &config, &dir, &hooks, None).unwrap();
-        assert!(outcome.completed);
-        assert_eq!(outcome.manifest.quarantined(), 1);
-        match &outcome.manifest.status[0] {
-            PointStatus::Quarantined {
-                attempts,
-                last_error,
-            } => {
-                assert_eq!(*attempts, config.max_attempts);
-                assert!(last_error.contains("injected"));
-            }
-            other => panic!("expected quarantine, got {other:?}"),
-        }
-        assert_eq!(outcome.snapshots_written, 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn transient_failures_retry_and_succeed() {
-        let dir = tmp_dir("retry");
-        let model = quick_model();
-        let config = tiny_config(vec![tiny_grid()[0]]);
-        let hooks = SweepHooks {
-            fail_attempts: vec![(0, 1)],
-            ..SweepHooks::default()
-        };
-        let outcome = run_sweep(&model, &config, &dir, &hooks, None).unwrap();
-        match &outcome.manifest.status[0] {
-            PointStatus::Done { attempts, .. } => assert_eq!(*attempts, 2),
-            other => panic!("expected done after retry, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn mismatched_identity_discards_manifest() {
         let dir = tmp_dir("identity");
         let model = quick_model();
-        // Quarantine instantly: no simulation runs, but a snapshot lands.
-        let config = SweepConfig {
-            max_attempts: 1,
-            ..tiny_config(vec![tiny_grid()[0]])
+        let config = tiny_config(vec![tiny_grid()[0]]);
+        // Store a finished manifest, as a completed sweep would: no
+        // simulation runs, but a snapshot lands.
+        let finished = SweepManifest {
+            workload_seed: config.workload_seed,
+            effort_full: false,
+            model_fingerprint: model_fingerprint(&model),
+            points: vec![tiny_grid()[0]],
+            status: vec![PointStatus::Done {
+                point: sample_point(),
+                trace_hash: 0x1234,
+            }],
         };
-        let hooks = SweepHooks {
-            fail_attempts: vec![(0, 99)],
-            ..SweepHooks::default()
-        };
-        run_sweep(&model, &config, &dir, &hooks, None).unwrap();
+        CheckpointStore::open(&dir, SWEEP_KIND, config.retain)
+            .unwrap()
+            .save(&finished.encode(), nn::rng_stream_fingerprint())
+            .unwrap();
 
-        let reseeded = SweepConfig {
-            workload_seed: config.workload_seed + 1,
-            ..config.clone()
-        };
         // Crash before the first point so the fresh (mismatched) manifest is
         // never snapshotted over the original.
-        let crash = SweepHooks {
+        let reseeded = SweepConfig {
+            workload_seed: config.workload_seed + 1,
             crash_after_points: Some(0),
-            ..hooks.clone()
+            ..config.clone()
         };
-        let outcome = run_sweep(&model, &reseeded, &dir, &crash, None).unwrap();
+        let outcome = run_sweep(&model, &reseeded, &dir, None).unwrap();
         assert!(outcome.resumed_from_seq.is_none());
         assert!(outcome.discarded.as_deref().unwrap().contains("seed"));
         assert_eq!(outcome.snapshots_written, 0);
 
-        // Matching identity resumes; every point is terminal so nothing runs.
-        let outcome = run_sweep(&model, &config, &dir, &hooks, None).unwrap();
+        // Matching identity resumes; every point is done so nothing runs.
+        let outcome = run_sweep(&model, &config, &dir, None).unwrap();
         assert!(outcome.resumed_from_seq.is_some());
         assert!(outcome.completed);
         assert_eq!(outcome.points_run, 0);
+        assert_eq!(outcome.manifest, finished);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn ladder_pairs_share_one_workload() {
+        // At zero fault rates the ladder has nothing to do, so on and off
+        // replay the same run only if both points got the same workload.
+        let dir = tmp_dir("pairs");
+        let grid = [true, false]
+            .map(|ladder| GridPoint {
+                npu_failure_rate: 0.0,
+                sensor_dropout_rate: 0.0,
+                ladder,
+            })
+            .to_vec();
+        let outcome = run_sweep(&quick_model(), &tiny_config(grid), &dir, None).unwrap();
+        let hashes: Vec<u64> = outcome
+            .manifest
+            .status
+            .iter()
+            .map(|status| match status {
+                PointStatus::Done { trace_hash, .. } => *trace_hash,
+                PointStatus::Pending => panic!("a point is still pending"),
+            })
+            .collect();
+        assert_eq!(hashes.len(), 2);
+        assert_eq!(hashes[0], hashes[1], "ladder on and off ran different runs");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -794,28 +627,21 @@ mod tests {
         let config = tiny_config(grid);
 
         let ref_dir = tmp_dir("ref");
-        let reference = run_sweep(&model, &config, &ref_dir, &SweepHooks::default(), None).unwrap();
+        let reference = run_sweep(&model, &config, &ref_dir, None).unwrap();
         assert!(reference.completed);
         assert_eq!(reference.points_run, 2);
 
         let dir = tmp_dir("resume");
-        let crash = SweepHooks {
+        let crash = SweepConfig {
             crash_after_points: Some(1),
-            ..SweepHooks::default()
+            ..config.clone()
         };
-        let first = run_sweep(&model, &config, &dir, &crash, None).unwrap();
+        let first = run_sweep(&model, &crash, &dir, None).unwrap();
         assert!(!first.completed);
         assert_eq!(first.points_run, 1);
 
         let mut rec = trace::TraceConfig::full().recorder().unwrap();
-        let second = run_sweep(
-            &model,
-            &config,
-            &dir,
-            &SweepHooks::default(),
-            Some(&mut rec),
-        )
-        .unwrap();
+        let second = run_sweep(&model, &config, &dir, Some(&mut rec)).unwrap();
         assert!(second.completed);
         assert_eq!(second.points_run, 1);
         assert_eq!(second.resumed_from_seq, Some(0));
@@ -836,7 +662,7 @@ mod tests {
         let model = quick_model();
         let config = tiny_config(tiny_grid());
         let dir = tmp_dir("corrupt");
-        let full = run_sweep(&model, &config, &dir, &SweepHooks::default(), None).unwrap();
+        let full = run_sweep(&model, &config, &dir, None).unwrap();
         assert_eq!(full.snapshots_written, 2);
 
         let store = CheckpointStore::open(&dir, SWEEP_KIND, 3).unwrap();
@@ -846,7 +672,7 @@ mod tests {
         bytes[mid] ^= 0x10;
         std::fs::write(&newest, &bytes).unwrap();
 
-        let resumed = run_sweep(&model, &config, &dir, &SweepHooks::default(), None).unwrap();
+        let resumed = run_sweep(&model, &config, &dir, None).unwrap();
         assert_eq!(resumed.corrupt_skipped, 1);
         assert_eq!(resumed.resumed_from_seq, Some(0));
         // The fallback manifest had one point done; the second re-runs and
@@ -863,41 +689,25 @@ mod tests {
             workload_seed: 1,
             effort_full: false,
             model_fingerprint: 2,
-            points: vec![tiny_grid()[0], tiny_grid()[1], tiny_grid()[0]],
+            points: tiny_grid(),
             status: vec![
                 PointStatus::Pending,
                 PointStatus::Done {
-                    point: RobustnessPoint {
-                        npu_failure_rate: 0.5,
-                        sensor_dropout_rate: 0.0,
-                        ladder: true,
-                        avg_temp_c: 30.0,
-                        peak_temp_c: 40.0,
-                        violations: 0,
-                        executions: 12,
-                        degraded_epochs: 0,
-                        cpu_fallback_epochs: 0,
-                        npu_failures: 0,
-                        breaker_opens: 0,
-                        failsafe_events: 0,
-                    },
+                    point: sample_point(),
                     trace_hash: 0xAB,
-                    attempts: 1,
-                },
-                PointStatus::Quarantined {
-                    attempts: 3,
-                    last_error: "x".into(),
                 },
             ],
         };
         let csv = sweep_csv(&manifest);
         let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("npu_failure_rate,"));
-        assert!(lines[1].contains(",pending,"));
-        assert!(lines[2].contains(",done,"));
-        assert!(lines[2].ends_with("00000000000000ab"));
-        assert!(lines[3].contains(",quarantined,"));
+        assert!(lines[0].ends_with(",trace_hash"));
+        assert_eq!(lines[1], "0,0,true,pending,,,,,,,,,,");
+        assert_eq!(
+            lines[2],
+            "0.5,0,true,done,31.500,44.000,1,12,0,3,7,1,0,00000000000000ab"
+        );
         let cols = lines[0].split(',').count();
         for line in &lines[1..] {
             assert_eq!(line.split(',').count(), cols, "row: {line}");

@@ -8,8 +8,13 @@
 use std::process::{Command, Output};
 
 fn experiments(args: &[&str]) -> Output {
+    experiments_with_env(args, &[])
+}
+
+fn experiments_with_env(args: &[&str], env: &[(&str, &str)]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(args)
+        .envs(env.iter().copied())
         .output()
         .expect("spawn the experiments binary")
 }
@@ -17,7 +22,11 @@ fn experiments(args: &[&str]) -> Output {
 /// Asserts the usage-rejection contract: status 2, usage on stderr (with
 /// the given diagnostic), and nothing on stdout.
 fn assert_rejected(args: &[&str], diagnostic: &str) {
-    let out = experiments(args);
+    assert_rejected_with_env(args, &[], diagnostic);
+}
+
+fn assert_rejected_with_env(args: &[&str], env: &[(&str, &str)], diagnostic: &str) {
+    let out = experiments_with_env(args, env);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
         out.status.code(),
@@ -106,6 +115,8 @@ fn bad_run_sizes_are_rejected() {
     assert_rejected(&["fleet", "--boards", "0"], &at_least_one("--boards"));
     assert_rejected(&["fleet", "--devices", "0"], &at_least_one("--devices"));
     assert_rejected(&["overload", "--clients", "0"], &at_least_one("--clients"));
+    assert_rejected(&["sweep", "--points", "0"], &at_least_one("--points"));
+    assert_rejected(&["robustness", "--points", "0"], &at_least_one("--points"));
     let positive = |flag: &str| format!("flag `{flag}` must be finite and above 0");
     assert_rejected(&["edge", "--load", "-1"], &positive("--load"));
     assert_rejected(&["edge", "--load", "0"], &positive("--load"));
@@ -127,6 +138,23 @@ fn edge_sizes_are_checked_by_the_typed_config_error() {
         regions: 4,
     };
     assert_rejected(&["edge", "--boards", "2"], &err.to_string());
+}
+
+/// The simulated-crash counts are read before any run starts; a value
+/// that is not a count is a usage error, not a silently ignored hook.
+#[test]
+fn malformed_crash_counts_are_rejected() {
+    for (command, var) in [
+        ("sweep", "TOPIL_SWEEP_CRASH_AFTER"),
+        ("robustness", "TOPIL_SWEEP_CRASH_AFTER"),
+        ("train", "TOPIL_TRAIN_CRASH_AFTER"),
+    ] {
+        assert_rejected_with_env(
+            &[command, "--points", "1"],
+            &[(var, "soon")],
+            &format!("environment variable `{var}` got a malformed count `soon`"),
+        );
+    }
 }
 
 #[test]

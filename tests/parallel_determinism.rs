@@ -12,7 +12,7 @@ mod common;
 
 use std::path::{Path, PathBuf};
 
-use bench::sweep::{model_fingerprint, run_sweep, GridPoint, SweepConfig, SweepHooks, SWEEP_KIND};
+use bench::sweep::{model_fingerprint, run_sweep, GridPoint, SweepConfig, SWEEP_KIND};
 use checkpoint::CheckpointStore;
 use par::Budget;
 use top_il::prelude::*;
@@ -139,7 +139,7 @@ fn sweep_manifest_and_csv_are_bit_identical_across_budgets() {
         budget: Budget::serial(),
         ..SweepConfig::default()
     };
-    let reference = run_sweep(&model, &config, &serial_dir, &SweepHooks::default(), None).unwrap();
+    let reference = run_sweep(&model, &config, &serial_dir, None).unwrap();
     assert!(reference.completed);
     let reference_csv = bench::sweep::sweep_csv(&reference.manifest);
     let reference_snapshots = snapshot_bytes(&serial_dir, SWEEP_KIND);
@@ -150,7 +150,7 @@ fn sweep_manifest_and_csv_are_bit_identical_across_budgets() {
             budget: Budget::with_threads(threads),
             ..config.clone()
         };
-        let outcome = run_sweep(&model, &config, &dir, &SweepHooks::default(), None).unwrap();
+        let outcome = run_sweep(&model, &config, &dir, None).unwrap();
         assert!(outcome.completed, "threads={threads}");
         // Manifest equality covers every per-point trace hash.
         assert_eq!(outcome.manifest, reference.manifest, "threads={threads}");
