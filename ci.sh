@@ -43,8 +43,14 @@ fi
 if grep -rn 'TieredService::new' crates/*/src | grep -vE '^crates/(npu-serve|edge-sim)/'; then
     echo "one-harness lint: drive the tier through edge_sim::run" >&2; exit 1
 fi
+# The same holds one level down: `bench::fleet` is the one harness that
+# drives a bare `NpuService` (overload is an edge preset), so a second
+# service-driving harness cannot grow back either.
+if grep -rn 'NpuService::new' crates/*/src | grep -vE '^crates/(npu-serve/|bench/src/fleet\.rs:)'; then
+    echo "one-harness lint: drive a bare NpuService only from bench::fleet" >&2; exit 1
+fi
 # Event-buffer lint: the serving layer reports through counters
-# (`ServeStats`, `TierStats`) and `MetricsSnapshot`. It keeps no
+# (`ServeStats`, `TierStats`). It keeps no
 # trace-event log, so an unread per-request buffer cannot grow back
 # into large runs.
 if grep -rn 'TraceEvent' crates/npu-serve/src; then
@@ -98,8 +104,8 @@ echo "training-step allocation gate passed"
 # (`edge_sim::tier_config`). Warmed up, a 6x-load epoch on a one-rack
 # tier allocates nothing: payloads are refilled in place, reply outputs
 # and job lists go back to the service that filed them, and every other
-# buffer is reused (the services' per-request sample Vecs, doubling past
-# 64 KiB, are set apart). Cold, a whole `edge_sim::run` from fresh
+# buffer is reused (the services' one per-request sample Vec,
+# `latencies_ns`, doubling past 64 KiB, is set apart). Cold, a whole `edge_sim::run` from fresh
 # services on perfbench's two edge shapes allocates at most 1.1 (nominal)
 # and 0.4 (6x load) times per submitted request, so the cost every
 # perfbench run pays is pinned too. The test binary counts allocation
@@ -216,34 +222,46 @@ diff "$ckpt_tmp/kern-vec.stripped" "$ckpt_tmp/kern-nocache.stripped" || {
 gate_end "kernel gate"
 echo "kernel gate passed (scalar == vectorized == cached, byte-for-byte)"
 
-# Overload gate: 10x open-loop traffic plus a fault storm. Admitted
-# requests must never miss a deadline, sheds must stay bounded (the pool
-# keeps serving), the breaker must actually cycle, the run must finish
-# inside a hard wall-clock budget, and the CSV must be byte-identical
-# whether payload generation uses one thread or four.
+# Overload gate: the edge overload preset (one rack of 128 boards at 30
+# requests per board per epoch, 25 ms deadlines), plain and under the
+# full storm. The tier's checker must see no late reply and no lost
+# ticket, every request must resolve, shedding must stay bounded while
+# the rack keeps serving, the storm must cycle a breaker, each run must
+# finish inside a hard wall-clock budget, and the CSV must be
+# byte-identical whether one thread or four run it.
 gate_begin
-timeout 300 "$experiments" overload --threads 1 --storm --out "$ckpt_tmp/ov-a" >/dev/null 2>&1 || {
-    echo "overload gate: run failed or exceeded the 300s wall-clock budget" >&2; exit 1; }
-timeout 300 "$experiments" overload --threads 4 --storm --out "$ckpt_tmp/ov-b" >/dev/null 2>&1 || {
-    echo "overload gate: run failed or exceeded the 300s wall-clock budget" >&2; exit 1; }
-overload_csv="$ckpt_tmp/ov-a/overload.csv"
-grep -q '^summary,,deadline_misses,0$' "$overload_csv" || {
-    echo "overload gate: an admitted request was served past its deadline" >&2; exit 1; }
-grep -q '^summary,,dropped,0$' "$overload_csv" || {
-    echo "overload gate: a ticket vanished without a reply or a typed error" >&2; exit 1; }
-awk -F, '$3 == "shed_rate" && $1 == "summary" && ($4 >= 1.0 || $4 <= 0.0) { exit 1 }' "$overload_csv" || {
-    echo "overload gate: shed rate unbounded (all or none of the traffic shed)" >&2; exit 1; }
-awk -F, '$3 == "served" && $1 == "summary" && $4 == 0 { exit 1 }' "$overload_csv" || {
-    echo "overload gate: the pool served nothing under overload" >&2; exit 1; }
-awk -F, '$3 == "breaker_opens" && $1 == "summary" && $4 == 0 { exit 1 }' "$overload_csv" || {
-    echo "overload gate: the fault storm never tripped a breaker" >&2; exit 1; }
-diff "$overload_csv" "$ckpt_tmp/ov-b/overload.csv" || {
-    echo "overload gate: CSV diverged between --threads 1 and --threads 4" >&2; exit 1; }
+for storm in none all; do
+    storm_args=""
+    [ "$storm" = none ] || storm_args="--storm $storm"
+    for threads in 1 4; do
+        # shellcheck disable=SC2086
+        timeout 300 "$experiments" overload $storm_args --threads "$threads" \
+            --out "$ckpt_tmp/ov-$storm-t$threads" >/dev/null 2>&1 || {
+            echo "overload gate: $storm run failed or exceeded the 300s wall-clock budget" >&2; exit 1; }
+    done
+    overload_csv="$ckpt_tmp/ov-$storm-t1/overload.csv"
+    grep -q '^summary,,invariant_violations,0$' "$overload_csv" || {
+        echo "overload gate ($storm): a late reply or a lost ticket" >&2; exit 1; }
+    awk -F, '$1 == "summary" { v[$3] = $4 }
+        END { exit !(v["replies"] + v["failed"] == v["submitted"]) }' "$overload_csv" || {
+        echo "overload gate ($storm): replies + failed != submitted" >&2; exit 1; }
+    awk -F, '$1 == "summary" && $3 == "shed_rate" && ($4 >= 1.0 || $4 <= 0.0) { exit 1 }' "$overload_csv" || {
+        echo "overload gate ($storm): shed rate unbounded (all or none of the traffic shed)" >&2; exit 1; }
+    awk -F, '$1 == "summary" && $3 == "replies" && $4 == 0 { exit 1 }' "$overload_csv" || {
+        echo "overload gate ($storm): the rack served nothing under overload" >&2; exit 1; }
+    if [ "$storm" != none ]; then
+        awk -F, '$1 == "summary" && $3 == "breaker_transitions" && $4 == 0 { exit 1 }' "$overload_csv" || {
+            echo "overload gate ($storm): the storm never moved a breaker" >&2; exit 1; }
+    fi
+    diff "$overload_csv" "$ckpt_tmp/ov-$storm-t4/overload.csv" || {
+        echo "overload gate ($storm): CSV diverged between --threads 1 and --threads 4" >&2; exit 1; }
+done
 gate_end "overload gate"
 echo "overload gate passed"
 
-# Golden-digest gate: the FNV-64 digests of the fleet, overload and edge
-# CSVs (the edge grid includes the five chaos storm presets) over a small
+# Golden-digest gate: the FNV-64 digests of the fleet and edge CSVs (the
+# edge grid includes the five chaos storm presets and the two overload
+# runs) over a small
 # named scenario grid, each at a one- and a four-thread budget, must
 # match the committed fixtures byte for byte. The golden traces and the
 # digests both run with their notices visible: a fixture skipped for a

@@ -10,9 +10,7 @@ use hikey_platform::{Platform, PlatformConfig, THERMAL_PERIOD};
 use hmc_types::{CoreId, SimDuration, SimTime, Watts, NUM_CORES};
 use nn::{kernel, Adam, Dataset, KernelMode, Matrix, Mlp, TrainWorkspace};
 use npu::{InferScratch, NpuModel};
-use npu_serve::{
-    seeded_payload, seeded_payload_into, ClientId, TierOutcome, TierSubmit, TieredService,
-};
+use npu_serve::{seeded_payload, seeded_payload_into, TierOutcome, TierSubmit, TieredService};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use thermal::{Cooling, SocThermal};
@@ -261,7 +259,6 @@ fn serve_benches(c: &mut Criterion) {
                 let at = SimTime::from_nanos(base + i * epoch / per_epoch);
                 let opts = TierSubmit {
                     rack: 0,
-                    client: ClientId::new(i % config.boards as u64),
                     deadline: Some(at + deadline),
                 };
                 let mut payload = payloads

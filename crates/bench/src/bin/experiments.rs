@@ -30,7 +30,7 @@ fn report_csv(result: Result<(), BenchError>) {
     }
 }
 
-/// Runs one edge-sim scenario — `edge`, or `chaos` — and writes its
+/// Runs one edge-sim scenario — `edge`, `chaos` or `overload` — and writes its
 /// CSV to stdout and to `<name>.csv`. The report and the wall-clock
 /// throughput go to stderr, so the CSV stays byte-deterministic. Exits 1
 /// on an invariant violation.
@@ -113,7 +113,7 @@ fn process_memory() -> Option<(u64, u64)> {
 const USAGE: &str = "\
 usage: experiments [--full] [--out <dir>] [--state <dir>] [--points <n>]
                    [--boards <n>] [--racks <n>] [--epochs <n>] [--devices <n>]
-                   [--threads <n>] [--clients <n>] [--overload <x>] [--seed <n>]
+                   [--threads <n>] [--seed <n>]
                    [--users <n>] [--load <x>] [--replay <file>]
                    [--churn <period>] [--churn-down <epochs>]
                    [--storm [preset]] [--kernel <scalar|vector>]
@@ -123,14 +123,11 @@ Regenerates the paper's evaluation artifacts. Without a command (or with
 `all`) the whole suite runs. `--full` uses paper-scale parameters;
 `--out <dir>` additionally writes CSV data series. `--state <dir>` holds
 checkpoint snapshots for the resumable commands (`robustness`, `train`);
-without it `robustness` runs in a fresh directory that it removes when
-done. `--points <n>` truncates the robustness grid to its first n points.
+without it each runs in a fresh directory that it removes when done, so
+a rerun starts over. `--points <n>` truncates the robustness grid to its first n points.
 `--boards`, `--epochs` and `--devices` size the `fleet` experiment, and
 `--churn <period>` adds board churn to it (one seeded crash every
 `period` epochs, each lasting `--churn-down` epochs, default 2);
-`--clients`, `--epochs`, `--devices`, `--overload <x>` (arrival rate as a
-multiple of pool capacity) and a bare `--storm` (add a device fault storm)
-size the `overload` experiment, which rejects a storm preset.
 `--boards`, `--racks` (racks per region), `--epochs`, `--seed`,
 `--users` (logical users) and `--load <x>` (mean requests per board per
 epoch) size the `edge` experiment; `--replay <file>` drives its demand
@@ -139,11 +136,13 @@ bare `--storm` injects its regional backbone outage, and
 `--storm <preset>` a fault storm in every region (`crash-wave`,
 `partition`, `heartbeat`, `slow-tier` or `all`). `chaos` runs the edge
 simulator at chaos size (one region, flat demand; default 12 boards in
-3 racks x 40 epochs, seed 11) under `--storm <preset>` (default `all`),
-sized by `--boards`, `--racks`, `--epochs` and `--seed`.
+3 racks x 40 epochs, seed 11) under `--storm <preset>` (default `all`).
+`overload` runs it at overload size (one rack of 128 boards, 20k users
+at 30 requests per board per epoch, 15 epochs, seed 7, 25 ms deadline)
+under `--storm <preset>` (default none). Both are sized by `--boards`,
+`--racks`, `--epochs` and `--seed`.
 Sizing counts (`--points`, `--boards`, `--racks`, `--epochs`, `--devices`,
-`--clients`, `--users`) must be at least 1, and `--overload` and
-`--load` must be finite and above 0.
+`--users`) must be at least 1, and `--load` must be finite and above 0.
 `--threads <n>` sets the host-thread budget of `train`, `robustness`, `fleet`,
 `overload`, `chaos` and `edge` (default: all available cores). Every
 command produces the same bytes at every thread count — the budget
@@ -160,9 +159,9 @@ usage to stderr and exit with status 2.
 Diagnostics go to stderr; stdout carries only reports and CSV data, so
 `experiments fleet > fleet.csv` yields a clean machine-readable artifact.
 
-Interrupted `robustness` and `train` runs exit with status 130 and resume
-from their newest valid snapshot when rerun with the same --state
-directory. TOPIL_SWEEP_CRASH_AFTER=<n> / TOPIL_TRAIN_CRASH_AFTER=<n>
+Interrupted `robustness` and `train` runs exit with status 130; with
+--state they resume from their newest valid snapshot when rerun with the
+same directory. TOPIL_SWEEP_CRASH_AFTER=<n> / TOPIL_TRAIN_CRASH_AFTER=<n>
 simulate a crash after n points/epochs (used by the CI crash-recovery
 check); a value that is not a count is a usage error.
 
@@ -184,17 +183,17 @@ commands:
                ladder (table on stdout, sweep.csv via --out, uses --state)
   traces       structured event traces per governor (JSONL/CSV via --out)
   fleet        multi-board fleet sharing one batched NPU inference service
-  overload     adversarial 10x-overload harness against the shared service
+  overload     edge overload preset: one saturated rack (writes overload.csv)
   chaos        edge storm preset on a small flat-demand fleet (writes chaos.csv)
   edge         datacenter-scale edge fleet: user/request frontier + network model
   sweep        the same as robustness
-  train        crash-safe resumable IL training (uses --state)
+  train        crash-safe IL training (resumable with --state)
   all          everything above except sweep and train
 ";
 
 /// Every recognized subcommand. `--storm`'s optional value is
-/// disambiguated against this list so `overload --storm` keeps working
-/// when a command name follows the bare flag.
+/// disambiguated against this list so `edge --storm` keeps working when a
+/// command name follows the bare flag.
 const COMMANDS: &[&str] = &[
     "fig1",
     "fig3",
@@ -269,6 +268,21 @@ fn flag_rate(args: &[String], i: &mut usize, flag: &str) -> f64 {
     x
 }
 
+/// The checkpoint directory of a resumable command and whether it is
+/// scratch: `--state`, or else a fresh temporary directory named after
+/// `kind`, which the command removes when done. A snapshot's identity
+/// does not cover the simulator's code, so resuming is opt-in.
+fn state_dir(state: &Option<PathBuf>, kind: &str) -> (PathBuf, bool) {
+    match state {
+        Some(dir) => (dir.clone(), false),
+        None => {
+            let dir = std::env::temp_dir().join(format!("topil-{kind}-{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            (dir, true)
+        }
+    }
+}
+
 /// Reads the simulated-crash count in environment variable `var`: `None`
 /// when unset, and exits 2 when it is not a count.
 fn crash_after(var: &str) -> Option<usize> {
@@ -298,8 +312,6 @@ fn main() {
     let mut epochs: Option<u64> = None;
     let mut devices: Option<usize> = None;
     let mut threads: Option<usize> = None;
-    let mut clients: Option<usize> = None;
-    let mut overload: Option<f64> = None;
     let mut seed: Option<u64> = None;
     let mut users: Option<u64> = None;
     let mut load: Option<f64> = None;
@@ -324,8 +336,6 @@ fn main() {
             "--epochs" => epochs = Some(flag_count(&args, &mut i, arg)),
             "--devices" => devices = Some(flag_count(&args, &mut i, arg)),
             "--threads" => threads = Some(flag_number(&args, &mut i, arg)),
-            "--clients" => clients = Some(flag_count(&args, &mut i, arg)),
-            "--overload" => overload = Some(flag_rate(&args, &mut i, arg)),
             "--seed" => seed = Some(flag_number(&args, &mut i, arg)),
             "--users" => users = Some(flag_count(&args, &mut i, arg)),
             "--load" => load = Some(flag_rate(&args, &mut i, arg)),
@@ -341,9 +351,9 @@ fn main() {
             },
             "--policy-cache" => policy_cache = Some(flag_number(&args, &mut i, arg)),
             "--storm" => match args.get(i + 1).map(String::as_str) {
-                // Bare `--storm` arms the overload fault storm and the
-                // edge backbone outage; a value names the storm preset of
-                // `chaos` and `edge`. A preset name always binds
+                // Bare `--storm` arms the edge backbone outage; a value
+                // names the storm preset of `chaos`, `overload` and
+                // `edge`. A preset name always binds
                 // (`all` is both a preset and a command — the preset
                 // reading wins); any other following command or flag
                 // leaves the flag bare.
@@ -368,8 +378,8 @@ fn main() {
     // No --threads means "use every core"; the result is bit-identical
     // either way.
     let budget = threads.map_or_else(par::Budget::auto, par::Budget::with_threads);
-    if storm_preset.is_some() && commands.contains(&"overload") {
-        usage_error("flag `--storm <preset>` applies to `chaos` and `edge`; `overload` takes a bare `--storm`");
+    if storm && commands.contains(&"overload") {
+        usage_error("a bare `--storm` (the backbone outage) applies to `edge`; `overload` takes `--storm <preset>`");
     }
     let edge_defaults = EdgeConfig::default();
     let edge_config = EdgeConfig {
@@ -567,48 +577,21 @@ fn main() {
                 print!("{csv}");
                 report_csv(write_csv(&out, "fleet.csv", csv));
             }
-            "overload" => {
-                let mut config = bench::overload::OverloadConfig::default();
-                if let Some(n) = clients {
-                    config.clients = n;
-                }
-                if let Some(n) = epochs {
-                    config.epochs = n;
-                }
-                if let Some(n) = devices {
-                    config.devices = n;
-                }
-                if let Some(x) = overload {
-                    config.overload = x;
-                }
-                config.fault_storm = storm;
-                config.budget = budget;
-                eprintln!(
-                    "overload: {:.0}x capacity, {} clients x {} epochs on {} device(s), {} thread(s){} ...",
-                    config.overload,
-                    config.clients,
-                    config.epochs,
-                    config.devices,
-                    config.budget.effective_threads(),
-                    if config.fault_storm { ", fault storm" } else { "" }
-                );
-                let report = bench::overload::run(&config);
-                eprintln!("{report}");
-                let csv = bench::csv::overload_csv(&report);
-                print!("{csv}");
-                report_csv(write_csv(&out, "overload.csv", csv));
-            }
-            "chaos" => {
-                let chaos = EdgeConfig::chaos(storm_preset.unwrap_or(StormPreset::All));
-                let config = EdgeConfig {
-                    boards: boards.unwrap_or(chaos.boards),
-                    racks_per_region: racks.unwrap_or(chaos.racks_per_region),
-                    epochs: epochs.unwrap_or(chaos.epochs),
-                    seed: seed.unwrap_or(chaos.seed),
-                    budget,
-                    ..chaos
+            "chaos" | "overload" => {
+                let preset = if command == "chaos" {
+                    EdgeConfig::chaos(storm_preset.unwrap_or(StormPreset::All))
+                } else {
+                    EdgeConfig::overload(storm_preset)
                 };
-                run_edge("chaos", &config, &out);
+                let config = EdgeConfig {
+                    boards: boards.unwrap_or(preset.boards),
+                    racks_per_region: racks.unwrap_or(preset.racks_per_region),
+                    epochs: epochs.unwrap_or(preset.epochs),
+                    seed: seed.unwrap_or(preset.seed),
+                    budget,
+                    ..preset
+                };
+                run_edge(command, &config, &out);
             }
             "edge" => {
                 let mut config = edge_config.clone();
@@ -634,16 +617,7 @@ fn main() {
                 run_edge("edge", &config, &out);
             }
             "robustness" | "sweep" => {
-                // Without `--state` the sweep runs in a fresh directory that
-                // is removed afterwards: a manifest's identity does not
-                // cover the simulator's code, so resuming is opt-in.
-                let scratch = state.is_none();
-                let state = state.clone().unwrap_or_else(|| {
-                    std::env::temp_dir().join(format!("topil-sweep-{}", std::process::id()))
-                });
-                if scratch {
-                    std::fs::remove_dir_all(&state).ok();
-                }
+                let (state, scratch) = state_dir(&state, "sweep");
                 let model = bench::robustness::sweep_model(effort);
                 let mut config = bench::sweep::SweepConfig {
                     effort,
@@ -688,23 +662,25 @@ fn main() {
                 report_csv(write_csv(&out, "sweep.csv", csv));
             }
             "train" => {
-                let state = state
-                    .clone()
-                    .unwrap_or_else(|| PathBuf::from("train-state"));
+                let (state, scratch) = state_dir(&state, "train");
                 let trainer = bench::harness::il_trainer(effort).with_budget(budget);
                 let scenarios = topil::oracle::Scenario::standard_set(
                     effort.scenario_count().min(20),
                     0xC0FFEE,
                 );
                 let cases = trainer.collect_cases(&scenarios);
-                match trainer.train_checkpointed(
+                let outcome = trainer.train_checkpointed(
                     &cases,
                     0,
                     &state,
                     &topil::CkptConfig::default(),
                     train_crash_after,
                     None,
-                ) {
+                );
+                if scratch {
+                    std::fs::remove_dir_all(&state).ok();
+                }
+                match outcome {
                     Ok(outcome) => {
                         if let Some(seq) = outcome.resumed_from_seq {
                             eprintln!("resumed from training snapshot {seq}");
@@ -730,9 +706,15 @@ fn main() {
                                 }
                             }
                         } else {
-                            eprintln!(
-                                "training interrupted; rerun with the same --state to resume"
-                            );
+                            if scratch {
+                                eprintln!(
+                                    "training interrupted; pass --state <dir> to make it resumable"
+                                );
+                            } else {
+                                eprintln!(
+                                    "training interrupted; rerun with the same --state to resume"
+                                );
+                            }
                             std::process::exit(130);
                         }
                     }

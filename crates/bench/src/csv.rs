@@ -9,7 +9,6 @@ use crate::fig11::Fig11Report;
 use crate::fig8::Fig8Report;
 use crate::fig9::Fig9Report;
 use crate::fleet::FleetReport;
-use crate::overload::OverloadReport;
 use crate::sensitivity::SensitivityReport;
 use edge_sim::{EdgeReport, StormPreset};
 
@@ -186,58 +185,6 @@ pub fn fleet_csv(report: &FleetReport) -> String {
         let _ = writeln!(out, "board,{i},down_epochs,{}", b.down_epochs);
         let _ = writeln!(out, "board,{i},reassigned,{}", b.reassigned);
         let _ = writeln!(out, "board,{i},adopted_arrivals,{}", b.adopted_arrivals);
-    }
-    out
-}
-
-/// Overload rows, long format: `section,index,metric,value`.
-///
-/// Two sections: `summary` (whole-run metrics, index empty) and `epoch`
-/// (index = metric epoch, one row per per-epoch metric). The output is
-/// byte-deterministic for a given [`crate::overload::OverloadConfig`] —
-/// the CI overload gate greps the invariants and diffs it across thread
-/// budgets.
-pub fn overload_csv(report: &OverloadReport) -> String {
-    let mut out = String::from("section,index,metric,value\n");
-    let mut summary = |metric: &str, value: String| {
-        let _ = writeln!(out, "summary,,{metric},{value}");
-    };
-    summary("overload", format!("{:.2}", report.config.overload));
-    summary("clients", report.config.clients.to_string());
-    summary("loris_clients", report.config.loris_clients.to_string());
-    summary("epochs", report.config.epochs.to_string());
-    summary("devices", report.config.devices.to_string());
-    summary(
-        "fault_storm",
-        u8::from(report.config.fault_storm).to_string(),
-    );
-    summary("attempts", report.attempts.to_string());
-    summary("admitted", report.admitted.to_string());
-    summary("served", report.served.to_string());
-    summary("expired", report.expired.to_string());
-    summary("shed", report.shed.to_string());
-    summary("rate_limited", report.rate_limited.to_string());
-    summary("degraded", report.degraded.to_string());
-    summary("retries", report.retries.to_string());
-    summary("deadline_misses", report.deadline_misses.to_string());
-    summary("dropped", report.dropped.to_string());
-    summary("shed_rate", format!("{:.6}", report.shed_rate));
-    summary(
-        "p99_queue_wait_ms",
-        format!("{:.6}", report.p99_queue_wait.as_secs_f64() * 1e3),
-    );
-    summary("utilization", format!("{:.6}", report.utilization));
-    summary("breaker_opens", report.breaker_opens.to_string());
-    for (i, epoch) in report.epochs.iter().enumerate() {
-        let _ = writeln!(out, "epoch,{i},queue_depth,{}", epoch.queue_depth);
-        let _ = writeln!(out, "epoch,{i},utilization,{:.6}", epoch.utilization);
-        let _ = writeln!(out, "epoch,{i},shed_rate,{:.6}", epoch.shed_rate);
-        let p99 = epoch.p99_queue_wait.map_or(0.0, |d| d.as_secs_f64() * 1e3);
-        let _ = writeln!(out, "epoch,{i},p99_queue_wait_ms,{p99:.6}");
-        let _ = writeln!(out, "epoch,{i},admitted,{}", epoch.admitted);
-        let _ = writeln!(out, "epoch,{i},served,{}", epoch.served);
-        let _ = writeln!(out, "epoch,{i},shed,{}", epoch.shed);
-        let _ = writeln!(out, "epoch,{i},expired,{}", epoch.expired);
     }
     out
 }

@@ -30,7 +30,7 @@ use faults::{FleetFault, FleetSchedule, StormBuilder};
 use hikey_platform::{default_placement, Platform, PlatformConfig};
 use hmc_types::{SimDuration, SimTime};
 use npu::{KernelMode, NpuDevice, NpuModel};
-use npu_serve::{NpuService, RequestTicket, RetryPolicy, ServeConfig};
+use npu_serve::{NpuService, RequestTicket, ServeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use topil::dvfs::DvfsControlLoop;
@@ -39,6 +39,11 @@ use topil::oracle::Scenario;
 use topil::training::{IlTrainer, TrainSettings};
 use topil::{ClientReply, IlModel, InferenceBackend, MigrationPolicy, PreparedEpoch};
 use workloads::{ArrivalSpec, MixedWorkloadConfig, WorkloadGenerator};
+
+/// Resubmissions of a board's request after a queue-full rejection,
+/// each at the advertised retry-after, before the board goes without a
+/// reply this epoch.
+const MAX_RESUBMITS: u32 = 3;
 
 /// Configuration of one fleet run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -773,7 +778,7 @@ fn fleet_epoch(
         *serial_device_time += device.inference_latency(dedicated, prepared.batch().rows());
         let mut at = now + board.jitter;
         let mut ticket = None;
-        for _ in 0..=RetryPolicy::default().max_attempts {
+        for _ in 0..=MAX_RESUBMITS {
             match service.submit(prepared.batch(), at) {
                 Ok(t) => {
                     ticket = Some(t);

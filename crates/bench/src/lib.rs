@@ -24,7 +24,6 @@ pub mod fleet;
 pub mod harness;
 pub mod model_eval;
 pub mod oracle_gap;
-pub mod overload;
 pub mod robustness;
 pub mod sensitivity;
 pub mod sweep;

@@ -91,8 +91,7 @@ fn unknown_storm_preset_is_rejected() {
 fn malformed_numeric_values_are_rejected() {
     assert_rejected(&["fleet", "--boards", "eight"], "flag `--boards`");
     assert_rejected(&["fleet", "--epochs", "-3"], "flag `--epochs`");
-    assert_rejected(&["overload", "--clients", "many"], "flag `--clients`");
-    assert_rejected(&["overload", "--overload", "10x"], "flag `--overload`");
+    assert_rejected(&["overload", "--epochs", "many"], "flag `--epochs`");
     assert_rejected(&["chaos", "--racks", "two"], "flag `--racks`");
     assert_rejected(&["chaos", "--seed", "0x11"], "flag `--seed`");
     assert_rejected(&["sweep", "--points", "1.5"], "flag `--points`");
@@ -114,15 +113,13 @@ fn bad_run_sizes_are_rejected() {
     assert_rejected(&["chaos", "--racks", "0"], &at_least_one("--racks"));
     assert_rejected(&["fleet", "--boards", "0"], &at_least_one("--boards"));
     assert_rejected(&["fleet", "--devices", "0"], &at_least_one("--devices"));
-    assert_rejected(&["overload", "--clients", "0"], &at_least_one("--clients"));
+    assert_rejected(&["overload", "--boards", "0"], &at_least_one("--boards"));
     assert_rejected(&["sweep", "--points", "0"], &at_least_one("--points"));
     assert_rejected(&["robustness", "--points", "0"], &at_least_one("--points"));
     let positive = |flag: &str| format!("flag `{flag}` must be finite and above 0");
     assert_rejected(&["edge", "--load", "-1"], &positive("--load"));
     assert_rejected(&["edge", "--load", "0"], &positive("--load"));
     assert_rejected(&["edge", "--load", "inf"], &positive("--load"));
-    assert_rejected(&["overload", "--overload", "NaN"], &positive("--overload"));
-    assert_rejected(&["overload", "--overload", "0"], &positive("--overload"));
     assert_rejected(
         &["edge", "--boards", "3"],
         "flag `--boards` must be at least 4 for `edge`",
@@ -172,27 +169,74 @@ fn flag_missing_its_value_is_rejected() {
 }
 
 #[test]
-fn bare_storm_flag_stays_an_overload_toggle() {
+fn bare_storm_flag_does_not_eat_the_next_flag() {
     // A flag after a bare `--storm` must not be eaten as its value: the
     // diagnostic names the unknown flag, not an unknown storm preset.
-    assert_rejected(
-        &["overload", "--storm", "--bogus"],
-        "unknown flag `--bogus`",
-    );
+    assert_rejected(&["edge", "--storm", "--bogus"], "unknown flag `--bogus`");
 }
 
 #[test]
-fn overload_rejects_a_storm_preset() {
-    // `overload` only has the bare fault-storm toggle; a preset there
-    // is a usage error, not a silently ignored value.
+fn overload_rejects_a_bare_storm() {
+    // The bare flag is the edge backbone outage; `overload` takes a
+    // storm preset, so a bare one is a usage error, not ignored.
     assert_rejected(
-        &["overload", "--storm", "all"],
-        "flag `--storm <preset>` applies to `chaos` and `edge`",
+        &["overload", "--storm"],
+        "a bare `--storm` (the backbone outage) applies to `edge`",
     );
-    assert_rejected(
-        &["overload", "--storm", "crash-wave"],
-        "flag `--storm <preset>` applies to `chaos` and `edge`",
+}
+
+/// Runs `experiments` in `dir` and asserts it succeeded; returns stderr.
+fn succeed_in(dir: &std::path::Path, args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("spawn the experiments binary");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(0), "{args:?} stderr:\n{stderr}");
+    stderr
+}
+
+/// Without `--state`, training checkpoints into a temporary directory it
+/// removes: a rerun in the same working directory trains again instead
+/// of resuming, and nothing is left behind.
+#[test]
+fn train_without_state_starts_fresh_and_leaves_no_state() {
+    let dir = std::env::temp_dir().join(format!("topil-cli-train-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create the working directory");
+    let args = ["train", "--threads", "1"];
+    let first = succeed_in(&dir, &args);
+    let second = succeed_in(&dir, &args);
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read the working directory")
+        .map(|entry| entry.expect("a directory entry").file_name())
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    for stderr in [&first, &second] {
+        assert!(
+            !stderr.contains("resumed from training snapshot"),
+            "a run without --state resumed:\n{stderr}"
+        );
+        assert!(!stderr.contains(" 0 snapshot(s) written"), "{stderr}");
+    }
+    assert!(leftovers.is_empty(), "left behind: {leftovers:?}");
+}
+
+#[test]
+fn overload_subcommand_emits_the_gate_rows() {
+    let out = experiments(&["overload", "--storm", "all", "--threads", "1"]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr:\n{}",
+        String::from_utf8_lossy(&out.stderr)
     );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("section,index,metric,value\n"));
+    assert!(stdout.contains("\nsummary,,invariant_violations,0\n"));
+    assert!(stdout.contains("\nsummary,,storm,all\n"));
+    assert!(stdout.contains("\nsummary,,boards,128\n"));
 }
 
 #[test]

@@ -33,7 +33,9 @@
 //! * **storm presets** ([`storm`]) — the seeded chaos storms (crash
 //!   waves, rack partitions, heartbeat silence, a slow regional tier),
 //!   applied in every region; [`EdgeConfig::chaos`] is the small
-//!   flat-demand scenario `experiments chaos` runs them in.
+//!   flat-demand scenario `experiments chaos` runs them in, and
+//!   [`EdgeConfig::overload`] the saturated one-rack scenario of
+//!   `experiments overload`.
 //!
 //! # Examples
 //!

@@ -25,8 +25,8 @@ use hmc_types::{SimDuration, SimTime};
 use nn::{Matrix, Mlp};
 use npu_serve::quantile::nearest_rank;
 use npu_serve::{
-    seeded_payload_into, ClientId, ServeConfig, TierChecker, TierConfig, TierOutcome, TierSubmit,
-    TierTicket, TieredService,
+    seeded_payload_into, ServeConfig, TierChecker, TierConfig, TierOutcome, TierSubmit, TierTicket,
+    TieredService,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,7 +34,7 @@ use sim_core::net::FifoLink;
 
 use crate::frontier::{self, Demand, FlashCrowd};
 use crate::storm::StormPreset;
-use crate::topology::{region_board_base, region_boards, NetworkConfig};
+use crate::topology::{region_boards, NetworkConfig};
 
 /// Hedge floor of the per-region tier. Sits just under the typical rack
 /// latency, so tail-latency rack requests race the regional tier while
@@ -140,6 +140,30 @@ impl EdgeConfig {
             regional_skew: 0.0,
             flash: None,
             storm: Some(storm),
+            ..EdgeConfig::default()
+        }
+    }
+
+    /// The overload scenario: one region with one rack of 128 boards,
+    /// 20,000 users at 30 requests per board per epoch over 15 epochs
+    /// (seed 7), with flat demand and a 25 ms QoS deadline, under
+    /// `storm`. The rack tier saturates, so admission, failover and the
+    /// local CPU rung carry the excess. Every other field keeps its
+    /// default.
+    pub fn overload(storm: Option<StormPreset>) -> EdgeConfig {
+        EdgeConfig {
+            boards: 128,
+            users: 20_000,
+            regions: 1,
+            racks_per_region: 1,
+            epochs: 15,
+            seed: 7,
+            load: 30.0,
+            diurnal_amplitude: 0.0,
+            regional_skew: 0.0,
+            flash: None,
+            qos_deadline: SimDuration::from_millis(25),
+            storm,
             ..EdgeConfig::default()
         }
     }
@@ -622,7 +646,6 @@ struct RegionState {
     service: TieredService,
     checker: TierChecker,
     width: usize,
-    board_base: usize,
     /// Tickets of the epoch currently accepting deliveries, with each
     /// request's index in the epoch's deliveries.
     tickets: Vec<(TierTicket, usize)>,
@@ -673,7 +696,6 @@ fn deliver(
             request.delivered_at,
             TierSubmit {
                 rack: request.board % config.racks_per_region,
-                client: ClientId::new((state.board_base + request.board) as u64),
                 deadline: Some(request.deadline_tier),
             },
         )
@@ -792,7 +814,6 @@ fn simulate_region(config: &EdgeConfig, region: usize) -> (RegionOutcome, Vec<Si
         service: TieredService::new(&mlp, tier_config(config)),
         checker: TierChecker::default(),
         width: mlp.input_size(),
-        board_base: region_board_base(config.boards, config.regions, region),
         tickets: Vec::new(),
         payloads: Vec::new(),
         qos_delays: Vec::new(),
@@ -1094,6 +1115,34 @@ mod tests {
         assert!(report.storm_events >= 2, "outage + restore events");
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_ne!(report, run(&small()), "the storm must change the run");
+    }
+
+    /// The overload preset, plain and under the full storm: no late reply
+    /// and no lost ticket, every request resolved, bounded shedding that
+    /// still serves, breakers that cycle under the storm, and the same
+    /// report at every thread budget.
+    #[test]
+    fn overload_presets_hold_the_carried_bounds() {
+        for storm in [None, Some(StormPreset::All)] {
+            let config = EdgeConfig::overload(storm);
+            let report = run(&config);
+            assert!(report.violations.is_empty(), "{:?}", report.violations);
+            assert_eq!(report.replies + report.failed, report.submitted);
+            assert!(report.replies > 0, "the rack served nothing");
+            assert!(
+                0.0 < report.shed_rate && report.shed_rate < 1.0,
+                "shed rate {} unbounded",
+                report.shed_rate
+            );
+            if storm.is_some() {
+                assert!(report.breaker_transitions > 0, "the storm never tripped");
+            }
+            let threaded = EdgeConfig {
+                budget: par::Budget::with_threads(4),
+                ..config
+            };
+            assert_eq!(run(&threaded), report, "{storm:?} is budget-variant");
+        }
     }
 
     fn small_storm(storm: StormPreset) -> EdgeConfig {

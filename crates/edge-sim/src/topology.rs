@@ -62,11 +62,6 @@ pub(crate) fn region_boards(boards: usize, regions: usize, region: usize) -> usi
     boards / regions + usize::from(region < boards % regions)
 }
 
-/// First global board index of region `region`.
-pub(crate) fn region_board_base(boards: usize, regions: usize, region: usize) -> usize {
-    (0..region).map(|r| region_boards(boards, regions, r)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,11 +73,6 @@ mod tests {
                 .map(|r| region_boards(boards, regions, r))
                 .sum();
             assert_eq!(total, boards, "{boards} boards over {regions} regions");
-            assert_eq!(
-                region_board_base(boards, regions, regions - 1)
-                    + region_boards(boards, regions, regions - 1),
-                boards
-            );
         }
     }
 

@@ -4,8 +4,8 @@
 //! * **Warmed up**, an epoch of a saturated one-rack tier allocates
 //!   nothing: payloads are refilled in place, reply outputs and job lists
 //!   go back to the service that filed them, and every other buffer is
-//!   reused. The one exception is the services' per-request sample Vecs,
-//!   whose doubling is set apart.
+//!   reused. The one exception is each service's per-request latency
+//!   sample Vec, whose doubling is set apart.
 //! * **Cold**, a whole `edge_sim::run` from fresh services — what every
 //!   perfbench run pays — allocates a bounded number of times per
 //!   submitted request, on both perfbench edge shapes.
@@ -20,7 +20,7 @@ use std::cell::Cell;
 use edge_sim::EdgeConfig;
 use hmc_types::{SimDuration, SimTime};
 use nn::Matrix;
-use npu_serve::{seeded_payload_into, ClientId, TierOutcome, TierSubmit, TieredService};
+use npu_serve::{seeded_payload_into, TierOutcome, TierSubmit, TieredService};
 
 struct CountingAlloc;
 
@@ -65,12 +65,12 @@ fn count_sample_growth() {
     });
 }
 
-/// Buffers at least this large that double are a service's sample Vecs.
+/// Buffers at least this large that double are a service's sample Vec.
 const SAMPLE_VEC_FLOOR: usize = 64 * 1024;
 
 /// Whether a reallocation is the amortized growth of a service's latency
-/// or queue-wait samples (`ServeStats`), which keep one `u64` per request
-/// for the service's life: a power-of-two `u64` buffer of at least
+/// samples (`ServeStats`), which keep one `u64` per request for the
+/// service's life: a power-of-two `u64` buffer of at least
 /// [`SAMPLE_VEC_FLOOR`] bytes doubling. A buffer built within one flush
 /// cannot pass as one: before it reaches the floor it is allocated
 /// smaller, which is counted.
@@ -115,10 +115,9 @@ fn tally() -> Tally {
     TALLY.with(Cell::get)
 }
 
-/// Sample Vecs of the one-rack tier: latencies and queue waits of its
-/// rack service and of its regional service. Each doubles at most once
-/// an epoch.
-const SAMPLE_VECS: u64 = 4;
+/// Sample Vecs of the one-rack tier: the latencies of its rack service
+/// and of its regional service. Each doubles at most once an epoch.
+const SAMPLE_VECS: u64 = 2;
 
 /// Requests per 100 ms epoch: the edge fleet's 6× load on one rack.
 const PER_EPOCH: u64 = 1_870;
@@ -157,7 +156,6 @@ fn epoch(tier: &mut TieredService, payloads: &mut Vec<Matrix>, width: usize, ind
         seeded_payload_into(base + i, &mut payload);
         let opts = TierSubmit {
             rack: 0,
-            client: ClientId::new(i % 256),
             deadline: Some(at + SimDuration::from_millis(98)),
         };
         tickets.push(tier.submit(payload, at, opts).expect("valid payload"));

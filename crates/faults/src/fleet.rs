@@ -1,7 +1,7 @@
 //! Fleet-scale fault family: board churn, rack partitions, heartbeat
 //! loss, and tier slowdowns, under one seeded schedule builder.
 //!
-//! The per-request fault domains ([`FaultPlan`]) model *component*
+//! The per-request fault domains ([`crate::FaultPlan`]) model *component*
 //! misbehaviour — a batch that fails on the device, a sensor sample that
 //! drops. Fleet faults model *topology* misbehaviour: whole boards
 //! crashing and rejoining, a rack losing its network partition, the
@@ -10,10 +10,9 @@
 //! so the schedule is plain data and replays identically under any
 //! thread budget.
 //!
-//! [`StormBuilder`] unifies both families: it owns a [`FaultPlan`] for
-//! the rate-driven domains and derives every timed event from the same
-//! seed through a splitmix64 finalizer (pure per-index decisions, no
-//! shared RNG stream), then freezes the result into a [`FleetSchedule`].
+//! [`StormBuilder`] derives every timed event from one seed through a
+//! splitmix64 finalizer (pure per-index decisions, no shared RNG stream),
+//! then freezes the result into a [`FleetSchedule`].
 //!
 //! # Examples
 //!
@@ -35,8 +34,6 @@
 //!     FleetFault::BoardCrash { .. }
 //! )));
 //! ```
-
-use crate::plan::FaultPlan;
 
 /// A fleet-topology fault. Paired variants (`BoardCrash`/`BoardRejoin`,
 /// `RackPartition`/`RackHeal`, …) bracket an episode; the schedule
@@ -124,8 +121,8 @@ fn draw(seed: u64, index: u64, bound: u64) -> u64 {
     mix(seed, index) % bound
 }
 
-/// A frozen fleet fault schedule: the rate-driven [`FaultPlan`] plus the
-/// timed [`FleetFaultEvent`]s, sorted by `(epoch, deterministic order)`.
+/// A frozen fleet fault schedule: the timed [`FleetFaultEvent`]s, sorted
+/// by `(epoch, deterministic order)`.
 ///
 /// Built by [`StormBuilder`]; consumed by the fleet and edge drivers, which
 /// apply `events_at(epoch)` at each barrier.
@@ -134,7 +131,6 @@ pub struct FleetSchedule {
     seed: u64,
     boards: usize,
     epochs: u64,
-    plan: FaultPlan,
     events: Vec<FleetFaultEvent>,
 }
 
@@ -152,11 +148,6 @@ impl FleetSchedule {
     /// Horizon, in barrier epochs.
     pub fn epochs(&self) -> u64 {
         self.epochs
-    }
-
-    /// The rate-driven fault plan (serve-path batch faults etc.).
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// All timed events, sorted by epoch.
@@ -199,14 +190,13 @@ impl FleetSchedule {
             .all(|&(from, until)| !(from..until).contains(&epoch))
     }
 
-    /// True when the schedule carries no timed event and a zero plan.
+    /// True when the schedule carries no timed event.
     pub fn is_zero(&self) -> bool {
-        self.events.is_empty() && self.plan.is_zero()
+        self.events.is_empty()
     }
 }
 
-/// Seeded builder unifying the rate-driven [`FaultPlan`] domains and the
-/// timed fleet faults under one seed.
+/// Seeded builder of the timed fleet faults.
 ///
 /// Each preset (`crash_wave`, `churn`, `rack_partition`, …) derives its
 /// randomness from `(seed, preset tag, index)` through a splitmix64
@@ -218,7 +208,6 @@ pub struct StormBuilder {
     seed: u64,
     boards: usize,
     epochs: u64,
-    plan: FaultPlan,
     events: Vec<FleetFaultEvent>,
     /// `down[board]` holds the spans already committed, for the
     /// min-alive guarantee.
@@ -231,36 +220,15 @@ const TAG_CHURN: u64 = 0x2000_0000;
 
 impl StormBuilder {
     /// Starts an empty schedule for `boards` boards over `epochs` barrier
-    /// epochs, with a zero [`FaultPlan`] carrying the same seed.
+    /// epochs.
     pub fn new(seed: u64, boards: usize, epochs: u64) -> Self {
         StormBuilder {
             seed,
             boards,
             epochs,
-            plan: FaultPlan::none(seed),
             events: Vec::new(),
             down: vec![Vec::new(); boards],
         }
-    }
-
-    /// Sets the serve-path batch failure rate (rate-driven domain).
-    pub fn serve_failures(mut self, rate: f64) -> Self {
-        self.plan.serve.failure_rate = rate;
-        self
-    }
-
-    /// Sets the serve-path slowdown rate and factor (rate-driven domain).
-    pub fn serve_slowdowns(mut self, rate: f64, factor: f64) -> Self {
-        self.plan.serve.slowdown_rate = rate;
-        self.plan.serve.slowdown_factor = factor;
-        self
-    }
-
-    /// Replaces the whole rate-driven plan (the seed is preserved).
-    pub fn with_plan(mut self, mut plan: FaultPlan) -> Self {
-        plan.seed = self.seed;
-        self.plan = plan;
-        self
     }
 
     fn board_is_down(&self, board: usize, epoch: u64) -> bool {
@@ -431,7 +399,6 @@ impl StormBuilder {
             seed: self.seed,
             boards: self.boards,
             epochs: self.epochs,
-            plan: self.plan,
             events: self.events,
         }
     }
@@ -450,7 +417,6 @@ mod tests {
                 .rack_partition(1, 30, 10)
                 .heartbeat_loss(0, 50, 6)
                 .slow_tier(2.5, 70, 10)
-                .serve_failures(0.1)
                 .build()
         };
         assert_eq!(build(), build());
@@ -558,7 +524,7 @@ mod tests {
     fn zero_schedule_is_zero() {
         assert!(StormBuilder::new(9, 4, 10).build().is_zero());
         assert!(!StormBuilder::new(9, 4, 10)
-            .serve_failures(0.5)
+            .rack_partition(0, 2, 3)
             .build()
             .is_zero());
     }

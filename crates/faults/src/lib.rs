@@ -18,11 +18,11 @@
 //!
 //! # Fault taxonomy
 //!
-//! Two fault families share one seed. **Rate-driven** domains draw per
-//! operation from seeded per-domain RNG streams inside [`FaultInjector`];
-//! **timed** fleet faults are barrier-epoch events derived through pure
+//! Two fault families. **Rate-driven** domains draw per operation from
+//! seeded per-domain RNG streams inside [`FaultInjector`]; **timed**
+//! fleet faults are barrier-epoch events derived through pure
 //! splitmix64 hashes by the [`StormBuilder`] schedule builder, which
-//! unifies both families in a single [`FleetSchedule`].
+//! freezes them into a [`FleetSchedule`].
 //!
 //! | Fault | Family | Unit | Effect |
 //! |---|---|---|---|

@@ -6,7 +6,7 @@
 //! transition of one tier:
 //!
 //! * **request conservation** — every admitted request resolves exactly
-//!   once: a reply, or a typed failure (shed / deadline / failed-over),
+//!   once: a reply, or a typed failure (full queue / deadline / failed-over),
 //! * **zero late replies** — a reply past its deadline is a violation;
 //!   the tier must fail typed instead,
 //! * **bounded hedge amplification** — at most one hedge per submitted

@@ -5,13 +5,7 @@ use std::fmt;
 use hmc_types::SimDuration;
 use npu::KernelMode;
 
-use crate::limiter::RateLimit;
-
 /// Tunables of the shared inference service.
-///
-/// The admission fields (`shed_*`, `cpu_degrade_watermark`,
-/// `rate_limit`) all default to *disabled*, so under a default
-/// configuration admission control is queue capacity alone.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
     /// NPU devices in the pool.
@@ -26,33 +20,16 @@ pub struct ServeConfig {
     /// Admission control: pending requests beyond this are rejected with a
     /// retry-after hint instead of queued.
     pub queue_capacity: usize,
-    /// The static floor of the back-off hint returned with a rejection
-    /// (the shed layer scales the hint up with the backlog).
+    /// The back-off hint returned with a queue-full rejection.
     pub retry_after: SimDuration,
     /// Consecutive failures after which a device's circuit breaker opens.
     pub breaker_threshold: u32,
     /// Dispatches a breaker stays open before a half-open probe.
     pub breaker_cooldown: u32,
-    /// Shed every submission arriving at this queue depth or deeper.
-    /// `None` disables the depth watermark.
-    pub shed_depth_watermark: Option<usize>,
-    /// Shed every submission whose estimated service latency reaches this
-    /// mark. `None` disables the latency watermark.
-    pub shed_latency_watermark: Option<SimDuration>,
-    /// Before shedding: once the estimated service latency reaches this
-    /// mark, admit but route to the CPU fallback to spare pool capacity.
-    /// `None` disables graceful degrade.
-    pub cpu_degrade_watermark: Option<SimDuration>,
-    /// Per-client token-bucket rate limit. `None` disables rate limiting.
-    pub rate_limit: Option<RateLimit>,
     /// Safety margin of the deadline-feasibility check: a request whose
     /// absolute deadline is closer than this to its earliest dispatch is
     /// rejected as infeasible instead of admitted-then-expired.
     pub deadline_margin: SimDuration,
-    /// Upper clamp on a submission's `hold` (slow-loris guard): a client
-    /// may delay its payload's readiness at most this long while holding
-    /// a queue slot.
-    pub max_hold: SimDuration,
     /// Numeric inference kernel used for NPU-path batches. Both modes are
     /// bit-identical; `Scalar` forces the reference loop for differential
     /// runs.
@@ -75,14 +52,9 @@ impl Default for ServeConfig {
             retry_after: SimDuration::from_millis(1),
             breaker_threshold: 3,
             breaker_cooldown: 8,
-            shed_depth_watermark: None,
-            shed_latency_watermark: None,
-            cpu_degrade_watermark: None,
-            rate_limit: None,
             // One driver round-trip: a tighter deadline cannot survive
             // even an empty queue.
             deadline_margin: SimDuration::from_millis(4),
-            max_hold: SimDuration::from_millis(50),
             kernel: KernelMode::default(),
             policy_cache: 0,
         }
@@ -98,10 +70,6 @@ pub enum ConfigError {
     ZeroMaxBatch,
     /// `queue_capacity` was zero.
     ZeroQueueCapacity,
-    /// `shed_depth_watermark` was `Some(0)` — that sheds everything.
-    ZeroDepthWatermark,
-    /// `rate_limit` had a burst below one token or a non-positive refill.
-    InvalidRateLimit,
     /// A tier topology had zero racks.
     ZeroRacks,
     /// Heartbeat interval was zero, or the timeout was shorter than the
@@ -117,10 +85,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroDevices => "need at least one device",
             ConfigError::ZeroMaxBatch => "batch size must be positive",
             ConfigError::ZeroQueueCapacity => "queue capacity must be positive",
-            ConfigError::ZeroDepthWatermark => "a zero depth watermark sheds every request",
-            ConfigError::InvalidRateLimit => {
-                "rate limit needs burst >= 1 and a positive refill rate"
-            }
             ConfigError::ZeroRacks => "need at least one rack",
             ConfigError::InvalidHeartbeat => {
                 "heartbeat needs a positive interval and timeout >= interval"
@@ -137,8 +101,7 @@ impl std::error::Error for ConfigError {}
 
 impl ServeConfig {
     /// Validates the configuration, returning the first violated
-    /// invariant: non-zero pool, batch and capacity, a usable
-    /// depth watermark and a sane rate limit.
+    /// invariant: non-zero pool, batch and capacity.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.devices == 0 {
             return Err(ConfigError::ZeroDevices);
@@ -148,14 +111,6 @@ impl ServeConfig {
         }
         if self.queue_capacity == 0 {
             return Err(ConfigError::ZeroQueueCapacity);
-        }
-        if self.shed_depth_watermark == Some(0) {
-            return Err(ConfigError::ZeroDepthWatermark);
-        }
-        if let Some(limit) = self.rate_limit {
-            if !limit.is_valid() {
-                return Err(ConfigError::InvalidRateLimit);
-            }
         }
         Ok(())
     }
@@ -198,37 +153,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_depth_watermark_rejected() {
-        let config = ServeConfig {
-            shed_depth_watermark: Some(0),
-            ..ServeConfig::default()
-        };
-        assert_eq!(config.validate(), Err(ConfigError::ZeroDepthWatermark));
-    }
-
-    #[test]
-    fn non_positive_rate_limit_rejected() {
-        for limit in [
-            RateLimit {
-                burst: 0.0,
-                refill_per_sec: 10.0,
-            },
-            RateLimit {
-                burst: 4.0,
-                refill_per_sec: 0.0,
-            },
-        ] {
-            let config = ServeConfig {
-                rate_limit: Some(limit),
-                ..ServeConfig::default()
-            };
-            assert_eq!(config.validate(), Err(ConfigError::InvalidRateLimit));
-        }
-    }
-
-    #[test]
     fn errors_display_the_violated_invariant() {
         assert!(ConfigError::ZeroDevices.to_string().contains("device"));
-        assert!(ConfigError::InvalidRateLimit.to_string().contains("burst"));
+        assert!(ConfigError::InvalidHedge.to_string().contains("quantile"));
     }
 }

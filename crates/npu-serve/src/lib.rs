@@ -1,5 +1,5 @@
-//! Shared NPU inference service with dynamic batching and a
-//! production-grade admission check.
+//! Shared NPU inference service with dynamic batching and an admission
+//! check.
 //!
 //! The paper gives every HiKey 970 board its own NPU. At fleet scale that
 //! inverts: the NPU's driver round-trip (~3.9 ms) dominates and is nearly
@@ -7,18 +7,15 @@
 //! many boards' migration-decision requests through one batched call
 //! amortizes the round-trip across the fleet. This crate is that service:
 //!
-//! * [`SubmissionQueue`] — a bounded queue with admission control: when
-//!   the backlog hits capacity, new requests are rejected with a
-//!   retry-after hint and the depth at rejection instead of growing the
-//!   queue without bound,
+//! * [`SubmissionQueue`] — a bounded queue: when the backlog hits
+//!   capacity, new requests are rejected with a retry-after hint and the
+//!   depth at rejection instead of growing the queue without bound,
 //! * **admission** — one fixed-order check every submission passes
 //!   before it may occupy a queue slot: input validation, deadline
 //!   feasibility ([`SubmitOptions::deadline`] — infeasible deadlines
 //!   fail fast with [`ServeError::DeadlineExceeded`] instead of
-//!   computing-then-discarding), per-client token-bucket rate limiting
-//!   ([`RateLimit`], keyed by [`ClientId`], refilled in virtual time),
-//!   and watermark-driven **load shedding** with a backlog-derived
-//!   retry-after and a graceful CPU-degrade rung before dropping,
+//!   computing-then-discarding), then queue capacity
+//!   ([`ServeError::QueueFull`], the one retryable refusal),
 //! * [`NpuService`] — the dynamic batcher and virtual-time device pool:
 //!   pending requests coalesce into one batch call once `max_batch`
 //!   requests wait or the oldest request hits its `max_wait` deadline
@@ -31,9 +28,7 @@
 //!   — a device that keeps failing is taken out of rotation and its
 //!   traffic drains to a CPU fallback until the cooldown probe passes,
 //! * **counters, not event buffers** — every outcome lands in
-//!   [`ServeStats`] and the per-epoch [`MetricsSnapshot`]; the service
-//!   keeps no trace-event log. Callers that retry classify errors with
-//!   [`ServeError::retry_class`] and back off under a [`RetryPolicy`],
+//!   [`ServeStats`]; the service keeps no trace-event log,
 //! * **inline batch compute** — a flush computes its ready batches on
 //!   the calling thread, in dispatch order, and spawns no threads. Host
 //!   parallelism lives one level up, in `par::Budget`, which shards edge
@@ -75,25 +70,19 @@
 mod checker;
 mod config;
 mod error;
-mod limiter;
 pub mod quantile;
 mod queue;
-mod retry;
 mod ring;
 mod service;
-mod shed;
 mod stats;
 mod tier;
 
 pub use checker::{seeded_payload, seeded_payload_into, TierChecker};
 pub use config::{ConfigError, ServeConfig};
-pub use error::{ServeError, ShedReason};
-pub use limiter::{ClientId, RateLimit};
+pub use error::ServeError;
 pub use queue::{Rejected, SubmissionQueue};
-pub use retry::{RetryClass, RetryPolicy};
 pub use service::{NpuService, RequestTicket, SubmitOptions};
-pub use shed::Backlog;
-pub use stats::{MetricsSnapshot, ServeStats};
+pub use stats::ServeStats;
 pub use tier::{
     ServedBy, TierConfig, TierOutcome, TierReply, TierScope, TierStats, TierSubmit, TierTicket,
     TierTransition, TieredService,

@@ -24,16 +24,12 @@ pub(crate) struct QueuedRequest {
     pub rows: Matrix,
     /// Virtual submission time.
     pub submitted_at: SimTime,
-    /// When the payload becomes batchable (slow-loris hold, clamped).
-    pub ready_at: SimTime,
     /// Latest dispatch time the batcher may delay this request to.
     pub dispatch_deadline: SimTime,
     /// Absolute completion deadline the client asked for, if any. A reply
     /// after this instant is worthless — the service fails the request
     /// fast instead of computing it.
     pub deadline: Option<SimTime>,
-    /// Route to the CPU fallback (graceful degrade) instead of the pool.
-    pub route_cpu: bool,
 }
 
 /// A bounded queue ordered by `(dispatch_deadline, id)` — the dynamic
@@ -83,18 +79,6 @@ impl SubmissionQueue {
         self.entries.first().map(|e| e.dispatch_deadline)
     }
 
-    /// Pending requests whose payload is ready at `at` (slow-loris holds
-    /// excluded).
-    pub(crate) fn ready_len(&self, at: SimTime) -> usize {
-        self.entries.iter().filter(|e| e.ready_at <= at).count()
-    }
-
-    /// The earliest instant any pending payload becomes ready, if one is
-    /// still held back.
-    pub(crate) fn earliest_ready(&self) -> Option<SimTime> {
-        self.entries.iter().map(|e| e.ready_at).min()
-    }
-
     /// The rejection a push would meet now: `Some` when the queue is at
     /// capacity.
     pub(crate) fn rejection(&self) -> Option<Rejected> {
@@ -137,29 +121,16 @@ impl SubmissionQueue {
     /// is pending).
     #[cfg(test)]
     pub(crate) fn take(&mut self, n: usize) -> Vec<QueuedRequest> {
-        let n = n.min(self.entries.len());
-        self.entries.drain(..n).collect()
+        let mut taken = Vec::new();
+        self.take_into(n, &mut taken);
+        taken
     }
 
-    /// Moves the `n` most urgent requests whose payloads are ready at
-    /// `at` into `taken`. Held (slow-loris) requests keep their queue
-    /// slots but are skipped.
-    pub(crate) fn take_ready(&mut self, n: usize, at: SimTime, taken: &mut Vec<QueuedRequest>) {
+    /// Moves the `n` most urgent requests (fewer when less is pending)
+    /// into `taken`.
+    pub(crate) fn take_into(&mut self, n: usize, taken: &mut Vec<QueuedRequest>) {
         let n = n.min(self.entries.len());
-        let ready_prefix = self.entries[..n]
-            .iter()
-            .take_while(|e| e.ready_at <= at)
-            .count();
-        if ready_prefix == n {
-            taken.extend(self.entries.drain(..n));
-            return;
-        }
-        let mut left = n;
-        taken.extend(self.entries.extract_if(.., |e| {
-            let take = left > 0 && e.ready_at <= at;
-            left -= usize::from(take);
-            take
-        }));
+        taken.extend(self.entries.drain(..n));
     }
 
     /// Removes and returns every pending request whose absolute deadline
@@ -182,10 +153,8 @@ mod tests {
             id,
             rows: Matrix::zeros(1, 2),
             submitted_at: SimTime::ZERO,
-            ready_at: SimTime::ZERO,
             dispatch_deadline: SimTime::from_millis(deadline_ms),
             deadline: None,
-            route_cpu: false,
         }
     }
 
@@ -224,30 +193,6 @@ mod tests {
         // Draining makes room again.
         q.take(1);
         assert!(q.try_push(req(3, 12)).is_ok());
-    }
-
-    #[test]
-    fn held_requests_are_skipped_but_keep_their_slots() {
-        let mut q = SubmissionQueue::new(4, SimDuration::from_millis(1));
-        let mut held = req(0, 5);
-        held.ready_at = SimTime::from_millis(9);
-        q.try_push(held).unwrap();
-        q.try_push(req(1, 10)).unwrap();
-
-        let at = SimTime::from_millis(3);
-        assert_eq!(q.ready_len(at), 1);
-        assert_eq!(q.earliest_ready(), Some(SimTime::ZERO));
-        let mut taken = Vec::new();
-        q.take_ready(4, at, &mut taken);
-        assert_eq!(taken.len(), 1);
-        assert_eq!(taken[0].id, 1);
-        // The held request still occupies its slot...
-        assert_eq!(q.len(), 1);
-        // ...and is drained once its payload arrives.
-        let mut taken = Vec::new();
-        q.take_ready(4, SimTime::from_millis(9), &mut taken);
-        assert_eq!(taken.len(), 1);
-        assert_eq!(taken[0].id, 0);
     }
 
     proptest! {

@@ -11,12 +11,9 @@ use topil::{ClientJob, ClientReply, InferenceBackend};
 use trace::TraceBackend;
 
 use crate::config::ConfigError;
-use crate::error::{queue_full_error, ServeError};
-use crate::limiter::{ClientId, RateLimiter};
+use crate::error::ServeError;
 use crate::queue::QueuedRequest;
 use crate::ring::TicketRing;
-use crate::shed::{self, Backlog, ShedDecision};
-use crate::stats::MetricsSnapshot;
 use crate::{Rejected, ServeConfig, ServeStats, SubmissionQueue};
 
 /// Handle of an admitted request; redeem it with
@@ -28,18 +25,11 @@ pub struct RequestTicket(u64);
 /// Per-submission options of [`NpuService::submit_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SubmitOptions {
-    /// Submitting client (the rate-limit key).
-    pub client: ClientId,
     /// Absolute completion deadline. A reply after this instant is
     /// worthless: the service refuses infeasible deadlines at admission
     /// and fails queued requests fast once the deadline cannot be met,
     /// instead of computing-then-discarding.
     pub deadline: Option<SimTime>,
-    /// How long after submission the payload becomes batchable (a
-    /// slow-loris client holds its bytes back). Clamped to
-    /// [`ServeConfig::max_hold`]; the request occupies a queue slot for
-    /// the whole hold.
-    pub hold: SimDuration,
 }
 
 /// One pooled device: its cost model, busy-horizon bookkeeping, and the
@@ -64,31 +54,6 @@ struct BatchPlan {
     fallback: Option<SimDuration>,
     completes_at: SimTime,
     breaker_opened: bool,
-}
-
-/// A submission that passed the admission check.
-#[derive(Debug, Clone, Copy)]
-struct Admitted {
-    /// Submission instant on the service clock.
-    now: SimTime,
-    /// When the payload becomes batchable.
-    ready_at: SimTime,
-    /// Whether the request routes to the CPU fallback.
-    route_cpu: bool,
-}
-
-/// Counter values at the last metrics snapshot, for per-epoch deltas.
-#[derive(Debug, Clone, Copy, Default)]
-struct EpochMark {
-    at: SimTime,
-    admitted: u64,
-    served: u64,
-    shed: u64,
-    expired: u64,
-    attempts: u64,
-    busy: SimDuration,
-    cache_hits: u64,
-    cache_misses: u64,
 }
 
 /// One request group of the compute drain: its quantized input codes and,
@@ -151,11 +116,9 @@ struct Filed {
 /// executed with per-request quantization groups, every reply is
 /// bit-identical to serving that request alone on a dedicated device.
 ///
-/// Every submission passes one fixed-order admission check
-/// (validation → deadline feasibility → per-client rate limit → load
-/// shedding or CPU degrade) before it may occupy a queue slot. With a
-/// default [`ServeConfig`] every admission feature is disabled and
-/// admission control is queue capacity alone.
+/// Every submission passes one fixed-order admission check (validation
+/// → deadline feasibility → queue capacity) before it may occupy a queue
+/// slot.
 #[derive(Debug)]
 pub struct NpuService {
     config: ServeConfig,
@@ -171,8 +134,6 @@ pub struct NpuService {
     macs: usize,
     lanes: Vec<DeviceLane>,
     injector: Option<FaultInjector>,
-    /// Per-client token buckets (`None` without [`ServeConfig::rate_limit`]).
-    limiter: Option<RateLimiter>,
     queue: SubmissionQueue,
     /// Dispatched batches awaiting numeric computation.
     inflight: Vec<BatchPlan>,
@@ -194,7 +155,6 @@ pub struct NpuService {
     /// ticket id.
     outcomes: TicketRing<Filed>,
     stats: ServeStats,
-    mark: EpochMark,
     clock: SimTime,
     next_id: u64,
     /// Policy-output cache over quantized feature groups (`None` when
@@ -249,7 +209,6 @@ impl NpuService {
             cpu: CpuInference::cortex_a73(),
             lanes,
             injector: None,
-            limiter: config.rate_limit.map(RateLimiter::new),
             queue: SubmissionQueue::new(config.queue_capacity, config.retry_after),
             inflight: Vec::new(),
             spare: Vec::new(),
@@ -258,7 +217,6 @@ impl NpuService {
             compute: ComputeScratch::default(),
             outcomes: TicketRing::default(),
             stats: ServeStats::default(),
-            mark: EpochMark::default(),
             clock: SimTime::ZERO,
             next_id: 0,
             cache: (config.policy_cache > 0).then(|| PolicyCache::new(config.policy_cache)),
@@ -316,11 +274,11 @@ impl NpuService {
     }
 
     /// Submits one request (`rows` feature rows, one board's epoch batch)
-    /// at virtual time `now`, with default [`SubmitOptions`] (anonymous
-    /// client, no completion deadline, no hold).
+    /// at virtual time `now`, with default [`SubmitOptions`] (no
+    /// completion deadline).
     ///
     /// Admission control rejects the request with a retry-after hint when
-    /// the queue is at capacity or a shed watermark fires. An admitted
+    /// the queue is at capacity. An admitted
     /// request dispatches once `max_batch` requests wait or its
     /// `max_wait` deadline passes, whichever is first.
     ///
@@ -343,10 +301,9 @@ impl NpuService {
     /// time `now`.
     ///
     /// The submission passes the admission check first; on failure the
-    /// typed [`ServeError`] reports whether a retry can succeed
-    /// ([`ServeError::retry_class`]) and how long to back off
-    /// ([`ServeError::retry_after`]). Every refusal is counted in
-    /// [`ServeStats`].
+    /// typed [`ServeError`] says why, and [`ServeError::retry_after`] how
+    /// long to back off when a retry can succeed. Every refusal is
+    /// counted in [`ServeStats`].
     ///
     /// # Errors
     ///
@@ -354,18 +311,16 @@ impl NpuService {
     ///   mismatch (terminal),
     /// * [`ServeError::DeadlineExceeded`] — the deadline cannot be met
     ///   even by the earliest possible completion (terminal),
-    /// * [`ServeError::RateLimited`] — the client's token bucket is empty
-    ///   (retryable),
-    /// * [`ServeError::Shed`] — a shed watermark fired or the queue is at
-    ///   capacity (retryable).
+    /// * [`ServeError::QueueFull`] — the queue is at capacity
+    ///   (retryable).
     pub fn submit_with(
         &mut self,
         rows: &Matrix,
         now: SimTime,
         opts: SubmitOptions,
     ) -> Result<RequestTicket, ServeError> {
-        let admitted = self.admit(rows, now, &opts)?;
-        self.enqueue(rows.clone(), admitted, &opts)
+        let now = self.admit(rows, now, &opts)?;
+        self.enqueue(rows.clone(), now, &opts)
             .map_err(|(err, _)| err)
     }
 
@@ -379,7 +334,7 @@ impl NpuService {
         opts: SubmitOptions,
     ) -> Result<RequestTicket, (ServeError, Matrix)> {
         match self.admit(&rows, now, &opts) {
-            Ok(admitted) => self.enqueue(rows, admitted, &opts),
+            Ok(now) => self.enqueue(rows, now, &opts),
             Err(err) => Err((err, rows)),
         }
     }
@@ -389,35 +344,24 @@ impl NpuService {
     fn enqueue(
         &mut self,
         rows: Matrix,
-        admitted: Admitted,
+        now: SimTime,
         opts: &SubmitOptions,
     ) -> Result<RequestTicket, (ServeError, Matrix)> {
-        let Admitted {
-            now,
-            ready_at,
-            route_cpu,
-        } = admitted;
-        if let Some(rejected) = self.queue.rejection() {
+        if let Some(Rejected { retry_after, depth }) = self.queue.rejection() {
             self.stats.rejected += 1;
-            let err = queue_full_error(rejected.depth, rejected.retry_after);
-            return Err((err, rows));
+            return Err((ServeError::QueueFull { depth, retry_after }, rows));
         }
         let id = self.next_id;
         self.queue.push(QueuedRequest {
             id,
             rows,
             submitted_at: now,
-            ready_at,
-            dispatch_deadline: ready_at + self.config.max_wait,
+            dispatch_deadline: now + self.config.max_wait,
             deadline: opts.deadline,
-            route_cpu,
         });
         self.next_id += 1;
         self.stats.submitted += 1;
-        if route_cpu {
-            self.stats.degraded += 1;
-        }
-        while self.queue.ready_len(now) >= self.config.max_batch {
+        while self.queue.len() >= self.config.max_batch {
             self.dispatch_one(now);
         }
         Ok(RequestTicket(id))
@@ -444,15 +388,7 @@ impl NpuService {
     pub fn flush(&mut self, now: SimTime) {
         self.run_until(now);
         while !self.queue.is_empty() {
-            let at = self.clock;
-            if !self.dispatch_one(at) {
-                // Everything left is held back (slow-loris); jump the
-                // clock to the earliest readiness instead of spinning.
-                match self.queue.earliest_ready() {
-                    Some(ready) => self.clock = self.clock.max(ready),
-                    None => break,
-                }
-            }
+            self.dispatch_one(self.clock);
         }
         self.drain_compute();
     }
@@ -518,105 +454,19 @@ impl NpuService {
         self.outcomes.resident()
     }
 
-    /// Counts a client-side retry decision in [`ServeStats::retries`].
-    pub fn record_retry(&mut self) {
-        self.stats.retries += 1;
-    }
-
-    /// Cuts a per-epoch metrics snapshot at `now`: pool utilization,
-    /// queue depth and shed rate since the previous snapshot (or service
-    /// start), plus the p99 queue wait across every dispatch so far.
-    /// Counters in the snapshot are deltas over that window; the p99 is
-    /// cumulative.
-    pub fn epoch_metrics(&mut self, now: SimTime) -> MetricsSnapshot {
-        let now = self.clock.max(now);
-        let busy: SimDuration = self.lanes.iter().map(|l| l.occupancy.busy_time()).sum();
-        let shed_total = self.stats.shed + self.stats.rejected + self.stats.rate_limited;
-        let attempts = self.stats.submitted + shed_total;
-        let window = now.since(self.mark.at).as_secs_f64() * self.lanes.len() as f64;
-        let utilization = if window > 0.0 {
-            ((busy - self.mark.busy).as_secs_f64() / window).max(0.0)
-        } else {
-            0.0
-        };
-        let attempts_delta = attempts - self.mark.attempts;
-        let shed_delta = shed_total - self.mark.shed;
-        let snapshot = MetricsSnapshot {
-            from: self.mark.at,
-            to: now,
-            queue_depth: self.queue.len(),
-            utilization,
-            shed_rate: if attempts_delta > 0 {
-                shed_delta as f64 / attempts_delta as f64
-            } else {
-                0.0
-            },
-            p99_queue_wait: self.stats.queue_wait_percentile(0.99),
-            admitted: self.stats.submitted - self.mark.admitted,
-            served: self.stats.served - self.mark.served,
-            shed: shed_delta,
-            expired: self.stats.expired - self.mark.expired,
-            cache_hits: self.stats.cache_hits - self.mark.cache_hits,
-            cache_misses: self.stats.cache_misses - self.mark.cache_misses,
-        };
-        self.mark = EpochMark {
-            at: now,
-            admitted: self.stats.submitted,
-            served: self.stats.served,
-            shed: shed_total,
-            expired: self.stats.expired,
-            attempts,
-            busy,
-            cache_hits: self.stats.cache_hits,
-            cache_misses: self.stats.cache_misses,
-        };
-        snapshot
-    }
-
-    /// Snapshot of the backlog for admission decisions at `at`.
-    fn backlog(&self, at: SimTime) -> Backlog {
-        let healthy = self
-            .lanes
-            .iter()
-            .filter(|l| l.breaker.state() != BreakerState::Open)
-            .count();
-        let earliest_free = self
-            .lanes
-            .iter()
-            .filter(|l| l.breaker.state() != BreakerState::Open)
-            .map(|l| l.occupancy.next_start(at).since(at))
-            .min()
-            .unwrap_or(SimDuration::ZERO);
-        let batch_latency = if healthy > 0 {
-            self.device_model
-                .inference_latency(&self.model, self.config.max_batch)
-        } else {
-            self.cpu.latency(self.macs, self.config.max_batch)
-        };
-        Backlog {
-            depth: self.queue.len(),
-            healthy_devices: healthy,
-            earliest_free,
-            batch_latency,
-        }
-    }
-
     /// The admission check at `now` (after firing the deadlines that
-    /// elapsed before it), in fixed order: validation, deadline
-    /// feasibility (before rate limiting, so a doomed request never burns
-    /// a token), the per-client rate limit when one is configured, then
-    /// load shedding or CPU degrade. The first failure wins and is
-    /// counted.
+    /// elapsed before it): validation, then deadline feasibility. The
+    /// first failure wins and is counted; queue capacity is checked at
+    /// the enqueue. Returns the submission instant on the service clock.
     fn admit(
         &mut self,
         rows: &Matrix,
         now: SimTime,
         opts: &SubmitOptions,
-    ) -> Result<Admitted, ServeError> {
+    ) -> Result<SimTime, ServeError> {
         let now = self.clock.max(now);
         // Fire deadlines that elapsed before this arrival.
         self.run_until(now);
-        let ready_at = now + opts.hold.min(self.config.max_hold);
         if rows.rows() == 0 {
             return Err(ServeError::InvalidInput {
                 reason: "empty request",
@@ -628,8 +478,8 @@ impl NpuService {
             });
         }
         if let Some(deadline) = opts.deadline {
-            // The earliest possible completion: ready + one batch margin.
-            let earliest = ready_at + self.config.deadline_margin;
+            // The earliest possible completion: now + one batch margin.
+            let earliest = now + self.config.deadline_margin;
             if deadline < earliest {
                 self.stats.infeasible += 1;
                 return Err(ServeError::DeadlineExceeded {
@@ -639,72 +489,20 @@ impl NpuService {
                 });
             }
         }
-        if let Some(limiter) = &mut self.limiter {
-            if let Err(retry_after) = limiter.try_acquire(opts.client, now) {
-                self.stats.rate_limited += 1;
-                return Err(ServeError::RateLimited {
-                    client: opts.client,
-                    retry_after,
-                });
-            }
-        }
-        let admitted = |route_cpu| {
-            Ok(Admitted {
-                now,
-                ready_at,
-                route_cpu,
-            })
-        };
-        if !shed::enabled(&self.config) {
-            return admitted(false);
-        }
-        let backlog = self.backlog(now);
-        match shed::evaluate(&self.config, &backlog) {
-            ShedDecision::Admit => admitted(false),
-            ShedDecision::DegradeCpu => admitted(true),
-            ShedDecision::Shed {
-                reason,
-                retry_after,
-            } => {
-                self.stats.shed += 1;
-                Err(ServeError::Shed {
-                    reason,
-                    depth: backlog.depth,
-                    retry_after,
-                })
-            }
-        }
+        Ok(now)
     }
 
-    /// Forms one batch from the most urgent ready requests and schedules
-    /// it on the pool. Returns whether any progress was made (a batch
-    /// dispatched or expired requests failed fast); `false` means every
-    /// pending request is still held back.
-    fn dispatch_one(&mut self, at: SimTime) -> bool {
-        let mut progress = self.fail_expired(at);
-        let mut taken = self.spare.pop().unwrap_or_default();
-        self.queue.take_ready(self.config.max_batch, at, &mut taken);
-        if taken.is_empty() {
-            self.spare.push(taken);
-            return progress;
-        }
-        progress = true;
-        for request in &taken {
-            self.stats.record_queue_wait(at.since(request.submitted_at));
-        }
-        self.advance_breakers();
-
-        // Graceful-degrade members bypass the pool entirely.
-        let mut pooled = taken;
-        if pooled.iter().any(|r| r.route_cpu) {
-            let mut degraded = self.spare.pop().unwrap_or_default();
-            degraded.extend(pooled.extract_if(.., |r| r.route_cpu));
-            self.dispatch_cpu(degraded, at);
-        }
+    /// Fails the expired requests fast, then forms one batch from the most
+    /// urgent pending requests and schedules it on the pool.
+    fn dispatch_one(&mut self, at: SimTime) {
+        self.fail_expired(at);
+        let mut pooled = self.spare.pop().unwrap_or_default();
+        self.queue.take_into(self.config.max_batch, &mut pooled);
         if pooled.is_empty() {
             self.spare.push(pooled);
-            return progress;
+            return;
         }
+        self.advance_breakers();
 
         // Earliest-free healthy device; ties go to the lowest index.
         let lane_idx = self
@@ -728,7 +526,6 @@ impl NpuService {
                 self.dispatch_npu(pooled, i, fault, at);
             }
         }
-        progress
     }
 
     /// Advances open breakers' cooldowns one step per dispatch; a breaker
@@ -796,8 +593,7 @@ impl NpuService {
         self.finish_plan(plan, rows);
     }
 
-    /// Schedules a batch directly on the host CPU (graceful degrade, or
-    /// every breaker open).
+    /// Schedules a batch directly on the host CPU (every breaker open).
     fn dispatch_cpu(&mut self, mut requests: Vec<QueuedRequest>, at: SimTime) {
         let estimate = at + self.cpu.latency(self.macs, total_rows(&requests));
         self.fail_infeasible(&mut requests, estimate, at);
@@ -857,14 +653,10 @@ impl NpuService {
     }
 
     /// Fails every queued request whose deadline has already passed.
-    /// Returns whether any expired.
-    fn fail_expired(&mut self, at: SimTime) -> bool {
-        let expired = self.queue.take_expired(at);
-        let any = !expired.is_empty();
-        for request in expired {
+    fn fail_expired(&mut self, at: SimTime) {
+        for request in self.queue.take_expired(at) {
             self.fail_deadline(request, at, at);
         }
-        any
     }
 
     /// Records the fail-fast outcome of one deadline-doomed request.
@@ -1118,8 +910,6 @@ fn cpu_forward(mlp: &Mlp, requests: &[QueuedRequest]) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::limiter::RateLimit;
-    use crate::ShedReason;
     use faults::FaultPlan;
     use npu::KernelMode;
     use rand::rngs::StdRng;
@@ -1181,10 +971,7 @@ mod tests {
         assert_eq!(service.stats().batches, 1);
         assert_eq!(service.stats().batch_histogram()[3], 1);
         assert_eq!(service.stats().rows, 3);
-        assert_eq!(
-            service.stats().queue_wait_percentile(1.0),
-            Some(SimDuration::ZERO)
-        );
+        assert_eq!(service.pending(), 0);
     }
 
     #[test]
@@ -1205,14 +992,7 @@ mod tests {
         let err = service
             .submit_with(&request(2, 1), ms(1), SubmitOptions::default())
             .unwrap_err();
-        assert!(matches!(
-            err,
-            ServeError::Shed {
-                reason: ShedReason::QueueFull,
-                depth: 2,
-                ..
-            }
-        ));
+        assert!(matches!(err, ServeError::QueueFull { depth: 2, .. }));
         assert_eq!(service.stats().rejected, 2);
         // After the deadline drains the queue, the retry is admitted.
         let t = service.submit(&request(2, 1), ms(4)).unwrap();
@@ -1360,7 +1140,6 @@ mod tests {
         let mut service = NpuService::new(&net, ServeConfig::default());
         let opts = SubmitOptions {
             deadline: Some(ms(11)), // margin is 4 ms; 10 + 4 > 11
-            ..SubmitOptions::default()
         };
         let err = service
             .submit_with(&request(0, 1), ms(10), opts)
@@ -1386,9 +1165,7 @@ mod tests {
         let tickets: Vec<_> = (0..12)
             .map(|i| {
                 let opts = SubmitOptions {
-                    client: ClientId::new(i as u64),
                     deadline: Some(ms(10)),
-                    ..SubmitOptions::default()
                 };
                 service.submit_with(&request(i, 4), ms(1), opts).unwrap()
             })
@@ -1415,284 +1192,54 @@ mod tests {
         assert_eq!(service.stats().dropped(), 0);
     }
 
-    #[test]
-    fn depth_watermark_sheds_with_backlog_scaled_hint() {
-        let net = mlp();
-        let config = ServeConfig {
-            shed_depth_watermark: Some(2),
-            max_batch: 16,
-            ..ServeConfig::default()
-        };
-        let mut service = NpuService::new(&net, config);
-        service.submit(&request(0, 1), ms(1)).unwrap();
-        service.submit(&request(1, 1), ms(1)).unwrap();
-        let err = service
-            .submit_with(&request(2, 1), ms(1), SubmitOptions::default())
-            .unwrap_err();
-        let ServeError::Shed {
-            reason,
-            depth,
-            retry_after,
-        } = err
-        else {
-            panic!("expected a shed, got {err:?}");
-        };
-        assert_eq!(reason, ShedReason::DepthWatermark);
-        assert_eq!(depth, 2);
-        assert!(retry_after >= config.retry_after);
-        assert_eq!(service.stats().shed, 1);
-    }
-
-    #[test]
-    fn rate_limiter_is_per_client() {
-        let net = mlp();
-        let config = ServeConfig {
-            rate_limit: Some(RateLimit {
-                burst: 2.0,
-                refill_per_sec: 10.0,
-            }),
-            ..ServeConfig::default()
-        };
-        let mut service = NpuService::new(&net, config);
-        let hog = SubmitOptions {
-            client: ClientId::new(1),
-            ..SubmitOptions::default()
-        };
-        let other = SubmitOptions {
-            client: ClientId::new(2),
-            ..SubmitOptions::default()
-        };
-        service.submit_with(&request(0, 1), ms(1), hog).unwrap();
-        service.submit_with(&request(1, 1), ms(1), hog).unwrap();
-        let err = service.submit_with(&request(2, 1), ms(1), hog).unwrap_err();
-        assert!(matches!(
-            err,
-            ServeError::RateLimited { client, .. } if client == ClientId::new(1)
-        ));
-        // A different client is unaffected by the hog's empty bucket.
-        service.submit_with(&request(3, 1), ms(1), other).unwrap();
-        assert_eq!(service.stats().rate_limited, 1);
-        // Virtual-time refill: 100 ms at 10 tokens/s is one token.
-        service.flush(ms(10));
-        service.submit_with(&request(4, 1), ms(101), hog).unwrap();
-        service.flush(ms(200));
-        assert_eq!(service.stats().dropped(), 0);
-    }
-
-    #[test]
-    fn degrade_watermark_routes_to_cpu_before_shedding() {
-        let net = mlp();
-        let config = ServeConfig {
-            cpu_degrade_watermark: Some(SimDuration::ZERO),
-            max_batch: 4,
-            ..ServeConfig::default()
-        };
-        let mut service = NpuService::new(&net, config);
-        let t = service
-            .submit_with(&request(0, 2), ms(1), SubmitOptions::default())
-            .unwrap();
-        service.flush(ms(10));
-        let reply = service.take_reply(t).unwrap();
-        assert!(reply.fallback_active, "degraded requests serve on the CPU");
-        assert_eq!(reply.backend, InferenceBackend::Cpu);
-        assert_eq!(service.stats().degraded, 1);
-        assert_eq!(service.stats().cpu_fallback_batches, 1);
-        // The pool never saw the request.
-        assert!(service.device_busy_times().iter().all(|d| d.is_zero()));
-    }
-
-    #[test]
-    fn held_submissions_batch_only_once_ready() {
-        let net = mlp();
-        let mut service = NpuService::new(&net, ServeConfig::default());
-        let held = SubmitOptions {
-            hold: SimDuration::from_millis(20),
-            ..SubmitOptions::default()
-        };
-        let slow = service.submit_with(&request(0, 1), ms(1), held).unwrap();
-        let fast = service
-            .submit_with(&request(1, 1), ms(1), SubmitOptions::default())
-            .unwrap();
-        // The prompt request dispatches at its own max_wait deadline; the
-        // slow-loris request stays queued until its payload arrives.
-        service.run_until(ms(10));
-        assert!(service.take_reply(fast).is_some());
-        assert!(service.take_reply(slow).is_none());
-        assert_eq!(service.pending(), 1);
-        service.flush(ms(40));
-        assert!(service.take_reply(slow).is_some());
-        assert_eq!(service.stats().dropped(), 0);
-    }
-
-    #[test]
-    fn hold_is_clamped_to_max_hold() {
-        let net = mlp();
-        let config = ServeConfig {
-            max_hold: SimDuration::from_millis(5),
-            ..ServeConfig::default()
-        };
-        let mut service = NpuService::new(&net, config);
-        let loris = SubmitOptions {
-            hold: SimDuration::from_secs(3600),
-            ..SubmitOptions::default()
-        };
-        let t = service.submit_with(&request(0, 1), ms(0), loris).unwrap();
-        // Ready at 5 ms (clamped), dispatched by 7 ms (max_wait 2 ms).
-        service.run_until(ms(8));
-        assert!(service.take_reply(t).is_some());
-    }
-
-    #[test]
-    fn retry_records_are_counted() {
-        let net = mlp();
-        let mut service = NpuService::new(&net, ServeConfig::default());
-        service.record_retry();
-        service.record_retry();
-        assert_eq!(service.stats().retries, 2);
-        assert_eq!(service.stats().submitted, 0);
-    }
-
-    /// Admission runs validate → deadline → rate limit → shed/degrade.
-    /// Each row arms two checks at once, so only the earlier one may
-    /// answer.
+    /// Admission runs validate → deadline → queue capacity. Each row arms
+    /// the later checks too, so only the earliest one may answer.
     #[test]
     fn admission_checks_run_in_fixed_order() {
         let net = mlp();
-        let client = ClientId::new(1);
-        let one_token = Some(RateLimit {
-            burst: 1.0,
-            refill_per_sec: 1.0,
-        });
+        let one_slot = ServeConfig {
+            queue_capacity: 1,
+            ..ServeConfig::default()
+        };
         let outcome = |r: &Result<RequestTicket, ServeError>| match r {
             Ok(_) => "admitted",
             Err(ServeError::InvalidInput { .. }) => "invalid_input",
             Err(ServeError::DeadlineExceeded { .. }) => "deadline_exceeded",
-            Err(ServeError::RateLimited { .. }) => "rate_limited",
-            Err(ServeError::Shed {
-                reason: ShedReason::DepthWatermark,
-                ..
-            }) => "shed_depth",
-            Err(ServeError::Shed { .. }) => "shed_other",
+            Err(ServeError::QueueFull { .. }) => "queue_full",
         };
         // Margin is 4 ms: an 11 ms deadline submitted at 10 ms is doomed.
         let doomed = Some(ms(11));
-        // (row, config, admitted submissions first, probe, deadline, outcome)
+        // (row, admitted submissions first, probe, deadline, outcome)
         let rows = [
             (
-                "malformed input beats a doomed deadline and an empty bucket",
-                ServeConfig {
-                    rate_limit: one_token,
-                    ..ServeConfig::default()
-                },
+                "malformed input beats a doomed deadline and a full queue",
                 1,
                 Matrix::from_rows(vec![vec![0.5; 7]]),
                 doomed,
                 "invalid_input",
             ),
             (
-                "a doomed deadline beats the rate limit",
-                ServeConfig {
-                    rate_limit: one_token,
-                    ..ServeConfig::default()
-                },
-                0,
+                "a doomed deadline beats a full queue",
+                1,
                 request(9, 1),
                 doomed,
                 "deadline_exceeded",
             ),
-            (
-                "an empty bucket beats the depth watermark",
-                ServeConfig {
-                    rate_limit: one_token,
-                    shed_depth_watermark: Some(1),
-                    ..ServeConfig::default()
-                },
-                1,
-                request(9, 1),
-                None,
-                "rate_limited",
-            ),
-            (
-                "the depth watermark beats the degrade watermark",
-                ServeConfig {
-                    shed_depth_watermark: Some(1),
-                    cpu_degrade_watermark: Some(SimDuration::ZERO),
-                    ..ServeConfig::default()
-                },
-                1,
-                request(9, 1),
-                None,
-                "shed_depth",
-            ),
-            (
-                "the degrade watermark admits onto the CPU",
-                ServeConfig {
-                    cpu_degrade_watermark: Some(SimDuration::ZERO),
-                    ..ServeConfig::default()
-                },
-                0,
-                request(9, 1),
-                None,
-                "admitted",
-            ),
+            ("a full queue refuses", 1, request(9, 1), None, "queue_full"),
+            ("an empty queue admits", 0, request(9, 1), None, "admitted"),
         ];
-        let mut services = Vec::new();
-        for (row, config, before, probe, deadline, expected) in rows {
-            let mut service = NpuService::new(&net, config);
-            let opts = SubmitOptions {
-                client,
-                ..SubmitOptions::default()
-            };
+        for (row, before, probe, deadline, expected) in rows {
+            let mut service = NpuService::new(&net, one_slot);
             for i in 0..before {
-                service.submit_with(&request(i, 1), ms(10), opts).unwrap();
+                service.submit(&request(i, 1), ms(10)).unwrap();
             }
-            let got = service.submit_with(&probe, ms(10), SubmitOptions { deadline, ..opts });
+            let got = service.submit_with(&probe, ms(10), SubmitOptions { deadline });
             assert_eq!(outcome(&got), expected, "{row}");
-            services.push(service);
+            // Only the answering check counted the refusal.
+            let stats = service.stats();
+            assert_eq!(stats.infeasible, u64::from(expected == "deadline_exceeded"));
+            assert_eq!(stats.rejected, u64::from(expected == "queue_full"));
         }
-        // The doomed deadline left the client's only token in the bucket.
-        let doomed_row = &mut services[1];
-        assert_eq!(doomed_row.stats().infeasible, 1);
-        assert_eq!(doomed_row.stats().rate_limited, 0);
-        let opts = SubmitOptions {
-            client,
-            ..SubmitOptions::default()
-        };
-        assert!(doomed_row.submit_with(&request(0, 1), ms(10), opts).is_ok());
-        assert_eq!(services[2].stats().rate_limited, 1);
-        assert_eq!(services[3].stats().shed, 1);
-        assert_eq!(services[4].stats().degraded, 1);
-    }
-
-    #[test]
-    fn epoch_metrics_report_deltas_and_utilization() {
-        let net = mlp();
-        let config = ServeConfig {
-            queue_capacity: 2,
-            max_batch: 16,
-            ..ServeConfig::default()
-        };
-        let mut service = NpuService::new(&net, config);
-        service.submit(&request(0, 1), ms(1)).unwrap();
-        service.submit(&request(1, 1), ms(1)).unwrap();
-        let _ = service.submit(&request(2, 1), ms(1)); // queue full: shed
-        service.flush(ms(100));
-        let m = service.epoch_metrics(ms(100));
-        assert_eq!(m.from, SimTime::ZERO);
-        assert_eq!(m.to, ms(100));
-        assert_eq!(m.admitted, 2);
-        assert_eq!(m.served, 2);
-        assert_eq!(m.shed, 1);
-        assert_eq!(m.expired, 0);
-        assert!((m.shed_rate - 1.0 / 3.0).abs() < 1e-9);
-        assert!(m.utilization > 0.0, "the pool did work this epoch");
-        assert!(m.p99_queue_wait.is_some());
-        // The next epoch starts from zero deltas.
-        let next = service.epoch_metrics(ms(200));
-        assert_eq!(next.from, ms(100));
-        assert_eq!(next.admitted, 0);
-        assert_eq!(next.shed, 0);
-        assert!((next.utilization - 0.0).abs() < 1e-9);
     }
 
     /// Submits twelve 4-row requests with a 10 ms deadline to a single
@@ -1702,9 +1249,7 @@ mod tests {
         let tickets = (0..12)
             .map(|i| {
                 let opts = SubmitOptions {
-                    client: ClientId::new(i as u64),
                     deadline: Some(ms(10)),
-                    ..SubmitOptions::default()
                 };
                 service.submit_with(&request(i, 4), ms(1), opts).unwrap()
             })

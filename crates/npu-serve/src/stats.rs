@@ -1,6 +1,6 @@
 //! Aggregate service statistics.
 
-use hmc_types::{SimDuration, SimTime};
+use hmc_types::SimDuration;
 
 use crate::quantile::nearest_rank;
 
@@ -11,21 +11,12 @@ pub struct ServeStats {
     pub submitted: u64,
     /// Requests rejected because the queue was at capacity.
     pub rejected: u64,
-    /// Requests shed by a watermark (depth or estimated latency).
-    pub shed: u64,
-    /// Requests refused by the per-client rate limiter.
-    pub rate_limited: u64,
     /// Admitted requests whose deadline passed (or became unmeetable)
     /// while queued — failed fast, never computed.
     pub expired: u64,
     /// Submissions refused at admission because their deadline was
     /// infeasible (never admitted, so not part of `expired`).
     pub infeasible: u64,
-    /// Requests admitted under the CPU-degrade watermark and routed to
-    /// the fallback instead of the pool.
-    pub degraded: u64,
-    /// Client retries scheduled after retryable errors.
-    pub retries: u64,
     /// Replies that would have been delivered after their deadline. The
     /// deadline pipeline exists to keep this at zero; the counter is the
     /// safety net that proves it.
@@ -51,9 +42,6 @@ pub struct ServeStats {
     /// Per-request end-to-end latencies (submit → completion), in
     /// nanoseconds, in completion order.
     latencies_ns: Vec<u64>,
-    /// Per-request queue waits (submit → dispatch), in nanoseconds, in
-    /// dispatch order.
-    queue_wait_ns: Vec<u64>,
     /// `batch_hist[n]` counts dispatched batches that coalesced `n`
     /// requests; index 0 is unused.
     batch_hist: Vec<u64>,
@@ -72,10 +60,6 @@ impl ServeStats {
     pub(crate) fn record_reply(&mut self, latency: SimDuration) {
         self.served += 1;
         self.latencies_ns.push(latency.as_nanos());
-    }
-
-    pub(crate) fn record_queue_wait(&mut self, wait: SimDuration) {
-        self.queue_wait_ns.push(wait.as_nanos());
     }
 
     /// Requests admitted but neither served nor expired. Zero after a
@@ -107,55 +91,10 @@ impl ServeStats {
     /// The `q`-quantile (0.0–1.0, [`nearest_rank`]) of the per-request
     /// end-to-end latency. `None` before anything was served.
     pub fn latency_percentile(&self, q: f64) -> Option<SimDuration> {
-        quantile_ns(&self.latencies_ns, q)
+        let mut sorted = self.latencies_ns.clone();
+        sorted.sort_unstable();
+        nearest_rank(&sorted, q).map(SimDuration::from_nanos)
     }
-
-    /// The `q`-quantile (0.0–1.0, [`nearest_rank`]) of the per-request queue
-    /// wait (submit → dispatch). `None` before anything was dispatched.
-    pub fn queue_wait_percentile(&self, q: f64) -> Option<SimDuration> {
-        quantile_ns(&self.queue_wait_ns, q)
-    }
-}
-
-/// [`nearest_rank`] over an unsorted nanosecond sample.
-fn quantile_ns(samples_ns: &[u64], q: f64) -> Option<SimDuration> {
-    let mut sorted = samples_ns.to_vec();
-    sorted.sort_unstable();
-    nearest_rank(&sorted, q).map(SimDuration::from_nanos)
-}
-
-/// One epoch of service health, cut by [`crate::NpuService::epoch_metrics`].
-///
-/// Counters are deltas since the previous snapshot; the queue depth and
-/// utilization describe the instant the snapshot was cut.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Epoch start (previous snapshot, or service start).
-    pub from: SimTime,
-    /// Epoch end (the instant the snapshot was cut).
-    pub to: SimTime,
-    /// Requests pending in the queue at `to`.
-    pub queue_depth: usize,
-    /// Fraction of the pool's device-time spent busy since `from`
-    /// (1.0 = every device computed the whole epoch).
-    pub utilization: f64,
-    /// Sheds (watermark + queue-full + rate-limited) per submission
-    /// attempt this epoch; 0.0 when nothing arrived.
-    pub shed_rate: f64,
-    /// p99 queue wait across all dispatches so far.
-    pub p99_queue_wait: Option<SimDuration>,
-    /// Requests admitted this epoch.
-    pub admitted: u64,
-    /// Replies produced this epoch.
-    pub served: u64,
-    /// Requests shed this epoch (watermark + queue-full + rate-limited).
-    pub shed: u64,
-    /// Requests failed fast on deadline this epoch.
-    pub expired: u64,
-    /// Policy-cache hits this epoch (zero when the cache is disabled).
-    pub cache_hits: u64,
-    /// Policy-cache misses this epoch (zero when the cache is disabled).
-    pub cache_misses: u64,
 }
 
 #[cfg(test)]
@@ -183,23 +122,6 @@ mod tests {
         assert_eq!(
             s.latency_percentile(1.0),
             Some(SimDuration::from_millis(100))
-        );
-    }
-
-    #[test]
-    fn queue_wait_distribution_is_tracked() {
-        let mut s = ServeStats::default();
-        assert_eq!(s.queue_wait_percentile(0.99), None);
-        for ms in [2u64, 1, 5] {
-            s.record_queue_wait(SimDuration::from_millis(ms));
-        }
-        assert_eq!(
-            s.queue_wait_percentile(0.5),
-            Some(SimDuration::from_millis(2))
-        );
-        assert_eq!(
-            s.queue_wait_percentile(0.99),
-            Some(SimDuration::from_millis(5))
         );
     }
 

@@ -49,7 +49,6 @@ use nn::{Matrix, Mlp};
 use npu::{CpuInference, NpuModel};
 use topil::ClientReply;
 
-use crate::limiter::ClientId;
 use crate::quantile::nearest_rank;
 use crate::ring::TicketRing;
 use crate::service::SubmitOptions;
@@ -176,8 +175,6 @@ pub struct TierTicket(u64);
 pub struct TierSubmit {
     /// Home rack of the submitting board.
     pub rack: usize,
-    /// Submitting client identity (rate-limit key inside the services).
-    pub client: ClientId,
     /// Absolute completion deadline.
     pub deadline: Option<SimTime>,
 }
@@ -266,7 +263,6 @@ struct PendingRequest {
     rows: Option<Matrix>,
     submit_at: SimTime,
     deadline: Option<SimTime>,
-    client: ClientId,
     /// Armed hedge instant (rack-routed requests only).
     hedge_at: Option<SimTime>,
     primary: Primary,
@@ -615,14 +611,12 @@ impl TieredService {
                 rows,
                 now,
                 SubmitOptions {
-                    client: opts.client,
                     deadline: opts.deadline,
-                    hold: SimDuration::ZERO,
                 },
             );
             match submit {
                 Ok(ticket) => Primary::Rack(ticket),
-                // Admission rejection (shed, rate limit, infeasible
+                // Admission rejection (a full queue, an infeasible
                 // deadline) is back-pressure, not a rack failure: fail
                 // over without charging the tier breaker.
                 Err((_, rows)) => {
@@ -649,7 +643,6 @@ impl TieredService {
             rows: payload,
             submit_at: now,
             deadline: opts.deadline,
-            client: opts.client,
             hedge_at,
             primary,
             failed_over,
@@ -976,9 +969,7 @@ impl TieredService {
                 rows,
                 at,
                 SubmitOptions {
-                    client: ladder.pending.client,
                     deadline: ladder.pending.deadline,
-                    hold: SimDuration::ZERO,
                 },
             );
             match submit {
@@ -1204,7 +1195,6 @@ mod tests {
     fn submit_opts(rack: usize) -> TierSubmit {
         TierSubmit {
             rack,
-            client: ClientId::new(7),
             deadline: None,
         }
     }
@@ -1413,7 +1403,6 @@ mod tests {
         }
         let opts = TierSubmit {
             rack: 0,
-            client: ClientId::new(1),
             deadline: Some(SimTime::from_millis(1) + SimDuration::from_nanos(10)),
         };
         let ticket = tier
@@ -1594,7 +1583,6 @@ mod tests {
         tier.set_partitioned(0, true);
         let opts = TierSubmit {
             rack: 0,
-            client: ClientId::new(1),
             // Tighter than the backbone round trip: the regional rung
             // cannot possibly answer in time, the CPU can.
             deadline: Some(SimTime::from_millis(1) + SimDuration::from_millis(100)),
@@ -1628,7 +1616,6 @@ mod tests {
         let mut tier = TieredService::new(&mlp, config);
         let opts = TierSubmit {
             rack: 0,
-            client: ClientId::new(7),
             deadline: Some(SimTime::from_millis(1) + SimDuration::from_millis(400)),
         };
         let ticket = tier

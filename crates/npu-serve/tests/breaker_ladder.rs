@@ -6,8 +6,7 @@ use faults::{BreakerState, FaultInjector, FaultPlan};
 use hmc_types::{SimDuration, SimTime};
 use nn::{Matrix, Mlp};
 use npu_serve::{
-    ClientId, NpuService, ServeConfig, TierConfig, TierOutcome, TierScope, TierSubmit,
-    TieredService,
+    NpuService, ServeConfig, TierConfig, TierOutcome, TierScope, TierSubmit, TieredService,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -137,13 +136,14 @@ fn storm_with_deadlines_never_serves_late() {
     for i in 0..30u64 {
         let opts = npu_serve::SubmitOptions {
             deadline: Some(ms(i + 12)),
-            ..npu_serve::SubmitOptions::default()
         };
         match service.submit_with(&request(i as usize), ms(i), opts) {
             Ok(t) => tickets.push(t),
-            Err(err) => assert!(
-                err.retry_after().is_some() || err.retry_class() == npu_serve::RetryClass::Terminal
-            ),
+            Err(err) => assert!(matches!(
+                err,
+                npu_serve::ServeError::QueueFull { .. }
+                    | npu_serve::ServeError::DeadlineExceeded { .. }
+            )),
         }
     }
     service.flush(ms(500));
@@ -195,7 +195,6 @@ fn breaker_opens_while_its_board_is_crashing() {
             ms(10),
             TierSubmit {
                 rack: 0,
-                client: ClientId::new(1),
                 deadline: None,
             },
         )
@@ -234,7 +233,6 @@ fn breaker_opens_while_its_board_is_crashing() {
             ms(350),
             TierSubmit {
                 rack: 0,
-                client: ClientId::new(1),
                 deadline: None,
             },
         )
@@ -288,7 +286,6 @@ fn rejoining_board_starts_with_a_half_open_breaker() {
             ms(510),
             TierSubmit {
                 rack: 0,
-                client: ClientId::new(2),
                 deadline: None,
             },
         )

@@ -20,9 +20,8 @@ mod common;
 
 use std::sync::OnceLock;
 
-use bench::csv::{edge_csv, fleet_csv, overload_csv};
+use bench::csv::{edge_csv, fleet_csv};
 use bench::fleet::{self, ChurnSpec, FleetConfig};
-use bench::overload::{self, OverloadConfig};
 use common::{check_golden, quick_model, CsvDigest, ModelDigest};
 use edge_sim::{Demand, EdgeConfig, StormPreset};
 use top_il::par::Budget;
@@ -112,25 +111,20 @@ fn fleet_churn() {
     );
 }
 
-fn overload_digest(name: &str, fault_storm: bool) {
-    check_csv(name, "overload", |budget| {
-        overload_csv(&overload::run(&OverloadConfig {
-            epochs: 5,
-            fault_storm,
-            budget,
-            ..OverloadConfig::default()
-        }))
-    });
-}
-
+/// The overload preset as `experiments overload` runs it: one saturated
+/// rack, plain.
 #[test]
 fn overload_plain() {
-    overload_digest("overload_plain", false);
+    edge_digest("overload_plain", EdgeConfig::overload(None));
 }
 
+/// The overload preset under the full storm.
 #[test]
 fn overload_storm() {
-    overload_digest("overload_storm", true);
+    edge_digest(
+        "overload_storm",
+        EdgeConfig::overload(Some(StormPreset::All)),
+    );
 }
 
 /// The five storm presets in the chaos scenario at the CI chaos gate's
